@@ -7,29 +7,25 @@
 //
 //	pcstream [-machine M] [-workload W] [-load F] [-attribution A]
 //	         [-duration S] [-tick MS] [-seed N]
-//	         [-checkpoint FILE] [-checkpoint-every N]
-//	pcstream -resume FILE [same machine/workload/seed flags] ...
 //	pcstream -dir DIR [-supervise [-max-restarts N] [-backoff-ms MS]
 //	         [-crash SPEC]...] [same flags] ...
 //
 // The stream is deterministic: the same flags produce the byte-identical
-// stream. -checkpoint writes the engine's latest checkpoint to FILE;
-// -resume rebuilds the identically configured machine, replays quietly to
-// the checkpoint, verifies the state matches, and continues the stream
-// from the cut — emitting exactly the records the uninterrupted run would
-// have emitted after it.
+// stream.
 //
 // -dir switches to durable mode: every record is appended to a CRC-framed
-// WAL in DIR, checkpoints persist beside it, and on startup the store
-// recovers (torn tails repaired, newest valid checkpoint loaded, WAL tail
-// replayed) and resumes exactly where the durable stream ends — rerunning
-// the same command after any number of kills re-emits nothing and loses
-// nothing. What is printed is the stream read back from the WAL, so
-// stdout is byte-identical to an uninterrupted run regardless of crash
-// history. -supervise adds an in-process supervisor: attempts that die
-// with a crash are restarted with exponential backoff (-backoff-ms, 0
-// disables waiting) within a restart budget (-max-restarts), and repeated
-// deaths without durable progress abort as a crash loop. Each -crash flag
+// WAL in DIR, a checkpoint persists beside it every 10 ticks, and on
+// startup the store recovers (torn tails repaired, newest valid
+// checkpoint loaded, WAL tail replayed) and resumes exactly where the
+// durable stream ends — rerunning the same command after any number of
+// kills re-emits nothing and loses nothing, and rerunning it with a later
+// -duration continues the stream from where the previous run stopped.
+// What is printed is the stream read back from the WAL, so stdout is
+// byte-identical to an uninterrupted run regardless of crash history.
+// -supervise adds an in-process supervisor: attempts that die with a
+// crash are restarted with exponential backoff (-backoff-ms, 0 disables
+// waiting) within a restart budget (-max-restarts), and repeated deaths
+// without durable progress abort as a crash loop. Each -crash flag
 // (repeatable) injects one faults.CrashPlan into the corresponding
 // attempt over an in-memory filesystem — the e2e crashmatrix harness.
 package main
@@ -128,9 +124,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	durationS := fs.Float64("duration", 10, "virtual seconds to stream")
 	tickMS := fs.Int64("tick", 100, "streaming tick in virtual milliseconds")
 	seed := fs.Uint64("seed", 1, "simulation seed (identical seeds reproduce identical streams)")
-	cpPath := fs.String("checkpoint", "", "write the latest checkpoint JSON to this file")
-	cpEvery := fs.Int("checkpoint-every", 0, "take an automatic checkpoint every N ticks (0 = only at the end; 10 in -dir mode)")
-	resume := fs.String("resume", "", "resume from a checkpoint file written by -checkpoint (requires identical machine/workload/seed flags)")
 	dir := fs.String("dir", "", "durable mode: stream through a crash-safe WAL + checkpoint store in this directory and print the stream read back from it")
 	supervise := fs.Bool("supervise", false, "restart crashed attempts with exponential backoff (requires -dir)")
 	maxRestarts := fs.Int("max-restarts", 8, "restart budget for -supervise")
@@ -158,9 +151,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if len(crashSpecs) > 0 && !*supervise {
 		return fmt.Errorf("-crash requires -supervise (an unsupervised crash just kills the run)")
-	}
-	if *dir != "" && (*cpPath != "" || *resume != "") {
-		return fmt.Errorf("-dir manages its own checkpoints; drop -checkpoint/-resume")
 	}
 	spec, err := pickMachine(*machine)
 	if err != nil {
@@ -197,12 +187,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: meter, Scope: scope}, nil
 	}
-	cfg := stream.Config{Tick: sim.Time(*tickMS) * sim.Millisecond, CheckpointEvery: *cpEvery}
+	cfg := stream.Config{Tick: sim.Time(*tickMS) * sim.Millisecond}
 
 	if *dir != "" {
-		if cfg.CheckpointEvery == 0 {
-			cfg.CheckpointEvery = 10
-		}
+		cfg.CheckpointEvery = durableCheckpointEvery
 		return runDurable(durableRun{
 			dir: *dir, cfg: cfg, horizon: horizon, newSources: newSources,
 			supervise: *supervise, maxRestarts: *maxRestarts, backoffMS: *backoffMS,
@@ -214,24 +202,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var e *stream.Engine
-	if *resume != "" {
-		data, err := os.ReadFile(*resume)
-		if err != nil {
-			return err
-		}
-		cp, err := stream.DecodeCheckpoint(data)
-		if err != nil {
-			return err
-		}
-		if e, err = stream.ReplayTo(src, cfg, cp); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "resumed at tick %d (t=%s) from %s\n", e.Tick(), sim.FormatTime(e.Now()), *resume)
-	} else {
-		e = stream.New(src, cfg)
-	}
-
+	e := stream.New(src, cfg)
 	out := bufio.NewWriter(stdout)
 	sink := &lineSink{w: out}
 	hasher := stream.NewHasher()
@@ -244,17 +215,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return sink.err
 	}
 
-	if *cpPath != "" {
-		cp := e.Checkpoint()
-		if err := os.WriteFile(*cpPath, stream.EncodeCheckpoint(cp), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "checkpoint at tick %d written to %s\n", cp.Tick, *cpPath)
-	}
 	fmt.Fprintf(stderr, "streamed %d ticks, %d records, %s J attributed, stream sha256 %s\n",
 		e.Tick(), hasher.Count(), fmt.Sprintf("%.3f", e.CumAttributedJ()), hasher.Sum())
 	return nil
 }
+
+// durableCheckpointEvery is the durable store's checkpoint cadence in
+// ticks: recovery replays at most this many ticks past the newest
+// checkpoint.
+const durableCheckpointEvery = 10
 
 // durableRun is the configuration for one durable-mode invocation.
 type durableRun struct {

@@ -29,36 +29,6 @@ func TestRunStreamsDeterministically(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointResume: streaming to a mid-run checkpoint and resuming
-// from it emits exactly the records the uninterrupted run emits after the
-// cut — the CLI-level replay contract.
-func TestRunCheckpointResume(t *testing.T) {
-	base := []string{"-duration", "6", "-seed", "11", "-workload", "GAE-Vosao", "-load", "0.4"}
-	var full, errb bytes.Buffer
-	if err := run(base, &full, &errb); err != nil {
-		t.Fatal(err)
-	}
-
-	cp := filepath.Join(t.TempDir(), "cp.json")
-	var head bytes.Buffer
-	if err := run(append([]string{"-checkpoint", cp}, append([]string{"-duration", "2.5"}, base[2:]...)...), &head, &errb); err != nil {
-		t.Fatal(err)
-	}
-	var tail bytes.Buffer
-	if err := run(append([]string{"-resume", cp}, base...), &tail, &errb); err != nil {
-		t.Fatal(err)
-	}
-	// -duration 2.5 streams 25 whole 100ms ticks; the head is everything
-	// the full run emitted through tick 25.
-	if !bytes.Equal(append(head.Bytes(), tail.Bytes()...), full.Bytes()) {
-		t.Fatalf("head (%d bytes) + resumed tail (%d bytes) != uninterrupted stream (%d bytes)",
-			head.Len(), tail.Len(), full.Len())
-	}
-	if !strings.Contains(errb.String(), "resumed at tick 25") {
-		t.Fatalf("resume did not report the cut: %s", errb.String())
-	}
-}
-
 // TestRunFlagValidation: bad flag values surface as errors, not panics.
 func TestRunFlagValidation(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -76,37 +46,46 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 // TestRunDurableMatchesPlainRun: -dir streams through the WAL store and
-// prints the stream read back from it — byte-identical to the plain run —
-// and rerunning over the same store re-emits the identical stream without
-// appending anything twice.
+// prints the stream read back from it — byte-identical to the plain run
+// with the same flags. A rerun over the store recovers from its checkpoint
+// and prints the stream of its own flags: the identical stream when
+// nothing changed (nothing is appended twice), and the longer run's stream
+// when -duration grew (the store continues from where it stopped).
 func TestRunDurableMatchesPlainRun(t *testing.T) {
-	base := []string{"-duration", "4", "-seed", "9", "-workload", "GAE-Vosao", "-load", "0.4"}
-	var plain, errb bytes.Buffer
-	if err := run(base, &plain, &errb); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := filepath.Join(t.TempDir(), "wal")
-	var first, ferr bytes.Buffer
-	if err := run(append([]string{"-dir", dir}, base...), &first, &ferr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), plain.Bytes()) {
-		t.Fatalf("durable stream (%d bytes) differs from plain run (%d bytes)", first.Len(), plain.Len())
-	}
-	if !strings.Contains(ferr.String(), "recovery: mode=fresh") {
-		t.Fatalf("first open not fresh: %s", ferr.String())
-	}
-
-	var again, aerr bytes.Buffer
-	if err := run(append([]string{"-dir", dir}, base...), &again, &aerr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), plain.Bytes()) {
-		t.Fatal("re-run over the finished store changed the stream")
-	}
-	if !strings.Contains(aerr.String(), "recovery: mode=checkpoint") {
-		t.Fatalf("re-run did not recover from the checkpoint: %s", aerr.String())
+	for _, tc := range []struct {
+		name          string
+		seed          string
+		first, second string // -duration of the two runs over one store
+	}{
+		{"rerun", "9", "4", "4"},
+		{"continue", "11", "2.5", "6"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			flags := func(duration string) []string {
+				return []string{"-duration", duration, "-seed", tc.seed, "-workload", "GAE-Vosao", "-load", "0.4"}
+			}
+			dir := filepath.Join(t.TempDir(), "wal")
+			for i, step := range []struct{ duration, mode string }{
+				{tc.first, "recovery: mode=fresh"},
+				{tc.second, "recovery: mode=checkpoint"},
+			} {
+				var plain, durable, errb bytes.Buffer
+				if err := run(flags(step.duration), &plain, &errb); err != nil {
+					t.Fatal(err)
+				}
+				errb.Reset()
+				if err := run(append([]string{"-dir", dir}, flags(step.duration)...), &durable, &errb); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(durable.Bytes(), plain.Bytes()) {
+					t.Fatalf("run %d (-duration %s): durable stream (%d bytes) differs from plain run (%d bytes)",
+						i+1, step.duration, durable.Len(), plain.Len())
+				}
+				if !strings.Contains(errb.String(), step.mode) {
+					t.Fatalf("run %d (-duration %s) did not report %q: %s", i+1, step.duration, step.mode, errb.String())
+				}
+			}
+		})
 	}
 }
 
@@ -152,8 +131,6 @@ func TestRunDurableFlagValidation(t *testing.T) {
 		{"-supervise"},
 		{"-crash", "crash:op=sync,index=1"},
 		{"-dir", "d", "-crash", "crash:op=sync,index=1"},
-		{"-dir", "d", "-resume", "cp.json"},
-		{"-dir", "d", "-checkpoint", "cp.json"},
 		{"-dir", "d", "-supervise", "-crash", "nonsense"},
 	} {
 		if err := run(args, &out, &errb); err == nil {

@@ -284,6 +284,17 @@ type AlignedPair struct {
 	M           model.Metrics
 }
 
+// CalSample returns the pair as a unit-weight online calibration sample
+// for a fit in the given scope: the reading is the machine target, and in
+// package scope the package target too.
+func (p AlignedPair) CalSample(scope model.FitScope) model.CalSample {
+	s := model.CalSample{M: p.M, MachineActiveW: p.ActiveW, Weight: 1}
+	if scope == model.ScopePackage {
+		s.PkgActiveW = p.ActiveW
+	}
+	return s
+}
+
 // AlignSamples converts delivered meter samples into aligned
 // (metrics, active power) pairs using the estimated delay. Samples whose
 // reconstructed window is not fully covered by the metric series are

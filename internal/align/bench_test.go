@@ -50,8 +50,9 @@ func BenchmarkCorrelationCurve(b *testing.B) {
 }
 
 // benchRecalibrator returns a recalibrator loaded with MaxOnline online
-// samples and a realistic offline block, ready to refit.
-func benchRecalibrator(b *testing.B) (*Recalibrator, model.Coefficients) {
+// samples over a realistic offline block, ready to refit, along with that
+// offline block.
+func benchRecalibrator(b *testing.B) (*Recalibrator, []model.CalSample, model.Coefficients) {
 	b.Helper()
 	ms := model.NewMetricSeries(sim.Millisecond)
 	rng := sim.NewRand(5)
@@ -89,26 +90,24 @@ func benchRecalibrator(b *testing.B) (*Recalibrator, model.Coefficients) {
 	if r.OnlineCount() != r.MaxOnline {
 		b.Fatalf("online window %d, want full %d", r.OnlineCount(), r.MaxOnline)
 	}
-	return r, base
+	return r, offline, base
 }
 
-// BenchmarkRefit compares the incremental Gram refit (solve-only) against
-// the retained batch reference over the same state: 32 offline + 4000
-// online samples, 8 coefficients.
+// BenchmarkRefit compares the incremental refit (solve-only) against a
+// batch model.Fit over the same samples: 32 offline + 4000 online samples,
+// 8 coefficients.
 func BenchmarkRefit(b *testing.B) {
-	r, base := benchRecalibrator(b)
+	r, offline, base := benchRecalibrator(b)
 	b.Run("path=ref", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := r.refitReference(base); err != nil {
+			all := append(append([]model.CalSample(nil), offline...), r.online.Samples()...)
+			if _, err := model.Fit(all, r.fitOptions(base)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("path=fast", func(b *testing.B) {
-		if r.gram == nil {
-			b.Fatal("incremental gram inactive")
-		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := r.Refit(base); err != nil {

@@ -152,9 +152,8 @@ func coeffFields(c model.Coefficients) map[string]float64 {
 }
 
 // TestRecalibratorIncrementalMatchesBatch streams samples through a
-// recalibrator with a small online window and frequent rebuilds, so the
-// incremental Gram sees adds, eviction downdates, and periodic exact
-// rebuilds. After every refit the result must match a from-scratch batch
+// recalibrator with a small online window, so the incremental Gram sees
+// adds, eviction downdates, and an exact rebuild. After every refit the result must match a from-scratch batch
 // fit over offline+online — exactly before the first eviction, and within
 // rounding-level tolerance after downdates.
 func TestRecalibratorIncrementalMatchesBatch(t *testing.T) {
@@ -164,7 +163,6 @@ func TestRecalibratorIncrementalMatchesBatch(t *testing.T) {
 	r := NewRecalibrator(meter, model.ScopeMachine, offline)
 	r.MaxDelay = 100 * sim.Millisecond
 	r.MaxOnline = 64
-	r.RebuildEvery = 16
 
 	refits := 0
 	totalAdded := 0
@@ -177,15 +175,15 @@ func TestRecalibratorIncrementalMatchesBatch(t *testing.T) {
 		totalAdded += added
 		// Eviction happens inside Ingest the moment the window overflows.
 		evicted := totalAdded > r.MaxOnline
-		if len(r.online) > r.MaxOnline {
-			t.Fatalf("online window %d exceeds MaxOnline %d", len(r.online), r.MaxOnline)
+		if r.OnlineCount() > r.MaxOnline {
+			t.Fatalf("online window %d exceeds MaxOnline %d", r.OnlineCount(), r.MaxOnline)
 		}
 		got, err := r.Refit(current)
 		if err != nil {
 			continue
 		}
 		refits++
-		want, err := model.Fit(append(append([]model.CalSample(nil), offline...), r.online...), model.FitOptions{
+		want, err := model.Fit(append(append([]model.CalSample(nil), offline...), r.online.Samples()...), model.FitOptions{
 			Scope:            model.ScopeMachine,
 			IncludeChipShare: current.IncludesChipShare,
 			IdleW:            current.IdleW,
@@ -213,14 +211,14 @@ func TestRecalibratorIncrementalMatchesBatch(t *testing.T) {
 	if totalAdded <= r.MaxOnline {
 		t.Fatal("scenario never filled the online window; eviction path untested")
 	}
-	if r.gramOff || r.gram == nil {
-		t.Fatal("incremental gram fell back to the batch path")
+	if ev := r.online.Evictions(); ev < onlineRebuildEvery {
+		t.Fatalf("only %d evictions; the exact rebuild every %d is untested", ev, onlineRebuildEvery)
 	}
 }
 
 // TestRecalibratorPlanChangeFallsBack refits under a different chip-share
-// plan than Ingest accumulated; the recalibrator must detect the mismatch
-// and produce the batch-path result exactly.
+// plan than Ingest accumulated; the recalibrator must rebuild under the
+// new plan and produce the batch-fit result exactly.
 func TestRecalibratorPlanChangeFallsBack(t *testing.T) {
 	ms, samples, offline := buildRecalibScenario(t)
 	withChip := model.Coefficients{Core: 8, Ins: 1, IncludesChipShare: true}
@@ -236,7 +234,7 @@ func TestRecalibratorPlanChangeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := model.Fit(append(append([]model.CalSample(nil), offline...), r.online...), model.FitOptions{
+	want, err := model.Fit(append(append([]model.CalSample(nil), offline...), r.online.Samples()...), model.FitOptions{
 		Scope: model.ScopeMachine, IncludeChipShare: false, Base: noChip,
 	})
 	if err != nil {
@@ -244,6 +242,41 @@ func TestRecalibratorPlanChangeFallsBack(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("plan-mismatch refit %+v differs from batch %+v", got, want)
+	}
+}
+
+// TestRecalibratorDropsUnfoldableSample feeds a package-scope recalibrator
+// one chip-meter reading that is NaN. The aligned pair it yields cannot be
+// folded, so it is not kept; every other pair is, and the refit equals the
+// batch fit over the kept samples.
+func TestRecalibratorDropsUnfoldableSample(t *testing.T) {
+	ms, samples, offline := buildRecalibScenario(t)
+	for i := range offline {
+		offline[i].PkgActiveW = offline[i].MachineActiveW
+	}
+	samples[100].Watts = math.NaN()
+	const delay = 10 * sim.Millisecond
+	meter := &fakeMeter{samples: samples, interval: 10 * sim.Millisecond, idle: 30}
+	r := NewRecalibrator(meter, model.ScopePackage, offline)
+	r.SetDelay(delay)
+	base := model.Coefficients{Core: 8, Ins: 1, IncludesChipShare: true}
+
+	added := r.Ingest(5*sim.Second, ms, base)
+	got, err := r.Refit(base)
+	if err != nil {
+		t.Fatalf("refit after a NaN reading: %v", err)
+	}
+	if pairs := len(AlignSamples(samples, meter.idle, meter.interval, ms, delay)); added != pairs-1 {
+		t.Fatalf("ingested %d of %d aligned pairs, want all but the NaN one", added, pairs)
+	}
+	want, err := model.Fit(append(append([]model.CalSample(nil), offline...), r.online.Samples()...), model.FitOptions{
+		Scope: model.ScopePackage, IncludeChipShare: true, Base: base,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("refit %+v differs from batch %+v", got, want)
 	}
 }
 

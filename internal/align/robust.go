@@ -115,30 +115,12 @@ func (r *Recalibrator) rejectOutliers(now sim.Time, pairs []AlignedPair, current
 	return kept
 }
 
-// offlineFit fits the model over the offline calibration block alone — the
-// known-good base the sanity gate falls back to. The pristine offline Gram
-// is solved directly when it matches the requested plan; otherwise the
-// batch path runs.
-func (r *Recalibrator) offlineFit(base model.Coefficients) (model.Coefficients, error) {
-	opts := model.FitOptions{
-		Scope:            r.Scope,
-		IncludeChipShare: base.IncludesChipShare,
-		IdleW:            base.IdleW,
-		Base:             base,
-	}
-	plan := model.FitPlan{Scope: r.Scope, IncludeChipShare: base.IncludesChipShare}
-	if r.offGram != nil && r.planKnown && plan == r.plan {
-		return model.FitFromGram(r.offGram, opts)
-	}
-	return model.Fit(r.Offline, opts)
-}
-
 // saneOrFallback gates a successful refit: non-finite coefficients or a
 // relative shift beyond MaxShift from the offline-only fit mark the refit
 // divergent (corrupted online samples overwhelmed the window), and the
 // offline fit is returned instead.
 func (r *Recalibrator) saneOrFallback(now sim.Time, base, c model.Coefficients) (model.Coefficients, error) {
-	off, err := r.offlineFit(base)
+	off, err := r.online.SolveBase(r.fitOptions(base))
 	if err != nil {
 		return c, nil // no reference to gate against; keep the refit
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"powercontainers/internal/align"
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/kernel"
@@ -84,16 +83,23 @@ func Overhead() (*OverheadResult, error) {
 	res.MaintenanceNsPerOp = float64(sample.NsPerOp())
 	res.OverheadAtOneMs = res.MaintenanceNsPerOp / float64(sim.Millisecond)
 
-	// Recalibration refit over a realistic sample set.
-	rec := align.NewRecalibrator(m.Wattsup, model.ScopeMachine, cal.Samples)
+	// Recalibration: a full least-squares fit over a realistic sample set
+	// (the calibration block plus 200 samples cycled from it), timing the
+	// accumulation and solve of §3.5's refit rather than the cached solve
+	// of the incremental window.
+	samples := append([]model.CalSample(nil), cal.Samples...)
 	for i := 0; i < 200; i++ {
-		s := cal.Samples[i%len(cal.Samples)]
-		rec.Offline = append(rec.Offline, s)
+		samples = append(samples, cal.Samples[i%len(cal.Samples)])
 	}
-	rec.MinOnline = 0
+	opts := model.FitOptions{
+		Scope:            model.ScopeMachine,
+		IncludeChipShare: cal.Eq2.IncludesChipShare,
+		IdleW:            cal.Eq2.IdleW,
+		Base:             cal.Eq2,
+	}
 	refit := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rec.Refit(cal.Eq2); err != nil {
+			if _, err := model.Fit(samples, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

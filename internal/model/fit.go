@@ -50,11 +50,16 @@ type FitOptions struct {
 	Base Coefficients
 }
 
+// plan returns the feature layout the options select.
+func (o FitOptions) plan() FitPlan {
+	return FitPlan{Scope: o.Scope, IncludeChipShare: o.IncludeChipShare}
+}
+
 // FitPlan is the feature layout of a fit configuration: which regression
 // columns a calibration sample contributes and which measurement it targets.
 // Column layout: core, ins, float, cache, mem, [chip], [disk, net]. Two fits
 // with equal plans accumulate structurally identical normal equations, which
-// is what lets a Recalibrator maintain one Gram across refits.
+// is what lets a Window maintain one Gram across refits.
 type FitPlan struct {
 	Scope            FitScope
 	IncludeChipShare bool
@@ -111,8 +116,8 @@ func (p FitPlan) Fold(g *linalg.Gram, s CalSample) error {
 	return nil
 }
 
-// Unfold removes one previously folded sample from a Gram (the MaxOnline
-// eviction path of online recalibration).
+// Unfold removes one previously folded sample from a Gram (the eviction
+// path of Window).
 func (p FitPlan) Unfold(g *linalg.Gram, s CalSample) error {
 	var scratch [8]float64
 	row, target, weight, err := p.rowInto(scratch[:0], s)
@@ -129,9 +134,14 @@ func FitGram(samples []CalSample, plan FitPlan) (*linalg.Gram, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("model: no calibration samples")
 	}
-	g := linalg.NewGram(plan.K())
+	return foldAll(plan, samples)
+}
+
+// foldAll accumulates samples under a plan, in order, into a fresh Gram.
+func foldAll(p FitPlan, samples []CalSample) (*linalg.Gram, error) {
+	g := linalg.NewGram(p.K())
 	for _, s := range samples {
-		if err := plan.Fold(g, s); err != nil {
+		if err := p.Fold(g, s); err != nil {
 			return nil, err
 		}
 	}
@@ -143,7 +153,7 @@ func FitGram(samples []CalSample, plan FitPlan) (*linalg.Gram, error) {
 // incrementally (online recalibration) or share one accumulation across
 // nested feature layouts (offline calibration's Eq. 1/Eq. 2).
 func FitFromGram(g *linalg.Gram, opts FitOptions) (Coefficients, error) {
-	plan := FitPlan{Scope: opts.Scope, IncludeChipShare: opts.IncludeChipShare}
+	plan := opts.plan()
 	if g.K() != plan.K() {
 		return Coefficients{}, fmt.Errorf("model: gram has %d features, plan wants %d", g.K(), plan.K())
 	}
@@ -172,7 +182,7 @@ func FitFromGram(g *linalg.Gram, opts FitOptions) (Coefficients, error) {
 // the procedure the paper uses both offline (§4.1) and online (§3.2, where
 // offline and online samples are weighed equally).
 func Fit(samples []CalSample, opts FitOptions) (Coefficients, error) {
-	g, err := FitGram(samples, FitPlan{Scope: opts.Scope, IncludeChipShare: opts.IncludeChipShare})
+	g, err := FitGram(samples, opts.plan())
 	if err != nil {
 		return Coefficients{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"powercontainers/internal/linalg"
 	"powercontainers/internal/model"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stats"
@@ -53,17 +52,13 @@ type Checkpoint struct {
 	MPCoeff model.Coefficients `json:"mp_coeff"`
 	MPValid bool               `json:"mp_valid"`
 
-	Delay      sim.Time           `json:"delay"`
-	DelayKnown bool               `json:"delay_known"`
-	Plan       model.FitPlan      `json:"plan"`
-	PlanKnown  bool               `json:"plan_known"`
-	Pairs      []model.CalSample  `json:"pairs,omitempty"`
-	Evictions  int                `json:"evictions"`
-	EvTotal    int64              `json:"ev_total"`
-	Gram       *linalg.GramState  `json:"gram,omitempty"`
-	Drift      model.Coefficients `json:"drift"`
-	DriftOK    bool               `json:"drift_ok"`
-	DriftErr   float64            `json:"drift_err"`
+	Delay      sim.Time `json:"delay"`
+	DelayKnown bool     `json:"delay_known"`
+	// The drift refit's window, its fields encoded inline.
+	model.WindowState
+	Drift    model.Coefficients `json:"drift"`
+	DriftOK  bool               `json:"drift_ok"`
+	DriftErr float64            `json:"drift_err"`
 }
 
 // Checkpoint captures the engine's consumer state. It is a pure read —
@@ -84,10 +79,7 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		MPValid:        e.mpValid,
 		Delay:          e.delay,
 		DelayKnown:     e.delayKnown,
-		Plan:           e.plan,
-		PlanKnown:      e.planKnown,
-		Evictions:      e.evictions,
-		EvTotal:        e.evTotal,
+		WindowState:    e.window.State(),
 		Drift:          e.drift,
 		DriftOK:        e.driftOK,
 		DriftErr:       e.driftErr,
@@ -104,13 +96,6 @@ func (e *Engine) Checkpoint() *Checkpoint {
 	}
 	if len(e.tenLast) > 0 {
 		cp.TenLast = append([]float64(nil), e.tenLast...)
-	}
-	if len(e.pairs) > 0 {
-		cp.Pairs = append([]model.CalSample(nil), e.pairs...)
-	}
-	if e.gram != nil {
-		st := e.gram.State()
-		cp.Gram = &st
 	}
 	if e.Audit != nil {
 		e.Audit.OnCheckpoint(cp.Tick, cp.T, len(EncodeCheckpoint(cp)))
@@ -196,12 +181,6 @@ func (e *Engine) restore(cp *Checkpoint) error {
 			return err
 		}
 	}
-	var gram *linalg.Gram
-	if cp.Gram != nil {
-		if gram, err = linalg.GramFromState(*cp.Gram); err != nil {
-			return err
-		}
-	}
 	// Resolve live container IDs by merge scan: both the checkpoint's
 	// live list and the facility's container list are in creation order.
 	live := make([]*contCursor, 0, len(cp.Live))
@@ -233,6 +212,11 @@ func (e *Engine) restore(cp *Checkpoint) error {
 				len(cp.SvcLast), len(cp.TenLast), h.NumServices(), h.NumTenants())
 		}
 	}
+	// The window restores last: it refuses a bad state without changing,
+	// so nothing below can fail after it.
+	if err := e.window.Restore(cp.WindowState); err != nil {
+		return err
+	}
 
 	e.records = cp.Records
 	e.cumJ = cp.CumJ
@@ -248,12 +232,6 @@ func (e *Engine) restore(cp *Checkpoint) error {
 	e.mpValid = cp.MPValid
 	e.delay = cp.Delay
 	e.delayKnown = cp.DelayKnown
-	e.plan = cp.Plan
-	e.planKnown = cp.PlanKnown
-	e.pairs = append(e.pairs[:0], cp.Pairs...)
-	e.evictions = cp.Evictions
-	e.evTotal = cp.EvTotal
-	e.gram = gram
 	e.drift = cp.Drift
 	e.driftOK = cp.DriftOK
 	e.driftErr = cp.DriftErr

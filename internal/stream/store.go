@@ -110,22 +110,14 @@ func OpenStore(fsys durable.FS, dir string, audit StoreAuditSink) (*Store, *Reco
 	truncs := &truncRelay{audit: audit}
 	log, err := durable.OpenLog(fsys, dir, durable.Options{
 		Audit: truncs,
-		Replay: func(payload []byte) error {
-			if len(payload) < 8 {
-				return &durable.CorruptError{Path: dir, Off: 0, Reason: fmt.Sprintf("record frame %d bytes, need ≥ 8", len(payload))}
-			}
-			seq := int64(binary.LittleEndian.Uint64(payload))
-			if seq != lastSeq+1 {
-				return &durable.CorruptError{Path: dir, Off: 0, Reason: fmt.Sprintf("record sequence jumped %d → %d", lastSeq, seq)}
-			}
+		Replay: replayFrames(dir, func(seq int64, line []byte) error {
 			lastSeq = seq
-			line := payload[8:]
 			full.Write(line)
 			if seq > cpRecords {
 				suffix.Write(line)
 			}
 			return nil
-		},
+		}),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -158,6 +150,25 @@ func OpenStore(fsys durable.FS, dir string, audit StoreAuditSink) (*Store, *Reco
 		audit.OnRecovery(rec.Mode, rec.LastSeq, cpTick, rec.Detail)
 	}
 	return s, rec, nil
+}
+
+// replayFrames returns a WAL replay callback that decodes each frame — an
+// 8-byte little-endian sequence number followed by the record's canonical
+// line — checks that sequence numbers run gapless from 1, and hands each
+// record to deliver.
+func replayFrames(dir string, deliver func(seq int64, line []byte) error) func(payload []byte) error {
+	var last int64
+	return func(payload []byte) error {
+		if len(payload) < 8 {
+			return &durable.CorruptError{Path: dir, Off: 0, Reason: fmt.Sprintf("record frame %d bytes, need ≥ 8", len(payload))}
+		}
+		seq := int64(binary.LittleEndian.Uint64(payload))
+		if seq != last+1 {
+			return &durable.CorruptError{Path: dir, Off: 0, Reason: fmt.Sprintf("record sequence jumped %d → %d", last, seq)}
+		}
+		last = seq
+		return deliver(seq, payload[8:])
+	}
 }
 
 // truncRelay forwards durable tail repairs to the store's audit sink.
@@ -234,19 +245,26 @@ func (s *Store) syncTick() {
 	if err := s.log.Sync(); err != nil {
 		panic(fmt.Sprintf("stream: WAL sync: %v", err))
 	}
-	if s.eng == nil {
-		return
-	}
-	if cp := s.eng.LastCheckpoint(); cp != nil && cp.Records > s.cpPersisted {
-		s.persistCheckpoint(cp)
+	if err := s.persistCheckpoint(); err != nil {
+		panic(fmt.Sprintf("stream: checkpoint persist: %v", err))
 	}
 }
 
-func (s *Store) persistCheckpoint(cp *Checkpoint) {
+// persistCheckpoint writes the engine's newest checkpoint if it advanced
+// past the persisted one.
+func (s *Store) persistCheckpoint() error {
+	if s.eng == nil {
+		return nil
+	}
+	cp := s.eng.LastCheckpoint()
+	if cp == nil || cp.Records <= s.cpPersisted {
+		return nil
+	}
 	if err := durable.WriteChecked(s.fs, filepath.Join(s.dir, checkpointFile), EncodeCheckpoint(cp)); err != nil {
-		panic(fmt.Sprintf("stream: checkpoint persist: %v", err))
+		return err
 	}
 	s.cpPersisted = cp.Records
+	return nil
 }
 
 // LastSeq returns the highest record sequence number the WAL holds —
@@ -259,13 +277,8 @@ func (s *Store) Close() error {
 	if err := s.log.Sync(); err != nil {
 		return err
 	}
-	if s.eng != nil {
-		if cp := s.eng.LastCheckpoint(); cp != nil && cp.Records > s.cpPersisted {
-			if err := durable.WriteChecked(s.fs, filepath.Join(s.dir, checkpointFile), EncodeCheckpoint(cp)); err != nil {
-				return err
-			}
-			s.cpPersisted = cp.Records
-		}
+	if err := s.persistCheckpoint(); err != nil {
+		return err
 	}
 	return s.log.Close()
 }
@@ -276,20 +289,7 @@ func (s *Store) Close() error {
 // yields is, byte for byte, the stream the (possibly crash-riddled) run
 // emitted.
 func ReadStream(fsys durable.FS, dir string, deliver func(seq int64, line []byte) error) error {
-	var last int64
-	log, err := durable.OpenLog(fsys, dir, durable.Options{
-		Replay: func(payload []byte) error {
-			if len(payload) < 8 {
-				return &durable.CorruptError{Path: dir, Off: 0, Reason: "short record frame"}
-			}
-			seq := int64(binary.LittleEndian.Uint64(payload))
-			if seq != last+1 {
-				return &durable.CorruptError{Path: dir, Off: 0, Reason: fmt.Sprintf("record sequence jumped %d → %d", last, seq)}
-			}
-			last = seq
-			return deliver(seq, payload[8:])
-		},
-	})
+	log, err := durable.OpenLog(fsys, dir, durable.Options{Replay: replayFrames(dir, deliver)})
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,6 @@ package stream
 import (
 	"powercontainers/internal/align"
 	"powercontainers/internal/core"
-	"powercontainers/internal/linalg"
 	"powercontainers/internal/model"
 	"powercontainers/internal/power"
 	"powercontainers/internal/sim"
@@ -127,11 +126,11 @@ type contCursor struct {
 }
 
 // driftMinPairs is the observation count below which the windowed drift
-// refit withholds a solution; driftRebuildEvery bounds Remove residue by
-// rebuilding the Gram from the retained window (the align.Recalibrator
-// policy, but tighter: the stream contract promises the windowed refit
-// stays within 1e-9 relative of a batch fit over the same pairs, and ~30
-// removes of residue keep it there where 256 would not).
+// refit withholds a solution; driftRebuildEvery is the window's exact
+// rebuild cadence (model.Window) — tighter than align.Recalibrator's,
+// because the stream contract promises the windowed refit stays within
+// 1e-9 relative of a batch fit over the same pairs, and ~30 downdates of
+// residue keep it there where 256 would not.
 const (
 	driftMinPairs     = 8
 	driftRebuildEvery = 32
@@ -174,12 +173,7 @@ type Engine struct {
 
 	delay      sim.Time // drift-pair alignment delay
 	delayKnown bool
-	plan       model.FitPlan
-	planKnown  bool
-	pairs      []model.CalSample
-	gram       *linalg.Gram
-	evictions  int // since the last rebuild
-	evTotal    int64
+	window     *model.Window // aligned pairs of the drift refit
 	drift      model.Coefficients
 	driftOK    bool
 	driftErr   float64
@@ -203,6 +197,7 @@ func New(src Sources, cfg Config) *Engine {
 		attributed: stats.NewRing(cfg.Tick, cfg.TickWindow),
 		modeled:    stats.NewRing(ms.Interval(), cfg.ModelWindow),
 		mpCursor:   ms.NewCursor(),
+		window:     model.NewWindow(nil, driftRebuildEvery),
 	}
 	if src.Meter != nil {
 		e.measured = stats.NewRing(src.Meter.Interval(), cfg.MeterWindow)
@@ -235,13 +230,13 @@ func (e *Engine) DriftFit() (model.Coefficients, bool) { return e.drift, e.drift
 // DriftWindow returns a copy of the retained aligned pairs backing the
 // drift refit.
 func (e *Engine) DriftWindow() []model.CalSample {
-	return append([]model.CalSample(nil), e.pairs...)
+	return append([]model.CalSample(nil), e.window.Samples()...)
 }
 
 // DriftEvictions returns how many pairs have ever been evicted from the
 // drift window; zero means the incremental fit is still bit-identical to
 // a batch fit over the window (no Remove residue).
-func (e *Engine) DriftEvictions() int64 { return e.evTotal }
+func (e *Engine) DriftEvictions() int64 { return e.window.Evictions() }
 
 // LastCheckpoint returns the most recent automatic checkpoint (nil before
 // the first CheckpointEvery boundary).
@@ -355,7 +350,7 @@ func (e *Engine) step() {
 		ModeledW:    e.modeledTickMean(),
 		MeasuredW:   meanActive(freshSamples, e.src.Meter),
 		Samples:     len(freshSamples),
-		FitN:        len(e.pairs),
+		FitN:        e.window.Len(),
 		DriftErr:    e.driftErr,
 	})
 
@@ -514,9 +509,7 @@ func meanActive(samples []power.Sample, m power.Meter) float64 {
 }
 
 // foldDrift aligns freshly delivered meter samples into (metrics, active
-// power) pairs and maintains the windowed online refit: Fold on arrival,
-// Unfold on eviction, periodic exact rebuild to bound Remove residue —
-// the PR 4 incremental-fit machinery applied at stream level.
+// power) pairs and maintains the windowed online refit over them.
 func (e *Engine) foldDrift(fresh []power.Sample) {
 	if e.src.Meter == nil || len(fresh) == 0 {
 		return
@@ -539,66 +532,30 @@ func (e *Engine) foldDrift(fresh []power.Sample) {
 		}
 	}
 	ms := e.src.Fac.Metrics()
-	plan := model.FitPlan{Scope: e.src.Scope, IncludeChipShare: e.src.Fac.Coeff.IncludesChipShare}
-	if !e.planKnown || plan != e.plan || e.gram == nil {
-		e.plan = plan
-		e.planKnown = true
-		e.rebuildGram()
+	opts := model.FitOptions{
+		Scope:            e.src.Scope,
+		IncludeChipShare: e.src.Fac.Coeff.IncludesChipShare,
+		IdleW:            e.src.Meter.IdleW(),
+		Base:             e.src.Fac.Coeff,
 	}
+	// The drift window has no base block, so no plan can fail it.
+	_ = e.window.SetPlan(model.FitPlan{Scope: opts.Scope, IncludeChipShare: opts.IncludeChipShare})
 	for _, p := range align.AlignSamples(fresh, e.src.Meter.IdleW(), e.src.Meter.Interval(), ms, e.delay) {
-		s := model.CalSample{M: p.M, Weight: 1}
-		if e.src.Scope == model.ScopePackage {
-			s.PkgActiveW = p.ActiveW
-			s.MachineActiveW = p.ActiveW // unused in package scope
-		} else {
-			s.MachineActiveW = p.ActiveW
-		}
-		if err := e.plan.Fold(e.gram, s); err != nil {
-			continue
-		}
-		e.pairs = append(e.pairs, s)
+		// A pair the plan cannot fold is not kept.
+		_ = e.window.Add(p.CalSample(e.src.Scope))
 	}
-	if over := len(e.pairs) - e.cfg.DriftWindow; over > 0 {
-		for _, s := range e.pairs[:over] {
-			if err := e.plan.Unfold(e.gram, s); err != nil {
-				break
-			}
-		}
-		e.pairs = append(e.pairs[:0], e.pairs[over:]...)
-		e.evictions += over
-		e.evTotal += int64(over)
-		if e.evictions >= driftRebuildEvery {
-			e.evictions = 0
-			e.rebuildGram()
-		}
-	}
-	e.solveDrift()
-}
-
-// rebuildGram reaccumulates the window from scratch — the exact fold
-// sequence a batch FitGram over the retained pairs performs.
-func (e *Engine) rebuildGram() {
-	e.gram = linalg.NewGram(e.plan.K())
-	for _, s := range e.pairs {
-		if err := e.plan.Fold(e.gram, s); err != nil {
-			continue
-		}
-	}
+	e.window.Trim(e.cfg.DriftWindow)
+	e.solveDrift(opts)
 }
 
 // solveDrift refreshes the windowed fit and its in-window error.
-func (e *Engine) solveDrift() {
-	if e.gram == nil || e.gram.N() < driftMinPairs {
+func (e *Engine) solveDrift(opts model.FitOptions) {
+	if e.window.Len() < driftMinPairs {
 		e.driftOK = false
 		e.driftErr = 0
 		return
 	}
-	c, err := model.FitFromGram(e.gram, model.FitOptions{
-		Scope:            e.src.Scope,
-		IncludeChipShare: e.plan.IncludeChipShare,
-		IdleW:            e.src.Meter.IdleW(),
-		Base:             e.src.Fac.Coeff,
-	})
+	c, err := e.window.Solve(opts)
 	if err != nil {
 		e.driftOK = false
 		e.driftErr = 0
@@ -606,5 +563,5 @@ func (e *Engine) solveDrift() {
 	}
 	e.drift = c
 	e.driftOK = true
-	e.driftErr = model.FitError(c, e.pairs, e.src.Scope)
+	e.driftErr = model.FitError(c, e.window.Samples(), e.src.Scope)
 }
