@@ -330,10 +330,12 @@ func (l *Log) Rotate() error {
 	return l.startSegment(l.seg + 1)
 }
 
-// Close syncs and closes the log.
+// Close syncs and closes the log. The segment file is closed even when
+// the sync fails; the first error is returned.
 func (l *Log) Close() error {
-	if err := l.Sync(); err != nil {
-		return err
+	err := l.Sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return l.f.Close()
+	return err
 }

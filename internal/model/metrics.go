@@ -226,41 +226,6 @@ func (ms *MetricSeries) ClearDirty() {
 	}
 }
 
-// MetricCursor is an independent dirty low-water mark over a MetricSeries,
-// one stats.Cursor per component. It lets a second incremental consumer
-// (the streaming engine's modeled-power cache) coexist with the
-// recalibrator, which owns the legacy DirtyLow/ClearDirty mark.
-type MetricCursor struct {
-	cursors [8]*stats.Cursor
-}
-
-// NewCursor registers an independent cursor; it starts fully dirty.
-func (ms *MetricSeries) NewCursor() *MetricCursor {
-	mc := &MetricCursor{}
-	for i, s := range ms.series {
-		mc.cursors[i] = s.NewCursor()
-	}
-	return mc
-}
-
-// DirtyLow returns the lowest bucket any component wrote since Clear.
-func (mc *MetricCursor) DirtyLow() int {
-	lo := mc.cursors[0].DirtyLow()
-	for _, c := range mc.cursors[1:] {
-		if d := c.DirtyLow(); d < lo {
-			lo = d
-		}
-	}
-	return lo
-}
-
-// Clear resets this cursor without touching other consumers.
-func (mc *MetricCursor) Clear() {
-	for _, c := range mc.cursors {
-		c.Clear()
-	}
-}
-
 // WindowMean returns the mean metrics over buckets [lo, hi).
 func (ms *MetricSeries) WindowMean(lo, hi int) Metrics {
 	if hi <= lo {

@@ -239,26 +239,3 @@ func TestFitErrorMetric(t *testing.T) {
 		t.Fatal("empty fit error not zero")
 	}
 }
-
-func TestMetricCursorIndependentOfLegacyMark(t *testing.T) {
-	ms := NewMetricSeries(sim.Millisecond)
-	ms.AddSpread(0, 4*sim.Millisecond, Metrics{Core: 1, Ins: 2})
-	mc := ms.NewCursor()
-	if mc.DirtyLow() != 0 {
-		t.Fatalf("fresh cursor DirtyLow = %d, want 0", mc.DirtyLow())
-	}
-	mc.Clear()
-	ms.ClearDirty()
-	ms.AddSpread(2*sim.Millisecond, 3*sim.Millisecond, Metrics{Cache: 1})
-	if mc.DirtyLow() != 2 || ms.DirtyLow() != 2 {
-		t.Fatalf("cursor=%d legacy=%d after write, want 2/2", mc.DirtyLow(), ms.DirtyLow())
-	}
-	ms.ClearDirty() // the recalibrator clearing its view must not clear ours
-	if mc.DirtyLow() != 2 {
-		t.Fatalf("cursor DirtyLow = %d after legacy ClearDirty, want 2", mc.DirtyLow())
-	}
-	mc.Clear()
-	if mc.DirtyLow() < ms.Len() {
-		t.Fatalf("cleared cursor DirtyLow = %d, want ≥ %d", mc.DirtyLow(), ms.Len())
-	}
-}

@@ -24,10 +24,6 @@ type Series struct {
 	// changed: writes are not append-only (AddSpread can reach back into
 	// old buckets), so a low-water mark is the cheapest sound summary.
 	dirtyLo int
-	// cursors are additional independent low-water marks (NewCursor), so
-	// that consumers beyond the legacy DirtyLow/ClearDirty owner can each
-	// keep their own incremental view of the same series.
-	cursors []*Cursor
 }
 
 // NewSeries returns a series with the given bucket interval.
@@ -47,38 +43,7 @@ func (s *Series) markDirty(idx int) {
 	if idx < s.dirtyLo {
 		s.dirtyLo = idx
 	}
-	for _, c := range s.cursors {
-		if idx < c.lo {
-			c.lo = idx
-		}
-	}
 }
-
-// Cursor is an independent dirty low-water mark over a Series. The legacy
-// DirtyLow/ClearDirty pair supports exactly one consumer (whoever clears
-// owns the mark); a Cursor gives any additional consumer — e.g. the
-// streaming engine's modeled-power cache alongside the recalibrator's —
-// its own mark, updated by the same writes but cleared independently.
-type Cursor struct {
-	s  *Series
-	lo int
-}
-
-// NewCursor registers and returns a new cursor. A fresh cursor starts
-// fully dirty (low = 0) so that its first consumer pass is conservative:
-// it sees every bucket written before the cursor existed.
-func (s *Series) NewCursor() *Cursor {
-	c := &Cursor{s: s, lo: 0}
-	s.cursors = append(s.cursors, c)
-	return c
-}
-
-// DirtyLow returns the lowest bucket index written since this cursor's
-// last Clear; any value ≥ the series Len() means no bucket changed.
-func (c *Cursor) DirtyLow() int { return c.lo }
-
-// Clear resets this cursor's mark without touching other consumers.
-func (c *Cursor) Clear() { c.lo = clean }
 
 // DirtyLow returns the lowest bucket index written since the last
 // ClearDirty; any value ≥ Len() means no bucket changed. The dirty mark is

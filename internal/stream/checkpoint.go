@@ -47,7 +47,9 @@ type Checkpoint struct {
 
 	Measured   *stats.RingState `json:"measured,omitempty"`
 	Attributed stats.RingState  `json:"attributed"`
-	Modeled    stats.RingState  `json:"modeled"`
+	// Modeled is the modeled-power window in ring form, its values
+	// evaluated under MPCoeff when the checkpoint is taken.
+	Modeled stats.RingState `json:"modeled"`
 
 	MPCoeff model.Coefficients `json:"mp_coeff"`
 	MPValid bool               `json:"mp_valid"`
@@ -64,6 +66,11 @@ type Checkpoint struct {
 // Checkpoint captures the engine's consumer state. It is a pure read —
 // taking a checkpoint never perturbs the stream. The Audit sink's
 // OnCheckpoint hook fires with the encoded size.
+//
+// The checkpoint describes the last completed tick, and part of it (the
+// modeled-power window's values) is evaluated from the facility's metric
+// series on the spot: take it before the simulation advances past that
+// tick.
 func (e *Engine) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		Version:        CheckpointVersion,
@@ -74,7 +81,7 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		MeterSeen:      e.meterSeen,
 		ContainersSeen: e.containersSeen,
 		Attributed:     e.attributed.State(),
-		Modeled:        e.modeled.State(),
+		Modeled:        e.modeledState(),
 		MPCoeff:        e.mpCoeff,
 		MPValid:        e.mpValid,
 		Delay:          e.delay,
@@ -101,6 +108,21 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		e.Audit.OnCheckpoint(cp.Tick, cp.T, len(EncodeCheckpoint(cp)))
 	}
 	return cp
+}
+
+// modeledState renders the modeled-power window as the ring state the
+// checkpoint format carries (Values nil when the window is empty, as
+// stats.Ring.State gives it).
+func (e *Engine) modeledState() stats.RingState {
+	ms := e.src.Fac.Metrics()
+	st := stats.RingState{Interval: ms.Interval(), Cap: e.cfg.ModelWindow, Lo: e.lo, Hi: e.hi, Evicted: e.evicted}
+	if n := e.hi - e.lo; n > 0 {
+		st.Values = make([]float64, n)
+		for i := range st.Values {
+			st.Values[i] = e.mpCoeff.Estimate(ms.At(e.lo + i))
+		}
+	}
+	return st
 }
 
 // EncodeCheckpoint serializes a checkpoint. The encoding is deterministic
@@ -171,8 +193,7 @@ func (e *Engine) restore(cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	mod, err := stats.RestoreRing(cp.Modeled)
-	if err != nil {
+	if _, err := stats.RestoreRing(cp.Modeled); err != nil {
 		return err
 	}
 	var meas *stats.Ring
@@ -226,7 +247,7 @@ func (e *Engine) restore(cp *Checkpoint) error {
 	e.svcLast = append(e.svcLast[:0], cp.SvcLast...)
 	e.tenLast = append(e.tenLast[:0], cp.TenLast...)
 	e.attributed = att
-	e.modeled = mod
+	e.lo, e.hi, e.evicted = cp.Modeled.Lo, cp.Modeled.Hi, cp.Modeled.Evicted
 	e.measured = meas
 	e.mpCoeff = cp.MPCoeff
 	e.mpValid = cp.MPValid
@@ -240,19 +261,24 @@ func (e *Engine) restore(cp *Checkpoint) error {
 
 // ReplayTo restores a checkpoint into a fresh engine over a freshly built,
 // identically seeded machine: it drives the engine quietly (no sink, no
-// audit) through cp.Tick ticks — reproducing the exact pull/flush pattern
-// of the original run, which the simulation's float state depends on —
-// verifies that the naturally replayed consumer state encodes
-// byte-identically to the checkpoint (catching any state the checkpoint
-// failed to capture, or any divergence in the rebuilt machine), and then
-// installs the decoded checkpoint state. The returned engine continues
-// the stream exactly where the checkpointed run left off.
+// audit, no automatic checkpoints) through cp.Tick ticks — reproducing
+// the exact pull/flush pattern of the original run, which the
+// simulation's float state depends on — verifies that the naturally
+// replayed consumer state encodes byte-identically to the checkpoint
+// (catching any state the checkpoint failed to capture, or any divergence
+// in the rebuilt machine), and then installs the decoded checkpoint
+// state. The returned engine continues the stream exactly where the
+// checkpointed run left off, on the configured checkpoint cadence; when
+// cp.Tick is on that cadence, cp is its LastCheckpoint.
 func ReplayTo(src Sources, cfg Config, cp *Checkpoint) (*Engine, error) {
 	e := New(src, cfg)
 	if got := sim.Time(cp.Tick) * e.cfg.Tick; got != cp.T {
 		return nil, fmt.Errorf("stream: checkpoint time %d does not sit on the configured tick grid (tick %d × %s)", cp.T, cp.Tick, sim.FormatTime(e.cfg.Tick))
 	}
+	every := e.cfg.CheckpointEvery
+	e.cfg.CheckpointEvery = 0
 	e.RunTicks(cp.Tick)
+	e.cfg.CheckpointEvery = every
 	natural := EncodeCheckpoint(e.Checkpoint())
 	want := EncodeCheckpoint(cp)
 	if !bytes.Equal(natural, want) {
@@ -260,6 +286,9 @@ func ReplayTo(src Sources, cfg Config, cp *Checkpoint) (*Engine, error) {
 	}
 	if err := e.restore(cp); err != nil {
 		return nil, err
+	}
+	if every > 0 && cp.Tick > 0 && cp.Tick%every == 0 {
+		e.lastCP = cp
 	}
 	return e, nil
 }

@@ -2,10 +2,15 @@ package stream_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"powercontainers/internal/core"
+	"powercontainers/internal/cpu"
+	"powercontainers/internal/experiments"
 	"powercontainers/internal/model"
+	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -174,5 +179,80 @@ func TestAutomaticCheckpoints(t *testing.T) {
 	}
 	if re.Tick() != 30 {
 		t.Fatalf("restored engine at tick %d, want 30", re.Tick())
+	}
+	// The restored engine retains the checkpoint it resumed from and
+	// keeps the cadence: ten more ticks checkpoint identically on both.
+	if got, want := stream.EncodeCheckpoint(re.LastCheckpoint()), stream.EncodeCheckpoint(e.LastCheckpoint()); !bytes.Equal(got, want) {
+		t.Fatal("restored engine's LastCheckpoint differs from the one it resumed from")
+	}
+	e.RunTicks(10)
+	re.RunTicks(10)
+	if e.LastCheckpoint().Tick != 40 || !bytes.Equal(stream.EncodeCheckpoint(re.LastCheckpoint()), stream.EncodeCheckpoint(e.LastCheckpoint())) {
+		t.Fatalf("checkpoints at tick %d differ between the original and the restored engine", e.LastCheckpoint().Tick)
+	}
+}
+
+// TestCheckpointBytesStable pins the checkpoint format byte for byte:
+// every automatic checkpoint (CheckpointEvery 10) of three runs is
+// hashed, as is the record stream, and both digests must equal recorded
+// ones: checkpoints are persisted (a durable store resumes from them and
+// ReplayTo compares them byte for byte), so their bytes change only with
+// CheckpointVersion. The cases cover the window filling and evicting (13 s of 1 ms buckets
+// against the default 8192), evictions inside a single tick (a 64-bucket
+// window, fewer than one tick adds), and coefficients that change only
+// once a second (recalibration against the wall meter).
+func TestCheckpointBytesStable(t *testing.T) {
+	cases := []struct {
+		name        string
+		spec        cpu.MachineSpec
+		wall        bool // stream against the wall meter the recalibrator uses
+		modelWindow int
+		checkpoints string
+		stream      string
+	}{
+		{"chip", cpu.SandyBridge, false, 0,
+			"82c7e7ac4b91d7ffb62cd5fa80bd0b3b1b7a295e264c1aa3fd7d86c2f6672224",
+			"cdb63181be4480f7e0f42205009b09fa9ecad4cbc890a751d5da3c46a997d312"},
+		{"chip-window-64", cpu.SandyBridge, false, 64,
+			"f80b416538b7c42ab8c36a15181175d730b4022ba9f6f213d65f00f3e954f08f",
+			"26771e7a99d787bd710f658a66d6c2161746ac725353e6ca0b747a50a8672e3e"},
+		{"wall", cpu.Westmere, true, 0,
+			"2508aefdbc34f65fa36018d65eebbd22eba91f9ea7b69d754a221f00882126b1",
+			"6590b7bc74b29f20a76add695790a46fd4558af88ac8d4adb15d015732037499"},
+	}
+	const horizon = 13 * sim.Second
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := experiments.Assembly{}.NewMachine(tc.spec, core.ApproachRecalibrated, 41)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep := workload.Stress{}.Deploy(m.K, m.Rng.Fork(11))
+			server.NewLoadGen(m.K, m.Fac, dep).RunOpenLoop(0.5*experiments.PeakRate(m.K.Spec, dep), horizon-sim.Second, m.Rng.Fork(13))
+			src := stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: m.Chip, Scope: model.ScopePackage}
+			if tc.wall {
+				src.Meter, src.Scope = m.Wattsup, model.ScopeMachine
+			}
+			e := stream.New(src, stream.Config{Tick: 100 * sim.Millisecond, ModelWindow: tc.modelWindow, CheckpointEvery: 10})
+			records := stream.NewHasher()
+			e.Sink = records
+			cps := sha256.New()
+			for e.Now() < horizon {
+				e.RunTicks(10)
+				cps.Write(stream.EncodeCheckpoint(e.LastCheckpoint()))
+			}
+			if mod := e.LastCheckpoint().Modeled; mod.Lo == 0 {
+				t.Fatalf("modeled window never evicted (hi %d, cap %d)", mod.Hi, mod.Cap)
+			}
+			if m.Fac.Recalibrator().Refits() == 0 {
+				t.Fatal("the recalibrator never changed the coefficients")
+			}
+			if got := hex.EncodeToString(cps.Sum(nil)); got != tc.checkpoints {
+				t.Errorf("checkpoint digest %s, want %s", got, tc.checkpoints)
+			}
+			if got := records.Sum(); got != tc.stream {
+				t.Errorf("record stream digest %s, want %s", got, tc.stream)
+			}
+		})
 	}
 }

@@ -272,15 +272,18 @@ func (s *Store) persistCheckpoint() error {
 func (s *Store) LastSeq() int64 { return s.appended }
 
 // Close syncs the WAL, persists the newest checkpoint, and closes the
-// log.
+// log. The log is closed on every path; a failed sync skips the persist
+// (a checkpoint must never cover unsynced frames), and the first error
+// is returned.
 func (s *Store) Close() error {
-	if err := s.log.Sync(); err != nil {
-		return err
+	err := s.log.Sync()
+	if err == nil {
+		err = s.persistCheckpoint()
 	}
-	if err := s.persistCheckpoint(); err != nil {
-		return err
+	if cerr := s.log.Close(); err == nil {
+		err = cerr
 	}
-	return s.log.Close()
+	return err
 }
 
 // ReadStream replays the durable record stream in dir, calling deliver

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"powercontainers/internal/core"
@@ -242,6 +243,101 @@ func TestDurableScratchFallbackReplaysExactly(t *testing.T) {
 	}
 	if got := dumpStream(t, mem); !bytes.Equal(got, golden) {
 		t.Fatalf("scratch-fallback stream (%d bytes) differs from golden (%d bytes)", len(got), len(golden))
+	}
+}
+
+// errSyncFailed is the injected fsync failure of syncFailFS.
+var errSyncFailed = errors.New("injected sync failure")
+
+// syncFailFS wraps an FS to fail File.Sync, once fail is set, on every
+// file it matches, and counts Create/OpenAppend opens and Close calls per
+// file name.
+type syncFailFS struct {
+	durable.FS
+	fail          func(name string) bool
+	opens, closes map[string]int
+}
+
+func newSyncFailFS() *syncFailFS {
+	return &syncFailFS{FS: durable.NewMemFS(), opens: map[string]int{}, closes: map[string]int{}}
+}
+
+func (f *syncFailFS) Create(name string) (durable.File, error) {
+	file, err := f.FS.Create(name)
+	return f.track(name, file, err)
+}
+
+func (f *syncFailFS) OpenAppend(name string) (durable.File, error) {
+	file, err := f.FS.OpenAppend(name)
+	return f.track(name, file, err)
+}
+
+func (f *syncFailFS) track(name string, file durable.File, err error) (durable.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	f.opens[name]++
+	return &syncFailFile{File: file, fs: f, name: name}, nil
+}
+
+type syncFailFile struct {
+	durable.File
+	fs   *syncFailFS
+	name string
+}
+
+func (f *syncFailFile) Sync() error {
+	if f.fs.fail != nil && f.fs.fail(f.name) {
+		return errSyncFailed
+	}
+	return f.File.Sync()
+}
+
+func (f *syncFailFile) Close() error {
+	f.fs.closes[f.name]++
+	return f.File.Close()
+}
+
+// TestStoreCloseAfterFailedSync pins Close's error paths: when the WAL
+// sync or the checkpoint persist behind it fails, Store.Close (and the
+// durable.Log.Close under it) still closes every file it opened, once,
+// and returns the failure.
+func TestStoreCloseAfterFailedSync(t *testing.T) {
+	cases := []struct {
+		name string
+		fail func(name string) bool
+	}{
+		{"wal-sync", func(string) bool { return true }},
+		{"checkpoint-persist", func(name string) bool { return !strings.HasSuffix(name, ".seg") }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := newSyncFailFS()
+			bed := deployBed(t, core.ApproachRecalibrated, 71, workload.GAE{}, 0.4)
+			st, rec, err := stream.OpenStore(fsys, "wal", nil)
+			if err != nil {
+				t.Fatalf("OpenStore: %v", err)
+			}
+			e, err := stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec)
+			if err != nil {
+				t.Fatalf("Resume: %v", err)
+			}
+			// Stop on the cadence: the tick-10 checkpoint is left for
+			// Close to persist.
+			e.RunTicks(10)
+			fsys.fail = tc.fail
+			if err := st.Close(); !errors.Is(err, errSyncFailed) {
+				t.Fatalf("Close = %v, want the injected sync failure", err)
+			}
+			if len(fsys.opens) == 0 {
+				t.Fatal("the store opened no files")
+			}
+			for name, n := range fsys.opens {
+				if fsys.closes[name] != n {
+					t.Errorf("%s: opened %d times, closed %d", name, n, fsys.closes[name])
+				}
+			}
+		})
 	}
 }
 

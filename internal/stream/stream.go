@@ -2,10 +2,10 @@
 // align → recalibrate → containers) into a long-running streaming
 // attribution engine: a pull-based consumer that drives the simulation in
 // fixed ticks and, at each tick boundary, incrementally consumes meter
-// samples (power.ReadFresh cursors), per-container attribution deltas
-// (core.Facility creation-order scans), and the modeled-power trace
-// (model.MetricCursor dirty marks) into bounded-memory ring buffers
-// (stats.Ring), emitting a per-container power/energy record stream.
+// samples (power.ReadFresh cursors) and per-container attribution deltas
+// (core.Facility creation-order scans) into bounded-memory ring buffers
+// (stats.Ring), evaluates the modeled-power trace over the tick's own
+// metric buckets, and emits a per-container power/energy record stream.
 //
 // Determinism contract: the engine is a pure consumer — it never schedules
 // simulation events, so driving the engine tick by tick processes the
@@ -61,8 +61,11 @@ type Config struct {
 	MeterWindow int
 	// TickWindow caps the attributed-energy ring in ticks (default 1024).
 	TickWindow int
-	// ModelWindow caps the modeled-power ring in metric buckets
-	// (default 8192).
+	// ModelWindow is the modeled-power window in metric buckets (default
+	// 8192): the newest buckets, which a checkpoint carries modeled under
+	// the current coefficients and over which ModeledW is averaged; older
+	// buckets are folded into a running sum at the coefficients in force
+	// when they left the window.
 	ModelWindow int
 	// DriftWindow caps the retained aligned pairs of the windowed drift
 	// refit (default 512).
@@ -166,10 +169,14 @@ type Engine struct {
 	svcLast []float64
 	tenLast []float64
 
-	modeled  *stats.Ring // per metric bucket: modeled active watts
-	mpCursor *model.MetricCursor
-	mpCoeff  model.Coefficients
-	mpValid  bool
+	// Modeled-power window over the facility's metric buckets [lo, hi):
+	// bucket b models as mpCoeff.Estimate(ms.At(b)); buckets below lo
+	// have been summed into evicted. Nothing is stored per bucket, so a
+	// coefficient change costs nothing until a checkpoint is taken.
+	lo, hi  int
+	evicted float64
+	mpCoeff model.Coefficients
+	mpValid bool
 
 	delay      sim.Time // drift-pair alignment delay
 	delayKnown bool
@@ -182,21 +189,20 @@ type Engine struct {
 }
 
 // New attaches a streaming engine to the given sources. The engine
-// assumes exclusive ownership of the facility metric cursor it creates
-// and of its meter-read cursor; the recalibrator's own cursors are
-// independent and untouched.
+// assumes exclusive ownership of its meter-read cursor; the
+// recalibrator's own cursors are independent and untouched.
 func New(src Sources, cfg Config) *Engine {
 	if src.Eng == nil || src.Fac == nil {
 		panic("stream: New requires Eng and Fac sources")
 	}
 	cfg = cfg.withDefaults()
-	ms := src.Fac.Metrics()
+	if cfg.ModelWindow < 0 {
+		panic("stream: negative ModelWindow")
+	}
 	e := &Engine{
 		src:        src,
 		cfg:        cfg,
 		attributed: stats.NewRing(cfg.Tick, cfg.TickWindow),
-		modeled:    stats.NewRing(ms.Interval(), cfg.ModelWindow),
-		mpCursor:   ms.NewCursor(),
 		window:     model.NewWindow(nil, driftRebuildEvery),
 	}
 	if src.Meter != nil {
@@ -331,11 +337,9 @@ func (e *Engine) step() {
 		e.emitHierarchy(h, t)
 	}
 
-	// Modeled-power cache: recompute only buckets at or above this
-	// engine's own dirty cursor (late writes reach back), from scratch on
-	// coefficient change — the recalibrator's cache policy, on an
-	// independent cursor and into a bounded ring.
-	e.patchModeled()
+	// Modeled-power window: advance over the buckets written since the
+	// last tick, folding those that leave it into the evicted sum.
+	e.advanceModeled()
 
 	// Drift refit: align fresh samples and fold them into the windowed
 	// Gram, evicting beyond the window.
@@ -445,56 +449,36 @@ func abs(v float64) float64 {
 	return v
 }
 
-// patchModeled maintains the bounded modeled-power ring: slot b holds the
-// modeled active power of metric bucket b under the facility's current
-// coefficients. Dirty buckets below the ring's retained window are stale
-// by construction and dropped.
-func (e *Engine) patchModeled() {
+// advanceModeled moves the modeled-power window to the metric series'
+// end and adopts the facility's current coefficients. A bucket leaving
+// the window joins the evicted sum, in bucket order, at the value the
+// window gives it at this tick: the current coefficients over its
+// metrics as they stand now.
+func (e *Engine) advanceModeled() {
 	ms := e.src.Fac.Metrics()
 	cur := e.src.Fac.Coeff
-	n := ms.Len()
-	from := e.modeled.Len()
-	if e.mpValid && cur == e.mpCoeff {
-		if d := e.mpCursor.DirtyLow(); d < from {
-			from = d
-		}
-	} else {
-		from = e.modeled.Lo()
-		e.mpCoeff = cur
-		e.mpValid = true
+	e.hi = ms.Len()
+	for ; e.lo < e.hi-e.cfg.ModelWindow; e.lo++ {
+		e.evicted += cur.Estimate(ms.At(e.lo))
 	}
-	if from < e.modeled.Lo() {
-		from = e.modeled.Lo()
-	}
-	for b := from; b < n; b++ {
-		v := cur.Estimate(ms.At(b))
-		if b < e.modeled.Len() {
-			e.modeled.Set(b, v)
-		} else {
-			e.modeled.Append(v)
-		}
-	}
-	e.mpCursor.Clear()
+	e.mpCoeff, e.mpValid = cur, true
 }
 
-// modeledTickMean averages the modeled-power slots covering the last tick.
+// modeledTickMean averages the modeled power of the window's buckets
+// covering the last tick.
 func (e *Engine) modeledTickMean() float64 {
 	t := sim.Time(e.tick) * e.cfg.Tick
-	iv := e.modeled.Interval()
-	lo := int((t - e.cfg.Tick) / iv)
-	hi := int(t / iv)
-	var sum float64
-	n := 0
-	for b := lo; b < hi; b++ {
-		if v, ok := e.modeled.At(b); ok {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
+	ms := e.src.Fac.Metrics()
+	lo := max(int((t-e.cfg.Tick)/ms.Interval()), e.lo)
+	hi := min(int(t/ms.Interval()), e.hi)
+	if hi <= lo {
 		return 0
 	}
-	return sum / float64(n)
+	var sum float64
+	for b := lo; b < hi; b++ {
+		sum += e.mpCoeff.Estimate(ms.At(b))
+	}
+	return sum / float64(hi-lo)
 }
 
 func meanActive(samples []power.Sample, m power.Meter) float64 {
