@@ -84,12 +84,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // load reads the store, returning an empty current-version snapshot for a
 // store that does not exist yet.
-func load(st core.HierarchyState) (core.HierarchySnapshot, error) {
+func load(st *core.JSONState) (core.HierarchySnapshot, error) {
 	snap, _, err := st.Load()
 	return snap, err
 }
 
-func runCreate(st core.HierarchyState, args []string) error {
+func runCreate(st *core.JSONState, args []string) error {
 	snap, err := load(st)
 	if err != nil {
 		return err
@@ -111,7 +111,7 @@ func runCreate(st core.HierarchyState, args []string) error {
 	return st.Save(snap)
 }
 
-func runBudget(st core.HierarchyState, args []string) error {
+func runBudget(st *core.JSONState, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: budget TENANT [-power W] [-energy J]")
 	}
@@ -133,7 +133,7 @@ func runBudget(st core.HierarchyState, args []string) error {
 	return st.Save(snap)
 }
 
-func runList(st core.HierarchyState, args []string, stdout io.Writer) error {
+func runList(st *core.JSONState, args []string, stdout io.Writer) error {
 	if len(args) != 0 {
 		return fmt.Errorf("usage: list")
 	}
@@ -168,7 +168,7 @@ func budgetSuffix(b core.Budget) string {
 	return "  [budget: " + strings.Join(parts, ", ") + "]"
 }
 
-func runInspect(st core.HierarchyState, args []string, stdout io.Writer) error {
+func runInspect(st *core.JSONState, args []string, stdout io.Writer) error {
 	snap, err := load(st)
 	if err != nil {
 		return err
@@ -194,7 +194,7 @@ func runInspect(st core.HierarchyState, args []string, stdout io.Writer) error {
 	return nil
 }
 
-func runStats(st core.HierarchyState, args []string, stdout io.Writer) error {
+func runStats(st *core.JSONState, args []string, stdout io.Writer) error {
 	if len(args) != 0 {
 		return fmt.Errorf("usage: stats")
 	}
@@ -221,7 +221,7 @@ func runStats(st core.HierarchyState, args []string, stdout io.Writer) error {
 	return nil
 }
 
-func runIngest(st core.HierarchyState, args []string, stdout io.Writer) error {
+func runIngest(st *core.JSONState, args []string, stdout io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: ingest SNAPSHOT.json")
 	}

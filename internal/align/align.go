@@ -27,30 +27,6 @@ type LagPoint struct {
 	Normalized float64
 }
 
-// modelWindowMean averages the modeled active power series (1-bucket
-// resolution `interval`) over [t0, t1). Returns ok=false when the window
-// falls outside the series.
-func modelWindowMean(modelPower []float64, interval, t0, t1 sim.Time) (float64, bool) {
-	if t1 <= t0 || t0 < 0 {
-		return 0, false
-	}
-	lo := int(t0 / interval)
-	hi := int((t1 + interval - 1) / interval)
-	if hi > len(modelPower) {
-		return 0, false
-	}
-	var sum float64
-	n := 0
-	for b := lo; b < hi; b++ {
-		sum += modelPower[b]
-		n++
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
 // prefixMeans answers modeled-power window means in O(1) via a prefix-sum
 // table: prefix[i] holds the running sum of power[:i], so the mean over
 // buckets [lo, hi) is a prefix difference and one divide instead of a bucket
@@ -82,9 +58,9 @@ func newPrefixMeans(power []float64, interval sim.Time) prefixMeans {
 	return prefixMeans{interval: interval, prefix: prefix}
 }
 
-// windowMean mirrors modelWindowMean's window semantics exactly (same
-// bucket rounding, same out-of-range rejection); only the summation
-// differs.
+// windowMean mirrors the reference modelWindowMean's window semantics
+// exactly (same bucket rounding, same out-of-range rejection); only the
+// summation differs.
 func (p prefixMeans) windowMean(t0, t1 sim.Time) (float64, bool) {
 	if t1 <= t0 || t0 < 0 {
 		return 0, false
@@ -125,10 +101,11 @@ func lagCount(minDelay, maxDelay, step sim.Time) int {
 //
 // This is the O(1)-window fast path: window means come from a prefix-sum
 // table, making the scan O(lags × samples + len(modelPower)) instead of the
-// reference implementation's O(lags × samples × window). Curve values may
-// differ from correlationCurveRef by rounding noise only (the prefix
-// difference reassociates the window summation); the per-lag statistics are
-// otherwise accumulated in the identical order.
+// reference implementation's O(lags × samples × window), which the tests
+// keep as correlationCurveRef. Curve values may differ from it by
+// rounding noise only (the prefix difference reassociates the window
+// summation); the per-lag statistics are otherwise accumulated in the
+// identical order.
 func CorrelationCurve(measured []power.Sample, idleW float64, meterInterval sim.Time,
 	modelPower []float64, modelInterval sim.Time, step, minDelay, maxDelay sim.Time) []LagPoint {
 
@@ -175,65 +152,6 @@ func CorrelationCurve(measured []power.Sample, idleW float64, meterInterval sim.
 				// vx/vy as pure cancellation residue, and the ratio can
 				// then exceed Cauchy–Schwarz's bound; clamp to the
 				// documented range.
-				if norm > 1 {
-					norm = 1
-				} else if norm < -1 {
-					norm = -1
-				}
-			}
-		}
-		curve = append(curve, LagPoint{Delay: d, Raw: raw, Normalized: norm})
-		next := d + step
-		if next <= d { // overflow guard: a huge step must still terminate
-			break
-		}
-		d = next
-	}
-	return curve
-}
-
-// correlationCurveRef is the original O(lags × samples × window)
-// implementation, retained as the reference the fast path is
-// property-tested against. The only change from the original is the
-// range clamp below, which fuzzing showed is needed in both paths:
-// even exact window means leave vx/vy as cancellation residue on
-// degenerate inputs, letting the ratio exceed 1.
-func correlationCurveRef(measured []power.Sample, idleW float64, meterInterval sim.Time,
-	modelPower []float64, modelInterval sim.Time, step, minDelay, maxDelay sim.Time) []LagPoint {
-
-	if meterInterval <= 0 || modelInterval <= 0 {
-		return nil
-	}
-	if step <= 0 {
-		step = modelInterval
-	}
-	var curve []LagPoint
-	for d := minDelay; d <= maxDelay; {
-		var raw, sx, sy, sxy, sxx, syy float64
-		n := 0
-		for _, s := range measured {
-			end := s.Arrival - d
-			start := end - meterInterval
-			mp, ok := modelWindowMean(modelPower, modelInterval, start, end)
-			if !ok {
-				continue
-			}
-			x := s.Watts - idleW
-			raw += x * mp
-			sx += x
-			sy += mp
-			sxy += x * mp
-			sxx += x * x
-			syy += mp * mp
-			n++
-		}
-		norm := 0.0
-		if n >= 2 {
-			cov := sxy - sx*sy/float64(n)
-			vx := sxx - sx*sx/float64(n)
-			vy := syy - sy*sy/float64(n)
-			if vx > 0 && vy > 0 {
-				norm = cov / math.Sqrt(vx*vy)
 				if norm > 1 {
 					norm = 1
 				} else if norm < -1 {

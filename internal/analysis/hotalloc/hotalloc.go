@@ -1,6 +1,6 @@
 // Package hotalloc enforces the steady-state zero-allocation discipline
-// on functions marked //pclint:hotpath: the event-clock and ring-buffer
-// fast paths that PR 4 and PR 6 built free lists for. Inside a hotpath
+// on functions marked //pclint:hotpath: the event-clock, kernel, recorder
+// and facility fast paths that simulated events drive. Inside a hotpath
 // function it flags every allocating construct the scanner recognizes —
 // growing appends, make/new, composite and closure literals, string
 // concatenation and copies, fmt calls, interface boxing — and every call

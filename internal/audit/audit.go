@@ -112,6 +112,7 @@ type Auditor struct {
 
 	violations []Violation
 	dropped    int
+	finalized  bool // FinalizeMachine has run
 
 	// sim sanity
 	lastAt  sim.Time
@@ -241,6 +242,7 @@ func (a *Auditor) now() sim.Time {
 // identity, and lifecycle refcount reconciliation — and returns the
 // accumulated violations as one error (nil if clean).
 func (a *Auditor) FinalizeMachine() error {
+	a.finalized = true
 	if a.k == nil {
 		return a.Err()
 	}
@@ -301,6 +303,10 @@ func (a *Auditor) FinalizeMachine() error {
 	}
 	return a.Err()
 }
+
+// Finalized reports whether FinalizeMachine has run, so a harness can
+// check that no audited machine skipped its end-of-run checks.
+func (a *Auditor) Finalized() bool { return a.finalized }
 
 // checkHierarchy reconciles the tenant→service→request hierarchy, if one
 // is attached: at every node the canonical roll-up (containers summed in

@@ -16,51 +16,9 @@ import (
 // (torn writes fail JSON decoding; version skews have their own error).
 var ErrCorruptState = errors.New("core: hierarchy state corrupt")
 
-// HierarchyState is the persistence seam for hierarchy configuration and
-// roll-up snapshots. Two backends implement it, the dual-store shape
-// podman uses for container state: an in-memory store for tests and
-// single-run tooling, and a versioned JSON file store that powerctl and
-// long-lived deployments share.
-type HierarchyState interface {
-	// Save persists the snapshot, replacing any previous one.
-	Save(snap HierarchySnapshot) error
-	// Load returns the stored snapshot. ok is false when nothing has been
-	// saved yet, in which case an empty current-version snapshot is
-	// returned.
-	Load() (snap HierarchySnapshot, ok bool, err error)
-}
-
-// MemoryState is the in-memory backend: snapshots live only as long as the
-// process. Save and Load deep-copy, so callers can mutate their snapshot
-// without aliasing the store.
-type MemoryState struct {
-	snap  HierarchySnapshot
-	saved bool
-}
-
-// NewMemoryState creates an empty in-memory store.
-func NewMemoryState() *MemoryState { return &MemoryState{} }
-
-// Save implements HierarchyState.
-func (m *MemoryState) Save(snap HierarchySnapshot) error {
-	if err := checkSnapshotVersion(snap); err != nil {
-		return err
-	}
-	m.snap = copySnapshot(snap)
-	m.saved = true
-	return nil
-}
-
-// Load implements HierarchyState.
-func (m *MemoryState) Load() (HierarchySnapshot, bool, error) {
-	if !m.saved {
-		return HierarchySnapshot{Version: SnapshotVersion}, false, nil
-	}
-	return copySnapshot(m.snap), true, nil
-}
-
-// JSONState is the persistent backend: one versioned, checksummed JSON
-// document at Path. Writes go through internal/durable's full
+// JSONState persists hierarchy configuration and roll-up snapshots: one
+// versioned, checksummed JSON document at Path, which powerctl and
+// long-lived deployments share. Writes go through internal/durable's full
 // fsync-before-rename discipline (temp file, fsync, atomic rename,
 // directory fsync), so a crash mid-save never leaves a torn or
 // half-durable store behind; the embedded CRC32C catches bit rot that
@@ -96,7 +54,7 @@ func snapshotChecksum(snap HierarchySnapshot) (string, error) {
 	return hex.EncodeToString([]byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)}), nil
 }
 
-// Save implements HierarchyState.
+// Save persists the snapshot, replacing any previous one.
 func (j *JSONState) Save(snap HierarchySnapshot) error {
 	if err := checkSnapshotVersion(snap); err != nil {
 		return err
@@ -117,7 +75,8 @@ func (j *JSONState) Save(snap HierarchySnapshot) error {
 	return nil
 }
 
-// Load implements HierarchyState.
+// Load returns the stored snapshot. ok is false when nothing has been
+// saved yet, in which case an empty current-version snapshot is returned.
 func (j *JSONState) Load() (HierarchySnapshot, bool, error) {
 	data, err := j.fs().ReadFile(j.Path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -152,21 +111,3 @@ func checkSnapshotVersion(snap HierarchySnapshot) error {
 	}
 	return nil
 }
-
-func copySnapshot(snap HierarchySnapshot) HierarchySnapshot {
-	out := HierarchySnapshot{Version: snap.Version}
-	if snap.Tenants != nil {
-		out.Tenants = make([]TenantSnapshot, len(snap.Tenants))
-		for i, t := range snap.Tenants {
-			ct := t
-			ct.Services = append([]ServiceSnapshot(nil), t.Services...)
-			out.Tenants[i] = ct
-		}
-	}
-	return out
-}
-
-var (
-	_ HierarchyState = (*MemoryState)(nil)
-	_ HierarchyState = (*JSONState)(nil)
-)

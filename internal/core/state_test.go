@@ -22,32 +22,6 @@ func sampleSnapshot() HierarchySnapshot {
 	return snap
 }
 
-func TestMemoryStateRoundTrip(t *testing.T) {
-	st := NewMemoryState()
-	if _, ok, err := st.Load(); err != nil || ok {
-		t.Fatalf("fresh store: ok=%v err=%v", ok, err)
-	}
-	want := sampleSnapshot()
-	if err := st.Save(want); err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the caller's copy must not reach the store (deep copy).
-	want.Tenants[0].Services[0].Requests = 999
-	got, ok, err := st.Load()
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if got.FindTenant("acme").Services[0].Requests != 7 {
-		t.Fatal("store aliased the caller's snapshot")
-	}
-	// Mutating the loaded copy must not reach the store either.
-	got.Tenants[0].Services[0].Requests = 1000
-	again, _, _ := st.Load()
-	if again.FindTenant("acme").Services[0].Requests != 7 {
-		t.Fatal("load aliased the store")
-	}
-}
-
 func TestJSONStateRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hierarchy.json")
 	st := NewJSONState(path)

@@ -70,3 +70,40 @@ func TestAuditCatchesTamperedGroundTruth(t *testing.T) {
 		t.Fatalf("tampering not attributed to the recorder check: %v", err)
 	}
 }
+
+// TestAuditedExperimentsFinalizeEveryMachine runs, with auditing on, the
+// experiments that drive their machines by hand rather than through
+// RunOn, and requires every auditor they attached to have run its
+// end-of-run checks: a machine that skips FinalizeAudit never checks
+// conservation, lifecycle or the hierarchy, and nothing reads its online
+// violations.
+func TestAuditedExperimentsFinalizeEveryMachine(t *testing.T) {
+	defer DisableAudit()
+	const seed = 1
+	runs := []struct {
+		name string
+		run  func() error
+	}{
+		{"intro", func() error { _, err := Intro(seed); return err }},
+		{"fig1", func() error { _, err := Fig1(seed); return err }},
+		{"fig2", func() error { _, err := Fig2(seed); return err }},
+		{"fig4", func() error { _, err := Fig4(seed); return err }},
+		{"fig10", func() error { _, err := Fig10(seed); return err }},
+		{"fig11", func() error { _, err := Fig11(seed); return err }},
+	}
+	for _, r := range runs {
+		EnableAudit()
+		if err := r.run(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		c := DefaultAudit()
+		if len(c.auditors) == 0 {
+			t.Fatalf("%s attached no auditors", r.name)
+		}
+		for _, a := range c.auditors {
+			if !a.Finalized() {
+				t.Errorf("%s: auditor %s never finalized (%d auditors)", r.name, a.Label, len(c.auditors))
+			}
+		}
+	}
+}

@@ -68,7 +68,11 @@ func spinActivePower(spec cpu.MachineSpec, k int, seed uint64) (float64, error) 
 		}), nil)
 	}
 	m.Eng.RunUntil(6 * sim.Second)
-	return wattsupWindowMean(m.Wattsup, m.Eng.Now(), 1*sim.Second, 3*sim.Second)
+	w, err := wattsupWindowMean(m.Wattsup, m.Eng.Now(), 1*sim.Second, 3*sim.Second)
+	if err != nil {
+		return 0, err
+	}
+	return w, m.FinalizeAudit()
 }
 
 // Render prints the figure as text.

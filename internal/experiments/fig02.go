@@ -92,6 +92,9 @@ func Fig2(seed uint64) (*Fig2Result, error) {
 			res.TraceMeasured[b] = s.Watts
 		}
 	}
+	if err := m.FinalizeAudit(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

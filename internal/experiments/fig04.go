@@ -47,6 +47,9 @@ func Fig4(seed uint64) (*Fig4Result, error) {
 		return done[i].Cont.EnergyJ() < done[j].Cont.EnergyJ()
 	})
 	req := done[len(done)/2]
+	if err := m.FinalizeAudit(); err != nil {
+		return nil, err
+	}
 	return &Fig4Result{
 		Request:      req,
 		Stages:       req.Cont.Stages(),

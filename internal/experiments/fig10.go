@@ -211,6 +211,9 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 
 	origUtil := completedRate * overall.cpuSec / float64(spec.Cores())
 	chip := m.Fac.Coeff.Chip // maintenance coefficient known to the facility
+	if err := m.FinalizeAudit(); err != nil {
+		return nil, err
+	}
 
 	// --- Prediction/measurement phase at three hypothetical loads. ---
 	var points []Fig10Point
@@ -239,6 +242,9 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 		m2.Eng.RunUntil(mt1 + 3*sim.Second)
 		measured, err := wattsupWindowMean(m2.Wattsup, m2.Eng.Now(), mt0, mt1)
 		if err != nil {
+			return nil, err
+		}
+		if err := m2.FinalizeAudit(); err != nil {
 			return nil, err
 		}
 		points = append(points, Fig10Point{

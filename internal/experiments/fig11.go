@@ -125,6 +125,13 @@ func Fig11(seed uint64) (*Fig11Result, error) {
 	}
 	res.NormalSlowdown = math.Max(0, normal.Mean())
 	res.VirusSlowdown = math.Max(0, virus.Mean())
+	// Finalizing flushes the recorder to the end of the run, so it waits
+	// until the traces above have been read up to runFor.
+	for _, m := range []*Machine{mA, mB} {
+		if err := m.FinalizeAudit(); err != nil {
+			return nil, err
+		}
+	}
 	return res, nil
 }
 

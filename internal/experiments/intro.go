@@ -50,7 +50,7 @@ func Intro(seed uint64) (*IntroResult, error) {
 			return 0, 0, err
 		}
 		pkgFull = m.K.Rec.PkgActivePowerW(1*sim.Second, 3*sim.Second) + m.Chip.IdleW()
-		return machineActive, pkgFull, nil
+		return machineActive, pkgFull, m.FinalizeAudit()
 	}
 
 	benches := workload.MicroBenches()

@@ -7,10 +7,11 @@ import (
 
 // Gram holds the sufficient statistics of a weighted least-squares problem:
 // the normal-equation accumulators XᵀWX and XᵀWy plus the folded row count.
-// It turns the O(n·k²) per-refit accumulation of LeastSquares into O(k²)
-// incremental updates: Add folds one observation in, Remove folds one out
-// (exact rank-1 downdate of the accumulators), and Solve runs the same
-// pivoted elimination + ridge fallback as LeastSquares on the current state.
+// It turns the O(n·k²) per-refit accumulation of a batch fit (the
+// LeastSquares reference the tests keep) into O(k²) incremental updates:
+// Add folds one observation in, Remove folds one out (exact rank-1
+// downdate of the accumulators), and Solve runs the same pivoted
+// elimination + ridge fallback as LeastSquares on the current state.
 //
 // Bit-exactness contract: folding rows via Add in order performs the exact
 // same floating-point additions, in the same order, as one LeastSquares call

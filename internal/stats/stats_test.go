@@ -83,6 +83,31 @@ func TestSeriesRebucket(t *testing.T) {
 	}
 }
 
+// TestSeriesDirtyMark pins the single-consumer dirty mark the
+// recalibrator's modeled-power cache relies on: a fresh series is clean,
+// every write lowers the mark to the lowest bucket it touched (AddSpread
+// marks its first bucket), and ClearDirty resets it.
+func TestSeriesDirtyMark(t *testing.T) {
+	s := NewSeries(sim.Millisecond)
+	if s.DirtyLow() < s.Len() {
+		t.Fatalf("fresh series DirtyLow = %d, want clean", s.DirtyLow())
+	}
+	s.Add(5*sim.Millisecond, 1)
+	s.Add(3*sim.Millisecond, 1)
+	s.Add(4*sim.Millisecond, 1)
+	if s.DirtyLow() != 3 {
+		t.Fatalf("DirtyLow = %d, want 3 (the lowest write)", s.DirtyLow())
+	}
+	s.ClearDirty()
+	if s.DirtyLow() < s.Len() {
+		t.Fatalf("cleared DirtyLow = %d, want ≥ Len %d", s.DirtyLow(), s.Len())
+	}
+	s.AddSpread(sim.Millisecond, 2*sim.Millisecond+1, 4)
+	if s.DirtyLow() != 1 {
+		t.Fatalf("DirtyLow after AddSpread over buckets 1-2 = %d, want 1", s.DirtyLow())
+	}
+}
+
 func TestCrossCorrelationFindsKnownLag(t *testing.T) {
 	// model[i] = signal[i]; measured[i] = signal[i-3] (measurement is
 	// delayed by 3 buckets). Peak correlation must be at lag 3.

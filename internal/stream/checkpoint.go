@@ -7,18 +7,18 @@ import (
 
 	"powercontainers/internal/model"
 	"powercontainers/internal/sim"
-	"powercontainers/internal/stats"
 )
 
 // CheckpointVersion identifies the checkpoint encoding. Version 2 added
-// the hierarchy roll-up cursors (svc_last/ten_last).
-const CheckpointVersion = 2
+// the hierarchy roll-up cursors (svc_last/ten_last); version 3 dropped
+// the meter, attribution and modeled-power histories and the per-container
+// CPU cursor, none of which the engine reads.
+const CheckpointVersion = 3
 
 // ContainerState is one live container's cursor in a checkpoint.
 type ContainerState struct {
-	ID      int      `json:"id"`
-	LastJ   float64  `json:"last_j"`
-	LastCPU sim.Time `json:"last_cpu"`
+	ID    int     `json:"id"`
+	LastJ float64 `json:"last_j"`
 }
 
 // Checkpoint is the engine's complete consumer-side state at a tick
@@ -45,15 +45,6 @@ type Checkpoint struct {
 	SvcLast []float64 `json:"svc_last,omitempty"`
 	TenLast []float64 `json:"ten_last,omitempty"`
 
-	Measured   *stats.RingState `json:"measured,omitempty"`
-	Attributed stats.RingState  `json:"attributed"`
-	// Modeled is the modeled-power window in ring form, its values
-	// evaluated under MPCoeff when the checkpoint is taken.
-	Modeled stats.RingState `json:"modeled"`
-
-	MPCoeff model.Coefficients `json:"mp_coeff"`
-	MPValid bool               `json:"mp_valid"`
-
 	Delay      sim.Time `json:"delay"`
 	DelayKnown bool     `json:"delay_known"`
 	// The drift refit's window, its fields encoded inline.
@@ -63,14 +54,9 @@ type Checkpoint struct {
 	DriftErr float64            `json:"drift_err"`
 }
 
-// Checkpoint captures the engine's consumer state. It is a pure read —
-// taking a checkpoint never perturbs the stream. The Audit sink's
-// OnCheckpoint hook fires with the encoded size.
-//
-// The checkpoint describes the last completed tick, and part of it (the
-// modeled-power window's values) is evaluated from the facility's metric
-// series on the spot: take it before the simulation advances past that
-// tick.
+// Checkpoint captures the engine's consumer state at the last completed
+// tick. It is a pure read — taking a checkpoint never perturbs the
+// stream. The Audit sink's OnCheckpoint hook fires with the encoded size.
 func (e *Engine) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		Version:        CheckpointVersion,
@@ -80,10 +66,6 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		CumJ:           e.cumJ,
 		MeterSeen:      e.meterSeen,
 		ContainersSeen: e.containersSeen,
-		Attributed:     e.attributed.State(),
-		Modeled:        e.modeledState(),
-		MPCoeff:        e.mpCoeff,
-		MPValid:        e.mpValid,
 		Delay:          e.delay,
 		DelayKnown:     e.delayKnown,
 		WindowState:    e.window.State(),
@@ -91,12 +73,8 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		DriftOK:        e.driftOK,
 		DriftErr:       e.driftErr,
 	}
-	if e.measured != nil {
-		st := e.measured.State()
-		cp.Measured = &st
-	}
 	for _, cc := range e.live {
-		cp.Live = append(cp.Live, ContainerState{ID: cc.c.ID, LastJ: cc.lastJ, LastCPU: cc.lastCPU})
+		cp.Live = append(cp.Live, ContainerState{ID: cc.c.ID, LastJ: cc.lastJ})
 	}
 	if len(e.svcLast) > 0 {
 		cp.SvcLast = append([]float64(nil), e.svcLast...)
@@ -108,21 +86,6 @@ func (e *Engine) Checkpoint() *Checkpoint {
 		e.Audit.OnCheckpoint(cp.Tick, cp.T, len(EncodeCheckpoint(cp)))
 	}
 	return cp
-}
-
-// modeledState renders the modeled-power window as the ring state the
-// checkpoint format carries (Values nil when the window is empty, as
-// stats.Ring.State gives it).
-func (e *Engine) modeledState() stats.RingState {
-	ms := e.src.Fac.Metrics()
-	st := stats.RingState{Interval: ms.Interval(), Cap: e.cfg.ModelWindow, Lo: e.lo, Hi: e.hi, Evicted: e.evicted}
-	if n := e.hi - e.lo; n > 0 {
-		st.Values = make([]float64, n)
-		for i := range st.Values {
-			st.Values[i] = e.mpCoeff.Estimate(ms.At(e.lo + i))
-		}
-	}
-	return st
 }
 
 // EncodeCheckpoint serializes a checkpoint. The encoding is deterministic
@@ -140,11 +103,11 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 
 // DecodeCheckpoint parses an encoded checkpoint and validates every
 // structural invariant a truncated, bit-flipped, or hand-rolled payload
-// can break. Semantic validation against the rebuilt machine (ring
-// restores, container resolution) happens later in restore; everything
-// checkable from the bytes alone is checked here, so a damaged
-// checkpoint is refused with a clear error instead of failing deep
-// inside a replay.
+// can break. Semantic validation against the rebuilt machine (container
+// and hierarchy resolution, the drift window) happens later in restore;
+// everything checkable from the bytes alone is checked here, so a
+// damaged checkpoint is refused with a clear error instead of failing
+// deep inside a replay.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
@@ -189,19 +152,6 @@ func (e *Engine) restore(cp *Checkpoint) error {
 	if e.tick != cp.Tick {
 		return fmt.Errorf("stream: restore at tick %d, checkpoint at %d", e.tick, cp.Tick)
 	}
-	att, err := stats.RestoreRing(cp.Attributed)
-	if err != nil {
-		return err
-	}
-	if _, err := stats.RestoreRing(cp.Modeled); err != nil {
-		return err
-	}
-	var meas *stats.Ring
-	if cp.Measured != nil {
-		if meas, err = stats.RestoreRing(*cp.Measured); err != nil {
-			return err
-		}
-	}
 	// Resolve live container IDs by merge scan: both the checkpoint's
 	// live list and the facility's container list are in creation order.
 	live := make([]*contCursor, 0, len(cp.Live))
@@ -216,7 +166,7 @@ func (e *Engine) restore(cp *Checkpoint) error {
 		if i == cp.ContainersSeen {
 			return fmt.Errorf("stream: checkpoint live container %d not found in facility", st.ID)
 		}
-		live = append(live, &contCursor{c: e.src.Fac.ContainerAt(i), lastJ: st.LastJ, lastCPU: st.LastCPU})
+		live = append(live, &contCursor{c: e.src.Fac.ContainerAt(i), lastJ: st.LastJ})
 		i++
 	}
 
@@ -246,11 +196,6 @@ func (e *Engine) restore(cp *Checkpoint) error {
 	e.live = live
 	e.svcLast = append(e.svcLast[:0], cp.SvcLast...)
 	e.tenLast = append(e.tenLast[:0], cp.TenLast...)
-	e.attributed = att
-	e.lo, e.hi, e.evicted = cp.Modeled.Lo, cp.Modeled.Hi, cp.Modeled.Evicted
-	e.measured = meas
-	e.mpCoeff = cp.MPCoeff
-	e.mpValid = cp.MPValid
 	e.delay = cp.Delay
 	e.delayKnown = cp.DelayKnown
 	e.drift = cp.Drift

@@ -29,11 +29,6 @@ func TestCheckpointReplayReproducesStream(t *testing.T) {
 		cuts []int
 	}{
 		{"default-window", stream.Config{Tick: 100 * sim.Millisecond}, []int{1, 17, 38}},
-		// Resume around the attributed-ring eviction boundary: with an
-		// 8-tick window, cut 7 checkpoints a not-yet-full ring, cut 8
-		// an exactly-full one (the next append evicts), and cut 9 a
-		// ring whose first slot has been folded into the prefix sum.
-		{"eviction-boundary", stream.Config{Tick: 100 * sim.Millisecond, TickWindow: 8}, []int{7, 8, 9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { testCheckpointReplay(t, tc.cfg, tc.cuts) })
@@ -129,7 +124,7 @@ func TestDecodeCheckpointValidates(t *testing.T) {
 	if _, err := stream.DecodeCheckpoint([]byte(`{"version":1}`)); err == nil {
 		t.Fatal("superseded version accepted")
 	}
-	if _, err := stream.DecodeCheckpoint([]byte(`{"version":2,"tick":-1}`)); err == nil {
+	if _, err := stream.DecodeCheckpoint([]byte(`{"version":3,"tick":-1}`)); err == nil {
 		t.Fatal("negative tick accepted")
 	}
 }
@@ -193,31 +188,27 @@ func TestAutomaticCheckpoints(t *testing.T) {
 }
 
 // TestCheckpointBytesStable pins the checkpoint format byte for byte:
-// every automatic checkpoint (CheckpointEvery 10) of three runs is
-// hashed, as is the record stream, and both digests must equal recorded
-// ones: checkpoints are persisted (a durable store resumes from them and
+// every automatic checkpoint (CheckpointEvery 10) of two runs is hashed,
+// as is the record stream, and both digests must equal recorded ones:
+// checkpoints are persisted (a durable store resumes from them and
 // ReplayTo compares them byte for byte), so their bytes change only with
-// CheckpointVersion. The cases cover the window filling and evicting (13 s of 1 ms buckets
-// against the default 8192), evictions inside a single tick (a 64-bucket
-// window, fewer than one tick adds), and coefficients that change only
-// once a second (recalibration against the wall meter).
+// CheckpointVersion. The cases cover the drift window filling and
+// evicting (13 s of 1 ms chip samples against its 512 pairs) and
+// coefficients that change only once a second (recalibration against the
+// wall meter).
 func TestCheckpointBytesStable(t *testing.T) {
 	cases := []struct {
 		name        string
 		spec        cpu.MachineSpec
 		wall        bool // stream against the wall meter the recalibrator uses
-		modelWindow int
 		checkpoints string
 		stream      string
 	}{
-		{"chip", cpu.SandyBridge, false, 0,
-			"82c7e7ac4b91d7ffb62cd5fa80bd0b3b1b7a295e264c1aa3fd7d86c2f6672224",
+		{"chip", cpu.SandyBridge, false,
+			"08b8bbf47198b025b460905055b8f8ade37f34d78ac350bc1b3ed00b4fb222cb",
 			"cdb63181be4480f7e0f42205009b09fa9ecad4cbc890a751d5da3c46a997d312"},
-		{"chip-window-64", cpu.SandyBridge, false, 64,
-			"f80b416538b7c42ab8c36a15181175d730b4022ba9f6f213d65f00f3e954f08f",
-			"26771e7a99d787bd710f658a66d6c2161746ac725353e6ca0b747a50a8672e3e"},
-		{"wall", cpu.Westmere, true, 0,
-			"2508aefdbc34f65fa36018d65eebbd22eba91f9ea7b69d754a221f00882126b1",
+		{"wall", cpu.Westmere, true,
+			"cd3ca19f846745e859bec475ba294aefd8b1b709134ec28a8daf9ee18e9101f7",
 			"6590b7bc74b29f20a76add695790a46fd4558af88ac8d4adb15d015732037499"},
 	}
 	const horizon = 13 * sim.Second
@@ -233,16 +224,13 @@ func TestCheckpointBytesStable(t *testing.T) {
 			if tc.wall {
 				src.Meter, src.Scope = m.Wattsup, model.ScopeMachine
 			}
-			e := stream.New(src, stream.Config{Tick: 100 * sim.Millisecond, ModelWindow: tc.modelWindow, CheckpointEvery: 10})
+			e := stream.New(src, stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 10})
 			records := stream.NewHasher()
 			e.Sink = records
 			cps := sha256.New()
 			for e.Now() < horizon {
 				e.RunTicks(10)
 				cps.Write(stream.EncodeCheckpoint(e.LastCheckpoint()))
-			}
-			if mod := e.LastCheckpoint().Modeled; mod.Lo == 0 {
-				t.Fatalf("modeled window never evicted (hi %d, cap %d)", mod.Hi, mod.Cap)
 			}
 			if m.Fac.Recalibrator().Refits() == 0 {
 				t.Fatal("the recalibrator never changed the coefficients")

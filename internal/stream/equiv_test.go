@@ -204,3 +204,38 @@ func checkDriftWindowEquivalence(t *testing.T, bed testbed, e *stream.Engine, sc
 		}
 	}
 }
+
+// TestModeledWattsCoverWholeTick pins Record.ModeledW to its definition
+// at a tick far longer than usual: every system record of a 10 s tick
+// carries the mean, under the facility's coefficients at emission, of
+// the modeled power of all 10,000 metric buckets the tick spans.
+func TestModeledWattsCoverWholeTick(t *testing.T) {
+	const tick = 10 * sim.Second
+	bed := longBed(t, 3, 3*tick)
+	fac := bed.m.Fac
+	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
+		stream.Config{Tick: tick})
+	ms := fac.Metrics()
+	checked := 0
+	e.Sink = sinkFunc(func(r stream.Record) {
+		if r.Kind != stream.KindSystem {
+			return
+		}
+		lo, hi := int((r.T-tick)/ms.Interval()), int(r.T/ms.Interval())
+		if hi-lo != 10000 || hi > ms.Len() {
+			t.Fatalf("tick %d spans buckets [%d,%d) of %d", r.Tick, lo, hi, ms.Len())
+		}
+		var sum float64
+		for b := lo; b < hi; b++ {
+			sum += fac.Coeff.Estimate(ms.At(b))
+		}
+		if want := sum / float64(hi-lo); r.ModeledW != want {
+			t.Errorf("tick %d: ModeledW %v, mean over the whole tick %v", r.Tick, r.ModeledW, want)
+		}
+		checked++
+	})
+	e.RunTicks(3)
+	if checked != 3 {
+		t.Fatalf("checked %d system records, want 3", checked)
+	}
+}

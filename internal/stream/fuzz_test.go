@@ -15,9 +15,9 @@ import (
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("{"))
-	f.Add([]byte(`{"version":2}`))
-	f.Add([]byte(`{"version":2,"tick":3,"t":300000000,"records":7,"containers_seen":1,"live":[{"id":0}],"attributed":{},"modeled":{}}`))
-	f.Add([]byte(`{"version":2,"tick":-1}`))
+	f.Add([]byte(`{"version":3}`))
+	f.Add([]byte(`{"version":3,"tick":3,"t":300000000,"records":7,"containers_seen":1,"live":[{"id":0}]}`))
+	f.Add([]byte(`{"version":3,"tick":-1}`))
 	f.Add([]byte(`{"version":99,"tick":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := stream.DecodeCheckpoint(data)

@@ -51,7 +51,7 @@ type Record struct {
 
 	// System fields.
 	AttributedW float64 // all-container attributed power over the tick
-	ModeledW    float64 // mean modeled active power over the tick
+	ModeledW    float64 // mean modeled active power over the whole tick
 	MeasuredW   float64 // mean active power of samples arrived this tick
 	Samples     int     // meter samples arrived this tick
 	FitN        int     // drift-window pairs retained

@@ -130,8 +130,9 @@ func TestDurableResumeAfterCrash(t *testing.T) {
 
 // TestDurableRecoveryModes pins the resume decision ladder: fresh on an
 // empty dir, checkpoint once one is persisted, scratch when the
-// checkpoint is corrupt — and scratch again when a corruption truncates
-// the WAL behind the checkpoint's coverage.
+// checkpoint comes from an older format or is corrupt — and scratch
+// again when a corruption truncates the WAL behind the checkpoint's
+// coverage.
 func TestDurableRecoveryModes(t *testing.T) {
 	const seed = 41
 	mem := durable.NewMemFS()
@@ -165,6 +166,41 @@ func TestDurableRecoveryModes(t *testing.T) {
 		t.Fatalf("recovered lastSeq %d, store reported %d", rec2.LastSeq, st.LastSeq())
 	}
 
+	// A store written by an older build holds a version-2 checkpoint:
+	// recovery must refuse it by version, replay from scratch (checking
+	// every regenerated record against the WAL), and resume the exact
+	// stream.
+	cur := []byte(fmt.Sprintf(`{"version":%d,`, stream.CheckpointVersion))
+	data, err := durable.ReadChecked(mem, "wal/checkpoint.ck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, cur) {
+		t.Fatalf("checkpoint does not open with %s", cur)
+	}
+	old := append([]byte(`{"version":2,`), data[len(cur):]...)
+	if err := durable.WriteChecked(mem, "wal/checkpoint.ck", old); err != nil {
+		t.Fatal(err)
+	}
+	st, rec, err = stream.OpenStore(mem, "wal", probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Mode != "scratch" || !strings.Contains(rec.Detail, "version 2") {
+		t.Fatalf("version-2 checkpoint recovered as %q (%s)", rec.Mode, rec.Detail)
+	}
+	bed = deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
+	if e, err = stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec); err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntil(bed.end())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dumpStream(t, mem), goldenStream(t, seed)) {
+		t.Fatal("stream resumed past a version-2 checkpoint differs from golden")
+	}
+
 	// Bit-flip the checkpoint blob: recovery must fall back to scratch,
 	// not fail.
 	if err := mem.Corrupt("wal/checkpoint.ck", 20, 0x08); err != nil {
@@ -177,7 +213,7 @@ func TestDurableRecoveryModes(t *testing.T) {
 	if rec3.Mode != "scratch" || rec3.Checkpoint != nil {
 		t.Fatalf("corrupt checkpoint recovered as %q", rec3.Mode)
 	}
-	if got := probe.modes; len(got) != 3 || got[0] != "fresh" || got[1] != "checkpoint" || got[2] != "scratch" {
+	if got := probe.modes; len(got) != 4 || got[0] != "fresh" || got[1] != "checkpoint" || got[2] != "scratch" || got[3] != "scratch" {
 		t.Fatalf("OnRecovery modes = %v", got)
 	}
 }

@@ -3,9 +3,10 @@
 // attribution engine: a pull-based consumer that drives the simulation in
 // fixed ticks and, at each tick boundary, incrementally consumes meter
 // samples (power.ReadFresh cursors) and per-container attribution deltas
-// (core.Facility creation-order scans) into bounded-memory ring buffers
-// (stats.Ring), evaluates the modeled-power trace over the tick's own
-// metric buckets, and emits a per-container power/energy record stream.
+// (core.Facility creation-order scans), evaluates the modeled power over
+// the tick's own metric buckets, and emits a per-container power/energy
+// record stream. The only history it keeps is the drift refit's bounded
+// window of aligned pairs; everything else is a cursor.
 //
 // Determinism contract: the engine is a pure consumer — it never schedules
 // simulation events, so driving the engine tick by tick processes the
@@ -29,7 +30,6 @@ import (
 	"powercontainers/internal/model"
 	"powercontainers/internal/power"
 	"powercontainers/internal/sim"
-	"powercontainers/internal/stats"
 )
 
 // DefaultTick is the default streaming period: the recalibration ingest
@@ -42,7 +42,7 @@ const DefaultTick = core.DefaultRecalibrationPeriod
 type Sources struct {
 	Eng *sim.Engine
 	Fac *core.Facility
-	// Meter is the measured-power stream (nil disables the measured ring
+	// Meter is the measured-power stream (nil disables measured power
 	// and the drift refit).
 	Meter power.Meter
 	// Scope selects the drift refit target matching Meter (machine scope
@@ -50,60 +50,20 @@ type Sources struct {
 	Scope model.FitScope
 }
 
-// Config bounds the engine's memory and sets its cadence. Zero values
-// select the defaults.
+// Config sets the engine's cadence. Zero values select the defaults.
 type Config struct {
 	// Tick is the streaming period (default DefaultTick). For bit-exact
 	// equivalence with the batch path under online recalibration it must
 	// be a multiple of core.DefaultRecalibrationPeriod.
 	Tick sim.Time
-	// MeterWindow caps the measured ring in meter samples (default 4096).
-	MeterWindow int
-	// TickWindow caps the attributed-energy ring in ticks (default 1024).
-	TickWindow int
-	// ModelWindow is the modeled-power window in metric buckets (default
-	// 8192): the newest buckets, which a checkpoint carries modeled under
-	// the current coefficients and over which ModeledW is averaged; older
-	// buckets are folded into a running sum at the coefficients in force
-	// when they left the window.
-	ModelWindow int
-	// DriftWindow caps the retained aligned pairs of the windowed drift
-	// refit (default 512).
-	DriftWindow int
 	// CheckpointEvery takes an automatic checkpoint every that many ticks
 	// (0 disables; the checkpoint is retained, see LastCheckpoint).
 	CheckpointEvery int
-	// LedgerCheckEvery re-reconciles the streamed per-container energy
-	// ledger against the facility's full accounting every that many ticks
-	// (default 50; negative disables).
-	LedgerCheckEvery int
-	// LedgerTol is the relative tolerance of the ledger check
-	// (default 1e-6).
-	LedgerTol float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Tick <= 0 {
 		c.Tick = DefaultTick
-	}
-	if c.MeterWindow == 0 {
-		c.MeterWindow = 4096
-	}
-	if c.TickWindow == 0 {
-		c.TickWindow = 1024
-	}
-	if c.ModelWindow == 0 {
-		c.ModelWindow = 8192
-	}
-	if c.DriftWindow == 0 {
-		c.DriftWindow = 512
-	}
-	if c.LedgerCheckEvery == 0 {
-		c.LedgerCheckEvery = 50
-	}
-	//pclint:allow floatsafe zero is the unset sentinel; any explicit tolerance is nonzero
-	if c.LedgerTol == 0 {
-		c.LedgerTol = 1e-6
 	}
 	return c
 }
@@ -120,12 +80,11 @@ type AuditSink interface {
 	OnStreamViolation(check string, t sim.Time, detail string)
 }
 
-// contCursor tracks one live container's last observed cumulative stats;
-// per-tick records are deltas of these.
+// contCursor tracks one live container's last observed cumulative
+// energy; per-tick records are deltas of it.
 type contCursor struct {
-	c       *core.Container
-	lastJ   float64
-	lastCPU sim.Time
+	c     *core.Container
+	lastJ float64
 }
 
 // driftMinPairs is the observation count below which the windowed drift
@@ -139,9 +98,21 @@ const (
 	driftRebuildEvery = 32
 )
 
+// driftWindow caps the aligned pairs the drift refit retains.
+const driftWindow = 512
+
+// Every ledgerCheckEvery ticks the streamed per-container energy ledger
+// is reconciled against the facility's full accounting, to within
+// ledgerTol relative.
+const (
+	ledgerCheckEvery = 50
+	ledgerTol        = 1e-6
+)
+
 // Engine is the streaming attribution engine. Drive it with RunTicks or
-// RunUntil; records flow to Sink, audit events to Audit. All engine state
-// outside the Sources is bounded by Config.
+// RunUntil; records flow to Sink, audit events to Audit. Outside the
+// Sources the engine holds cursors (one per live container, service and
+// tenant) and the drift refit's window of at most 512 aligned pairs.
 type Engine struct {
 	src Sources
 	cfg Config
@@ -156,11 +127,9 @@ type Engine struct {
 	cumJ    float64 // running attributed energy, summed in emission order
 
 	meterSeen int
-	measured  *stats.Ring // per delivered meter sample: active watts
 
 	containersSeen int
 	live           []*contCursor // creation order; released entries removed
-	attributed     *stats.Ring   // per tick: attributed joules
 
 	// Hierarchy cursors: last observed cumulative energy per service and
 	// per tenant, indexed by registration order (Service.Index and
@@ -168,15 +137,6 @@ type Engine struct {
 	// byte-identical to pre-hierarchy builds.
 	svcLast []float64
 	tenLast []float64
-
-	// Modeled-power window over the facility's metric buckets [lo, hi):
-	// bucket b models as mpCoeff.Estimate(ms.At(b)); buckets below lo
-	// have been summed into evicted. Nothing is stored per bucket, so a
-	// coefficient change costs nothing until a checkpoint is taken.
-	lo, hi  int
-	evicted float64
-	mpCoeff model.Coefficients
-	mpValid bool
 
 	delay      sim.Time // drift-pair alignment delay
 	delayKnown bool
@@ -195,24 +155,12 @@ func New(src Sources, cfg Config) *Engine {
 	if src.Eng == nil || src.Fac == nil {
 		panic("stream: New requires Eng and Fac sources")
 	}
-	cfg = cfg.withDefaults()
-	if cfg.ModelWindow < 0 {
-		panic("stream: negative ModelWindow")
+	return &Engine{
+		src:    src,
+		cfg:    cfg.withDefaults(),
+		window: model.NewWindow(nil, driftRebuildEvery),
 	}
-	e := &Engine{
-		src:        src,
-		cfg:        cfg,
-		attributed: stats.NewRing(cfg.Tick, cfg.TickWindow),
-		window:     model.NewWindow(nil, driftRebuildEvery),
-	}
-	if src.Meter != nil {
-		e.measured = stats.NewRing(src.Meter.Interval(), cfg.MeterWindow)
-	}
-	return e
 }
-
-// Config returns the engine's effective (default-filled) configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Tick returns the number of completed ticks.
 func (e *Engine) Tick() int { return e.tick }
@@ -284,10 +232,6 @@ func (e *Engine) step() {
 	var freshSamples []power.Sample
 	if e.src.Meter != nil {
 		freshSamples, e.meterSeen = power.ReadFresh(e.src.Meter, t, e.meterSeen)
-		idle := e.src.Meter.IdleW()
-		for _, s := range freshSamples {
-			e.measured.Append(s.Watts - idle)
-		}
 	}
 
 	// Container scan: adopt containers born since the last tick, then
@@ -318,7 +262,6 @@ func (e *Engine) step() {
 			})
 		}
 		cc.lastJ = j
-		cc.lastCPU = c.CPUTime
 		if !done {
 			keep = append(keep, cc)
 		}
@@ -328,7 +271,6 @@ func (e *Engine) step() {
 		e.live[i] = nil
 	}
 	e.live = keep
-	e.attributed.Append(tickJ)
 
 	// Hierarchy roll-up records: per-service then per-tenant deltas over
 	// the same tick, mirroring the container scan. Flat runs skip this
@@ -336,10 +278,6 @@ func (e *Engine) step() {
 	if h := fac.Hierarchy(); h != nil {
 		e.emitHierarchy(h, t)
 	}
-
-	// Modeled-power window: advance over the buckets written since the
-	// last tick, folding those that leave it into the evicted sum.
-	e.advanceModeled()
 
 	// Drift refit: align fresh samples and fold them into the windowed
 	// Gram, evicting beyond the window.
@@ -358,7 +296,7 @@ func (e *Engine) step() {
 		DriftErr:    e.driftErr,
 	})
 
-	if e.cfg.LedgerCheckEvery > 0 && e.tick%e.cfg.LedgerCheckEvery == 0 {
+	if e.tick%ledgerCheckEvery == 0 {
 		e.checkLedger(t)
 	}
 	if e.cfg.CheckpointEvery > 0 && e.tick%e.cfg.CheckpointEvery == 0 {
@@ -435,7 +373,7 @@ func (e *Engine) checkLedger(t sim.Time) {
 	if diff < 0 {
 		diff = -diff
 	}
-	bound := e.cfg.LedgerTol * (1 + abs(want))
+	bound := ledgerTol * (1 + abs(want))
 	if diff > bound && e.Audit != nil {
 		e.Audit.OnStreamViolation("stream-ledger", t,
 			"streamed ledger "+formatFloat(e.cumJ)+" J vs accounted "+formatFloat(want)+" J")
@@ -449,34 +387,20 @@ func abs(v float64) float64 {
 	return v
 }
 
-// advanceModeled moves the modeled-power window to the metric series'
-// end and adopts the facility's current coefficients. A bucket leaving
-// the window joins the evicted sum, in bucket order, at the value the
-// window gives it at this tick: the current coefficients over its
-// metrics as they stand now.
-func (e *Engine) advanceModeled() {
-	ms := e.src.Fac.Metrics()
-	cur := e.src.Fac.Coeff
-	e.hi = ms.Len()
-	for ; e.lo < e.hi-e.cfg.ModelWindow; e.lo++ {
-		e.evicted += cur.Estimate(ms.At(e.lo))
-	}
-	e.mpCoeff, e.mpValid = cur, true
-}
-
-// modeledTickMean averages the modeled power of the window's buckets
-// covering the last tick.
+// modeledTickMean averages the modeled power of the metric buckets
+// covering the last tick, under the facility's current coefficients.
 func (e *Engine) modeledTickMean() float64 {
 	t := sim.Time(e.tick) * e.cfg.Tick
 	ms := e.src.Fac.Metrics()
-	lo := max(int((t-e.cfg.Tick)/ms.Interval()), e.lo)
-	hi := min(int(t/ms.Interval()), e.hi)
+	lo := int((t - e.cfg.Tick) / ms.Interval())
+	hi := min(int(t/ms.Interval()), ms.Len())
 	if hi <= lo {
 		return 0
 	}
+	coeff := e.src.Fac.Coeff
 	var sum float64
 	for b := lo; b < hi; b++ {
-		sum += e.mpCoeff.Estimate(ms.At(b))
+		sum += coeff.Estimate(ms.At(b))
 	}
 	return sum / float64(hi-lo)
 }
@@ -528,7 +452,7 @@ func (e *Engine) foldDrift(fresh []power.Sample) {
 		// A pair the plan cannot fold is not kept.
 		_ = e.window.Add(p.CalSample(e.src.Scope))
 	}
-	e.window.Trim(e.cfg.DriftWindow)
+	e.window.Trim(driftWindow)
 	e.solveDrift(opts)
 }
 

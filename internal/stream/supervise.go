@@ -23,12 +23,13 @@ type Supervisor struct {
 	// Progress reports the durable frontier; nil disables crash-loop
 	// detection.
 	Progress func() int64
-	// MaxStalls is how many consecutive zero-progress crashes are
-	// tolerated before declaring a crash loop (default 2).
-	MaxStalls int
 	// OnRestart observes each restart decision; may be nil.
 	OnRestart func(restart int, cause string)
 }
+
+// maxStalls is how many consecutive zero-progress crashes the supervisor
+// tolerates before declaring a crash loop.
+const maxStalls = 2
 
 // Run drives attempt until it returns, restarting on crashes within the
 // budget. An attempt error is fatal (no restart: errors are reasoned
@@ -38,10 +39,6 @@ func (s *Supervisor) Run(attempt func() error) error {
 	maxRestarts := s.MaxRestarts
 	if maxRestarts == 0 {
 		maxRestarts = 8
-	}
-	maxStalls := s.MaxStalls
-	if maxStalls == 0 {
-		maxStalls = 2
 	}
 	var lastProgress int64
 	if s.Progress != nil {
