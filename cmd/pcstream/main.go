@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -143,8 +144,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	if *durationS <= 0 || *tickMS <= 0 {
-		return fmt.Errorf("duration and tick must be positive")
+	if !(*load > 0) || math.IsInf(*load, 1) {
+		return fmt.Errorf("load must be finite and positive")
+	}
+	// The horizon is a sim.Time, int64 nanoseconds: NaN, Inf and durations
+	// beyond about 292 years have no representation.
+	if !(*durationS > 0 && *durationS*float64(sim.Second) < math.MaxInt64) || *tickMS <= 0 {
+		return fmt.Errorf("duration and tick must be positive, and duration representable in sim time")
 	}
 	if *dir == "" && (*supervise || len(crashSpecs) > 0) {
 		return fmt.Errorf("-supervise and -crash require -dir")

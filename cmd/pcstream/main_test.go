@@ -37,6 +37,13 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-machine", "nope"},
 		{"-attribution", "nope"},
 		{"-duration", "0"},
+		{"-duration", "NaN"},
+		{"-duration", "Inf"},
+		{"-duration", "1e12"}, // past sim.Time's int64 nanoseconds
+		{"-load", "0"},
+		{"-load", "-0.5"},
+		{"-load", "NaN"},
+		{"-load", "Inf"},
 		{"extra"},
 	} {
 		if err := run(args, &out, &errb); err == nil {

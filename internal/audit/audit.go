@@ -79,7 +79,6 @@ type lifeState struct {
 // reqState is the audited lifecycle of one cluster request.
 type reqState struct {
 	opened, finished, dropped bool
-	redispatches              int
 }
 
 // inflightSeg is one enqueued-but-undelivered socket segment.

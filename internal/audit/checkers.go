@@ -280,21 +280,6 @@ func (a *Auditor) OnLedgerDrop(tag cluster.ContainerTag, alreadyFinished bool, n
 	st.dropped = true
 }
 
-// OnLedgerRedispatch implements cluster.AuditSink: redispatch attempts
-// count up one at a time, and a completed or dropped request must never be
-// dispatched again (double-dispatch).
-func (a *Auditor) OnLedgerRedispatch(tag cluster.ContainerTag, attempts int, now sim.Time) {
-	st := a.reqAudit(tag.RequestID)
-	if st.finished || st.dropped {
-		a.report("cluster-ledger", now, "request %d re-dispatched after completion or drop", tag.RequestID)
-	}
-	if attempts != st.redispatches+1 {
-		a.report("cluster-ledger", now, "request %d redispatch count jumped %d -> %d",
-			tag.RequestID, st.redispatches, attempts)
-	}
-	st.redispatches = attempts
-}
-
 // ---- degradation actions (recalibration, fault injection) ----
 
 // OnRecalReject implements align.AuditSink: every rejected pair's deviation

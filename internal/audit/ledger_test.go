@@ -124,49 +124,6 @@ func TestLedgerHookDetection(t *testing.T) {
 			t.Fatal("close after drop not detected")
 		}
 	})
-	t.Run("clean redispatch then close", func(t *testing.T) {
-		a := New("t")
-		l := cluster.NewLedger()
-		l.Audit = a
-		tag := l.Open("app", 0, 0)
-		if err := l.NoteRedispatch(tag.RequestID, sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.NoteRedispatch(tag.RequestID, 2*sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(closeTag(tag, 0.5, sim.Millisecond), 3*sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Err(); err != nil {
-			t.Fatalf("clean redispatch flow flagged: %v", err)
-		}
-	})
-	t.Run("redispatch after completion", func(t *testing.T) {
-		a := New("t")
-		l := cluster.NewLedger()
-		l.Audit = a
-		tag := l.Open("app", 0, 0)
-		if err := l.Close(closeTag(tag, 0.5, sim.Millisecond), sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.NoteRedispatch(tag.RequestID, 2*sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if countCheck(a, "cluster-ledger") != 1 {
-			t.Fatal("redispatch after completion not detected")
-		}
-	})
-	t.Run("redispatch count jump", func(t *testing.T) {
-		a := New("t")
-		// Fired directly: a well-behaved ledger cannot produce a jump, so
-		// exercise the hook with attempts skipping from 0 to 3.
-		a.OnLedgerOpen(cluster.ContainerTag{RequestID: 5}, 0)
-		a.OnLedgerRedispatch(cluster.ContainerTag{RequestID: 5}, 3, sim.Millisecond)
-		if countCheck(a, "cluster-ledger") != 1 {
-			t.Fatal("redispatch count jump not detected")
-		}
-	})
 }
 
 // completed builds the dispatcher-side completion record for one request.

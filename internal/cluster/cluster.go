@@ -5,6 +5,12 @@
 // energy efficiency is high. Request context (the container identity and
 // statistics) crosses machines with the tagged dispatch message, as the
 // paper propagates containers over socket messages between machines.
+//
+// A placement reads the energy profiles and the dispatcher's own
+// offered-load estimate, never how an earlier request executed, so the
+// dispatcher only plans: PlanOpenLoop records every decision, and
+// RunSharded (sharded.go) executes the plan on the machines and merges
+// their responses into the ledger.
 package cluster
 
 import (
@@ -12,9 +18,6 @@ import (
 	"math"
 	"sort"
 
-	"powercontainers/internal/core"
-	"powercontainers/internal/kernel"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 )
 
@@ -50,8 +53,6 @@ func (p Policy) String() string {
 // App is one application hosted on every node of the cluster.
 type App struct {
 	Name string
-	// NewRequest draws a request (node-independent payload).
-	NewRequest func() *server.Request
 	// SvcSec[node] is the app's mean per-request busy time on each node
 	// (dispatchers know service demand from standard monitoring).
 	SvcSec []float64
@@ -66,14 +67,9 @@ type App struct {
 // estimate.
 const loadTauSec = 1.0
 
-// Node is one machine of the cluster with the apps deployed on it.
+// Node is the dispatcher's view of one machine: its capacity, and the
+// offered load placed on it so far.
 type Node struct {
-	K    *kernel.Kernel
-	Fac  *core.Facility
-	Gens map[string]*server.LoadGen
-
-	// cores caches the machine's core count for capacity planning, so
-	// plan-only nodes (PlanNode) work without an assembled kernel.
 	cores int
 
 	// ReservedUtil is the utilization fraction standing system services
@@ -86,19 +82,13 @@ type Node struct {
 	// utilization.
 	loadEWMA    float64
 	loadUpdated float64
-
-	// failed marks the node dead: responses from it are lost and the
-	// dispatcher's health checks steer new work away. Fault plans toggle
-	// it (the node implements faults.FailureTarget).
-	failed bool
 }
 
-// SetFailed marks or clears node failure; fault-injection plans call it
-// through the faults.FailureTarget interface.
-func (n *Node) SetFailed(failed bool) { n.failed = failed }
-
-// Failed reports whether the node is currently down.
-func (n *Node) Failed() bool { return n.failed }
+// PlanNode returns a node with the machine's core count and its standing
+// reserved utilization, all that placement needs.
+func PlanNode(cores int, reservedUtil float64) *Node {
+	return &Node{cores: cores, ReservedUtil: reservedUtil}
+}
 
 // noteDispatch decays and bumps the node's offered-load estimate.
 func (n *Node) noteDispatch(nowSec, svcSec float64) {
@@ -120,18 +110,8 @@ func (n *Node) estUtil(nowSec float64) float64 {
 	return n.ReservedUtil + n.loadEWMA/(loadTauSec*float64(n.cores))
 }
 
-// NewNode deploys every app on a machine.
-func NewNode(k *kernel.Kernel, fac *core.Facility, apps []*App, deploy func(app *App, k *kernel.Kernel) *server.Deployment) *Node {
-	n := &Node{K: k, Fac: fac, Gens: map[string]*server.LoadGen{}, cores: k.Spec.Cores()}
-	for _, app := range apps {
-		dep := deploy(app, k)
-		n.Gens[app.Name] = server.NewLoadGen(k, fac, dep)
-	}
-	return n
-}
-
-// Dispatcher routes requests to nodes under a policy. Node 0 must be the
-// most energy-efficient machine.
+// Dispatcher places requests on nodes under a policy and records every
+// decision in its plan. Node 0 must be the most energy-efficient machine.
 type Dispatcher struct {
 	Eng    *sim.Engine
 	Nodes  []*Node
@@ -140,76 +120,28 @@ type Dispatcher struct {
 	// UtilCap is the healthy utilization bound for the efficient machine
 	// (the paper uses ~70%).
 	UtilCap float64
-
-	// Ledger tracks cross-machine request accounting via tagged dispatch
-	// and response messages (§3.4).
-	Ledger *Ledger
 	// PowerTargets holds optional per-app request power targets that the
 	// dispatcher propagates to executing machines with the dispatch tag.
 	PowerTargets map[string]float64
 
-	rr        int
-	completed []CompletedRequest
-	// perApp[node][app] counts dispatched requests, for diagnostics.
-	perApp []map[string]int
+	plan *DispatchPlan
 	// splits[app][node] is the placement plan: the probability that a
 	// request of the app goes to the node. Computed by SetRates.
 	splits map[string][]float64
 	rng    *sim.Rand
-
-	// Health-check state (EnableHealth); all nil/empty when disabled, and
-	// every fault-tolerance path is skipped so the legacy dispatch
-	// behaviour — including rng consumption — is untouched.
-	health   *HealthConfig
-	healthy  []bool
-	strikes  []int
-	probeRng []*sim.Rand
-	inflight map[uint64]*inflightReq
-
-	// record, when set, puts the dispatcher in plan mode (PlanOpenLoop):
-	// every decision is accounted exactly as a live dispatch — the
-	// offered-load estimate and per-app counts feed later picks — but
-	// recorded instead of executed. Mutually exclusive with health
-	// checking, whose failure recovery couples dispatch to node execution.
-	record func(node int, app *App, tag ContainerTag, dropped bool)
 }
 
-// inflightReq is a dispatched-but-unanswered request the dispatcher may
-// need to redispatch if its node fails.
-type inflightReq struct {
-	app     *App
-	node    int
-	attempt int
-}
-
-// CompletedRequest records one finished request and the app and node it
-// belonged to. RequestID links the request back to its ledger entry, so
-// the dispatcher-side accounting can be reconciled against the executing
-// machine's container.
-type CompletedRequest struct {
-	App       string
-	Node      int
-	RequestID uint64
-	Req       *server.Request
-}
-
-// NewDispatcher assembles a dispatcher.
+// NewDispatcher assembles a dispatcher with an empty plan.
 func NewDispatcher(eng *sim.Engine, nodes []*Node, apps []*App, policy Policy) *Dispatcher {
 	d := &Dispatcher{
 		Eng: eng, Nodes: nodes, Apps: apps, Policy: policy,
-		UtilCap: 0.70, Ledger: NewLedger(), PowerTargets: map[string]float64{},
+		UtilCap: 0.70, PowerTargets: map[string]float64{}, plan: &DispatchPlan{},
 	}
 	for range nodes {
-		d.perApp = append(d.perApp, map[string]int{})
+		d.plan.PerApp = append(d.plan.PerApp, map[string]int{})
 	}
 	return d
 }
-
-// Completed returns all finished requests across nodes.
-func (d *Dispatcher) Completed() []CompletedRequest { return d.completed }
-
-// DispatchCounts returns per-node, per-app dispatch counts.
-func (d *Dispatcher) DispatchCounts() []map[string]int { return d.perApp }
 
 // nowSec returns the dispatcher's wall clock in seconds.
 func (d *Dispatcher) nowSec() float64 {
@@ -386,24 +318,18 @@ func equalSplit(n int) []float64 {
 	return s
 }
 
-// pick chooses the node for a request of the given app: the planned split
-// when one exists, with an overload guard that reroutes when the chosen
-// node's offered load runs far past saturation while the other has room.
-// The second result is false when no node can take the request — an empty
-// node set, or (with health checks enabled) every node marked unhealthy —
-// so callers degrade to an explicit drop instead of panicking.
+// pick chooses the node for a request of the given app: the planned split,
+// with an overload guard that reroutes when the chosen node's offered load
+// runs far past saturation while another node has room. The second result
+// is false when the node set is empty, so callers degrade to an explicit
+// drop instead of panicking.
 func (d *Dispatcher) pick(app *App) (int, bool) {
 	if len(d.Nodes) == 0 {
 		return 0, false
 	}
-	var node int
-	if d.splits != nil && d.rng != nil {
-		if split, ok := d.splits[app.Name]; ok && splitTotal(split) > 0 {
-			node = d.rng.Pick(split)
-		}
-	} else {
-		d.rr++
-		node = d.rr % len(d.Nodes)
+	node := 0
+	if split := d.splits[app.Name]; splitTotal(split) > 0 {
+		node = d.rng.Pick(split)
 	}
 	if d.Policy != SimpleBalance && len(d.Nodes) > 1 {
 		// Overload guard: if the planned node's offered load runs far
@@ -421,26 +347,7 @@ func (d *Dispatcher) pick(app *App) (int, bool) {
 			}
 		}
 	}
-	if d.health != nil && !d.healthy[node] {
-		return d.pickHealthy()
-	}
 	return node, true
-}
-
-// pickHealthy returns the least-loaded node currently believed healthy
-// (lowest index breaking ties), or false when none is.
-func (d *Dispatcher) pickHealthy() (int, bool) {
-	now := d.nowSec()
-	best, bestUtil, found := 0, 0.0, false
-	for i := range d.Nodes {
-		if d.health != nil && !d.healthy[i] {
-			continue
-		}
-		if u := d.Nodes[i].estUtil(now); !found || u < bestUtil {
-			best, bestUtil, found = i, u, true
-		}
-	}
-	return best, found
 }
 
 func splitTotal(split []float64) float64 {
@@ -451,220 +358,26 @@ func splitTotal(split []float64) float64 {
 	return t
 }
 
-// Dispatch routes one request of the app. The dispatch message carries a
-// container tag with the request identifier and control policy; the
-// completion path returns cumulative statistics to the dispatcher's ledger.
-// When no node can take the request it is opened and immediately dropped,
-// keeping the ledger's accounting complete (opened = finished + dropped +
-// in flight) instead of losing the request silently.
+// Dispatch places one request of the app and records the decision. The
+// dispatch tag carries the request identifier and control policy; request
+// ids are assigned sequentially in dispatch order, which is what lets
+// RunSharded rebuild the ledger by replay. A request no node can take is
+// recorded as dropped, keeping the ledger's accounting complete (opened =
+// finished + dropped + in flight) instead of losing the request silently.
 func (d *Dispatcher) Dispatch(app *App) {
 	node, ok := d.pick(app)
-	tag := d.Ledger.Open(app.Name, d.PowerTargets[app.Name], d.Eng.Now())
-	if !ok {
-		d.Ledger.Drop(tag.RequestID, d.Eng.Now())
-		if d.record != nil {
-			d.record(0, app, tag, true)
-		}
-		return
+	tag := ContainerTag{
+		RequestID:    uint64(len(d.plan.Dispatches)) + 1,
+		App:          app.Name,
+		PowerTargetW: d.PowerTargets[app.Name],
 	}
-	if d.record != nil {
-		// Plan mode: mirror dispatchTo's dispatcher-side accounting —
-		// later picks read the offered-load estimate it maintains — and
-		// record the decision instead of executing it.
+	if ok {
 		d.Nodes[node].noteDispatch(d.nowSec(), app.SvcSec[node])
-		d.perApp[node][app.Name]++
-		d.record(node, app, tag, false)
-		return
+		d.plan.PerApp[node][app.Name]++
 	}
-	if d.health != nil {
-		d.inflight[tag.RequestID] = &inflightReq{app: app, node: node}
-	}
-	d.dispatchTo(node, app, tag, 0)
-}
-
-// dispatchTo sends one (possibly re-dispatched) request attempt to a node.
-// The completion callback is attempt-guarded: a response from an attempt
-// superseded by a redispatch, or from a node that failed before the
-// response left it, is discarded rather than double-counted.
-func (d *Dispatcher) dispatchTo(node int, app *App, tag ContainerTag, attempt int) {
-	n := d.Nodes[node]
-	req := app.NewRequest()
-	// The executing machine materializes the remote container and applies
-	// the propagated control policy before the request runs.
-	req.Cont = n.Fac.NewContainer(req.Type)
-	req.Cont.PowerTargetW = tag.PowerTargetW
-	n.noteDispatch(d.nowSec(), app.SvcSec[node])
-	d.perApp[node][app.Name]++
-	machine := n.K.Name()
-	n.Gens[app.Name].InjectPrepared(req, func(r *server.Request) {
-		if d.health != nil {
-			fl, live := d.inflight[tag.RequestID]
-			if !live || fl.attempt != attempt {
-				return // superseded by a redispatch
-			}
-			if n.Failed() {
-				return // response lost with the failed node
-			}
-			delete(d.inflight, tag.RequestID)
-		}
-		d.completed = append(d.completed, CompletedRequest{App: app.Name, Node: node, RequestID: tag.RequestID, Req: r})
-		// Response message tagged with cumulative usage (§3.4).
-		if err := d.Ledger.Close(responseTag(tag, machine, r), d.Eng.Now()); err != nil {
-			panic(err)
-		}
+	d.plan.Dispatches = append(d.plan.Dispatches, PlannedDispatch{
+		At: d.Eng.Now(), App: app.Name, Node: node, Dropped: !ok, Tag: tag,
 	})
-}
-
-// HealthConfig tunes the dispatcher's per-node health checks and the
-// graceful-degradation response to node failure: unhealthy nodes are probed
-// on a seeded-jitter exponential backoff, their in-flight requests are
-// re-dispatched to healthy nodes a bounded number of times, and requests
-// out of redispatch budget (or with no healthy node left) are explicitly
-// dropped in the ledger.
-type HealthConfig struct {
-	// ProbeEvery is the healthy-node probe cadence (default 100 ms).
-	ProbeEvery sim.Time
-	// Timeout is the probe response deadline: a dead node is only
-	// declared after its probe times out (default 20 ms).
-	Timeout sim.Time
-	// BackoffBase is the first retry gap after a failed probe; successive
-	// failures double it (default ProbeEvery).
-	BackoffBase sim.Time
-	// BackoffMax caps the exponential backoff (default 8×BackoffBase).
-	BackoffMax sim.Time
-	// JitterFrac spreads every probe gap by ±JitterFrac using the seeded
-	// rng, desynchronizing probe storms deterministically (default 0.1).
-	JitterFrac float64
-	// MaxRedispatch bounds how many times one request may be re-dispatched
-	// before it is dropped (default 2).
-	MaxRedispatch int
-}
-
-func (c *HealthConfig) fill() {
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 100 * sim.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 20 * sim.Millisecond
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = c.ProbeEvery
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 8 * c.BackoffBase
-	}
-	if c.JitterFrac <= 0 {
-		c.JitterFrac = 0.1
-	}
-	if c.MaxRedispatch <= 0 {
-		c.MaxRedispatch = 2
-	}
-}
-
-// EnableHealth starts per-node health checking. Each node's probe stream
-// draws jitter from its own fork of rng, so probe timing is deterministic
-// regardless of how node events interleave. Call before the simulation
-// starts; with health never enabled the dispatcher behaves exactly as
-// before, including its random-stream consumption.
-func (d *Dispatcher) EnableHealth(cfg HealthConfig, rng *sim.Rand) {
-	if d.record != nil {
-		panic("cluster: health checking cannot be combined with dispatch planning (failure recovery couples dispatch to node execution)")
-	}
-	cfg.fill()
-	d.health = &cfg
-	d.healthy = make([]bool, len(d.Nodes))
-	d.strikes = make([]int, len(d.Nodes))
-	d.inflight = map[uint64]*inflightReq{}
-	d.probeRng = make([]*sim.Rand, len(d.Nodes))
-	for i := range d.Nodes {
-		d.healthy[i] = true
-		d.probeRng[i] = rng.Fork(uint64(i) + 1)
-		d.scheduleProbe(i, cfg.ProbeEvery)
-	}
-}
-
-// InflightCount returns how many dispatched requests await a response.
-func (d *Dispatcher) InflightCount() int { return len(d.inflight) }
-
-// Healthy reports the dispatcher's current belief about a node.
-func (d *Dispatcher) Healthy(node int) bool {
-	return d.health == nil || d.healthy[node]
-}
-
-// jittered spreads a probe gap by ±JitterFrac with the node's seeded rng.
-func (d *Dispatcher) jittered(node int, gap sim.Time) sim.Time {
-	j := d.health.JitterFrac * (2*d.probeRng[node].Float64() - 1)
-	out := gap + sim.Time(float64(gap)*j)
-	if out < 1 {
-		out = 1
-	}
-	return out
-}
-
-func (d *Dispatcher) scheduleProbe(node int, gap sim.Time) {
-	d.Eng.After(d.jittered(node, gap), func() { d.probe(node) })
-}
-
-// probe checks one node. A responsive node is (re)marked healthy and
-// re-probed at the base cadence; an unresponsive probe times out first,
-// then marks the node unhealthy, re-dispatches its in-flight requests and
-// backs off exponentially.
-func (d *Dispatcher) probe(node int) {
-	if !d.Nodes[node].Failed() {
-		d.healthy[node] = true
-		d.strikes[node] = 0
-		d.scheduleProbe(node, d.health.ProbeEvery)
-		return
-	}
-	d.Eng.After(d.health.Timeout, func() {
-		if d.Nodes[node].Failed() {
-			d.healthy[node] = false
-			d.strikes[node]++
-			d.redispatchNode(node)
-			gap := d.health.BackoffBase
-			for s := 1; s < d.strikes[node] && gap < d.health.BackoffMax; s++ {
-				gap *= 2
-			}
-			if gap > d.health.BackoffMax {
-				gap = d.health.BackoffMax
-			}
-			d.scheduleProbe(node, gap)
-			return
-		}
-		// Recovered between probe and timeout.
-		d.healthy[node] = true
-		d.strikes[node] = 0
-		d.scheduleProbe(node, d.health.ProbeEvery)
-	})
-}
-
-// redispatchNode moves a failed node's in-flight requests to healthy nodes
-// in request-id order (deterministic: never ranges over the map directly).
-// A request past its redispatch budget, or with nowhere to go, is dropped
-// explicitly so the ledger still accounts for it.
-func (d *Dispatcher) redispatchNode(node int) {
-	var ids []uint64
-	for id, fl := range d.inflight {
-		if fl.node == node {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	now := d.Eng.Now()
-	for _, id := range ids {
-		fl := d.inflight[id]
-		fl.attempt++
-		target, ok := d.pickHealthy()
-		if !ok || fl.attempt > d.health.MaxRedispatch {
-			delete(d.inflight, id)
-			d.Ledger.Drop(id, now)
-			continue
-		}
-		d.Ledger.NoteRedispatch(id, now)
-		fl.node = target
-		e, _ := d.Ledger.Entry(id)
-		d.dispatchTo(target, fl.app, e.Tag, fl.attempt)
-	}
 }
 
 // RunOpenLoop drives Poisson arrivals for every app at the given per-app
@@ -693,30 +406,4 @@ func (d *Dispatcher) RunOpenLoop(rates map[string]float64, until sim.Time, rng *
 		}
 		d.Eng.After(sim.Time(r.ExpFloat64(meanGap)), arrive)
 	}
-}
-
-// ResponseTimes returns mean response time (ms) per app across the cluster.
-func (d *Dispatcher) ResponseTimes() map[string]float64 {
-	return meanResponseMs(d.completed)
-}
-
-// meanResponseMs averages response times (ms) per app over completed
-// requests, folding in the given iteration order.
-func meanResponseMs(completed []CompletedRequest) map[string]float64 {
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, c := range completed {
-		if !c.Req.Finished() {
-			continue
-		}
-		sums[c.App] += float64(c.Req.ResponseTime()) / float64(sim.Millisecond)
-		counts[c.App]++
-	}
-	out := map[string]float64{}
-	for name, s := range sums {
-		if counts[name] > 0 {
-			out[name] = s / float64(counts[name])
-		}
-	}
-	return out
 }

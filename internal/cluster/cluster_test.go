@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -22,64 +23,80 @@ var testProfile = power.TrueProfile{
 	CoreW: 8, InsW: 2, DiskW: 1.7, NetW: 5.8,
 }
 
-// echoApp builds an App served by a fixed-burst deployment on every node.
-func echoApp(name string, burst float64, affinity float64) (*App, func(*App, *kernel.Kernel) *server.Deployment) {
-	deploy := func(app *App, k *kernel.Kernel) *server.Deployment {
-		entry := kernel.NewListener(name)
-		pool := server.NewEntryPool(k, name, 8, entry, func(int) server.Handler {
-			return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-				return []kernel.Op{kernel.OpCompute{BaseCycles: burst, Act: cpu.Activity{IPC: 1}}}
-			}
-		})
-		return &server.Deployment{
-			Entry:          entry,
-			NewRequest:     func() *server.Request { return &server.Request{Type: name} },
-			MeanServiceSec: burst / 1e9,
-			Pools:          []*server.Pool{pool},
-		}
+// testApps returns the two test apps with the given per-node service
+// times: alpha strongly prefers node 0 (ratio 0.2), beta weakly (0.6).
+func testApps(svcSec ...float64) []*App {
+	return []*App{
+		{Name: "alpha", SvcSec: svcSec, AffinityRatio: 0.2},
+		{Name: "beta", SvcSec: svcSec, AffinityRatio: 0.6},
 	}
-	return &App{Name: name, AffinityRatio: affinity}, deploy
 }
 
-func newCluster(t *testing.T, policy Policy, apps []*App,
-	deploys map[string]func(*App, *kernel.Kernel) *server.Deployment) (*sim.Engine, *Dispatcher) {
-	t.Helper()
-	eng := sim.NewEngine()
+// planCounts plans an open-loop run over quad-core nodes, one per entry
+// of svcSec (every app's service time on that node), and returns the
+// per-node, per-app dispatch counts.
+func planCounts(policy Policy, svcSec []float64, rates map[string]float64, until sim.Time, seed uint64) []map[string]int {
 	var nodes []*Node
+	for range svcSec {
+		nodes = append(nodes, PlanNode(quadSpec.Cores(), 0))
+	}
+	return PlanOpenLoop(nodes, testApps(svcSec...), policy, nil, rates, until, sim.NewRand(seed)).PerApp
+}
+
+// shardNodes assembles two quad-core machines, each on its own engine,
+// serving both test apps with a fixed 4 ms compute burst.
+func shardNodes(t *testing.T) []*ShardNode {
+	t.Helper()
+	var nodes []*ShardNode
 	for i := 0; i < 2; i++ {
-		k, err := kernel.New("n", quadSpec, testProfile, eng, nil)
+		eng := sim.NewEngine()
+		k, err := kernel.New(fmt.Sprintf("n%d", i), quadSpec, testProfile, eng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fac := core.Attach(k, model.Coefficients{Core: 8, Ins: 2, Chip: 5, IncludesChipShare: true},
 			core.Config{})
-		node := NewNode(k, fac, apps, func(app *App, kk *kernel.Kernel) *server.Deployment {
-			return deploys[app.Name](app, kk)
-		})
-		nodes = append(nodes, node)
+		sn := &ShardNode{Eng: eng, Name: k.Name(), Fac: fac,
+			Gens: map[string]*server.LoadGen{}, NewRequest: map[string]func() *server.Request{}}
+		for _, name := range []string{"alpha", "beta"} {
+			name := name
+			entry := kernel.NewListener(name)
+			pool := server.NewEntryPool(k, name, 8, entry, func(int) server.Handler {
+				return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
+					return []kernel.Op{kernel.OpCompute{BaseCycles: 4e6, Act: cpu.Activity{IPC: 1}}}
+				}
+			})
+			dep := &server.Deployment{
+				Entry:          entry,
+				NewRequest:     func() *server.Request { return &server.Request{Type: name} },
+				MeanServiceSec: 0.004,
+				Pools:          []*server.Pool{pool},
+			}
+			sn.Gens[name] = server.NewLoadGen(k, fac, dep)
+			sn.NewRequest[name] = dep.NewRequest
+		}
+		nodes = append(nodes, sn)
 	}
-	for _, app := range apps {
-		app.SvcSec = []float64{0.004, 0.004}
-		dep := deploys[app.Name](app, nodes[0].K) // factory source
-		app.NewRequest = dep.NewRequest
-	}
-	return eng, NewDispatcher(eng, nodes, apps, policy)
+	return nodes
 }
 
-func buildApps() ([]*App, map[string]func(*App, *kernel.Kernel) *server.Deployment) {
-	a, da := echoApp("alpha", 4e6, 0.2) // strongly prefers node 0
-	b, db := echoApp("beta", 4e6, 0.6)  // weakly prefers node 0
-	return []*App{a, b}, map[string]func(*App, *kernel.Kernel) *server.Deployment{
-		"alpha": da, "beta": db,
+// runSharded plans a simple-balance open-loop run over the two shard
+// nodes until the given arrival horizon and executes it, draining for one
+// more second.
+func runSharded(t *testing.T, nodes []*ShardNode, powerTargets, rates map[string]float64, until sim.Time, seed uint64) *ShardedResult {
+	t.Helper()
+	plan := PlanOpenLoop([]*Node{PlanNode(4, 0), PlanNode(4, 0)}, testApps(0.004, 0.004), SimpleBalance,
+		powerTargets, rates, until, sim.NewRand(seed))
+	res, err := RunSharded(ShardedRunConfig{Plan: plan, Nodes: nodes, RunUntil: until + sim.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return res
 }
 
 func TestSimpleBalanceSplitsEvenly(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, SimpleBalance, apps, deploys)
-	d.RunOpenLoop(map[string]float64{"alpha": 200, "beta": 200}, 4*sim.Second, sim.NewRand(1))
-	eng.RunUntil(5 * sim.Second)
-	counts := d.DispatchCounts()
+	counts := planCounts(SimpleBalance, []float64{0.004, 0.004},
+		map[string]float64{"alpha": 200, "beta": 200}, 4*sim.Second, 1)
 	for _, app := range []string{"alpha", "beta"} {
 		n0, n1 := counts[0][app], counts[1][app]
 		frac := float64(n0) / float64(n0+n1)
@@ -90,24 +107,18 @@ func TestSimpleBalanceSplitsEvenly(t *testing.T) {
 }
 
 func TestMachineAwareFillsEfficientNodeFirst(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, MachineAware, apps, deploys)
 	// Total demand on node 0: (200+200)×0.004/4 = 0.4 < cap → all on 0.
-	d.RunOpenLoop(map[string]float64{"alpha": 200, "beta": 200}, 3*sim.Second, sim.NewRand(1))
-	eng.RunUntil(4 * sim.Second)
-	counts := d.DispatchCounts()
+	counts := planCounts(MachineAware, []float64{0.004, 0.004},
+		map[string]float64{"alpha": 200, "beta": 200}, 3*sim.Second, 1)
 	if counts[1]["alpha"]+counts[1]["beta"] > (counts[0]["alpha"]+counts[0]["beta"])/20 {
 		t.Fatalf("underloaded cluster spilled to node 1: %v", counts)
 	}
 }
 
 func TestMachineAwareSpillsSameComposition(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, MachineAware, apps, deploys)
 	// Demand on node 0 = (700+700)×0.004/4 = 1.4 → f = 0.7/1.4 = 0.5.
-	d.RunOpenLoop(map[string]float64{"alpha": 700, "beta": 700}, 4*sim.Second, sim.NewRand(1))
-	eng.RunUntil(5 * sim.Second)
-	counts := d.DispatchCounts()
+	counts := planCounts(MachineAware, []float64{0.004, 0.004},
+		map[string]float64{"alpha": 700, "beta": 700}, 4*sim.Second, 1)
 	for _, app := range []string{"alpha", "beta"} {
 		n0, n1 := counts[0][app], counts[1][app]
 		frac := float64(n0) / float64(n0+n1)
@@ -118,13 +129,10 @@ func TestMachineAwareSpillsSameComposition(t *testing.T) {
 }
 
 func TestWorkloadAwareSpillsHighRatioFirst(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, WorkloadAware, apps, deploys)
 	// alpha (ratio 0.2) claims node 0 first: its demand 0.7 consumes the
 	// whole cap; beta (ratio 0.6) spills entirely.
-	d.RunOpenLoop(map[string]float64{"alpha": 700, "beta": 700}, 4*sim.Second, sim.NewRand(1))
-	eng.RunUntil(5 * sim.Second)
-	counts := d.DispatchCounts()
+	counts := planCounts(WorkloadAware, []float64{0.004, 0.004},
+		map[string]float64{"alpha": 700, "beta": 700}, 4*sim.Second, 1)
 	alphaFrac := float64(counts[0]["alpha"]) / float64(counts[0]["alpha"]+counts[1]["alpha"])
 	betaFrac := float64(counts[0]["beta"]) / float64(counts[0]["beta"]+counts[1]["beta"])
 	if alphaFrac < 0.9 {
@@ -136,24 +144,22 @@ func TestWorkloadAwareSpillsHighRatioFirst(t *testing.T) {
 }
 
 func TestResponseTimesPerApp(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, SimpleBalance, apps, deploys)
-	d.RunOpenLoop(map[string]float64{"alpha": 50, "beta": 50}, 2*sim.Second, sim.NewRand(1))
-	eng.RunUntil(3 * sim.Second)
-	rts := d.ResponseTimes()
+	res := runSharded(t, shardNodes(t), nil, map[string]float64{"alpha": 50, "beta": 50}, 2*sim.Second, 1)
+	rts := res.ResponseTimes()
 	for _, app := range []string{"alpha", "beta"} {
 		if rts[app] < 3.9 || rts[app] > 20 {
 			t.Fatalf("%s mean response %.1f ms, want ≥ service 4 ms and small", app, rts[app])
 		}
 	}
-	if len(d.Completed()) == 0 {
+	if len(res.Completed) == 0 {
 		t.Fatal("no completions recorded")
 	}
 }
 
 func TestOverloadGuardReroutes(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, MachineAware, apps, deploys)
+	eng := sim.NewEngine()
+	apps := testApps(0.004, 0.004)
+	d := NewDispatcher(eng, []*Node{PlanNode(4, 0), PlanNode(4, 0)}, apps, MachineAware)
 	// The plan believes 100/s (all fits on node 0), but actual arrivals
 	// run at 3000/s: the overload guard must shift load to node 1.
 	d.SetRates(map[string]float64{"alpha": 100, "beta": 0}, sim.NewRand(1))
@@ -169,8 +175,7 @@ func TestOverloadGuardReroutes(t *testing.T) {
 	}
 	eng.After(1, arrive)
 	eng.RunUntil(2 * sim.Second)
-	counts := d.DispatchCounts()
-	if counts[1]["alpha"] == 0 {
+	if d.plan.PerApp[1]["alpha"] == 0 {
 		t.Fatal("overload guard never rerouted")
 	}
 }
@@ -182,12 +187,9 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestLedgerCrossMachineAccounting(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, SimpleBalance, apps, deploys)
-	d.RunOpenLoop(map[string]float64{"alpha": 100, "beta": 100}, 2*sim.Second, sim.NewRand(5))
-	eng.RunUntil(3 * sim.Second)
+	res := runSharded(t, shardNodes(t), nil, map[string]float64{"alpha": 100, "beta": 100}, 2*sim.Second, 5)
 
-	entries := d.Ledger.Finished()
+	entries := res.Ledger.Finished()
 	if len(entries) < 100 {
 		t.Fatalf("ledger finished = %d", len(entries))
 	}
@@ -203,37 +205,35 @@ func TestLedgerCrossMachineAccounting(t *testing.T) {
 			t.Fatal("ledger response time missing")
 		}
 	}
-	// Ledger totals must equal the sum over the dispatcher's completion
+	// Ledger totals must equal the sum over the merged completion
 	// records (same containers, two views).
 	var direct float64
-	for _, c := range d.Completed() {
+	for _, c := range res.Completed {
 		direct += c.Req.Cont.EnergyJ()
 	}
-	if total := d.Ledger.TotalEnergyJ("", ""); total <= 0 || total > direct+1e-9 || total < direct-1e-9 {
+	if total := res.Ledger.TotalEnergyJ("", ""); total <= 0 || total > direct+1e-9 || total < direct-1e-9 {
 		t.Fatalf("ledger total %.3f J != direct %.3f J", total, direct)
 	}
 	// Per-app filtering partitions the total.
-	a := d.Ledger.TotalEnergyJ("alpha", "")
-	bb := d.Ledger.TotalEnergyJ("beta", "")
+	a := res.Ledger.TotalEnergyJ("alpha", "")
+	bb := res.Ledger.TotalEnergyJ("beta", "")
 	if a <= 0 || bb <= 0 || a+bb > direct+1e-9 {
 		t.Fatalf("per-app totals %.3f + %.3f vs %.3f", a, bb, direct)
 	}
 }
 
 func TestPowerTargetPropagatesAcrossMachines(t *testing.T) {
-	apps, deploys := buildApps()
-	eng, d := newCluster(t, SimpleBalance, apps, deploys)
-	// Throttle alpha remotely; beta runs at full speed.
-	d.PowerTargets["alpha"] = 4 // below alpha's ~10 W request power
-	for _, n := range d.Nodes {
+	nodes := shardNodes(t)
+	for _, n := range nodes {
 		n.Fac.EnableConditioning(1e9) // per-request targets only
 	}
-	d.RunOpenLoop(map[string]float64{"alpha": 50, "beta": 50}, 2*sim.Second, sim.NewRand(5))
-	eng.RunUntil(3 * sim.Second)
+	// Throttle alpha remotely; beta runs at full speed.
+	res := runSharded(t, nodes, map[string]float64{"alpha": 4}, // below alpha's ~10 W request power
+		map[string]float64{"alpha": 50, "beta": 50}, 2*sim.Second, 5)
 
 	var alphaDuty, betaDuty float64
 	var na, nb int
-	for _, c := range d.Completed() {
+	for _, c := range res.Completed {
 		duty := c.Req.Cont.MeanDutyFraction()
 		if c.App == "alpha" {
 			alphaDuty += duty
@@ -254,40 +254,13 @@ func TestPowerTargetPropagatesAcrossMachines(t *testing.T) {
 	}
 }
 
-// newTriCluster builds a three-node cluster: two fast nodes and one slow
-// node (double service time), efficiency order 0 > 1 > 2.
-func newTriCluster(t *testing.T, policy Policy) (*sim.Engine, *Dispatcher, []*App) {
-	t.Helper()
-	apps, deploys := buildApps()
-	eng := sim.NewEngine()
-	var nodes []*Node
-	for i := 0; i < 3; i++ {
-		k, err := kernel.New("n", quadSpec, testProfile, eng, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fac := core.Attach(k, model.Coefficients{Core: 8, Ins: 2, Chip: 5, IncludesChipShare: true}, core.Config{})
-		node := NewNode(k, fac, apps, func(app *App, kk *kernel.Kernel) *server.Deployment {
-			return deploys[app.Name](app, kk)
-		})
-		nodes = append(nodes, node)
-	}
-	for _, app := range apps {
-		app.SvcSec = []float64{0.004, 0.004, 0.008}
-		dep := deploys[app.Name](app, nodes[0].K)
-		app.NewRequest = dep.NewRequest
-	}
-	return eng, NewDispatcher(eng, nodes, apps, policy), apps
-}
-
 func TestThreeTierMachineAwareFillsInOrder(t *testing.T) {
-	eng, d, _ := newTriCluster(t, MachineAware)
-	// Demand per fast node: (900+900)×0.004/4 = 1.8 of node0's cores →
-	// tier 0 takes 0.7/1.8 ≈ 0.39 of volume, tier 1 the same of the
-	// remainder, tier 2 the rest.
-	d.RunOpenLoop(map[string]float64{"alpha": 900, "beta": 900}, 4*sim.Second, sim.NewRand(3))
-	eng.RunUntil(5 * sim.Second)
-	counts := d.DispatchCounts()
+	// Two fast nodes and one slow node (double service time). Demand per
+	// fast node: (900+900)×0.004/4 = 1.8 of node0's cores → tier 0 takes
+	// 0.7/1.8 ≈ 0.39 of volume, tier 1 the same of the remainder, tier 2
+	// the rest.
+	counts := planCounts(MachineAware, []float64{0.004, 0.004, 0.008},
+		map[string]float64{"alpha": 900, "beta": 900}, 4*sim.Second, 3)
 	tot := func(node int) int { return counts[node]["alpha"] + counts[node]["beta"] }
 	if tot(0) == 0 || tot(1) == 0 || tot(2) == 0 {
 		t.Fatalf("three-tier fill skipped a node: %d/%d/%d", tot(0), tot(1), tot(2))
@@ -300,17 +273,51 @@ func TestThreeTierMachineAwareFillsInOrder(t *testing.T) {
 }
 
 func TestThreeTierWorkloadAwarePinsLowRatioApp(t *testing.T) {
-	eng, d, _ := newTriCluster(t, WorkloadAware)
 	// alpha (low ratio) demand = 900×0.004/4 = 0.9 > cap 0.7 of tier 0:
 	// alpha fills tier 0 entirely and spills to tier 1; beta is pushed
 	// further down the tiers.
-	d.RunOpenLoop(map[string]float64{"alpha": 900, "beta": 900}, 4*sim.Second, sim.NewRand(3))
-	eng.RunUntil(5 * sim.Second)
-	counts := d.DispatchCounts()
+	counts := planCounts(WorkloadAware, []float64{0.004, 0.004, 0.008},
+		map[string]float64{"alpha": 900, "beta": 900}, 4*sim.Second, 3)
 	if counts[0]["beta"] > counts[0]["alpha"]/10 {
 		t.Fatalf("tier 0 not reserved for the low-ratio app: %v", counts)
 	}
 	if counts[2]["beta"] == 0 {
 		t.Fatalf("high-ratio app never reached the last tier: %v", counts)
+	}
+}
+
+// dropSink counts ledger drop events.
+type dropSink struct{ drops int }
+
+func (s *dropSink) OnLedgerOpen(tag ContainerTag, now sim.Time)                        {}
+func (s *dropSink) OnLedgerClose(tag ContainerTag, alreadyFinished bool, now sim.Time) {}
+func (s *dropSink) OnLedgerDrop(tag ContainerTag, alreadyFinished bool, now sim.Time)  { s.drops++ }
+
+// TestDispatchToleratesEmptyNodeSet: with no node to place on, every
+// planned arrival is an explicit drop, and the merged ledger accounts for
+// each one instead of losing it (or panicking on a division by the node
+// count).
+func TestDispatchToleratesEmptyNodeSet(t *testing.T) {
+	plan := PlanOpenLoop(nil, testApps(), SimpleBalance, nil,
+		map[string]float64{"alpha": 10}, sim.Second, sim.NewRand(1))
+	if len(plan.Dispatches) == 0 {
+		t.Fatal("no arrivals planned")
+	}
+	for i, pd := range plan.Dispatches {
+		if !pd.Dropped {
+			t.Fatalf("dispatch %d placed on node %d of an empty cluster", i, pd.Node)
+		}
+	}
+	sink := &dropSink{}
+	res, err := RunSharded(ShardedRunConfig{Plan: plan, RunUntil: sim.Second, LedgerAudit: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, finished, dropped := res.Ledger.Counts()
+	if opened != len(plan.Dispatches) || finished != 0 || dropped != opened {
+		t.Fatalf("empty-cluster run: opened=%d finished=%d dropped=%d", opened, finished, dropped)
+	}
+	if sink.drops != dropped {
+		t.Fatalf("drops not audited: %d events for %d drops", sink.drops, dropped)
 	}
 }

@@ -37,13 +37,9 @@ type LedgerEntry struct {
 	Arrive   sim.Time
 	Done     sim.Time
 	Finished bool
-	// Dropped marks a request the dispatcher gave up on (node failure
-	// with no healthy target, or redispatch budget exhausted); Finished
-	// and Dropped are mutually exclusive.
+	// Dropped marks a request no node could take; Finished and Dropped
+	// are mutually exclusive.
 	Dropped bool
-	// Redispatches counts how many times the request was re-sent to
-	// another node after its executing node failed.
-	Redispatches int
 }
 
 // ResponseTime returns the request's cluster residence time.
@@ -65,9 +61,6 @@ type AuditSink interface {
 	// OnLedgerDrop fires when the dispatcher gives up on a request;
 	// alreadyFinished flags a drop after the request completed.
 	OnLedgerDrop(tag ContainerTag, alreadyFinished bool, now sim.Time)
-	// OnLedgerRedispatch fires when a request is re-sent after a node
-	// failure; attempts is its cumulative redispatch count.
-	OnLedgerRedispatch(tag ContainerTag, attempts int, now sim.Time)
 }
 
 // Ledger aggregates cross-machine request accounting at the dispatcher.
@@ -114,10 +107,9 @@ func (l *Ledger) Close(tag ContainerTag, now sim.Time) error {
 	return nil
 }
 
-// Drop marks a request as explicitly given up: its node failed with no
-// healthy target left, or its redispatch budget ran out. Dropped entries
-// keep the ledger's accounting identity (opened = finished + dropped +
-// in flight) intact under node loss.
+// Drop marks a request as explicitly given up because no node could take
+// it. Dropped entries keep the ledger's accounting identity (opened =
+// finished + dropped + in flight) intact.
 func (l *Ledger) Drop(id uint64, now sim.Time) error {
 	e, ok := l.entries[id]
 	if !ok {
@@ -131,24 +123,10 @@ func (l *Ledger) Drop(id uint64, now sim.Time) error {
 	return nil
 }
 
-// NoteRedispatch records that a request was re-sent to another node after
-// its executing node failed.
-func (l *Ledger) NoteRedispatch(id uint64, now sim.Time) error {
-	e, ok := l.entries[id]
-	if !ok {
-		return fmt.Errorf("cluster: redispatch of unknown request %d", id)
-	}
-	e.Redispatches++
-	if l.Audit != nil {
-		l.Audit.OnLedgerRedispatch(e.Tag, e.Redispatches, now)
-	}
-	return nil
-}
-
 // Counts returns the ledger's accounting totals: requests opened, finished
-// and dropped, plus cumulative redispatches. Opened − finished − dropped
-// is the dispatcher's in-flight population.
-func (l *Ledger) Counts() (opened, finished, dropped, redispatches int) {
+// and dropped. Opened − finished − dropped is the dispatcher's in-flight
+// population.
+func (l *Ledger) Counts() (opened, finished, dropped int) {
 	for _, e := range l.entries {
 		opened++
 		if e.Finished {
@@ -157,7 +135,6 @@ func (l *Ledger) Counts() (opened, finished, dropped, redispatches int) {
 		if e.Dropped {
 			dropped++
 		}
-		redispatches += e.Redispatches
 	}
 	return
 }

@@ -4,13 +4,11 @@
 // simulate in parallel yet produce byte-identical results at any worker
 // count.
 //
-// The decomposition is sound because, without health checking, no
-// dispatcher decision depends on node *execution*: placement reads only
-// the dispatch history (the offered-load estimate is bumped at dispatch
-// time from static per-app service demand), the static split plan, and
-// the dispatcher's own random stream. Health-enabled dispatch is excluded
-// — failure probes and redispatch couple decisions to node timelines —
-// and EnableHealth rejects plan mode explicitly.
+// The decomposition is sound because no dispatcher decision depends on
+// node *execution*: placement reads only the dispatch history (the
+// offered-load estimate is bumped at dispatch time from static per-app
+// service demand), the static split plan, and the dispatcher's own random
+// stream.
 //
 // Each node's simulation is interleaving-invariant: machines on a shared
 // engine never schedule events for one another, so a machine's events
@@ -18,7 +16,10 @@
 // interleave between them. Running every node on one engine (the
 // reference mode) and running each on its own engine (the sharded mode)
 // therefore yield bit-identical per-node results; the regression test in
-// internal/experiments pins this.
+// internal/experiments pins this. The one exception is nodes that share
+// state, such as request factories: fig14 draws both nodes' requests from
+// node 0's factories, so it always runs its plan on one shared engine,
+// where those draws happen in global arrival order.
 package cluster
 
 import (
@@ -55,38 +56,21 @@ type DispatchPlan struct {
 	Dispatches []PlannedDispatch
 	// PerApp[node][app] counts planned dispatches, for diagnostics.
 	PerApp []map[string]int
-	// Until is the arrival horizon the plan was generated for.
-	Until sim.Time
-}
-
-// PlanNode returns a plan-only node: placement planning needs just the
-// machine's core count and its standing reserved utilization, not an
-// assembled kernel.
-func PlanNode(cores int, reservedUtil float64) *Node {
-	return &Node{cores: cores, ReservedUtil: reservedUtil}
 }
 
 // PlanOpenLoop runs the dispatcher's decision process alone — Poisson
-// arrivals, placement and ledger opens on a private engine carrying no
-// other events — and records every decision. Given the same nodes, apps,
-// policy, rates and random stream, the plan reproduces exactly the
-// decisions a fully coupled single-engine run would make.
+// arrivals and placement on a private engine carrying no other events —
+// and records every decision. The plan is a pure function of the nodes,
+// apps, policy, power targets, rates and random stream.
 func PlanOpenLoop(nodes []*Node, apps []*App, policy Policy, powerTargets map[string]float64, rates map[string]float64, until sim.Time, rng *sim.Rand) *DispatchPlan {
 	eng := sim.NewEngine()
 	d := NewDispatcher(eng, nodes, apps, policy)
 	for app, w := range powerTargets {
 		d.PowerTargets[app] = w
 	}
-	plan := &DispatchPlan{Until: until}
-	d.record = func(node int, app *App, tag ContainerTag, dropped bool) {
-		plan.Dispatches = append(plan.Dispatches, PlannedDispatch{
-			At: eng.Now(), App: app.Name, Node: node, Dropped: dropped, Tag: tag,
-		})
-	}
 	d.RunOpenLoop(rates, until, rng)
 	eng.RunUntil(until)
-	plan.PerApp = d.DispatchCounts()
-	return plan
+	return d.plan
 }
 
 // ShardNode is one node's executable half of a sharded run: the engine it
@@ -108,13 +92,25 @@ type ShardedRunConfig struct {
 	Plan  *DispatchPlan
 	Nodes []*ShardNode
 	// RunUntil is the simulation horizon for every node engine; it must
-	// extend past Plan.Until far enough for in-flight requests to drain.
+	// extend past the plan's arrival horizon far enough for in-flight
+	// requests to drain.
 	RunUntil sim.Time
 	// Jobs bounds shard concurrency (runner.Run semantics; 0 = default).
 	// Results are byte-identical at any value.
 	Jobs int
 	// LedgerAudit observes the rebuilt ledger's opens, closes and drops.
 	LedgerAudit AuditSink
+}
+
+// CompletedRequest records one finished request and the app and node it
+// belonged to. RequestID links the request back to its ledger entry, so
+// the dispatcher-side accounting can be reconciled against the executing
+// machine's container.
+type CompletedRequest struct {
+	App       string
+	Node      int
+	RequestID uint64
+	Req       *server.Request
 }
 
 // ShardedResult is a merged sharded run.
@@ -160,9 +156,8 @@ func RunSharded(cfg ShardedRunConfig) (*ShardedResult, error) {
 			}
 		}
 	}
-	// Pre-schedule every planned injection on its node's engine. The
-	// completion callback mirrors Dispatcher.dispatchTo: the executing
-	// machine materializes the remote container and applies the
+	// Pre-schedule every planned injection on its node's engine: the
+	// executing machine materializes the remote container and applies the
 	// propagated power target before the request runs.
 	outs := make([][]CompletedRequest, len(cfg.Nodes))
 	for _, pd := range cfg.Plan.Dispatches {
@@ -227,4 +222,25 @@ func RunSharded(cfg ShardedRunConfig) (*ShardedResult, error) {
 		}
 	}
 	return &ShardedResult{Completed: merged, Ledger: l, PerApp: cfg.Plan.PerApp}, nil
+}
+
+// meanResponseMs averages response times (ms) per app over completed
+// requests, folding in the given iteration order.
+func meanResponseMs(completed []CompletedRequest) map[string]float64 {
+	sums := map[string]float64{}
+	counts := map[string]int{}
+	for _, c := range completed {
+		if !c.Req.Finished() {
+			continue
+		}
+		sums[c.App] += float64(c.Req.ResponseTime()) / float64(sim.Millisecond)
+		counts[c.App]++
+	}
+	out := map[string]float64{}
+	for name, s := range sums {
+		if counts[name] > 0 {
+			out[name] = s / float64(counts[name])
+		}
+	}
+	return out
 }

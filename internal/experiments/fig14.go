@@ -6,8 +6,7 @@ import (
 	"powercontainers/internal/cluster"
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
-	"powercontainers/internal/kernel"
-	"powercontainers/internal/power"
+	"powercontainers/internal/runner"
 	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/workload"
@@ -52,39 +51,17 @@ func Fig14(seed uint64) (*Fig14Result, error) {
 }
 
 // Fig14Ex runs the cluster experiment with explicit execution
-// configuration. The whole experiment is one job: its machines
-// intentionally share one timeline (and the profiling phase feeds the
-// distribution phase), so only the per-run audit config is threaded.
+// configuration. Profiling fans out one runner job per (app, machine)
+// cell; each policy then plans its dispatch and executes the plan on one
+// engine both machines share (see fig14Run).
 func Fig14Ex(ex Exec, seed uint64) (*Fig14Result, error) {
-	as := ex.Assembly
-	specs := fig14Specs()
-
 	// --- Profiling phase: container energy profiles on both machines
 	// give each app's cross-machine affinity ratio (§3.4). ---
-	affinity := map[string]float64{}
-	svcSec := map[string][]float64{}
-	for _, wl := range []workload.Workload{workload.GAE{}, workload.RSA{}} {
-		var mean [2]float64
-		for i, spec := range specs {
-			r, err := as.Run(spec, core.ApproachRecalibrated, RunSpec{Workload: wl, Load: PeakLoad}, seed)
-			if err != nil {
-				return nil, err
-			}
-			var sum float64
-			n := 0
-			for _, req := range r.Gen.Completed() {
-				if req.Finished() && req.Done >= r.T0 && req.Done < r.T1 {
-					sum += req.Cont.EnergyJ()
-					n++
-				}
-			}
-			if n == 0 {
-				return nil, fmt.Errorf("fig14 profiling: no %s requests on %s", wl.Name(), spec.Name)
-			}
-			mean[i] = sum / float64(n)
-		}
-		affinity[wl.Name()] = mean[0] / mean[1]
+	energy, err := profileEnergy(ex, "fig14", fig14Specs(), seed)
+	if err != nil {
+		return nil, err
 	}
+	affinity := affinityRatios(energy)
 
 	res := &Fig14Result{
 		AffinityGAE: affinity["GAE-Vosao"],
@@ -93,7 +70,7 @@ func Fig14Ex(ex Exec, seed uint64) (*Fig14Result, error) {
 
 	// --- Distribution phase. ---
 	for _, pol := range []cluster.Policy{cluster.SimpleBalance, cluster.MachineAware, cluster.WorkloadAware} {
-		p, err := fig14Run(as, pol, affinity, svcSec, seed)
+		p, err := fig14Run(ex, pol, affinity, seed)
 		if err != nil {
 			return nil, fmt.Errorf("fig14 %s: %w", pol, err)
 		}
@@ -111,94 +88,183 @@ func Fig14Ex(ex Exec, seed uint64) (*Fig14Result, error) {
 	return res, nil
 }
 
-func fig14Run(as Assembly, pol cluster.Policy, affinity map[string]float64, _ map[string][]float64, seed uint64) (*Fig14Policy, error) {
+// fig14Run executes one policy over the two-machine cluster through the
+// plan/shard/merge pipeline, with both machines on one shared engine.
+// Request payloads are machine-independent, so both nodes draw requests
+// from node 0's factories. Those factories draw from node 0's random
+// streams, and only a shared engine makes the draws in global arrival
+// order; per-node engines would race on them.
+func fig14Run(ex Exec, pol cluster.Policy, affinity map[string]float64, seed uint64) (*Fig14Policy, error) {
 	specs := fig14Specs()
 	eng := sim.NewEngine()
-	rng := sim.NewRand(seed * 31)
-
-	var nodes []*cluster.Node
-	var meters []*power.WattsupMeter
-	var machines []*Machine
-	deps := make([]map[string]*server.Deployment, len(specs))
-
-	wls := map[string]workload.Workload{
-		"GAE-Vosao":  workload.GAE{},
-		"RSA-crypto": workload.RSA{},
-	}
-	appNames := []string{"GAE-Vosao", "RSA-crypto"}
-
-	var apps []*cluster.App
-	for _, name := range appNames {
-		apps = append(apps, &cluster.App{Name: name, AffinityRatio: affinity[name]})
-	}
-
+	rig := newClusterRig(affinity)
 	for i, spec := range specs {
-		m, err := as.NewMachineOnEngine(eng, spec, core.ApproachChipShare, seed+uint64(i)*17)
+		m, err := ex.Assembly.NewMachineOnEngine(eng, spec, core.ApproachChipShare, seed+uint64(i)*17)
 		if err != nil {
 			return nil, err
 		}
-		deps[i] = map[string]*server.Deployment{}
-		node := cluster.NewNode(m.K, m.Fac, apps, func(app *cluster.App, k *kernel.Kernel) *server.Deployment {
-			dep := wls[app.Name].Deploy(k, m.Rng.Fork(uint64(len(app.Name))))
-			deps[i][app.Name] = dep
-			return dep
-		})
-		// GAE's background processing permanently occupies part of the
-		// node; the dispatcher must plan around it.
-		node.ReservedUtil = workload.GAEBackgroundCoreDemand(spec) / float64(spec.Cores())
-		nodes = append(nodes, node)
-		meters = append(meters, m.Wattsup)
-		machines = append(machines, m)
+		rig.add(m)
 	}
-
-	// Per-node service demands and the request factories (payloads are
-	// machine-independent; use node 0's factory).
-	for _, app := range apps {
-		for i := range specs {
-			app.SvcSec = append(app.SvcSec, deps[i][app.Name].MeanServiceSec)
-		}
-		app.NewRequest = deps[0][app.Name].NewRequest
-	}
-
-	d := cluster.NewDispatcher(eng, nodes, apps, pol)
-	laud := as.collector().newAuditor(fmt.Sprintf("cluster/%s", pol))
-	if laud != nil {
-		d.Ledger.Audit = laud
+	for _, sn := range rig.shards[1:] {
+		sn.NewRequest = rig.shards[0].NewRequest
 	}
 
 	// Offered volume: the maximum supportable under simple load balance —
 	// the Woodcrest machine saturates first at half of each app's volume
 	// — with a 50/50 busy-time composition between the two apps, after
 	// the capacity its standing background processing consumes.
-	wcCores := float64(specs[1].Cores()) * (1 - nodes[1].ReservedUtil)
+	wcCores := float64(specs[1].Cores()) * (1 - rig.plan[1].ReservedUtil)
 	rates := map[string]float64{}
-	for _, app := range apps {
+	for _, app := range rig.apps {
 		rates[app.Name] = 1.03 * wcCores / app.SvcSec[1]
 	}
+	return rig.run(ex, fmt.Sprintf("cluster/%s", pol), pol, rates, sim.NewRand(seed*31),
+		30*sim.Second, 5*sim.Second, 25*sim.Second)
+}
 
-	const (
-		until = 30 * sim.Second
-		t0    = 5 * sim.Second
-		t1    = 25 * sim.Second
-	)
-	d.RunOpenLoop(rates, until, rng)
-	eng.RunUntil(until + 3*sim.Second)
+// clusterApps are the applications the cluster experiments distribute.
+var clusterApps = []string{"GAE-Vosao", "RSA-crypto"}
 
-	for _, m := range machines {
+func clusterWorkloads() map[string]workload.Workload {
+	return map[string]workload.Workload{
+		"GAE-Vosao":  workload.GAE{},
+		"RSA-crypto": workload.RSA{},
+	}
+}
+
+// profileEnergy measures every cluster app's mean per-request energy (J)
+// on every machine, energy[app][node]: the container-captured profiles the
+// workload-aware policy derives its affinity ratios from (§3.4). Each
+// (app, machine) cell is one independent runner job.
+func profileEnergy(ex Exec, exp string, specs []cpu.MachineSpec, seed uint64) (map[string][]float64, error) {
+	as := ex.Assembly
+	wls := clusterWorkloads()
+	var plan runner.Plan
+	for _, name := range clusterApps {
+		for _, spec := range specs {
+			wl, spec := wls[name], spec
+			plan.Add(fmt.Sprintf("%s/profile/%s/%s", exp, wl.Name(), spec.Name), func() (any, error) {
+				r, err := as.Run(spec, core.ApproachRecalibrated, RunSpec{Workload: wl, Load: PeakLoad}, seed)
+				if err != nil {
+					return nil, err
+				}
+				var sum float64
+				n := 0
+				for _, req := range r.Gen.Completed() {
+					if req.Finished() && req.Done >= r.T0 && req.Done < r.T1 {
+						sum += req.Cont.EnergyJ()
+						n++
+					}
+				}
+				if n == 0 {
+					return nil, fmt.Errorf("%s profiling: no %s requests on %s", exp, wl.Name(), spec.Name)
+				}
+				return sum / float64(n), nil
+			})
+		}
+	}
+	cells, err := runner.Collect[float64](&plan, ex.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	energy := map[string][]float64{}
+	for ai, name := range clusterApps {
+		energy[name] = cells[ai*len(specs) : (ai+1)*len(specs) : (ai+1)*len(specs)]
+	}
+	return energy, nil
+}
+
+// affinityRatios returns each app's cross-machine energy ratio: node 0's
+// per-request energy over the least efficient (last) machine's.
+func affinityRatios(energy map[string][]float64) map[string]float64 {
+	affinity := map[string]float64{}
+	for _, name := range clusterApps {
+		e := energy[name]
+		affinity[name] = e[0] / e[len(e)-1]
+	}
+	return affinity
+}
+
+// clusterRig is one assembled heterogeneous cluster: every machine with
+// every cluster app deployed, the plan-only stand-ins the dispatcher
+// places against, and the shard nodes that execute the plan.
+type clusterRig struct {
+	machines []*Machine
+	plan     []*cluster.Node
+	shards   []*cluster.ShardNode
+	apps     []*cluster.App
+}
+
+// newClusterRig starts an empty cluster serving every cluster app, with
+// the apps' profiled affinity ratios.
+func newClusterRig(affinity map[string]float64) *clusterRig {
+	rig := &clusterRig{}
+	for _, name := range clusterApps {
+		rig.apps = append(rig.apps, &cluster.App{Name: name, AffinityRatio: affinity[name]})
+	}
+	return rig
+}
+
+// add deploys every cluster app on m and joins it as the next node,
+// recording each app's mean service time there (dispatchers know service
+// demand from standard monitoring).
+func (rig *clusterRig) add(m *Machine) {
+	wls := clusterWorkloads()
+	gens := map[string]*server.LoadGen{}
+	reqs := map[string]func() *server.Request{}
+	for _, app := range rig.apps {
+		dep := wls[app.Name].Deploy(m.K, m.Rng.Fork(uint64(len(app.Name))))
+		gens[app.Name] = server.NewLoadGen(m.K, m.Fac, dep)
+		reqs[app.Name] = dep.NewRequest
+		app.SvcSec = append(app.SvcSec, dep.MeanServiceSec)
+	}
+	// GAE's background processing permanently occupies part of the node;
+	// the dispatcher must plan around it.
+	spec := m.K.Spec
+	reserved := workload.GAEBackgroundCoreDemand(spec) / float64(spec.Cores())
+	rig.plan = append(rig.plan, cluster.PlanNode(spec.Cores(), reserved))
+	rig.shards = append(rig.shards, &cluster.ShardNode{
+		Eng: m.Eng, Name: m.K.Name(), Fac: m.Fac, Gens: gens, NewRequest: reqs,
+	})
+	rig.machines = append(rig.machines, m)
+}
+
+// run plans one policy's open-loop dispatch at the given per-app rates
+// until the arrival horizon, executes the plan over the shards (draining
+// for 3 s past it), audits the merged ledger, and measures each machine's
+// active power over [t0, t1).
+func (rig *clusterRig) run(ex Exec, auditName string, pol cluster.Policy, rates map[string]float64,
+	rng *sim.Rand, until, t0, t1 sim.Time) (*Fig14Policy, error) {
+	dplan := cluster.PlanOpenLoop(rig.plan, rig.apps, pol, nil, rates, until, rng)
+
+	laud := ex.Assembly.collector().newAuditor(auditName)
+	var sink cluster.AuditSink
+	if laud != nil {
+		sink = laud
+	}
+	horizon := until + 3*sim.Second
+	sres, err := cluster.RunSharded(cluster.ShardedRunConfig{
+		Plan: dplan, Nodes: rig.shards, RunUntil: horizon, Jobs: ex.Jobs, LedgerAudit: sink,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for _, m := range rig.machines {
 		if err := m.FinalizeAudit(); err != nil {
 			return nil, err
 		}
 	}
 	if laud != nil {
-		laud.CheckLedger(d.Ledger, d.Completed(), eng.Now())
+		laud.CheckLedger(sres.Ledger, sres.Completed, horizon)
 		if err := laud.Err(); err != nil {
 			return nil, err
 		}
 	}
 
-	out := &Fig14Policy{Policy: pol, RespMs: d.ResponseTimes(), Dispatched: d.DispatchCounts()}
-	for _, meter := range meters {
-		w, err := wattsupWindowMean(meter, eng.Now(), t0, t1)
+	out := &Fig14Policy{Policy: pol, RespMs: sres.ResponseTimes(), Dispatched: sres.PerApp}
+	for _, m := range rig.machines {
+		w, err := wattsupWindowMean(m.Wattsup, m.Eng.Now(), t0, t1)
 		if err != nil {
 			return nil, err
 		}

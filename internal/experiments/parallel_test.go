@@ -70,6 +70,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 			return r.Render(), nil
 		}},
+		// Profiling cells fan out on the runner; each policy's plan then
+		// executes on the one engine both machines share.
+		{"fig14", func(jobs int) (string, error) {
+			r, err := Fig14Ex(Exec{Jobs: jobs}, 7)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc

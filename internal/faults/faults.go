@@ -1,12 +1,12 @@
 // Package faults is a deterministic, seeded fault-injection subsystem for
 // the attribution pipeline. A Plan describes which faults to inject — meter
 // faults (dropouts, spikes, stuck readings, delay jitter, death), counter
-// faults (MSR-style wraparound, lost overflow interrupts), socket-tag loss,
-// and node failure windows — and every injection decision is a pure
-// function of the plan seed and a per-site sample/call index. No wall
-// clock, no shared mutable RNG: the same seeded plan replays byte-identically
-// whether an experiment runs at -jobs 1 or -jobs N, and regardless of how
-// interleaved the call sites are.
+// faults (MSR-style wraparound, lost overflow interrupts) and socket-tag
+// loss — and every injection decision is a pure function of the plan seed
+// and a per-site sample/call index. No wall clock, no shared mutable RNG:
+// the same seeded plan replays byte-identically whether an experiment runs
+// at -jobs 1 or -jobs N, and regardless of how interleaved the call sites
+// are.
 //
 // Per-site seeds are derived from the plan seed with runner.SeedFor, and
 // per-index uniform draws use the same splitmix-style pure hash the power
@@ -23,12 +23,11 @@ import (
 type Event struct {
 	// T is the sim time the fault took effect.
 	T sim.Time
-	// Site names the injection point (meter name, "counter", "socket",
-	// "node3", ...).
+	// Site names the injection point (a meter name, "counter" or
+	// "socket").
 	Site string
 	// Kind is the fault class ("dropout", "spike", "stuck", "jitter",
-	// "death", "wrap", "lost-interrupt", "tag-loss", "node-fail",
-	// "node-recover").
+	// "death", "wrap", "lost-interrupt", "tag-loss").
 	Kind string
 	// Detail carries optional human-readable context.
 	Detail string

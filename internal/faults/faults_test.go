@@ -273,30 +273,3 @@ func TestKernelSurfaceWrapAndDeterminism(t *testing.T) {
 		t.Fatalf("surface must be nil when no kernel faults configured")
 	}
 }
-
-type flag struct{ failed bool }
-
-func (f *flag) SetFailed(v bool) { f.failed = v }
-
-func TestArmNodesTogglesTargets(t *testing.T) {
-	eng := sim.NewEngine()
-	p := &Plan{Seed: 1, Nodes: []NodeFault{
-		{Node: 0, Windows: []Window{{From: 10 * sim.Millisecond, To: 20 * sim.Millisecond}}},
-		{Node: 7, Windows: []Window{{From: 5 * sim.Millisecond, To: 6 * sim.Millisecond}}}, // out of range: ignored
-	}}
-	log := &eventLog{}
-	p.Audit = log
-	n0 := &flag{}
-	p.ArmNodes(eng, []FailureTarget{n0})
-	eng.RunUntil(15 * sim.Millisecond)
-	if !n0.failed {
-		t.Fatalf("node 0 should be failed inside the window")
-	}
-	eng.RunUntil(25 * sim.Millisecond)
-	if n0.failed {
-		t.Fatalf("node 0 should have recovered after the window")
-	}
-	if len(log.events) != 2 || log.events[0].Kind != "node-fail" || log.events[1].Kind != "node-recover" {
-		t.Fatalf("unexpected node events: %+v", log.events)
-	}
-}

@@ -6,21 +6,21 @@ import (
 )
 
 // FuzzFaultPlan fuzzes the schedule decoder. Accepted schedules must
-// satisfy the documented invariants — probabilities in range, node windows
-// sorted and non-overlapping with positive width, node indexes unique and
-// ascending — and the canonical String form must reparse to an equal
+// satisfy the documented invariants — probabilities in range, magnitudes
+// non-negative — and the canonical String form must reparse to an equal
 // schedule (fixpoint). Rejection is always an error value, never a panic.
 func FuzzFaultPlan(f *testing.F) {
 	f.Add("meter:drop=0.1,spike=0.05,spikemag=8;counter:wrap=5e+07,lostirq=0.01")
-	f.Add("socket:injectloss=0.05,sendloss=0.01;node0:fail@0-1000;node3:fail@5-6,fail@7-9")
-	f.Add("meter:;counter:;node0:")
+	f.Add("socket:injectloss=0.05,sendloss=0.01;node0:fail@0-1000;node3:fail@5-6,fail@7-9") // node clause: must reject
+	f.Add("meter:;counter:;node0:")                                                         // node clause: must reject
 	f.Add("")
-	f.Add("node0:fail@0-10,fail@5-20")  // overlap: must reject
-	f.Add("node0:fail@20-30,fail@0-10") // unordered: must reject
+	f.Add("node0:fail@0-10,fail@5-20")  // node clause: must reject
+	f.Add("node0:fail@20-30,fail@0-10") // node clause: must reject
 	f.Add("meter:drop=0.5,spike=0.6")   // partition sum > 1: must reject
 	f.Add("meter:drop=1e309")           // inf: must reject
-	f.Add("node-1:fail@0-1")            // negative node: must reject
-	f.Add("node0:fail@-5-10")           // negative time: must reject
+	f.Add("node-1:fail@0-1")            // node clause: must reject
+	f.Add("node0:fail@-5-10")           // node clause: must reject
+	f.Add("meter:;counter:;socket:injectloss=0.05,sendloss=0.01")
 	f.Fuzz(func(t *testing.T, spec string) {
 		s, err := ParseSchedule(spec)
 		if err != nil {
@@ -53,21 +53,6 @@ func FuzzFaultPlan(f *testing.F) {
 			for k, p := range probs {
 				if !(p >= 0 && p <= 1) {
 					t.Fatalf("%s: accepted %s=%v outside [0,1]", which, k, p)
-				}
-			}
-			lastNode := -1
-			for _, nf := range sc.Nodes {
-				if nf.Node <= lastNode {
-					t.Fatalf("%s: node indexes not unique/ascending: %+v", which, sc.Nodes)
-				}
-				lastNode = nf.Node
-				for i, w := range nf.Windows {
-					if w.From < 0 || w.To <= w.From {
-						t.Fatalf("%s: node%d accepted bad window %+v", which, nf.Node, w)
-					}
-					if i > 0 && w.From < nf.Windows[i-1].To {
-						t.Fatalf("%s: node%d accepted overlapping windows %+v", which, nf.Node, nf.Windows)
-					}
 				}
 			}
 		}

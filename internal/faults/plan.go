@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"fmt"
-
 	"powercontainers/internal/power"
 	"powercontainers/internal/runner"
 	"powercontainers/internal/sim"
@@ -52,26 +50,6 @@ type SocketFaults struct {
 	SendTagLossP float64
 }
 
-// Window is a half-open sim-time interval [From, To).
-type Window struct {
-	From sim.Time
-	To   sim.Time
-}
-
-// NodeFault schedules failure windows for one cluster node.
-type NodeFault struct {
-	// Node indexes into the dispatcher's node slice.
-	Node int
-	// Windows are the failure intervals, sorted and non-overlapping.
-	Windows []Window
-}
-
-// FailureTarget is anything whose availability a node-failure window can
-// toggle; cluster.Node implements it.
-type FailureTarget interface {
-	SetFailed(failed bool)
-}
-
 // Plan is a composable fault-injection plan. A nil sub-config disables
 // that fault family entirely; an unused Plan injects nothing.
 type Plan struct {
@@ -80,7 +58,6 @@ type Plan struct {
 	Meter   *MeterFaults
 	Counter *CounterFaults
 	Socket  *SocketFaults
-	Nodes   []NodeFault
 	// Audit, when non-nil, receives every injected fault.
 	Audit AuditSink
 }
@@ -116,31 +93,4 @@ func (p *Plan) KernelSurface() *KernelSurface {
 		return nil
 	}
 	return newKernelSurface(p)
-}
-
-// ArmNodes schedules the plan's node-failure windows on the engine,
-// toggling the matching targets. Node indexes outside the target slice are
-// ignored, so plans can be reused across cluster sizes.
-func (p *Plan) ArmNodes(eng *sim.Engine, targets []FailureTarget) {
-	if p == nil {
-		return
-	}
-	for _, nf := range p.Nodes {
-		if nf.Node < 0 || nf.Node >= len(targets) {
-			continue
-		}
-		t := targets[nf.Node]
-		site := fmt.Sprintf("node%d", nf.Node)
-		for _, w := range nf.Windows {
-			from, to := w.From, w.To
-			eng.At(from, func() {
-				t.SetFailed(true)
-				p.emit(Event{T: from, Site: site, Kind: "node-fail"})
-			})
-			eng.At(to, func() {
-				t.SetFailed(false)
-				p.emit(Event{T: to, Site: site, Kind: "node-recover"})
-			})
-		}
-	}
 }

@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -14,20 +13,17 @@ import (
 // text format exists so experiments and the pcbench command line can name a
 // fault mix compactly:
 //
-//	meter:drop=0.1,spike=0.05,spikemag=8;counter:wrap=5e7,lostirq=0.01;node1:fail@5000000000-10000000000
+//	meter:drop=0.1,spike=0.05,spikemag=8;counter:wrap=5e7,lostirq=0.01;socket:sendloss=0.01
 //
 // Clauses are ';'-separated, each "target:key=value,...". Targets are
-// "meter", "counter", "socket", and "node<i>"; durations and times are
-// plain nanosecond integers. ParseSchedule validates probabilities,
-// ordering, and overlap; String re-encodes canonically, and
-// ParseSchedule(s.String()) round-trips to an equal schedule.
+// "meter", "counter" and "socket"; durations and times are plain
+// nanosecond integers. ParseSchedule validates probabilities and times;
+// String re-encodes canonically, and ParseSchedule(s.String()) round-trips
+// to an equal schedule.
 type Schedule struct {
 	Meter   *MeterFaults
 	Counter *CounterFaults
 	Socket  *SocketFaults
-	// Nodes is sorted by node index, one entry per node, each with
-	// sorted non-overlapping windows.
-	Nodes []NodeFault
 }
 
 // Plan derives the seeded injection plan for this schedule.
@@ -44,10 +40,6 @@ func (s *Schedule) Plan(seed uint64) *Plan {
 	if s.Socket != nil {
 		sk := *s.Socket
 		p.Socket = &sk
-	}
-	for _, nf := range s.Nodes {
-		cp := NodeFault{Node: nf.Node, Windows: append([]Window(nil), nf.Windows...)}
-		p.Nodes = append(p.Nodes, cp)
 	}
 	return p
 }
@@ -176,55 +168,23 @@ func parseSocketClause(params string) (*SocketFaults, error) {
 	return s, nil
 }
 
-func parseNodeClause(node int, params string) (NodeFault, error) {
-	nf := NodeFault{Node: node}
-	for _, kv := range splitParams(params) {
-		spec, ok := strings.CutPrefix(kv, "fail@")
-		if !ok {
-			return nf, fmt.Errorf("faults: node param %q is not fail@from-to", kv)
-		}
-		fromS, toS, ok := strings.Cut(spec, "-")
-		if !ok {
-			return nf, fmt.Errorf("faults: node window %q is not from-to", spec)
-		}
-		from, err := parseTime("fail window start", fromS)
-		if err != nil {
-			return nf, err
-		}
-		to, err := parseTime("fail window end", toS)
-		if err != nil {
-			return nf, err
-		}
-		if to <= from {
-			return nf, fmt.Errorf("faults: node%d window [%d,%d) is empty or inverted", node, from, to)
-		}
-		if n := len(nf.Windows); n > 0 && from < nf.Windows[n-1].To {
-			return nf, fmt.Errorf("faults: node%d windows out of order or overlapping at [%d,%d)", node, from, to)
-		}
-		nf.Windows = append(nf.Windows, Window{From: from, To: to})
-	}
-	return nf, nil
-}
-
 // ParseSchedule parses and validates a fault-plan spec. An empty spec
 // yields an empty (inject-nothing) schedule. Accepted schedules always
 // satisfy: probabilities in [0,1] with drop+spike+stuck ≤ 1, times ≥ 0,
-// at most one clause per target, node indexes unique, and per-node failure
-// windows non-empty, sorted, and non-overlapping.
+// and at most one clause per target.
 func ParseSchedule(spec string) (*Schedule, error) {
 	s := &Schedule{}
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return s, nil
 	}
-	seenNodes := map[int]bool{}
 	for _, clause := range strings.Split(spec, ";") {
 		target, params, ok := strings.Cut(clause, ":")
 		if !ok {
 			return nil, fmt.Errorf("faults: clause %q is not target:params", clause)
 		}
-		switch {
-		case target == "meter":
+		switch target {
+		case "meter":
 			if s.Meter != nil {
 				return nil, fmt.Errorf("faults: duplicate meter clause")
 			}
@@ -233,7 +193,7 @@ func ParseSchedule(spec string) (*Schedule, error) {
 				return nil, err
 			}
 			s.Meter = m
-		case target == "counter":
+		case "counter":
 			if s.Counter != nil {
 				return nil, fmt.Errorf("faults: duplicate counter clause")
 			}
@@ -242,7 +202,7 @@ func ParseSchedule(spec string) (*Schedule, error) {
 				return nil, err
 			}
 			s.Counter = c
-		case target == "socket":
+		case "socket":
 			if s.Socket != nil {
 				return nil, fmt.Errorf("faults: duplicate socket clause")
 			}
@@ -251,33 +211,18 @@ func ParseSchedule(spec string) (*Schedule, error) {
 				return nil, err
 			}
 			s.Socket = sk
-		case strings.HasPrefix(target, "node"):
-			idx, err := strconv.Atoi(strings.TrimPrefix(target, "node"))
-			if err != nil || idx < 0 {
-				return nil, fmt.Errorf("faults: bad node target %q", target)
-			}
-			if seenNodes[idx] {
-				return nil, fmt.Errorf("faults: duplicate clause for node%d", idx)
-			}
-			seenNodes[idx] = true
-			nf, err := parseNodeClause(idx, params)
-			if err != nil {
-				return nil, err
-			}
-			s.Nodes = append(s.Nodes, nf)
 		default:
 			return nil, fmt.Errorf("faults: unknown target %q", target)
 		}
 	}
-	sort.Slice(s.Nodes, func(i, j int) bool { return s.Nodes[i].Node < s.Nodes[j].Node })
 	return s, nil
 }
 
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // String re-encodes the schedule canonically: clause order meter, counter,
-// socket, then nodes ascending; zero-valued params omitted. The canonical
-// form parses back to an equal schedule.
+// socket; zero-valued params omitted. The canonical form parses back to an
+// equal schedule.
 func (s *Schedule) String() string {
 	var clauses []string
 	if m := s.Meter; m != nil {
@@ -324,13 +269,6 @@ func (s *Schedule) String() string {
 			ps = append(ps, "sendloss="+fmtF(sk.SendTagLossP))
 		}
 		clauses = append(clauses, "socket:"+strings.Join(ps, ","))
-	}
-	for _, nf := range s.Nodes {
-		var ps []string
-		for _, w := range nf.Windows {
-			ps = append(ps, fmt.Sprintf("fail@%d-%d", int64(w.From), int64(w.To)))
-		}
-		clauses = append(clauses, fmt.Sprintf("node%d:%s", nf.Node, strings.Join(ps, ",")))
 	}
 	return strings.Join(clauses, ";")
 }

@@ -10,8 +10,7 @@ import (
 
 func TestParseScheduleRoundTrip(t *testing.T) {
 	spec := "meter:drop=0.1,spike=0.05,spikemag=8,stuck=0.02,jitter=0.1,jittermax=50000000,death=5000000000;" +
-		"counter:wrap=5e+07,lostirq=0.01;socket:injectloss=0.05,sendloss=0.01;" +
-		"node0:fail@1000000000-2000000000,fail@3000000000-4000000000;node2:fail@0-1000"
+		"counter:wrap=5e+07,lostirq=0.01;socket:injectloss=0.05,sendloss=0.01"
 	s, err := ParseSchedule(spec)
 	if err != nil {
 		t.Fatalf("ParseSchedule: %v", err)
@@ -21,9 +20,6 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	}
 	if s.Counter.WrapEvery != 5e7 || s.Counter.LostInterruptP != 0.01 {
 		t.Fatalf("counter clause misparsed: %+v", s.Counter)
-	}
-	if len(s.Nodes) != 2 || s.Nodes[0].Node != 0 || s.Nodes[1].Node != 2 || len(s.Nodes[0].Windows) != 2 {
-		t.Fatalf("node clauses misparsed: %+v", s.Nodes)
 	}
 	re, err := ParseSchedule(s.String())
 	if err != nil {
@@ -42,7 +38,7 @@ func TestParseScheduleEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
-	if s.Meter != nil || s.Counter != nil || s.Socket != nil || len(s.Nodes) != 0 {
+	if s.Meter != nil || s.Counter != nil || s.Socket != nil {
 		t.Fatalf("empty spec must yield an inert schedule: %+v", s)
 	}
 	if s.String() != "" {
@@ -59,16 +55,19 @@ func TestParseScheduleRejects(t *testing.T) {
 		{"badkey", "meter:frobs=1", "unknown meter param"},
 		{"badtarget", "disk:x=1", "unknown target"},
 		{"dupmeter", "meter:drop=0.1;meter:drop=0.2", "duplicate meter"},
-		{"dupnode", "node1:fail@0-5;node1:fail@10-20", "duplicate clause for node1"},
-		{"inverted", "node0:fail@10-5", "empty or inverted"},
-		{"empty-window", "node0:fail@5-5", "empty or inverted"},
-		{"overlap", "node0:fail@0-10,fail@5-20", "out of order or overlapping"},
-		{"unordered", "node0:fail@20-30,fail@0-10", "out of order or overlapping"},
 		{"negwrap", "counter:wrap=-1", "must be finite"},
 		{"negtime", "meter:jittermax=-5", "must be ≥ 0"},
 		{"noclause", "meter", "not target:params"},
 		{"nokv", "socket:yes", "not key=value"},
-		{"badnode", "nodeX:fail@0-1", "bad node target"},
+		// Node failure is not an injection site: every node<i> clause,
+		// well-formed window or not, names an unknown target.
+		{"node-clause", "node0:fail@0-10", "unknown target"},
+		{"dupnode", "node1:fail@0-5;node1:fail@10-20", "unknown target"},
+		{"inverted", "node0:fail@10-5", "unknown target"},
+		{"empty-window", "node0:fail@5-5", "unknown target"},
+		{"overlap", "node0:fail@0-10,fail@5-20", "unknown target"},
+		{"unordered", "node0:fail@20-30,fail@0-10", "unknown target"},
+		{"badnode", "nodeX:fail@0-1", "unknown target"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,17 +83,16 @@ func TestParseScheduleRejects(t *testing.T) {
 }
 
 func TestSchedulePlanIsDeepCopy(t *testing.T) {
-	s, err := ParseSchedule("meter:drop=0.1;node0:fail@0-10")
+	s, err := ParseSchedule("meter:drop=0.1")
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	p := s.Plan(7)
-	if p.Seed != 7 || p.Meter.DropoutP != 0.1 || len(p.Nodes) != 1 {
+	if p.Seed != 7 || p.Meter.DropoutP != 0.1 {
 		t.Fatalf("plan misderived: %+v", p)
 	}
 	p.Meter.DropoutP = 0.9
-	p.Nodes[0].Windows[0].To = 999
-	if s.Meter.DropoutP != 0.1 || s.Nodes[0].Windows[0].To != 10 {
+	if s.Meter.DropoutP != 0.1 {
 		t.Fatalf("Plan must deep-copy the schedule")
 	}
 }

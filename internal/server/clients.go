@@ -35,6 +35,3 @@ func NewClientPool(n int, s float64, rng *sim.Rand) *ClientPool {
 func (p *ClientPool) Draw() string {
 	return p.names[p.rng.Pick(p.weights)]
 }
-
-// Names lists the pool's clients in rank order.
-func (p *ClientPool) Names() []string { return append([]string(nil), p.names...) }

@@ -56,14 +56,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // ExpFloat64 returns an exponentially distributed value with the given mean.
 // It is used for Poisson request inter-arrival times.
 func (r *Rand) ExpFloat64(mean float64) float64 {

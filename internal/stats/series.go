@@ -120,36 +120,11 @@ func (s *Series) Values() []float64 {
 	return append([]float64(nil), s.buckets...)
 }
 
-// Range returns a copy of buckets [lo, hi).
-func (s *Series) Range(lo, hi int) []float64 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.buckets) {
-		hi = len(s.buckets)
-	}
-	if hi <= lo {
-		return nil
-	}
-	return append([]float64(nil), s.buckets[lo:hi]...)
-}
-
 // RatePerSecond converts a per-bucket accumulated quantity (e.g. joules) to
 // a per-second rate (e.g. watts) for bucket i.
 func (s *Series) RatePerSecond(i int) float64 {
 	//pclint:allow floatsafe NewSeries rejects non-positive intervals at construction
 	return s.Bucket(i) * float64(sim.Second) / float64(s.interval)
-}
-
-// RateSeries returns all buckets converted to per-second rates.
-func (s *Series) RateSeries() []float64 {
-	out := make([]float64, len(s.buckets))
-	//pclint:allow floatsafe NewSeries rejects non-positive intervals at construction
-	scale := float64(sim.Second) / float64(s.interval)
-	for i, v := range s.buckets {
-		out[i] = v * scale
-	}
-	return out
 }
 
 // Rebucket aggregates the series into coarser buckets whose width is factor
