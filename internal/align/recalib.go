@@ -42,9 +42,9 @@ type Recalibrator struct {
 	// Robust configures MAD-based outlier rejection and refit sanity
 	// gating (robust.go); the zero value disables both.
 	Robust Robust
-	// Audit, when non-nil, observes degradation actions (rejections,
-	// fallbacks) for invariant checking.
-	Audit AuditSink
+	// Observer, when non-nil, sees degradation actions
+	// (sim.KindRecalReject and sim.KindRecalFallback).
+	Observer sim.Observer
 
 	delay      sim.Time
 	delayKnown bool
@@ -65,7 +65,7 @@ type Recalibrator struct {
 	mpCoeff model.Coefficients
 	mpValid bool
 
-	// lastNow is the most recent Ingest time, used to stamp audit events
+	// lastNow is the most recent Ingest time, used to stamp observations
 	// emitted from Refit (which has no clock of its own).
 	lastNow sim.Time
 }

@@ -8,10 +8,13 @@ import (
 	"powercontainers/internal/sim"
 )
 
-// Robust defaults; zero-valued Robust fields select these.
+// robustMADK is the outlier rejection threshold in robust standard
+// deviations (1.4826·MAD); robustMinPairs is the smallest aligned batch
+// worth computing robust statistics over — smaller batches pass through
+// unfiltered; defaultRobustMaxShift is the MaxShift a zero Robust selects.
 const (
-	defaultRobustMADK     = 5.0
-	defaultRobustMinPairs = 8
+	robustMADK            = 5.0
+	robustMinPairs        = 8
 	defaultRobustMaxShift = 3.0
 )
 
@@ -24,29 +27,10 @@ const (
 type Robust struct {
 	// Enabled turns on outlier rejection and refit sanity gating.
 	Enabled bool
-	// MADK is the rejection threshold in robust standard deviations
-	// (1.4826·MAD); default 5.
-	MADK float64
-	// MinPairs is the smallest aligned batch worth computing robust
-	// statistics over — smaller batches pass through unfiltered;
-	// default 8.
-	MinPairs int
 	// MaxShift bounds how far (relative L2 distance over the coefficient
 	// vector) a refit may move from the offline-only fit before it is
 	// deemed divergent and replaced by that fit; default 3.
 	MaxShift float64
-}
-
-// AuditSink observes the Recalibrator's degradation actions so
-// internal/audit can assert they are sane. A nil sink disables reporting;
-// every call site nil-guards.
-type AuditSink interface {
-	// OnRecalReject fires per rejected aligned pair: its residual
-	// deviation from the batch median exceeded the MAD threshold.
-	OnRecalReject(now sim.Time, deviationW, thresholdW float64)
-	// OnRecalFallback fires when a degradation fallback engages (a
-	// divergent refit replaced by the offline fit, or a meter failover).
-	OnRecalFallback(now sim.Time, reason string)
 }
 
 // estimate is the scope-consistent model prediction for an aligned pair:
@@ -69,22 +53,14 @@ func median(v []float64) float64 {
 }
 
 // rejectOutliers drops aligned pairs whose model residual deviates from
-// the batch median by more than MADK robust standard deviations. Outlier
+// the batch median by more than robustMADK robust standard deviations. Outlier
 // spikes and stuck readings land far outside the residual cloud of honest
 // measurement noise, so they are rejected before they reach the normal
-// equations; a degenerate batch (zero MAD, or fewer than MinPairs pairs)
+// equations; a degenerate batch (zero MAD, or fewer than robustMinPairs pairs)
 // passes through untouched rather than trusting unstable statistics.
 func (r *Recalibrator) rejectOutliers(now sim.Time, pairs []AlignedPair, current model.Coefficients) []AlignedPair {
-	minPairs := r.Robust.MinPairs
-	if minPairs <= 0 {
-		minPairs = defaultRobustMinPairs
-	}
-	if len(pairs) < minPairs {
+	if len(pairs) < robustMinPairs {
 		return pairs
-	}
-	k := r.Robust.MADK
-	if k <= 0 {
-		k = defaultRobustMADK
 	}
 	res := make([]float64, len(pairs))
 	for i, p := range pairs {
@@ -100,13 +76,13 @@ func (r *Recalibrator) rejectOutliers(now sim.Time, pairs []AlignedPair, current
 	if !(scale > 0) {
 		return pairs // all residuals identical: nothing to reject against
 	}
-	thr := k * scale
+	thr := robustMADK * scale
 	kept := make([]AlignedPair, 0, len(pairs))
 	for i, p := range pairs {
 		if math.Abs(res[i]-med) > thr {
 			r.rejected++
-			if r.Audit != nil {
-				r.Audit.OnRecalReject(now, res[i]-med, thr)
+			if r.Observer != nil {
+				r.Observer.Observe(sim.Event{Kind: sim.KindRecalReject, T: now, X: res[i] - med, Y: thr})
 			}
 			continue
 		}
@@ -144,8 +120,8 @@ func (r *Recalibrator) saneOrFallback(now sim.Time, base, c model.Coefficients) 
 		return c, nil
 	}
 	r.fallbacks++
-	if r.Audit != nil {
-		r.Audit.OnRecalFallback(now, "refit diverged from offline base")
+	if r.Observer != nil {
+		r.Observer.Observe(sim.Event{Kind: sim.KindRecalFallback, T: now, Detail: "refit diverged from offline base"})
 	}
 	return off, nil
 }

@@ -15,15 +15,16 @@ type recalAuditLog struct {
 	fallbacks []string
 }
 
-func (l *recalAuditLog) OnRecalReject(now sim.Time, deviationW, thresholdW float64) {
-	l.rejects++
-	if !(thresholdW > 0) || math.Abs(deviationW) <= thresholdW {
-		l.badReject = true
+func (l *recalAuditLog) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.KindRecalReject:
+		l.rejects++
+		if deviationW, thresholdW := e.X, e.Y; !(thresholdW > 0) || math.Abs(deviationW) <= thresholdW {
+			l.badReject = true
+		}
+	case sim.KindRecalFallback:
+		l.fallbacks = append(l.fallbacks, e.Detail)
 	}
-}
-
-func (l *recalAuditLog) OnRecalFallback(now sim.Time, reason string) {
-	l.fallbacks = append(l.fallbacks, reason)
 }
 
 // spikedWorld builds the TestRecalibratorLearnsShiftedModel scenario — a
@@ -84,7 +85,7 @@ func TestRobustRejectsPlantedOutliers(t *testing.T) {
 		log := &recalAuditLog{}
 		if robust {
 			r.Robust = Robust{Enabled: true, MaxShift: 1e9}
-			r.Audit = log
+			r.Observer = log
 		}
 		if added := r.Ingest(5*sim.Second, ms, offline); added == 0 {
 			t.Fatal("no online samples ingested")
@@ -148,7 +149,7 @@ func TestRobustRefitFallback(t *testing.T) {
 	r.MaxDelay = 100 * sim.Millisecond
 	log := &recalAuditLog{}
 	r.Robust = Robust{Enabled: true} // default MaxShift 3
-	r.Audit = log
+	r.Observer = log
 	if added := r.Ingest(5*sim.Second, ms, offline); added == 0 {
 		t.Fatal("no online samples ingested")
 	}

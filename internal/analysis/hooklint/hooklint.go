@@ -1,7 +1,8 @@
-// Package hooklint enforces the PR 1 audit-seam convention: every call
-// through a nil-able hook interface (AuditSink, AuditHook, Probe) must
-// be dominated by a nil check on the receiver, so that running without
-// auditing costs a single predictable branch and never panics.
+// Package hooklint enforces the observation-seam convention: every call
+// through the nil-able Observer interface (sim.Observer, the one seam
+// every layer emits observations through) must be dominated by a nil
+// check on the receiver, so that running without an observer costs a
+// single predictable branch and never panics.
 package hooklint
 
 import (
@@ -11,25 +12,20 @@ import (
 	"powercontainers/internal/analysis"
 )
 
-// hookInterfaceNames are the named interface types that constitute the
-// nil-checked hook seams.
-var hookInterfaceNames = map[string]bool{
-	"AuditSink": true,
-	"AuditHook": true,
-	// Probe is the sim engine's per-dispatch observation seam (PR 9): it
-	// fires on every event dispatch, so an unguarded call would both
-	// panic without a probe installed and defeat the zero-cost default.
-	"Probe": true,
-}
+// hookInterfaceName is the named interface type that constitutes the
+// nil-checked observation seam. It fires on every event dispatch, socket
+// segment and sampling period, so an unguarded call would both panic
+// without an observer installed and defeat the zero-cost default.
+const hookInterfaceName = "Observer"
 
 // scopeExcludedLast exempts the audit package itself: it is the home of
-// the hook implementations, where collectors fan out over auditors that
-// are non-nil by construction.
+// the observer implementation, where collectors fan out over auditors
+// that are non-nil by construction.
 var scopeExcludedLast = []string{"audit"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hooklint",
-	Doc: "flags calls through AuditSink/AuditHook/Probe hook interfaces that are " +
+	Doc: "flags calls through the Observer hook interface that are " +
 		"not guarded by a `hook != nil` check on the receiver",
 	Run: run,
 }
@@ -39,7 +35,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	// A guard may be routed through a predicate helper — `if hookOK(h) {
-	// h.Emit(...) }` — in this package or another: the helper's
+	// h.Observe(...) }` — in this package or another: the helper's
 	// NilCheckParam fact says which argument it proves non-nil.
 	proves := func(call *ast.CallExpr) (int, bool) {
 		fn := analysis.CalleeFunc(call, pass.TypesInfo)
@@ -69,7 +65,7 @@ func run(pass *analysis.Pass) error {
 			}
 			recv := types.ExprString(sel.X)
 			if !analysis.NilGuardedBy(facts, recv, proves) {
-				pass.Reportf(call.Pos(), "call to %s.%s through hook interface %s without a dominating `%s != nil` check (audit seams are nil-checked by convention)", recv, sel.Sel.Name, name, recv)
+				pass.Reportf(call.Pos(), "call to %s.%s through hook interface %s without a dominating `%s != nil` check (observation seams are nil-checked by convention)", recv, sel.Sel.Name, name, recv)
 			}
 		})
 	}
@@ -77,7 +73,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // hookInterface reports whether t is (a pointer to) a named interface
-// type whose name marks it as a hook seam.
+// type whose name marks it as the observation seam.
 func hookInterface(t types.Type) (string, bool) {
 	if t == nil {
 		return "", false
@@ -93,5 +89,5 @@ func hookInterface(t types.Type) (string, bool) {
 		return "", false
 	}
 	name := n.Obj().Name()
-	return name, hookInterfaceNames[name]
+	return name, name == hookInterfaceName
 }

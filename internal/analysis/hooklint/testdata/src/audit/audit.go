@@ -1,17 +1,17 @@
 // Package audit mirrors the real audit package, which hooklint exempts:
-// it is the home of the hook implementations, where collectors fan out
+// it is the home of the observer implementation, where collectors fan out
 // over auditors that are non-nil by construction.
 package audit
 
-// AuditSink is the hook seam interface.
-type AuditSink interface {
-	Event(kind string)
+// Observer is the observation seam interface.
+type Observer interface {
+	Observe(kind string)
 }
 
-// Collector fans out to a sink it constructed itself.
+// Collector fans out to an observer it constructed itself.
 type Collector struct {
-	Sink AuditSink
+	Obs Observer
 }
 
 // Emit is unguarded, but the package is out of hooklint's scope.
-func (c *Collector) Emit() { c.Sink.Event("emit") }
+func (c *Collector) Emit() { c.Obs.Observe("emit") }

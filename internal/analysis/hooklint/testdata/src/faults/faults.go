@@ -1,31 +1,31 @@
 // Package faults is a hooklint fixture mirroring the fault-injection
-// subsystem's audit seam: fault emission sites report through an optional
-// AuditSink and must guard it like every other hook.
+// subsystem's observation seam: fault emission sites report through an
+// optional Observer and must guard it like every other emitter.
 package faults
 
-// Event is one injected fault.
+// Event is one observation.
 type Event struct {
-	Site, Kind string
+	Name, Class string
 }
 
-// AuditSink observes injected faults; nil disables observation.
-type AuditSink interface {
-	OnFault(e Event)
+// Observer sees injected faults; nil disables observation.
+type Observer interface {
+	Observe(e Event)
 }
 
-// Plan carries the optional fault audit hook.
+// Plan carries the optional observer.
 type Plan struct {
-	Audit AuditSink
+	Observer Observer
 }
 
 // emitUnguarded reports a fault without the nil guard.
 func (p *Plan) emitUnguarded(e Event) {
-	p.Audit.OnFault(e) // want `call to p\.Audit\.OnFault through hook interface AuditSink`
+	p.Observer.Observe(e) // want `call to p\.Observer\.Observe through hook interface Observer`
 }
 
 // emit is the canonical guarded emission seam.
 func (p *Plan) emit(e Event) {
-	if p.Audit != nil {
-		p.Audit.OnFault(e)
+	if p.Observer != nil {
+		p.Observer.Observe(e)
 	}
 }

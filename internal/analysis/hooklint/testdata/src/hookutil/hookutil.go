@@ -1,15 +1,15 @@
-// Package hookutil exports a hook seam interface and a nil-check
+// Package hookutil exports an observation seam interface and a nil-check
 // predicate helper; the helper's NilCheckParam fact lets guards routed
 // through it count across package boundaries.
 package hookutil
 
-// AuditHook is the hook seam interface.
-type AuditHook interface {
-	Emit(kind string)
+// Observer is the observation seam interface.
+type Observer interface {
+	Observe(kind string)
 }
 
-// Enabled reports whether the hook is live.
-func Enabled(h AuditHook) bool { return h != nil }
+// Enabled reports whether the observer is live.
+func Enabled(o Observer) bool { return o != nil }
 
 // Misleading is NOT a nil-check predicate: it must not vouch.
-func Misleading(h AuditHook) bool { return h == nil }
+func Misleading(o Observer) bool { return o == nil }

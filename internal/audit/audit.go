@@ -1,8 +1,9 @@
 // Package audit implements runtime invariant checking for the simulated
-// power-container facility. An Auditor attaches to a machine through the
-// lightweight hook seams the host packages expose (sim.Probe,
-// kernel.AuditSink, power.AuditSink, core.AuditHook, cluster.AuditSink)
-// and verifies, while an experiment runs, the properties the paper's
+// power-container facility. An Auditor is a sim.Observer: it attaches to
+// a machine through the one observer field each emitting layer exposes
+// (the engine, kernel, recorder, facility and recalibrator, plus the
+// cluster ledger and the streaming engine where a harness wires them) and
+// verifies, while an experiment runs, the properties the paper's
 // accountability argument rests on:
 //
 //  1. Energy conservation (§3.2, Fig. 8): the modeled energy attributed
@@ -20,8 +21,8 @@
 //  6. Simulation sanity: virtual time is monotone and simultaneous
 //     events dispatch in FIFO order.
 //
-// Hooks are nil-checked at every call site, so a detached auditor costs
-// nothing. An Auditor serves exactly one machine (or one dispatcher
+// Observers are nil-checked at every call site, so a detached auditor
+// costs nothing. An Auditor serves exactly one machine (or one dispatcher
 // ledger) and must only be used from the simulation goroutine.
 package audit
 
@@ -83,7 +84,7 @@ type reqState struct {
 
 // inflightSeg is one enqueued-but-undelivered socket segment.
 type inflightSeg struct {
-	ctx   kernel.Context
+	ctx   any
 	bytes int
 }
 
@@ -94,16 +95,12 @@ type fifoState struct {
 	lastDelivered uint64
 }
 
-// Auditor implements every audit hook interface and accumulates
-// violations. Create one per machine with New, wire it with
+// Auditor observes one machine's (or one ledger's) events and
+// accumulates violations. Create one per machine with New, wire it with
 // AttachMachine, and collect results with FinalizeMachine.
 type Auditor struct {
 	// Label names the audited machine or subsystem in diagnostics.
 	Label string
-	// EnergyTol is the energy-conservation relative tolerance.
-	EnergyTol float64
-	// LedgerTol is the ledger-reconciliation relative tolerance.
-	LedgerTol float64
 
 	eng *sim.Engine
 	k   *kernel.Kernel
@@ -124,22 +121,8 @@ type Auditor struct {
 	// lifecycle
 	life map[*core.Container]*lifeState
 
-	// degradation bookkeeping
-	counterFixes   int
-	recalRejects   int
-	recalFallbacks int
-	faultEvents    int
-
 	// hierarchy / budget enforcement bookkeeping
 	budgetThrottles int
-
-	// streaming bookkeeping
-	checkpoints     int
-	checkpointBytes int
-
-	// durability recovery bookkeeping
-	walTruncates int
-	recoveries   []string
 
 	// cluster ledger per-request lifecycle
 	reqs map[uint64]*reqState
@@ -148,12 +131,10 @@ type Auditor struct {
 	fifos map[any]*fifoState
 }
 
-// New returns an idle auditor with default tolerances.
+// New returns an idle auditor.
 func New(label string) *Auditor {
 	return &Auditor{
 		Label:      label,
-		EnergyTol:  DefaultEnergyTol,
-		LedgerTol:  DefaultLedgerTol,
 		attributed: stats.NewSeries(power.RecorderInterval),
 		life:       map[*core.Container]*lifeState{},
 		fifos:      map[any]*fifoState{},
@@ -161,19 +142,22 @@ func New(label string) *Auditor {
 	}
 }
 
-// AttachMachine wires the auditor into one assembled machine: the
-// facility's attribution hooks, the kernel's socket audit sink, the
-// recorder's energy sink and — if no probe is installed yet — the shared
-// engine's step probe. Attach before the simulation starts.
+// AttachMachine makes the auditor the observer of one assembled machine:
+// its facility, the facility's active recalibrator, its kernel, its
+// ground-truth recorder and — if no observer is installed yet — the shared
+// engine. Attach before the simulation starts.
 func (a *Auditor) AttachMachine(f *core.Facility) {
 	a.fac = f
 	a.k = f.K
 	a.eng = f.K.Eng
-	f.Audit = a
-	f.K.Audit = a
-	f.K.Rec.Audit = a
-	if a.eng.Probe() == nil {
-		a.eng.SetProbe(a)
+	f.Observer = a
+	if r := f.Recalibrator(); r != nil {
+		r.Observer = a
+	}
+	f.K.Observer = a
+	f.K.Rec.Observer = a
+	if a.eng.Observer() == nil {
+		a.eng.SetObserver(a)
 	}
 }
 
@@ -185,22 +169,6 @@ func (a *Auditor) report(check string, t sim.Time, format string, args ...any) {
 	}
 	a.violations = append(a.violations, Violation{Check: check, T: t, Detail: fmt.Sprintf(format, args...)})
 }
-
-// CounterFixes returns how many counter-fault repairs (unwraps and
-// extrapolations) the attached facility reported.
-func (a *Auditor) CounterFixes() int {
-	return a.counterFixes
-}
-
-// RecalRejects returns how many aligned pairs robust ingestion rejected.
-func (a *Auditor) RecalRejects() int { return a.recalRejects }
-
-// RecalFallbacks returns how many degradation fallbacks (offline-fit
-// replacements, meter failovers) were reported.
-func (a *Auditor) RecalFallbacks() int { return a.recalFallbacks }
-
-// FaultEvents returns how many injected faults were reported.
-func (a *Auditor) FaultEvents() int { return a.faultEvents }
 
 // BudgetThrottles returns how many tenant-budget enforcement decisions the
 // conditioner reported.
@@ -225,15 +193,6 @@ func (a *Auditor) Err() error {
 		msg += "\n  " + v.String()
 	}
 	return fmt.Errorf("%s", msg)
-}
-
-// now returns the current virtual time (0 when not attached to a machine,
-// e.g. for a dispatcher-only auditor before CheckLedger).
-func (a *Auditor) now() sim.Time {
-	if a.eng == nil {
-		return 0
-	}
-	return a.eng.Now()
 }
 
 // FinalizeMachine runs the end-of-run checks — energy conservation
@@ -267,10 +226,10 @@ func (a *Auditor) FinalizeMachine() error {
 	// the stated model tolerance.
 	if recorded > 1e-6 {
 		rel := math.Abs(attributed-recorded) / recorded
-		if rel > a.EnergyTol {
+		if rel > DefaultEnergyTol {
 			a.report("energy-conservation", now,
 				"attributed %.3f J vs ground truth %.3f J (%.1f%% > %.0f%% tolerance)",
-				attributed, recorded, 100*rel, 100*a.EnergyTol)
+				attributed, recorded, 100*rel, 100*DefaultEnergyTol)
 		}
 	}
 	// Per-bucket sanity: attributed energy is never negative.
@@ -382,7 +341,7 @@ func (a *Auditor) checkHierarchy(now sim.Time) {
 // machines' containers (§3.4): per request, the response tag's snapshot
 // must never exceed the container's final statistics (it is taken at
 // completion, before the final partial sampling period lands), and in
-// aggregate the shortfall must stay within LedgerTol.
+// aggregate the shortfall must stay within DefaultLedgerTol.
 func (a *Auditor) CheckLedger(l *cluster.Ledger, completed []cluster.CompletedRequest, now sim.Time) {
 	// Finished and Dropped are mutually exclusive outcomes: an entry with
 	// both was double-accounted somewhere (e.g. a response accepted after
@@ -425,10 +384,10 @@ func (a *Auditor) CheckLedger(l *cluster.Ledger, completed []cluster.CompletedRe
 	}
 	if n > 0 && contJ > 1e-9 {
 		rel := (contJ - ledgerJ) / contJ
-		if rel > a.LedgerTol || rel < -1e-9 {
+		if rel > DefaultLedgerTol || rel < -1e-9 {
 			a.report("cluster-ledger", now,
 				"ledger total %.3f J vs container total %.3f J over %d requests (%.1f%% > %.0f%% tolerance)",
-				ledgerJ, contJ, n, 100*rel, 100*a.LedgerTol)
+				ledgerJ, contJ, n, 100*rel, 100*DefaultLedgerTol)
 		}
 	}
 }

@@ -1,36 +1,72 @@
 package audit
 
-// This file implements the online (per-event) checkers: the hook methods
-// the host packages call while the simulation runs. All of them are cheap
-// constant-time updates; the expensive reconciliation happens once in
-// FinalizeMachine.
+// This file implements the online (per-event) checkers: Observe routes
+// each observation the host packages emit while the simulation runs to
+// the check of its kind. All of them are cheap constant-time updates; the
+// expensive reconciliation happens once in FinalizeMachine.
 
 import (
-	"powercontainers/internal/align"
-	"powercontainers/internal/cluster"
 	"powercontainers/internal/core"
-	"powercontainers/internal/faults"
-	"powercontainers/internal/kernel"
-	"powercontainers/internal/power"
 	"powercontainers/internal/sim"
 )
 
-// Compile-time checks that the Auditor satisfies every hook seam.
-var (
-	_ sim.Probe         = (*Auditor)(nil)
-	_ kernel.AuditSink  = (*Auditor)(nil)
-	_ power.AuditSink   = (*Auditor)(nil)
-	_ core.AuditHook    = (*Auditor)(nil)
-	_ cluster.AuditSink = (*Auditor)(nil)
-	_ align.AuditSink   = (*Auditor)(nil)
-	_ faults.AuditSink  = (*Auditor)(nil)
-)
+// Observe implements sim.Observer. WAL truncations and recovery
+// decisions are legitimate recovery actions, not violations, so they
+// pass unjudged.
+func (a *Auditor) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.KindStep:
+		a.checkStep(e.T0, e.T, e.Seq)
+	case sim.KindSockEnqueue:
+		a.sockEnqueue(e.Obj, e.Seq, int(e.N), e.Tag, e.T)
+	case sim.KindSockDeliver:
+		a.sockDeliver(e.Obj, e.Seq, int(e.N), e.Tag, e.T)
+	case sim.KindRecord:
+		a.checkRecord(e.Name, e.T0, e.T, e.X)
+	case sim.KindPeriod:
+		a.checkPeriod(e.Obj.(*core.Container), e.Name, e.T0, e.T, e.X, e.Y, e.Z)
+	case sim.KindDevicePeriod:
+		a.checkDevicePeriod(e.Obj.(*core.Container), e.T0, e.T, e.X)
+	case sim.KindRetain:
+		a.retain(e.Obj.(*core.Container), e.T)
+	case sim.KindRelease:
+		a.release(e.Obj.(*core.Container), e.T)
+	case sim.KindCounterFix:
+		// A counter-fault repair must name a known repair kind.
+		if e.Name != "unwrap" && e.Name != "extrapolate" {
+			a.report("counter-fix", e.T, "core %d reported unknown counter repair %q", e.N, e.Name)
+		}
+	case sim.KindBudgetThrottle:
+		a.checkBudgetThrottle(e.Obj.(*core.Container), e.Name, int(e.N), e.T)
+	case sim.KindRecalReject:
+		a.checkRecalReject(e.T, e.X, e.Y)
+	case sim.KindRecalFallback:
+		if e.Detail == "" {
+			a.report("recalibration", e.T, "degradation fallback without a reason")
+		}
+	case sim.KindFault:
+		if e.Name == "" || e.Class == "" {
+			a.report("fault-injection", e.T, "fault event missing site or kind: {T:%d Site:%s Kind:%s Detail:%s}",
+				e.T, e.Name, e.Class, e.Detail)
+		}
+	case sim.KindLedgerOpen:
+		a.ledgerOpen(e.Seq, e.X, e.N, e.T)
+	case sim.KindLedgerClose:
+		a.ledgerClose(e.Seq, e.Name, e.X, e.N, e.Flag, e.T)
+	case sim.KindLedgerDrop:
+		a.ledgerDrop(e.Seq, e.Flag, e.T)
+	case sim.KindStreamViolation:
+		// The streaming engine's own live checks land in the standard
+		// violation log, so a streamed run fails Err() like a batch run.
+		a.report(e.Name, e.T, "%s", e.Detail)
+	}
+}
 
 // ---- sim sanity ----
 
-// OnStep implements sim.Probe: virtual time never moves backwards, and
-// simultaneous events dispatch in FIFO (sequence) order.
-func (a *Auditor) OnStep(now, at sim.Time, seq uint64) {
+// checkStep: virtual time never moves backwards, and simultaneous events
+// dispatch in FIFO (sequence) order.
+func (a *Auditor) checkStep(now, at sim.Time, seq uint64) {
 	if at < now {
 		a.report("sim-order", now, "event at %s dispatched after clock reached %s",
 			sim.FormatTime(at), sim.FormatTime(now))
@@ -53,38 +89,36 @@ func (a *Auditor) fifo(buf any) *fifoState {
 	return st
 }
 
-// OnSockEnqueue implements kernel.AuditSink: a segment enters a buffer
-// carrying exactly one context tag.
-func (a *Auditor) OnSockEnqueue(buf any, seq uint64, bytes int, ctx kernel.Context) {
+// sockEnqueue: a segment enters a buffer carrying exactly one context tag.
+func (a *Auditor) sockEnqueue(buf any, seq uint64, bytes int, ctx any, now sim.Time) {
 	st := a.fifo(buf)
 	if _, dup := st.inflight[seq]; dup {
-		a.report("socket-tags", a.now(), "segment %d enqueued twice", seq)
+		a.report("socket-tags", now, "segment %d enqueued twice", seq)
 		return
 	}
 	st.inflight[seq] = inflightSeg{ctx: ctx, bytes: bytes}
 }
 
-// OnSockDeliver implements kernel.AuditSink: the delivered segment must
-// have been enqueued on the same buffer with the same tag and size, and
-// per-buffer delivery must be FIFO.
-func (a *Auditor) OnSockDeliver(buf any, seq uint64, bytes int, ctx kernel.Context) {
+// sockDeliver: the delivered segment must have been enqueued on the same
+// buffer with the same tag and size, and per-buffer delivery must be FIFO.
+func (a *Auditor) sockDeliver(buf any, seq uint64, bytes int, ctx any, now sim.Time) {
 	st := a.fifo(buf)
 	seg, ok := st.inflight[seq]
 	if !ok {
-		a.report("socket-tags", a.now(), "segment %d delivered without matching enqueue", seq)
+		a.report("socket-tags", now, "segment %d delivered without matching enqueue", seq)
 		return
 	}
 	delete(st.inflight, seq)
 	if seg.ctx != ctx {
-		a.report("socket-tags", a.now(), "segment %d tag changed in flight (%v -> %v)",
+		a.report("socket-tags", now, "segment %d tag changed in flight (%v -> %v)",
 			seq, seg.ctx, ctx)
 	}
 	if seg.bytes != bytes {
-		a.report("socket-tags", a.now(), "segment %d size changed in flight (%d -> %d)",
+		a.report("socket-tags", now, "segment %d size changed in flight (%d -> %d)",
 			seq, seg.bytes, bytes)
 	}
 	if seq <= st.lastDelivered {
-		a.report("socket-tags", a.now(), "segment %d delivered after %d on the same buffer",
+		a.report("socket-tags", now, "segment %d delivered after %d on the same buffer",
 			seq, st.lastDelivered)
 	}
 	st.lastDelivered = seq
@@ -92,9 +126,9 @@ func (a *Auditor) OnSockDeliver(buf any, seq uint64, bytes int, ctx kernel.Conte
 
 // ---- energy attribution & chip-share sanity (§3.2, Eq. 3) ----
 
-// OnPeriod implements core.AuditHook: accumulate the attributed energy on
-// the recorder grid and check period-level invariants.
-func (a *Auditor) OnPeriod(c *core.Container, task string, start, end sim.Time, energyJ, chipEnergyJ, chipShare float64) {
+// checkPeriod accumulates the attributed energy on the recorder grid and
+// checks period-level invariants.
+func (a *Auditor) checkPeriod(c *core.Container, task string, start, end sim.Time, energyJ, chipEnergyJ, chipShare float64) {
 	if end < start {
 		a.report("energy-conservation", end, "period end %s before start %s (task %s)",
 			sim.FormatTime(end), sim.FormatTime(start), task)
@@ -118,8 +152,9 @@ func (a *Auditor) OnPeriod(c *core.Container, task string, start, end sim.Time, 
 	a.attributed.AddSpread(start, end, energyJ)
 }
 
-// OnDevicePeriod implements core.AuditHook.
-func (a *Auditor) OnDevicePeriod(c *core.Container, start, end sim.Time, energyJ float64) {
+// checkDevicePeriod accumulates attributed device energy and checks it
+// like a sampling period's.
+func (a *Auditor) checkDevicePeriod(c *core.Container, start, end sim.Time, energyJ float64) {
 	if energyJ < 0 {
 		a.report("energy-conservation", end, "negative device energy %.9f J", energyJ)
 	}
@@ -130,26 +165,13 @@ func (a *Auditor) OnDevicePeriod(c *core.Container, start, end sim.Time, energyJ
 	a.attributed.AddSpread(start, end, energyJ)
 }
 
-// ---- counter repair sanity ----
-
-// OnCounterFix implements core.AuditHook: a counter-fault repair
-// (wraparound unwrap or lost-interrupt extrapolation) must name a known
-// repair kind. The count is exposed for degradation experiments.
-func (a *Auditor) OnCounterFix(coreID int, kind string, t sim.Time) {
-	if kind != "unwrap" && kind != "extrapolate" {
-		a.report("counter-fix", t, "core %d reported unknown counter repair %q", coreID, kind)
-	}
-	a.counterFixes++
-}
-
 // ---- hierarchical budget enforcement ----
 
-// OnBudgetThrottle implements core.AuditHook: enforcement decisions must
-// be legal — the throttled container is filed under the named tenant, that
-// tenant is registered in the attached hierarchy and actually carries a
-// budget, and the assigned duty level is a real throttle (at least the
-// floor, below full speed).
-func (a *Auditor) OnBudgetThrottle(c *core.Container, tenant string, lvl int, t sim.Time) {
+// checkBudgetThrottle: enforcement decisions must be legal — the throttled
+// container is filed under the named tenant, that tenant is registered in
+// the attached hierarchy and actually carries a budget, and the assigned
+// duty level is a real throttle (at least the floor, below full speed).
+func (a *Auditor) checkBudgetThrottle(c *core.Container, tenant string, lvl int, t sim.Time) {
 	if c.Tenant != tenant {
 		a.report("budget-enforcement", t, "container %d (%s) of tenant %q throttled as tenant %q",
 			c.ID, c.Label, c.Tenant, tenant)
@@ -172,9 +194,8 @@ func (a *Auditor) OnBudgetThrottle(c *core.Container, tenant string, lvl int, t 
 
 // ---- container lifecycle legality (§3.5) ----
 
-// OnRetain implements core.AuditHook: a released request container must
-// never gain a reference again.
-func (a *Auditor) OnRetain(c *core.Container) {
+// retain: a released request container must never gain a reference again.
+func (a *Auditor) retain(c *core.Container, now sim.Time) {
 	st := a.life[c]
 	if st == nil {
 		st = &lifeState{}
@@ -183,18 +204,17 @@ func (a *Auditor) OnRetain(c *core.Container) {
 	// The container's own retain ran first, so a resurrected container
 	// is observed here as Released with a positive refcount.
 	if c.Released && c.Kind == core.KindRequest {
-		a.report("lifecycle", a.now(), "container %d (%s) retained after final release",
+		a.report("lifecycle", now, "container %d (%s) retained after final release",
 			c.ID, c.Label)
 	}
 	st.retains++
 	if c.Refs() < 0 {
-		a.report("lifecycle", a.now(), "container %d (%s) refcount %d negative",
+		a.report("lifecycle", now, "container %d (%s) refcount %d negative",
 			c.ID, c.Label, c.Refs())
 	}
 }
 
-// OnRelease implements core.AuditHook.
-func (a *Auditor) OnRelease(c *core.Container) {
+func (a *Auditor) release(c *core.Container, now sim.Time) {
 	st := a.life[c]
 	if st == nil {
 		st = &lifeState{}
@@ -202,17 +222,17 @@ func (a *Auditor) OnRelease(c *core.Container) {
 	}
 	st.releases++
 	if c.Refs() < 0 {
-		a.report("lifecycle", a.now(), "container %d (%s) refcount %d negative",
+		a.report("lifecycle", now, "container %d (%s) refcount %d negative",
 			c.ID, c.Label, c.Refs())
 	}
 }
 
 // ---- ground-truth recorder stream ----
 
-// OnRecord implements power.AuditSink: ground-truth energy records are
-// non-negative and time-ordered; the streamed total is reconciled against
-// the recorder series in FinalizeMachine.
-func (a *Auditor) OnRecord(kind string, t0, t1 sim.Time, joules float64) {
+// checkRecord: ground-truth energy records are non-negative and
+// time-ordered; the streamed total is reconciled against the recorder
+// series in FinalizeMachine.
+func (a *Auditor) checkRecord(kind string, t0, t1 sim.Time, joules float64) {
 	if joules < 0 {
 		a.report("recorder", t1, "negative %s energy record %.9f J", kind, joules)
 		return
@@ -227,7 +247,7 @@ func (a *Auditor) OnRecord(kind string, t0, t1 sim.Time, joules float64) {
 // ---- cluster ledger (§3.4) ----
 
 // reqAudit returns the per-request lifecycle state, creating it on first
-// sight so hooks observed out of order still accumulate.
+// sight so observations out of order still accumulate.
 func (a *Auditor) reqAudit(id uint64) *reqState {
 	st := a.reqs[id]
 	if st == nil {
@@ -237,76 +257,58 @@ func (a *Auditor) reqAudit(id uint64) *reqState {
 	return st
 }
 
-// OnLedgerOpen implements cluster.AuditSink.
-func (a *Auditor) OnLedgerOpen(tag cluster.ContainerTag, now sim.Time) {
-	if tag.EnergyJ != 0 || tag.CPUTime != 0 {
-		a.report("cluster-ledger", now, "request %d opened with non-zero usage", tag.RequestID)
+// ledgerOpen: a request opens once, with zero usage.
+func (a *Auditor) ledgerOpen(id uint64, energyJ float64, cpu sim.Time, now sim.Time) {
+	if energyJ != 0 || cpu != 0 {
+		a.report("cluster-ledger", now, "request %d opened with non-zero usage", id)
 	}
-	st := a.reqAudit(tag.RequestID)
+	st := a.reqAudit(id)
 	if st.opened {
-		a.report("cluster-ledger", now, "request %d opened twice", tag.RequestID)
+		a.report("cluster-ledger", now, "request %d opened twice", id)
 	}
 	st.opened = true
 }
 
-// OnLedgerClose implements cluster.AuditSink.
-func (a *Auditor) OnLedgerClose(tag cluster.ContainerTag, alreadyFinished bool, now sim.Time) {
+// ledgerClose: a request closes once, with non-negative usage, an
+// executing machine, and not after it was dropped.
+func (a *Auditor) ledgerClose(id uint64, machine string, energyJ float64, cpu sim.Time, alreadyFinished bool, now sim.Time) {
 	if alreadyFinished {
-		a.report("cluster-ledger", now, "request %d closed twice", tag.RequestID)
+		a.report("cluster-ledger", now, "request %d closed twice", id)
 	}
-	if tag.EnergyJ < 0 || tag.CPUTime < 0 {
-		a.report("cluster-ledger", now, "request %d closed with negative usage", tag.RequestID)
+	if energyJ < 0 || cpu < 0 {
+		a.report("cluster-ledger", now, "request %d closed with negative usage", id)
 	}
-	if tag.Machine == "" {
-		a.report("cluster-ledger", now, "request %d closed without executing machine", tag.RequestID)
+	if machine == "" {
+		a.report("cluster-ledger", now, "request %d closed without executing machine", id)
 	}
-	st := a.reqAudit(tag.RequestID)
+	st := a.reqAudit(id)
 	if st.dropped {
-		a.report("cluster-ledger", now, "request %d closed after being dropped", tag.RequestID)
+		a.report("cluster-ledger", now, "request %d closed after being dropped", id)
 	}
 	st.finished = true
 }
 
-// OnLedgerDrop implements cluster.AuditSink: a request may be given up on
-// at most once, and never after it already finished.
-func (a *Auditor) OnLedgerDrop(tag cluster.ContainerTag, alreadyFinished bool, now sim.Time) {
-	st := a.reqAudit(tag.RequestID)
+// ledgerDrop: a request may be given up on at most once, and never after
+// it already finished.
+func (a *Auditor) ledgerDrop(id uint64, alreadyFinished bool, now sim.Time) {
+	st := a.reqAudit(id)
 	if alreadyFinished || st.finished {
-		a.report("cluster-ledger", now, "request %d dropped after finishing", tag.RequestID)
+		a.report("cluster-ledger", now, "request %d dropped after finishing", id)
 	}
 	if st.dropped {
-		a.report("cluster-ledger", now, "request %d dropped twice", tag.RequestID)
+		a.report("cluster-ledger", now, "request %d dropped twice", id)
 	}
 	st.dropped = true
 }
 
-// ---- degradation actions (recalibration, fault injection) ----
+// ---- degradation actions ----
 
-// OnRecalReject implements align.AuditSink: every rejected pair's deviation
-// must genuinely exceed its positive threshold.
-func (a *Auditor) OnRecalReject(now sim.Time, deviationW, thresholdW float64) {
+// checkRecalReject: every rejected pair's deviation must genuinely exceed
+// its positive threshold.
+func (a *Auditor) checkRecalReject(now sim.Time, deviationW, thresholdW float64) {
 	if !(thresholdW > 0) {
 		a.report("recalibration", now, "outlier rejected against non-positive threshold %g W", thresholdW)
 	} else if dev := deviationW; dev < thresholdW && -dev < thresholdW {
 		a.report("recalibration", now, "rejected pair deviation %g W within threshold %g W", dev, thresholdW)
 	}
-	a.recalRejects++
-}
-
-// OnRecalFallback implements align.AuditSink.
-func (a *Auditor) OnRecalFallback(now sim.Time, reason string) {
-	if reason == "" {
-		a.report("recalibration", now, "degradation fallback without a reason")
-	}
-	a.recalFallbacks++
-}
-
-// OnFault implements faults.AuditSink: injected faults are counted so
-// experiments can reconcile injected-vs-degraded totals; event shape is
-// sanity-checked.
-func (a *Auditor) OnFault(e faults.Event) {
-	if e.Site == "" || e.Kind == "" {
-		a.report("fault-injection", e.T, "fault event missing site or kind: %+v", e)
-	}
-	a.faultEvents++
 }

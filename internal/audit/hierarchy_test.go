@@ -96,7 +96,7 @@ func TestBudgetThrottleHookDetection(t *testing.T) {
 	t.Run("tenant mismatch", func(t *testing.T) {
 		a := New("t")
 		c := &core.Container{ID: 1, Label: "r", Tenant: "acme", Service: "web"}
-		a.OnBudgetThrottle(c, "mallory", 2, sim.Millisecond)
+		a.Observe(sim.Event{Kind: sim.KindBudgetThrottle, Obj: c, Name: "mallory", N: 2, T: sim.Millisecond})
 		if countCheck(a, "budget-enforcement") == 0 {
 			t.Fatal("cross-tenant throttle not detected")
 		}
@@ -104,7 +104,7 @@ func TestBudgetThrottleHookDetection(t *testing.T) {
 	t.Run("illegal level", func(t *testing.T) {
 		a := New("t")
 		c := &core.Container{ID: 1, Label: "r", Tenant: "acme", Service: "web"}
-		a.OnBudgetThrottle(c, "acme", 0, sim.Millisecond)
+		a.Observe(sim.Event{Kind: sim.KindBudgetThrottle, Obj: c, Name: "acme", N: 0, T: sim.Millisecond})
 		if countCheck(a, "budget-enforcement") == 0 {
 			t.Fatal("duty level 0 not detected")
 		}
@@ -113,7 +113,7 @@ func TestBudgetThrottleHookDetection(t *testing.T) {
 		_, f, h, a := hierMachine(t)
 		c := f.NewContainerIn("acme", "web", "r")
 		_ = h.Tenant("acme") // registered, but no budget
-		a.OnBudgetThrottle(c, "acme", 2, sim.Millisecond)
+		a.Observe(sim.Event{Kind: sim.KindBudgetThrottle, Obj: c, Name: "acme", N: 2, T: sim.Millisecond})
 		if countCheck(a, "budget-enforcement") == 0 {
 			t.Fatal("unbudgeted throttle not detected")
 		}
@@ -122,7 +122,7 @@ func TestBudgetThrottleHookDetection(t *testing.T) {
 		_, f, _, a := hierMachine(t)
 		c := f.NewContainer("r")
 		c.Tenant, c.Service = "ghost", "svc"
-		a.OnBudgetThrottle(c, "ghost", 2, sim.Millisecond)
+		a.Observe(sim.Event{Kind: sim.KindBudgetThrottle, Obj: c, Name: "ghost", N: 2, T: sim.Millisecond})
 		if countCheck(a, "budget-enforcement") == 0 {
 			t.Fatal("unregistered tenant throttle not detected")
 		}

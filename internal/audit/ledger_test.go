@@ -22,7 +22,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	t.Run("clean open and close", func(t *testing.T) {
 		a := New("t")
 		l := cluster.NewLedger()
-		l.Audit = a
+		l.Observer = a
 		tag := l.Open("app", 0, 100*sim.Millisecond)
 		if err := l.Close(closeTag(tag, 0.5, sim.Millisecond), 200*sim.Millisecond); err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	t.Run("double close", func(t *testing.T) {
 		a := New("t")
 		l := cluster.NewLedger()
-		l.Audit = a
+		l.Observer = a
 		tag := l.Open("app", 0, 100*sim.Millisecond)
 		done := closeTag(tag, 0.5, sim.Millisecond)
 		if err := l.Close(done, 200*sim.Millisecond); err != nil {
@@ -49,7 +49,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	})
 	t.Run("open with non-zero usage", func(t *testing.T) {
 		a := New("t")
-		a.OnLedgerOpen(cluster.ContainerTag{RequestID: 9, EnergyJ: 1}, 0)
+		a.Observe(sim.Event{Kind: sim.KindLedgerOpen, Seq: 9, X: 1})
 		if countCheck(a, "cluster-ledger") != 1 {
 			t.Fatal("dirty open not detected")
 		}
@@ -57,7 +57,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	t.Run("close with negative usage", func(t *testing.T) {
 		a := New("t")
 		l := cluster.NewLedger()
-		l.Audit = a
+		l.Observer = a
 		tag := l.Open("app", 0, 0)
 		if err := l.Close(closeTag(tag, -0.5, 0), sim.Millisecond); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	t.Run("close without machine", func(t *testing.T) {
 		a := New("t")
 		l := cluster.NewLedger()
-		l.Audit = a
+		l.Observer = a
 		tag := l.Open("app", 0, 0)
 		tag.EnergyJ = 0.5
 		if err := l.Close(tag, sim.Millisecond); err != nil {
@@ -82,7 +82,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	t.Run("drop after finish", func(t *testing.T) {
 		a := New("t")
 		l := cluster.NewLedger()
-		l.Audit = a
+		l.Observer = a
 		tag := l.Open("app", 0, 0)
 		if err := l.Close(closeTag(tag, 0.5, sim.Millisecond), sim.Millisecond); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	t.Run("double drop", func(t *testing.T) {
 		a := New("t")
 		l := cluster.NewLedger()
-		l.Audit = a
+		l.Observer = a
 		tag := l.Open("app", 0, 0)
 		if err := l.Drop(tag.RequestID, sim.Millisecond); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestLedgerHookDetection(t *testing.T) {
 	t.Run("close after drop", func(t *testing.T) {
 		a := New("t")
 		l := cluster.NewLedger()
-		l.Audit = a
+		l.Observer = a
 		tag := l.Open("app", 0, 0)
 		if err := l.Drop(tag.RequestID, sim.Millisecond); err != nil {
 			t.Fatal(err)

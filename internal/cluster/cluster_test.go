@@ -289,9 +289,11 @@ func TestThreeTierWorkloadAwarePinsLowRatioApp(t *testing.T) {
 // dropSink counts ledger drop events.
 type dropSink struct{ drops int }
 
-func (s *dropSink) OnLedgerOpen(tag ContainerTag, now sim.Time)                        {}
-func (s *dropSink) OnLedgerClose(tag ContainerTag, alreadyFinished bool, now sim.Time) {}
-func (s *dropSink) OnLedgerDrop(tag ContainerTag, alreadyFinished bool, now sim.Time)  { s.drops++ }
+func (s *dropSink) Observe(e sim.Event) {
+	if e.Kind == sim.KindLedgerDrop {
+		s.drops++
+	}
+}
 
 // TestDispatchToleratesEmptyNodeSet: with no node to place on, every
 // planned arrival is an explicit drop, and the merged ledger accounts for

@@ -50,23 +50,11 @@ func (e *LedgerEntry) ResponseTime() sim.Time {
 	return e.Done - e.Arrive
 }
 
-// AuditSink observes ledger activity for invariant checking
-// (internal/audit). A nil sink — the default — disables auditing.
-type AuditSink interface {
-	// OnLedgerOpen fires when an outbound request is registered.
-	OnLedgerOpen(tag ContainerTag, now sim.Time)
-	// OnLedgerClose fires when a response tag folds into the ledger;
-	// alreadyFinished flags a double close of the same request.
-	OnLedgerClose(tag ContainerTag, alreadyFinished bool, now sim.Time)
-	// OnLedgerDrop fires when the dispatcher gives up on a request;
-	// alreadyFinished flags a drop after the request completed.
-	OnLedgerDrop(tag ContainerTag, alreadyFinished bool, now sim.Time)
-}
-
 // Ledger aggregates cross-machine request accounting at the dispatcher.
 type Ledger struct {
-	// Audit observes open/close activity; nil disables.
-	Audit AuditSink
+	// Observer sees opens, closes and drops (sim.KindLedgerOpen,
+	// KindLedgerClose, KindLedgerDrop); nil disables.
+	Observer sim.Observer
 
 	entries map[uint64]*LedgerEntry
 	nextID  uint64
@@ -82,8 +70,8 @@ func (l *Ledger) Open(app string, powerTargetW float64, now sim.Time) ContainerT
 	l.nextID++
 	tag := ContainerTag{RequestID: l.nextID, App: app, PowerTargetW: powerTargetW}
 	l.entries[tag.RequestID] = &LedgerEntry{Tag: tag, Arrive: now}
-	if l.Audit != nil {
-		l.Audit.OnLedgerOpen(tag, now)
+	if l.Observer != nil {
+		l.Observer.Observe(ledgerEvent(sim.KindLedgerOpen, tag, false, now))
 	}
 	return tag
 }
@@ -95,8 +83,8 @@ func (l *Ledger) Close(tag ContainerTag, now sim.Time) error {
 	if !ok {
 		return fmt.Errorf("cluster: response for unknown request %d", tag.RequestID)
 	}
-	if l.Audit != nil {
-		l.Audit.OnLedgerClose(tag, e.Finished, now)
+	if l.Observer != nil {
+		l.Observer.Observe(ledgerEvent(sim.KindLedgerClose, tag, e.Finished, now))
 	}
 	e.Tag.Machine = tag.Machine
 	e.Tag.CPUTime = tag.CPUTime
@@ -115,12 +103,19 @@ func (l *Ledger) Drop(id uint64, now sim.Time) error {
 	if !ok {
 		return fmt.Errorf("cluster: drop of unknown request %d", id)
 	}
-	if l.Audit != nil {
-		l.Audit.OnLedgerDrop(e.Tag, e.Finished, now)
+	if l.Observer != nil {
+		l.Observer.Observe(ledgerEvent(sim.KindLedgerDrop, e.Tag, e.Finished, now))
 	}
 	e.Dropped = true
 	e.Done = now
 	return nil
+}
+
+// ledgerEvent describes ledger activity on tag at now; finished marks a
+// request that had already finished.
+func ledgerEvent(kind sim.Kind, tag ContainerTag, finished bool, now sim.Time) sim.Event {
+	return sim.Event{Kind: kind, T: now, Seq: tag.RequestID, Name: tag.Machine,
+		N: tag.CPUTime, X: tag.EnergyJ, Flag: finished}
 }
 
 // Counts returns the ledger's accounting totals: requests opened, finished

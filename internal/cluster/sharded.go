@@ -99,7 +99,7 @@ type ShardedRunConfig struct {
 	// Results are byte-identical at any value.
 	Jobs int
 	// LedgerAudit observes the rebuilt ledger's opens, closes and drops.
-	LedgerAudit AuditSink
+	LedgerAudit sim.Observer
 }
 
 // CompletedRequest records one finished request and the app and node it
@@ -144,7 +144,7 @@ func RunSharded(cfg ShardedRunConfig) (*ShardedResult, error) {
 	// ids are assigned sequentially in dispatch order, so replay
 	// reproduces them exactly.
 	l := NewLedger()
-	l.Audit = cfg.LedgerAudit
+	l.Observer = cfg.LedgerAudit
 	for _, pd := range cfg.Plan.Dispatches {
 		tag := l.Open(pd.App, pd.Tag.PowerTargetW, pd.At)
 		if tag.RequestID != pd.Tag.RequestID {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"powercontainers/internal/cpu"
+	"powercontainers/internal/sim"
 )
 
 // Conditioner implements §3.4's fair request power conditioning: each
@@ -142,8 +143,9 @@ func (c *Conditioner) adjust(core *cpu.Core, cont *Container) {
 		if lvl < fair {
 			c.BudgetThrottles++
 			cont.svc.Tenant.budgetThrottles++
-			if c.f.Audit != nil {
-				c.f.Audit.OnBudgetThrottle(cont, cont.svc.Tenant.Name, lvl, c.f.K.Now())
+			if c.f.Observer != nil {
+				c.f.Observer.Observe(sim.Event{Kind: sim.KindBudgetThrottle, Obj: cont,
+					Name: cont.svc.Tenant.Name, N: int64(lvl), T: c.f.K.Now()})
 			}
 		}
 	}

@@ -79,36 +79,6 @@ type Config struct {
 	DisableCounterRepair bool
 }
 
-// AuditHook observes attribution and container lifecycle events for
-// runtime invariant checking (internal/audit). Callbacks run synchronously
-// inside the facility's monitor paths; a nil hook — the default — costs
-// only a nil check.
-type AuditHook interface {
-	// OnPeriod fires after one sampling period [start, end) on a core is
-	// attributed to container c while a task named task was bound to it.
-	// energyJ is the period's modeled CPU energy, chipEnergyJ the chip-
-	// maintenance portion of it, and chipShare the Eq. 3 estimate used
-	// (0 under the core-only approach or an idle period).
-	OnPeriod(c *Container, task string, start, end sim.Time, energyJ, chipEnergyJ, chipShare float64)
-	// OnDevicePeriod fires when device energy over [start, end) is
-	// attributed to container c.
-	OnDevicePeriod(c *Container, start, end sim.Time, energyJ float64)
-	// OnRetain and OnRelease fire after container c gains or drops a
-	// task reference.
-	OnRetain(c *Container)
-	OnRelease(c *Container)
-	// OnCounterFix fires when the facility repairs a corrupted counter
-	// delta: kind is "unwrap" (a wrapped-register delta was shifted back
-	// up by the modulus) or "extrapolate" (a period too long to unwrap
-	// unambiguously — lost overflow interrupts — was reconstructed from
-	// the previous period's rates).
-	OnCounterFix(coreID int, kind string, t sim.Time)
-	// OnBudgetThrottle fires when tenant budget enforcement forces a
-	// request's duty level below what fair per-request conditioning chose:
-	// container c of tenant was assigned level lvl at time t.
-	OnBudgetThrottle(c *Container, tenant string, lvl int, t sim.Time)
-}
-
 // coreState is the facility's per-core sampling baseline.
 type coreState struct {
 	valid    bool
@@ -130,8 +100,12 @@ type Facility struct {
 	Coeff model.Coefficients
 	// Background absorbs activity with no request binding.
 	Background *Container
-	// Audit observes attribution and lifecycle events; nil disables.
-	Audit AuditHook
+	// Observer sees attribution, lifecycle, counter-repair and budget
+	// events (sim.KindPeriod, KindDevicePeriod, KindRetain, KindRelease,
+	// KindCounterFix, KindBudgetThrottle) and meter failovers
+	// (KindRecalFallback); nil disables. EnableRecalibration hands it to
+	// the recalibrator it builds.
+	Observer sim.Observer
 
 	cfg        Config
 	maint      cpu.Counters
@@ -144,9 +118,6 @@ type Facility struct {
 	recal   *align.Recalibrator
 	anomaly *AnomalyDetector
 	hier    *Hierarchy
-
-	// SampleCount counts container maintenance operations performed.
-	SampleCount uint64
 }
 
 // Attach creates a facility, installs it as the kernel's monitor, and
@@ -243,9 +214,6 @@ func (f *Facility) containerOf(t *kernel.Task) *Container {
 	return f.Background
 }
 
-// ContainerOf exposes the binding lookup for harnesses.
-func (f *Facility) ContainerOf(t *kernel.Task) *Container { return f.containerOf(t) }
-
 // TotalAccountedEnergyJ sums attributed energy over every container
 // including Background — the aggregate the validation experiment compares
 // against measured system energy (§4.2).
@@ -267,7 +235,6 @@ func (f *Facility) resetBaseline(c *cpu.Core) {
 	st.lastTime = f.K.Now()
 	st.valid = true
 	f.K.ChargeMaintenance(c.ID, f.maint)
-	f.SampleCount++
 	st.maintOps = 1
 }
 
@@ -354,13 +321,14 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		if cont.svc != nil {
 			cont.svc.charge(wall, p*seconds, chipP*seconds)
 		}
-		if f.Audit != nil {
-			f.Audit.OnPeriod(cont, name, st.lastTime, now, p*seconds, chipP*seconds, m.Chip)
+		if f.Observer != nil {
+			f.Observer.Observe(sim.Event{Kind: sim.KindPeriod, Obj: cont, Name: name, T0: st.lastTime, T: now,
+				X: p * seconds, Y: chipP * seconds, Z: m.Chip})
 		}
 		f.metrics.AddSpread(st.lastTime, now, m) //pclint:allow hotalloc 1ms-bucket metric series growth, bounded by elapsed sim time
 		f.hookAnomaly(c, t, p-chipP)             //pclint:allow hotalloc anomaly detector window growth, bounded by sample cadence
-		if fixKind != "" && f.Audit != nil {
-			f.Audit.OnCounterFix(c.ID, fixKind, now)
+		if fixKind != "" && f.Observer != nil {
+			f.Observer.Observe(sim.Event{Kind: sim.KindCounterFix, N: int64(c.ID), Name: fixKind, T: now})
 		}
 		st.lastM = m
 		st.lastMValid = true
@@ -371,7 +339,6 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 	st.last = cur
 	st.lastTime = now
 	f.K.ChargeMaintenance(c.ID, f.maint)
-	f.SampleCount++
 	st.maintOps = 1
 }
 
@@ -509,19 +476,19 @@ func (f *Facility) OnTaskStart(t *kernel.Task) {
 	f.retainRef(f.containerOf(t))
 }
 
-// retainRef and releaseRef route reference-count changes through the audit
-// hook so lifecycle legality (§3.5) is checkable at runtime.
+// retainRef and releaseRef route reference-count changes through the
+// observer so lifecycle legality (§3.5) is checkable at runtime.
 func (f *Facility) retainRef(c *Container) {
 	c.retain()
-	if f.Audit != nil {
-		f.Audit.OnRetain(c)
+	if f.Observer != nil {
+		f.Observer.Observe(sim.Event{Kind: sim.KindRetain, Obj: c, T: f.K.Now()})
 	}
 }
 
 func (f *Facility) releaseRef(c *Container) {
 	c.release()
-	if f.Audit != nil {
-		f.Audit.OnRelease(c)
+	if f.Observer != nil {
+		f.Observer.Observe(sim.Event{Kind: sim.KindRelease, Obj: c, T: f.K.Now()})
 	}
 }
 
@@ -546,8 +513,8 @@ func (f *Facility) OnIO(t *kernel.Task, dev kernel.DeviceKind, bytes int64, busy
 	if start < 0 {
 		start = 0
 	}
-	if f.Audit != nil {
-		f.Audit.OnDevicePeriod(cont, start, end, joules)
+	if f.Observer != nil {
+		f.Observer.Observe(sim.Event{Kind: sim.KindDevicePeriod, Obj: cont, T0: start, T: end, X: joules})
 	}
 	f.metrics.AddSpread(start, end, m)
 }

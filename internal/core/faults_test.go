@@ -13,25 +13,24 @@ import (
 	"powercontainers/internal/sim"
 )
 
-// fixHook records counter repairs and recalibration degradation actions; it
-// implements both AuditHook and align.AuditSink so the facility's alignAudit
-// adapter picks it up.
+// fixHook records counter repairs and recalibration degradation actions
+// from the facility's observer, which EnableRecalibration hands on to the
+// recalibrator.
 type fixHook struct {
 	fixes     map[string]int
 	rejects   int
 	fallbacks []string
 }
 
-func (h *fixHook) OnPeriod(c *Container, task string, start, end sim.Time, energyJ, chipEnergyJ, chipShare float64) {
-}
-func (h *fixHook) OnDevicePeriod(c *Container, start, end sim.Time, energyJ float64) {}
-func (h *fixHook) OnRetain(c *Container)                                             {}
-func (h *fixHook) OnRelease(c *Container)                                            {}
-func (h *fixHook) OnCounterFix(coreID int, kind string, t sim.Time)                  { h.fixes[kind]++ }
-func (h *fixHook) OnBudgetThrottle(c *Container, tenant string, lvl int, t sim.Time) {}
-func (h *fixHook) OnRecalReject(now sim.Time, deviationW, thresholdW float64)        { h.rejects++ }
-func (h *fixHook) OnRecalFallback(now sim.Time, reason string) {
-	h.fallbacks = append(h.fallbacks, reason)
+func (h *fixHook) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.KindCounterFix:
+		h.fixes[e.Name]++
+	case sim.KindRecalReject:
+		h.rejects++
+	case sim.KindRecalFallback:
+		h.fallbacks = append(h.fallbacks, e.Detail)
+	}
 }
 
 // runCounterFaults runs a fixed single-core workload under the given counter
@@ -40,7 +39,7 @@ func runCounterFaults(t *testing.T, counter *faults.CounterFaults, cfg Config) (
 	t.Helper()
 	k, f := newRig(t, uniSpec, cfg)
 	h := &fixHook{fixes: map[string]int{}}
-	f.Audit = h
+	f.Observer = h
 	if counter != nil {
 		p := &faults.Plan{Seed: 9, Counter: counter}
 		k.Faults = p.KernelSurface()
@@ -121,7 +120,7 @@ func failoverOffline() []model.CalSample {
 func TestRecalibrationFailoverToFallbackMeter(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{Approach: ApproachChipShare})
 	h := &fixHook{fixes: map[string]int{}}
-	f.Audit = h
+	f.Observer = h
 	chip := power.NewChipMeter(k.Rec, 11)
 	wall := power.NewWattsupMeter(k.Rec, 12)
 	plan := &faults.Plan{Seed: 3, Meter: &faults.MeterFaults{DeathAt: 500 * sim.Millisecond}}
@@ -167,7 +166,7 @@ func TestRecalibrationFailoverToFallbackMeter(t *testing.T) {
 func TestFailoverStaysOnHealthyPrimary(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{Approach: ApproachChipShare})
 	h := &fixHook{fixes: map[string]int{}}
-	f.Audit = h
+	f.Observer = h
 	chip := power.NewChipMeter(k.Rec, 11)
 	wall := power.NewWattsupMeter(k.Rec, 12)
 	r := f.EnableRecalibrationFailover(FailoverConfig{

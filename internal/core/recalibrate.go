@@ -12,16 +12,6 @@ import (
 // costs ~16 µs (§3.5), negligible at this cadence.
 const DefaultRecalibrationPeriod = 100 * sim.Millisecond
 
-// alignAudit adapts the facility's audit hook to the recalibrator's sink:
-// nil unless the attached hook also implements align.AuditSink (the full
-// auditor does; lightweight test hooks need not).
-func (f *Facility) alignAudit() align.AuditSink {
-	if s, ok := f.Audit.(align.AuditSink); ok {
-		return s
-	}
-	return nil
-}
-
 // EnableRecalibration switches the facility to Approach #3: a periodic task
 // aligns newly delivered readings from the meter with the system metric
 // series and refits the model over offline + online samples. The returned
@@ -37,7 +27,7 @@ func (f *Facility) EnableRecalibration(meter power.Meter, scope model.FitScope,
 	}
 	f.cfg.Approach = ApproachRecalibrated
 	f.recal = align.NewRecalibrator(meter, scope, offline)
-	f.recal.Audit = f.alignAudit()
+	f.recal.Observer = f.Observer
 	r := f.recal
 	var tick func()
 	tick = func() {
@@ -84,7 +74,7 @@ type FailoverConfig struct {
 // whether the primary recalibrator has received any new samples since the
 // last tick; once the silence exceeds cfg.DeadAfter the facility swaps in
 // a recalibrator on the fallback meter (same offline block, same Robust
-// policy) and reports the failover through the audit seam. The failover
+// policy) and reports the failover to the facility's observer. The failover
 // fires at most once; the returned pointer tracks the active recalibrator
 // via Facility.Recalibrator.
 func (f *Facility) EnableRecalibrationFailover(cfg FailoverConfig) *align.Recalibrator {
@@ -118,9 +108,10 @@ func (f *Facility) EnableRecalibrationFailover(cfg FailoverConfig) *align.Recali
 			failedOver = true
 			fb := align.NewRecalibrator(cfg.Fallback, cfg.FallbackScope, cfg.Offline)
 			fb.Robust = cfg.Robust
-			fb.Audit = f.alignAudit()
-			if s := f.alignAudit(); s != nil {
-				s.OnRecalFallback(now, "primary meter "+cfg.Primary.Name()+" silent; failing over to "+cfg.Fallback.Name())
+			fb.Observer = f.Observer
+			if f.Observer != nil {
+				f.Observer.Observe(sim.Event{Kind: sim.KindRecalFallback, T: now,
+					Detail: "primary meter " + cfg.Primary.Name() + " silent; failing over to " + cfg.Fallback.Name()})
 			}
 			f.recal = fb
 			var tick func()

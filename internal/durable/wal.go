@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"powercontainers/internal/sim"
 )
 
 // Segment layout. Every segment starts with a 12-byte header — an 8-byte
@@ -51,22 +53,14 @@ func (e *CorruptError) Error() string {
 // Unwrap lets errors.Is(err, ErrCorrupt) match.
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
-// AuditSink observes durability repairs. Implemented by internal/audit;
-// every call site nil-guards the sink.
-type AuditSink interface {
-	// OnWALTruncate fires when recovery discards a torn tail: off is the
-	// byte offset the segment was cut to, lost the discarded byte count.
-	OnWALTruncate(path string, off int64, lost int64, reason string)
-}
-
 // Options configures OpenLog.
 type Options struct {
 	// Replay receives every recovered payload in append order before
 	// OpenLog returns. A nil Replay skips delivery (the frames still
 	// validate); a Replay error aborts the open.
 	Replay func(payload []byte) error
-	// Audit observes tail truncations; may be nil.
-	Audit AuditSink
+	// Observer sees tail truncations (sim.KindWALTruncate); may be nil.
+	Observer sim.Observer
 	// MaxSegmentBytes caps a segment (default DefaultMaxSegmentBytes).
 	MaxSegmentBytes int64
 }
@@ -75,13 +69,13 @@ type Options struct {
 // current segment; Sync makes them durable; the segment rolls over
 // automatically at MaxSegmentBytes. Reopening a log after a crash runs
 // the recovery rule: a torn tail in the final segment is truncated
-// (reported through the audit seam), corruption anywhere else is an
+// (reported to the observer), corruption anywhere else is an
 // error.
 type Log struct {
-	fs    FS
-	dir   string
-	audit AuditSink
-	max   int64
+	fs  FS
+	dir string
+	obs sim.Observer
+	max int64
 
 	seg     int  // current segment index
 	f       File // open append handle on the current segment
@@ -200,7 +194,7 @@ func OpenLog(fsys FS, dir string, opts Options) (*Log, error) {
 				Reason: fmt.Sprintf("segment sequence broken: found segment %d at position %d", idx, i+1)}
 		}
 	}
-	l := &Log{fs: fsys, dir: dir, audit: opts.Audit, max: opts.MaxSegmentBytes}
+	l := &Log{fs: fsys, dir: dir, obs: opts.Observer, max: opts.MaxSegmentBytes}
 	if len(segs) == 0 {
 		if err := l.startSegment(1); err != nil {
 			return nil, err
@@ -226,8 +220,8 @@ func OpenLog(fsys FS, dir string, opts Options) (*Log, error) {
 			if err := l.fs.Truncate(path, goodLen); err != nil {
 				return nil, fmt.Errorf("durable: truncate torn tail: %w", err)
 			}
-			if l.audit != nil {
-				l.audit.OnWALTruncate(path, goodLen, lost, "torn tail")
+			if l.obs != nil {
+				l.obs.Observe(sim.Event{Kind: sim.KindWALTruncate, Name: path, N: goodLen, M: lost, Detail: "torn tail"})
 			}
 		}
 		if goodLen < int64(segHeader) {

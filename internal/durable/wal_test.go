@@ -5,15 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"powercontainers/internal/sim"
 )
 
 // replayAll reopens the log and collects every recovered payload.
-func replayAll(t *testing.T, fsys FS, dir string, audit AuditSink) (*Log, [][]byte) {
+func replayAll(t *testing.T, fsys FS, dir string, obs sim.Observer) (*Log, [][]byte) {
 	t.Helper()
 	var got [][]byte
 	l, err := OpenLog(fsys, dir, Options{
-		Replay: func(p []byte) error { got = append(got, append([]byte(nil), p...)); return nil },
-		Audit:  audit,
+		Replay:   func(p []byte) error { got = append(got, append([]byte(nil), p...)); return nil },
+		Observer: obs,
 	})
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
@@ -34,8 +36,10 @@ type truncRecorder struct {
 	calls []string
 }
 
-func (r *truncRecorder) OnWALTruncate(path string, off, lost int64, reason string) {
-	r.calls = append(r.calls, fmt.Sprintf("%s@%d-%d:%s", path, off, lost, reason))
+func (r *truncRecorder) Observe(e sim.Event) {
+	if e.Kind == sim.KindWALTruncate {
+		r.calls = append(r.calls, fmt.Sprintf("%s@%d-%d:%s", e.Name, e.N, e.M, e.Detail))
+	}
 }
 
 func TestWALAppendReplayRoundTrip(t *testing.T) {
@@ -90,10 +94,10 @@ func TestWALTornTailTruncatedAtEveryByte(t *testing.T) {
 			t.Fatalf("keep=%d: recovered %d frames, want 3", keep, len(got))
 		}
 		if keep > 0 && len(rec.calls) != 1 {
-			t.Fatalf("keep=%d: %d truncate audit events, want 1", keep, len(rec.calls))
+			t.Fatalf("keep=%d: %d truncate observations, want 1", keep, len(rec.calls))
 		}
 		if keep == 0 && len(rec.calls) != 0 {
-			t.Fatalf("keep=0: unexpected truncate audit %v", rec.calls)
+			t.Fatalf("keep=0: unexpected truncate observation %v", rec.calls)
 		}
 	}
 	_ = tornLen
@@ -118,7 +122,7 @@ func TestWALBitFlipLastFrameTruncates(t *testing.T) {
 		t.Fatalf("recovered %q, want first two frames", got)
 	}
 	if len(rec.calls) != 1 {
-		t.Fatalf("truncate audit events = %v, want exactly one", rec.calls)
+		t.Fatalf("truncate observations = %v, want exactly one", rec.calls)
 	}
 }
 
@@ -323,7 +327,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		var second [][]byte
 		rec := &truncRecorder{}
-		if _, err := OpenLog(m, "wal", Options{Audit: rec, Replay: func(p []byte) error {
+		if _, err := OpenLog(m, "wal", Options{Observer: rec, Replay: func(p []byte) error {
 			second = append(second, append([]byte(nil), p...))
 			return nil
 		}}); err != nil {

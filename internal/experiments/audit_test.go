@@ -40,6 +40,26 @@ func TestAuditedRunIsClean(t *testing.T) {
 	}
 }
 
+// TestAuditorObservesRecalibrator: an audited ApproachRecalibrated machine
+// enables recalibration before its auditor attaches, and the auditor must
+// still observe the recalibrator's rejections and fallbacks — on the
+// chip-meter wiring (SandyBridge) and the wall-meter one (Westmere).
+func TestAuditorObservesRecalibrator(t *testing.T) {
+	for _, spec := range []cpu.MachineSpec{cpu.SandyBridge, cpu.Westmere} {
+		m, err := Assembly{Audit: NewAuditCollector(true)}.NewMachine(spec, core.ApproachRecalibrated, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := m.Fac.Recalibrator()
+		if r == nil || m.Audit == nil {
+			t.Fatalf("%s: recalibrator %v, auditor %v", spec.Name, r, m.Audit)
+		}
+		if r.Observer != sim.Observer(m.Audit) {
+			t.Fatalf("%s: recalibrator observer %v, want the machine's auditor", spec.Name, r.Observer)
+		}
+	}
+}
+
 // TestAuditCatchesTamperedGroundTruth injects a bogus ground-truth energy
 // record after a clean run and checks the reconciliation trips: the
 // streamed record total no longer matches the recorder series, and the
@@ -61,7 +81,7 @@ func TestAuditCatchesTamperedGroundTruth(t *testing.T) {
 	}
 	// A record stream entry with no matching recorder series write is
 	// exactly what a broken accounting path would produce.
-	m.Audit.OnRecord("core", 0, sim.Millisecond, 1e6)
+	m.Audit.Observe(sim.Event{Kind: sim.KindRecord, Name: "core", T: sim.Millisecond, X: 1e6})
 	err = m.FinalizeAudit()
 	if err == nil {
 		t.Fatal("tampered ground truth passed the audit")

@@ -104,14 +104,18 @@ type crashRecoveryProbe struct {
 	truncs   int
 }
 
-func (p *crashRecoveryProbe) OnWALTruncate(path string, off, lost int64, reason string) { p.truncs++ }
-func (p *crashRecoveryProbe) OnRecovery(mode string, lastSeq int64, cpTick int, detail string) {
-	p.mode, p.frontier = mode, lastSeq
+func (p *crashRecoveryProbe) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.KindWALTruncate:
+		p.truncs++
+	case sim.KindRecovery:
+		p.mode, p.frontier = e.Name, e.N
+	}
 }
 
 // crashMatrixStream runs one durable streaming attempt over fsys: build
 // the seeded machine, recover the store, resume, run to the horizon.
-func crashMatrixStream(as Assembly, seed uint64, fsys durable.FS, probe stream.StoreAuditSink) error {
+func crashMatrixStream(as Assembly, seed uint64, fsys durable.FS, probe sim.Observer) error {
 	m, err := as.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
 	if err != nil {
 		return err

@@ -55,17 +55,20 @@ type FaultMatrixOptions struct {
 	Exec Exec
 }
 
-// faultCounter counts delivered fault events, forwarding to an optional
-// downstream sink (the run's auditor when auditing is enabled).
+// faultCounter counts injected faults, forwarding every observation to an
+// optional downstream observer (the run's auditor when auditing is
+// enabled).
 type faultCounter struct {
 	n    int
-	next faults.AuditSink
+	next sim.Observer
 }
 
-func (c *faultCounter) OnFault(e faults.Event) {
-	c.n++
+func (c *faultCounter) Observe(e sim.Event) {
+	if e.Kind == sim.KindFault {
+		c.n++
+	}
 	if c.next != nil {
-		c.next.OnFault(e)
+		c.next.Observe(e)
 	}
 }
 
@@ -98,7 +101,7 @@ func faultMatrixRun(as Assembly, opt FaultMatrixOptions, rate float64, degraded 
 			SpikeP:   rate * opt.SpikeFrac,
 			SpikeMag: opt.SpikeMag,
 		},
-		Audit: counter,
+		Observer: counter,
 	}
 	meter := plan.WrapMeter(m.Chip)
 	r := m.Fac.EnableRecalibration(meter, model.ScopePackage, m.Calib.Samples, 0)

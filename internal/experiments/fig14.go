@@ -238,7 +238,7 @@ func (rig *clusterRig) run(ex Exec, auditName string, pol cluster.Policy, rates 
 	dplan := cluster.PlanOpenLoop(rig.plan, rig.apps, pol, nil, rates, until, rng)
 
 	laud := ex.Assembly.collector().newAuditor(auditName)
-	var sink cluster.AuditSink
+	var sink sim.Observer
 	if laud != nil {
 		sink = laud
 	}

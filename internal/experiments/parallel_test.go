@@ -130,7 +130,7 @@ func TestPerRunAuditIsolation(t *testing.T) {
 		if tamper {
 			// A ground-truth record with no matching recorder write is
 			// what a broken accounting path would produce.
-			m.Audit.OnRecord("core", 0, sim.Millisecond, 1e6)
+			m.Audit.Observe(sim.Event{Kind: sim.KindRecord, Name: "core", T: sim.Millisecond, X: 1e6})
 			if err := m.FinalizeAudit(); err == nil {
 				t.Error("tampered run finalized clean")
 			}

@@ -87,7 +87,7 @@ func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) 
 	h := stream.NewHasher()
 	e.Sink = h
 	if m.Audit != nil {
-		e.Audit = m.Audit
+		e.Observer = m.Audit
 	}
 	// The warmup/window bounds are tick multiples, so the cumulative
 	// attributed ledger at those ticks is the window's energy.

@@ -14,31 +14,6 @@
 // determinism story instead of fighting it.
 package faults
 
-import (
-	"powercontainers/internal/sim"
-)
-
-// Event describes one injected fault or one degradation-relevant state
-// change, emitted through the plan's nil-guarded audit sink.
-type Event struct {
-	// T is the sim time the fault took effect.
-	T sim.Time
-	// Site names the injection point (a meter name, "counter" or
-	// "socket").
-	Site string
-	// Kind is the fault class ("dropout", "spike", "stuck", "jitter",
-	// "death", "wrap", "lost-interrupt", "tag-loss").
-	Kind string
-	// Detail carries optional human-readable context.
-	Detail string
-}
-
-// AuditSink receives fault events. Implemented by internal/audit; every
-// call site nil-guards the sink, so plans run standalone without one.
-type AuditSink interface {
-	OnFault(e Event)
-}
-
 // mix64 is the splitmix64 finalizer used across the repo for pure-hash
 // deterministic noise (see power.bucketNoise, runner.SeedFor).
 func mix64(z uint64) uint64 {

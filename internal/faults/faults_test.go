@@ -56,9 +56,9 @@ func (m sinceFake) ReadSince(now sim.Time, skip int) []power.Sample {
 	return all[skip:]
 }
 
-type eventLog struct{ events []Event }
+type eventLog struct{ events []sim.Event }
 
-func (l *eventLog) OnFault(e Event) { l.events = append(l.events, e) }
+func (l *eventLog) Observe(e sim.Event) { l.events = append(l.events, e) }
 
 func testPlan(m *MeterFaults) *Plan {
 	return &Plan{Seed: 42, Meter: m}
@@ -134,7 +134,7 @@ func TestFaultyMeterPollingInvariance(t *testing.T) {
 func TestFaultyMeterDropoutRate(t *testing.T) {
 	p := testPlan(&MeterFaults{DropoutP: 0.3})
 	log := &eventLog{}
-	p.Audit = log
+	p.Observer = log
 	fm := p.WrapMeter(sinceFake{})
 	end := sim.Time(2000)*sim.Millisecond + 2*sim.Millisecond
 	got := len(fm.Read(end))
@@ -148,7 +148,7 @@ func TestFaultyMeterDropoutRate(t *testing.T) {
 		t.Fatalf("audit saw %d dropout events, expected %d", len(log.events), dropped)
 	}
 	for _, e := range log.events {
-		if e.Kind != "dropout" || e.Site != "meter/fake" {
+		if e.Class != "dropout" || e.Name != "meter/fake" {
 			t.Fatalf("unexpected event %+v", e)
 		}
 	}
@@ -181,7 +181,7 @@ func TestFaultyMeterDeath(t *testing.T) {
 	death := 50 * sim.Millisecond
 	p := testPlan(&MeterFaults{DeathAt: death})
 	log := &eventLog{}
-	p.Audit = log
+	p.Observer = log
 	fm := p.WrapMeter(sinceFake{})
 	samples := fm.Read(400 * sim.Millisecond)
 	if len(samples) == 0 {
@@ -194,7 +194,7 @@ func TestFaultyMeterDeath(t *testing.T) {
 	}
 	deaths := 0
 	for _, e := range log.events {
-		if e.Kind == "death" {
+		if e.Class == "death" {
 			deaths++
 		}
 	}
@@ -206,7 +206,7 @@ func TestFaultyMeterDeath(t *testing.T) {
 func TestFaultyMeterSpikeAndStuck(t *testing.T) {
 	p := testPlan(&MeterFaults{SpikeP: 0.2, SpikeMag: 8, StuckP: 0.2})
 	log := &eventLog{}
-	p.Audit = log
+	p.Observer = log
 	fm := p.WrapMeter(sinceFake{})
 	end := sim.Time(1000)*sim.Millisecond + 2*sim.Millisecond
 	samples := fm.Read(end)
@@ -216,7 +216,7 @@ func TestFaultyMeterSpikeAndStuck(t *testing.T) {
 	}
 	spikes, stucks := 0, 0
 	for _, e := range log.events {
-		switch e.Kind {
+		switch e.Class {
 		case "spike":
 			spikes++
 		case "stuck":

@@ -71,7 +71,7 @@ func (s *KernelSurface) DropInterrupt(coreID int, now sim.Time) bool {
 	}
 	seed := s.irqSeed ^ mix64(uint64(coreID)+0x9e3779b97f4a7c15)
 	if unit(seed, i) < s.cfg.LostInterruptP {
-		s.plan.emit(Event{T: now, Site: "counter", Kind: "lost-interrupt"})
+		s.plan.emit(now, "counter", "lost-interrupt", "")
 		return true
 	}
 	return false
@@ -86,7 +86,7 @@ func (s *KernelSurface) DropInjectTag(now sim.Time) bool {
 		return false
 	}
 	if unit(s.injectSeed, i) < s.sock.InjectTagLossP {
-		s.plan.emit(Event{T: now, Site: "socket", Kind: "tag-loss", Detail: "inject"})
+		s.plan.emit(now, "socket", "tag-loss", "inject")
 		return true
 	}
 	return false
@@ -100,7 +100,7 @@ func (s *KernelSurface) DropSendTag(now sim.Time) bool {
 		return false
 	}
 	if unit(s.sendSeed, i) < s.sock.SendTagLossP {
-		s.plan.emit(Event{T: now, Site: "socket", Kind: "tag-loss", Detail: "send"})
+		s.plan.emit(now, "socket", "tag-loss", "send")
 		return true
 	}
 	return false

@@ -127,15 +127,14 @@ func (m *FaultyMeter) ingest(s power.Sample, i uint64) {
 	u := unit(m.faultSeed, i)
 	switch {
 	case u < m.cfg.DropoutP:
-		m.plan.emit(Event{T: s.Arrival, Site: site, Kind: "dropout"})
+		m.plan.emit(s.Arrival, site, "dropout", "")
 		return
 	case u < m.cfg.DropoutP+m.cfg.SpikeP:
-		m.plan.emit(Event{T: s.Arrival, Site: site, Kind: "spike",
-			Detail: fmt.Sprintf("x%g", m.cfg.SpikeMag)})
+		m.plan.emit(s.Arrival, site, "spike", fmt.Sprintf("x%g", m.cfg.SpikeMag))
 		s.Watts *= m.cfg.SpikeMag
 	case u < m.cfg.DropoutP+m.cfg.SpikeP+m.cfg.StuckP:
 		if m.haveLast {
-			m.plan.emit(Event{T: s.Arrival, Site: site, Kind: "stuck"})
+			m.plan.emit(s.Arrival, site, "stuck", "")
 			s.Watts = m.lastWatts
 		}
 	}
@@ -145,8 +144,7 @@ func (m *FaultyMeter) ingest(s power.Sample, i uint64) {
 	if m.cfg.JitterP > 0 && m.cfg.JitterMax > 0 && unit(m.jitterSeed, i) < m.cfg.JitterP {
 		extra := sim.Time(unit(m.lagSeed, i) * float64(m.cfg.JitterMax))
 		if extra > 0 {
-			m.plan.emit(Event{T: s.Arrival, Site: site, Kind: "jitter",
-				Detail: sim.FormatTime(extra)})
+			m.plan.emit(s.Arrival, site, "jitter", sim.FormatTime(extra))
 			s.Arrival += extra
 		}
 	}
@@ -158,7 +156,7 @@ func (m *FaultyMeter) ingest(s power.Sample, i uint64) {
 	if m.cfg.DeathAt > 0 && s.Arrival > m.cfg.DeathAt {
 		if !m.dead {
 			m.dead = true
-			m.plan.emit(Event{T: m.cfg.DeathAt, Site: site, Kind: "death"})
+			m.plan.emit(m.cfg.DeathAt, site, "death", "")
 		}
 		return
 	}

@@ -58,14 +58,15 @@ type Plan struct {
 	Meter   *MeterFaults
 	Counter *CounterFaults
 	Socket  *SocketFaults
-	// Audit, when non-nil, receives every injected fault.
-	Audit AuditSink
+	// Observer, when non-nil, sees every injected fault (sim.KindFault).
+	Observer sim.Observer
 }
 
-// emit reports a fault through the nil-guarded audit seam.
-func (p *Plan) emit(e Event) {
-	if p.Audit != nil {
-		p.Audit.OnFault(e)
+// emit reports a fault of the given class taking effect at site at time t
+// through the nil-guarded observer.
+func (p *Plan) emit(t sim.Time, site, class, detail string) {
+	if p.Observer != nil {
+		p.Observer.Observe(sim.Event{Kind: sim.KindFault, T: t, Name: site, Class: class, Detail: detail})
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"powercontainers/internal/sim"
 )
 
-// sockEvent is one audit-sink callback captured by recordingSink.
+// sockEvent is one socket observation captured by recordingSink.
 type sockEvent struct {
 	kind  string // "enq" or "del"
 	buf   any
@@ -16,18 +16,16 @@ type sockEvent struct {
 	ctx   Context
 }
 
-// recordingSink captures the kernel's socket audit stream so tests can
-// assert the enqueue/deliver pairing discipline the real auditor relies on.
+// recordingSink captures the kernel's socket observation stream so tests
+// can assert the enqueue/deliver pairing discipline the real auditor
+// relies on.
 type recordingSink struct {
 	events []sockEvent
 }
 
-func (s *recordingSink) OnSockEnqueue(buf any, seq uint64, bytes int, ctx Context) {
-	s.events = append(s.events, sockEvent{"enq", buf, seq, bytes, ctx})
-}
-
-func (s *recordingSink) OnSockDeliver(buf any, seq uint64, bytes int, ctx Context) {
-	s.events = append(s.events, sockEvent{"del", buf, seq, bytes, ctx})
+func (s *recordingSink) Observe(e sim.Event) {
+	kind := map[sim.Kind]string{sim.KindSockEnqueue: "enq", sim.KindSockDeliver: "del"}[e.Kind]
+	s.events = append(s.events, sockEvent{kind, e.Obj, e.Seq, int(e.N), e.Tag})
 }
 
 // checkPairing verifies that every delivery matches a prior enqueue on the
@@ -75,7 +73,7 @@ func checkPairing(t *testing.T, events []sockEvent) (enqs, dels int) {
 func TestSocketAuditStream(t *testing.T) {
 	sink := &recordingSink{}
 	k := newTestKernel(t, uniSpec, nil)
-	k.Audit = sink
+	k.Observer = sink
 
 	a, b := NewConn()
 	lst := NewListener("fe")

@@ -23,10 +23,14 @@ type Kernel struct {
 	Disk    *Device
 	Net     *Device
 
-	// Audit observes socket segment flow for invariant checking
-	// (internal/audit). Nil — the default — disables auditing; the hot
-	// paths then pay only a nil check.
-	Audit AuditSink
+	// Observer sees socket segment flow (sim.KindSockEnqueue and
+	// sim.KindSockDeliver): every buffered byte must carry exactly one
+	// per-segment context tag, delivered in FIFO order per buffer (§3.3).
+	// A direct handoff to a waiting receiver reports an enqueue
+	// immediately followed by a deliver of the same segment. Nil — the
+	// default — disables observation; the hot paths then pay only a nil
+	// check.
+	Observer sim.Observer
 
 	// Faults, when non-nil, injects counter corruption, lost overflow
 	// interrupts, and socket-tag loss (internal/faults). Nil — the
@@ -49,7 +53,7 @@ type Kernel struct {
 	Quantum sim.Time
 
 	name     string
-	segSeq   uint64 // audit-only segment identity counter
+	segSeq   uint64 // observation-only segment identity counter
 	running  []*Task
 	runq     [][]*Task
 	segStart []sim.Time
@@ -70,10 +74,6 @@ type Kernel struct {
 	// that only needs recomputing if the event vector changes.
 	maintEv     cpu.Counters
 	maintJoules []float64 // per core; 0 means not yet computed
-
-	// ContextSwitches counts scheduler-level task switches, for
-	// overhead reporting.
-	ContextSwitches uint64
 }
 
 // New builds a machine from its spec and hidden ground-truth profile. The
@@ -176,14 +176,13 @@ func (k *Kernel) Spawn(name string, prog Program, ctx Context) *Task {
 func (k *Kernel) newTask(name string, prog Program, ctx Context, parent *Task) *Task {
 	k.nextPID++
 	t := &Task{
-		PID:     k.nextPID,
-		Name:    name,
-		Ctx:     ctx,
-		state:   TaskReady,
-		core:    -1,
-		prog:    prog,
-		parent:  parent,
-		created: k.Now(),
+		PID:    k.nextPID,
+		Name:   name,
+		Ctx:    ctx,
+		state:  TaskReady,
+		core:   -1,
+		prog:   prog,
+		parent: parent,
 	}
 	k.tasks = append(k.tasks, t)
 	return t
@@ -201,19 +200,19 @@ func (k *Kernel) Inject(l *Listener, bytes int, ctx Context, payload any) {
 		l.waiting = l.waiting[1:]
 		w.blockedLst = nil
 		w.LastRecv = payload
-		if k.Audit != nil {
-			seq := k.nextSegSeq()
-			k.Audit.OnSockEnqueue(l, seq, bytes, ctx)
-			k.Audit.OnSockDeliver(l, seq, bytes, ctx)
+		if k.Observer != nil {
+			seg := segment{bytes: bytes, ctx: ctx, seq: k.nextSegSeq()}
+			k.Observer.Observe(k.segEvent(sim.KindSockEnqueue, l, seg))
+			k.Observer.Observe(k.segEvent(sim.KindSockDeliver, l, seg))
 		}
 		k.applyBinding(w, ctx)
 		k.wake(w)
 		return
 	}
 	seg := segment{bytes: bytes, ctx: ctx, payload: payload}
-	if k.Audit != nil {
+	if k.Observer != nil {
 		seg.seq = k.nextSegSeq()
-		k.Audit.OnSockEnqueue(l, seg.seq, bytes, ctx)
+		k.Observer.Observe(k.segEvent(sim.KindSockEnqueue, l, seg))
 	}
 	l.segs = append(l.segs, seg)
 }
@@ -310,7 +309,6 @@ func (k *Kernel) enterCore(c int, t *Task) {
 	chip := k.Spec.ChipOf(c)
 	k.chipBusy[chip]++
 	k.Rec.SetChipBusyCores(chip, k.chipBusy[chip], k.Now())
-	k.ContextSwitches++
 	k.Monitor.OnSwitch(k.Cores[c], nil, t)
 }
 
@@ -328,7 +326,6 @@ func (k *Kernel) leaveCore(c int, t *Task) {
 	chip := k.Spec.ChipOf(c)
 	k.chipBusy[chip]--
 	k.Rec.SetChipBusyCores(chip, k.chipBusy[chip], k.Now())
-	k.ContextSwitches++
 }
 
 // runCore drives core c until it has either a scheduled execution segment
@@ -446,8 +443,8 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 			if !buf.empty() {
 				seg := buf.pop()
 				t.LastRecv = seg.payload
-				if k.Audit != nil {
-					k.Audit.OnSockDeliver(buf, seg.seq, seg.bytes, seg.ctx)
+				if k.Observer != nil {
+					k.Observer.Observe(k.segEvent(sim.KindSockDeliver, buf, seg))
 				}
 				k.applyBinding(t, k.tagOf(buf, seg))
 				continue
@@ -463,8 +460,8 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 				seg := l.segs[0]
 				l.segs = l.segs[1:]
 				t.LastRecv = seg.payload
-				if k.Audit != nil {
-					k.Audit.OnSockDeliver(l, seg.seq, seg.bytes, seg.ctx)
+				if k.Observer != nil {
+					k.Observer.Observe(k.segEvent(sim.KindSockDeliver, l, seg))
 				}
 				k.applyBinding(t, seg.ctx)
 				continue
@@ -548,7 +545,7 @@ func (k *Kernel) send(t *Task, e *Endpoint, bytes int, payload any) {
 	ctx := t.Ctx
 	if k.Faults != nil && k.Faults.DropSendTag(k.Now()) {
 		// The tag is lost before the segment enters the buffer, so the
-		// audit stream sees the untagged segment consistently at both
+		// observation stream sees the untagged segment consistently at both
 		// enqueue and deliver.
 		ctx = loseTag(ctx)
 	}
@@ -559,27 +556,32 @@ func (k *Kernel) send(t *Task, e *Endpoint, bytes int, payload any) {
 		buf.waiting = buf.waiting[1:]
 		w.blockedRecv = nil
 		w.LastRecv = payload
-		if k.Audit != nil {
-			seq := k.nextSegSeq()
-			k.Audit.OnSockEnqueue(buf, seq, bytes, ctx)
-			k.Audit.OnSockDeliver(buf, seq, bytes, ctx)
+		if k.Observer != nil {
+			seg := segment{bytes: bytes, ctx: ctx, seq: k.nextSegSeq()}
+			k.Observer.Observe(k.segEvent(sim.KindSockEnqueue, buf, seg))
+			k.Observer.Observe(k.segEvent(sim.KindSockDeliver, buf, seg))
 		}
 		k.applyBinding(w, ctx)
 		k.wake(w)
 		return
 	}
 	seg := segment{bytes: bytes, ctx: ctx, payload: payload}
-	if k.Audit != nil {
+	if k.Observer != nil {
 		seg.seq = k.nextSegSeq()
-		k.Audit.OnSockEnqueue(buf, seg.seq, bytes, ctx)
+		k.Observer.Observe(k.segEvent(sim.KindSockEnqueue, buf, seg))
 	}
 	buf.segs = append(buf.segs, seg)
 }
 
-// nextSegSeq returns a fresh audit identity for a socket segment.
+// nextSegSeq returns a fresh observation identity for a socket segment.
 func (k *Kernel) nextSegSeq() uint64 {
 	k.segSeq++
 	return k.segSeq
+}
+
+// segEvent describes seg entering or leaving the socket buffer buf.
+func (k *Kernel) segEvent(kind sim.Kind, buf any, seg segment) sim.Event {
+	return sim.Event{Kind: kind, T: k.Now(), Obj: buf, Seq: seg.seq, N: int64(seg.bytes), Tag: seg.ctx}
 }
 
 // block removes a running task from its core into the blocked state.
@@ -624,7 +626,6 @@ func (k *Kernel) reapOne(t *Task) {
 func (k *Kernel) exitTask(c int, t *Task) {
 	k.leaveCore(c, t)
 	t.state = TaskZombie
-	t.exited = k.Now()
 	k.Monitor.OnExit(t)
 	p := t.parent
 	if p == nil || p.state == TaskDead || p.state == TaskZombie {

@@ -43,28 +43,10 @@ type Monitor interface {
 	OnTaskStart(t *Task)
 }
 
-// AuditSink observes socket-layer segment flow for invariant checking
-// (internal/audit): every buffered byte must carry exactly one per-segment
-// context tag, delivered in FIFO order per buffer (§3.3). buf identifies
-// the FIFO the segment travels through — one direction of a connection or
-// a listener — and is only ever compared for identity. Direct handoffs to
-// an already-waiting receiver report an enqueue immediately followed by a
-// deliver with the same seq. Callbacks run synchronously inside the
-// simulation loop; a nil sink disables auditing.
-type AuditSink interface {
-	// OnSockEnqueue fires when a segment enters a buffer (or is handed
-	// directly to a waiting receiver). seq is the segment's identity.
-	OnSockEnqueue(buf any, seq uint64, bytes int, ctx Context)
-	// OnSockDeliver fires when a receiver consumes the segment. ctx is
-	// the segment's own tag (not the adopted tag, which differs under
-	// the naive single-tag ablation).
-	OnSockDeliver(buf any, seq uint64, bytes int, ctx Context)
-}
-
 // FaultSurface is the kernel-side fault-injection seam (implemented by
 // internal/faults without a package cycle: only cpu/sim types cross it).
 // A nil surface — the default — injects nothing; the hot paths then pay
-// only a nil check, exactly like the audit sinks.
+// only a nil check, exactly like the observer.
 type FaultSurface interface {
 	// WrapCounters corrupts a raw cumulative counter read for the given
 	// core, e.g. reducing it modulo a narrow-MSR wraparound modulus.

@@ -22,8 +22,8 @@ type segment struct {
 	bytes   int
 	ctx     Context
 	payload any
-	// seq is an audit-only identity for the segment, assigned at enqueue
-	// time when an AuditSink is installed (0 otherwise).
+	// seq is an observation-only identity for the segment, assigned at
+	// enqueue time when an Observer is installed (0 otherwise).
 	seq uint64
 }
 

@@ -131,9 +131,6 @@ type Task struct {
 	// default). System daemons (e.g. the GAE background processing) run
 	// at elevated priority, as real platform services do.
 	Priority int
-
-	created sim.Time
-	exited  sim.Time
 }
 
 // State returns the task's lifecycle state.
@@ -144,9 +141,6 @@ func (t *Task) Core() int { return t.core }
 
 // Parent returns the forking parent, or nil.
 func (t *Task) Parent() *Task { return t.parent }
-
-// Created returns the task creation time.
-func (t *Task) Created() sim.Time { return t.created }
 
 func (t *Task) String() string {
 	return fmt.Sprintf("task %d (%s, %s)", t.PID, t.Name, t.state)

@@ -13,17 +13,6 @@ import (
 // recorder matches that resolution.
 const RecorderInterval = sim.Millisecond
 
-// AuditSink observes every ground-truth energy record for invariant
-// checking (internal/audit): recorded energy must be non-negative and
-// time-ordered, and the streamed total must equal the series content. A
-// nil sink — the default — costs only a nil check.
-type AuditSink interface {
-	// OnRecord fires for each energy record: kind is one of "core",
-	// "observer", "maint", "device"; [t0, t1] the interval (t0 == t1 for
-	// point records) and joules the energy added.
-	OnRecord(kind string, t0, t1 sim.Time, joules float64)
-}
-
 // Recorder integrates a machine's actual energy use on a 1 ms grid. The
 // kernel reports every execution segment and device transfer; the recorder
 // additionally integrates per-chip maintenance power from chip busy/idle
@@ -32,8 +21,10 @@ type Recorder struct {
 	spec    cpu.MachineSpec
 	profile TrueProfile
 
-	// Audit observes every record; nil disables.
-	Audit AuditSink
+	// Observer sees every energy record (sim.KindRecord): recorded
+	// energy must be non-negative and time-ordered, and the streamed
+	// total must equal the series content. Nil disables.
+	Observer sim.Observer
 
 	pkgActive *stats.Series // joules per bucket: cores + chip maintenance
 	device    *stats.Series // joules per bucket: disk + net
@@ -74,8 +65,8 @@ func (r *Recorder) AddCoreSegment(t0, t1 sim.Time, act cpu.Activity, duty float6
 	}
 	watts := r.profile.CorePowerW(act, duty)
 	joules := watts * float64(t1-t0) / float64(sim.Second)
-	if r.Audit != nil {
-		r.Audit.OnRecord("core", t0, t1, joules)
+	if r.Observer != nil {
+		r.Observer.Observe(sim.Event{Kind: sim.KindRecord, Name: "core", T0: t0, T: t1, X: joules})
 	}
 	r.pkgActive.AddSpread(t0, t1, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
 }
@@ -89,8 +80,8 @@ func (r *Recorder) AddObserverEnergy(t sim.Time, joules float64) {
 	if joules <= 0 {
 		return
 	}
-	if r.Audit != nil {
-		r.Audit.OnRecord("observer", t, t, joules)
+	if r.Observer != nil {
+		r.Observer.Observe(sim.Event{Kind: sim.KindRecord, Name: "observer", T0: t, T: t, X: joules})
 	}
 	r.pkgActive.Add(t, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
 }
@@ -134,8 +125,8 @@ func (r *Recorder) FlushUntil(now sim.Time) {
 	if r.activeChips > 0 {
 		watts := float64(r.activeChips) * r.profile.ChipMaintW
 		joules := watts * float64(now-r.maintUpTo) / float64(sim.Second)
-		if r.Audit != nil {
-			r.Audit.OnRecord("maint", r.maintUpTo, now, joules)
+		if r.Observer != nil {
+			r.Observer.Observe(sim.Event{Kind: sim.KindRecord, Name: "maint", T0: r.maintUpTo, T: now, X: joules})
 		}
 		r.pkgActive.AddSpread(r.maintUpTo, now, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
 	}
@@ -149,8 +140,8 @@ func (r *Recorder) AddDeviceSegment(t0, t1 sim.Time, watts float64) {
 		return
 	}
 	joules := watts * float64(t1-t0) / float64(sim.Second)
-	if r.Audit != nil {
-		r.Audit.OnRecord("device", t0, t1, joules)
+	if r.Observer != nil {
+		r.Observer.Observe(sim.Event{Kind: sim.KindRecord, Name: "device", T0: t0, T: t1, X: joules})
 	}
 	r.device.AddSpread(t0, t1, joules)
 }

@@ -40,16 +40,6 @@ func FormatTime(t Time) string {
 	}
 }
 
-// Probe observes every event dispatch, for runtime invariant auditing
-// (virtual-time monotonicity, FIFO ordering among simultaneous events).
-// A nil probe — the default — costs only a nil check on the hot path.
-type Probe interface {
-	// OnStep fires immediately before an event's callback runs: now is
-	// the clock before the step, at and seq identify the event being
-	// dispatched.
-	OnStep(now, at Time, seq uint64)
-}
-
 // Queue geometry.
 //
 // The near horizon is a hierarchical bit-indexed calendar: wheelLevels
@@ -170,9 +160,9 @@ type Handle struct {
 // with an amortized compaction sweep if orphans pile up. It is not safe
 // for concurrent use; an entire experiment runs on one goroutine.
 type Engine struct {
-	now   Time
-	seq   uint64
-	probe Probe
+	now Time
+	seq uint64
+	obs Observer
 
 	// wheelPos is the start time of the level-0 bucket most recently
 	// consumed into bottom, always l0-aligned. The wheel invariant:
@@ -220,11 +210,11 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// SetProbe installs an audit probe (nil to disable).
-func (e *Engine) SetProbe(p Probe) { e.probe = p }
+// SetObserver installs the observer of every dispatch (nil to disable).
+func (e *Engine) SetObserver(o Observer) { e.obs = o }
 
-// Probe returns the installed audit probe, if any.
-func (e *Engine) Probe() Probe { return e.probe }
+// Observer returns the installed dispatch observer, if any.
+func (e *Engine) Observer() Observer { return e.obs }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -489,8 +479,8 @@ func (e *Engine) Step() bool {
 	ent := e.bottom[e.bottomIdx]
 	e.bottomIdx++
 	e.live--
-	if e.probe != nil {
-		e.probe.OnStep(e.now, ent.at, ent.seq)
+	if e.obs != nil {
+		e.obs.Observe(Event{Kind: KindStep, T0: e.now, T: ent.at, Seq: ent.seq})
 	}
 	e.now = ent.at
 	fn := e.fn[ent.slot]

@@ -24,7 +24,8 @@ type recProbe struct {
 	recs []probeRec
 }
 
-func (p *recProbe) OnStep(now, at Time, seq uint64) {
+func (p *recProbe) Observe(e Event) {
+	now, at, seq := e.T0, e.T, e.Seq
 	if at < now {
 		p.t.Errorf("%s: dispatched event at %d before clock %d", p.name, at, now)
 	}
@@ -48,8 +49,8 @@ func equivDriver(t *testing.T, ops []byte) {
 	ref := newRefEngine()
 	pa := &recProbe{t: t, name: "arena"}
 	pr := &recProbe{t: t, name: "ref"}
-	arena.SetProbe(pa)
-	ref.SetProbe(pr)
+	arena.SetObserver(pa)
+	ref.SetObserver(pr)
 
 	var firedA, firedR []int
 	var handlesA []Handle

@@ -68,15 +68,15 @@ func (h *refEventHeap) Pop() any {
 // refEngine is the reference discrete-event driver. Its public surface
 // mirrors Engine method-for-method so tests can drive both generically.
 type refEngine struct {
-	now   Time
-	heap  refEventHeap
-	seq   uint64
-	probe Probe
+	now  Time
+	heap refEventHeap
+	seq  uint64
+	obs  Observer
 }
 
 func newRefEngine() *refEngine { return &refEngine{} }
 
-func (e *refEngine) SetProbe(p Probe) { e.probe = p }
+func (e *refEngine) SetObserver(o Observer) { e.obs = o }
 
 func (e *refEngine) Now() Time { return e.now }
 
@@ -117,8 +117,8 @@ func (e *refEngine) Step() bool {
 		return false
 	}
 	ev := heap.Pop(&e.heap).(*refEvent)
-	if e.probe != nil {
-		e.probe.OnStep(e.now, ev.at, ev.seq)
+	if e.obs != nil {
+		e.obs.Observe(Event{Kind: KindStep, T0: e.now, T: ev.at, Seq: ev.seq})
 	}
 	e.now = ev.at
 	fn := ev.fn

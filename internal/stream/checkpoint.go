@@ -56,7 +56,7 @@ type Checkpoint struct {
 
 // Checkpoint captures the engine's consumer state at the last completed
 // tick. It is a pure read — taking a checkpoint never perturbs the
-// stream. The Audit sink's OnCheckpoint hook fires with the encoded size.
+// stream.
 func (e *Engine) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		Version:        CheckpointVersion,
@@ -81,9 +81,6 @@ func (e *Engine) Checkpoint() *Checkpoint {
 	}
 	if len(e.tenLast) > 0 {
 		cp.TenLast = append([]float64(nil), e.tenLast...)
-	}
-	if e.Audit != nil {
-		e.Audit.OnCheckpoint(cp.Tick, cp.T, len(EncodeCheckpoint(cp)))
 	}
 	return cp
 }
@@ -206,7 +203,7 @@ func (e *Engine) restore(cp *Checkpoint) error {
 
 // ReplayTo restores a checkpoint into a fresh engine over a freshly built,
 // identically seeded machine: it drives the engine quietly (no sink, no
-// audit, no automatic checkpoints) through cp.Tick ticks — reproducing
+// observer, no automatic checkpoints) through cp.Tick ticks — reproducing
 // the exact pull/flush pattern of the original run, which the
 // simulation's float state depends on — verifies that the naturally
 // replayed consumer state encodes byte-identically to the checkpoint

@@ -129,38 +129,53 @@ func TestDecodeCheckpointValidates(t *testing.T) {
 	}
 }
 
-// auditProbe records AuditSink callbacks.
+// auditProbe records the engine's stream-violation observations.
 type auditProbe struct {
-	checkpoints []int
-	violations  []string
+	violations []string
 }
 
-func (p *auditProbe) OnCheckpoint(tick int, t sim.Time, encodedBytes int) {
-	p.checkpoints = append(p.checkpoints, tick)
-	if encodedBytes <= 0 {
-		panic("empty checkpoint encoding")
+func (p *auditProbe) Observe(e sim.Event) {
+	if e.Kind == sim.KindStreamViolation {
+		p.violations = append(p.violations, e.Name)
 	}
 }
-func (p *auditProbe) OnStreamViolation(check string, t sim.Time, detail string) {
-	p.violations = append(p.violations, check)
+
+// checkpointsAlong calls advance(i) for i = 1..n and returns the tick of
+// every fresh checkpoint LastCheckpoint reports after a call; each must
+// encode non-empty.
+func checkpointsAlong(t *testing.T, e *stream.Engine, n int, advance func(i int)) []int {
+	t.Helper()
+	var ticks []int
+	last := e.LastCheckpoint()
+	for i := 1; i <= n; i++ {
+		advance(i)
+		if cp := e.LastCheckpoint(); cp != last {
+			if len(stream.EncodeCheckpoint(cp)) == 0 {
+				t.Fatalf("empty checkpoint encoding at tick %d", cp.Tick)
+			}
+			ticks = append(ticks, cp.Tick)
+			last = cp
+		}
+	}
+	return ticks
 }
 
 // TestAutomaticCheckpoints pins the periodic snapshot path: with
-// CheckpointEvery set, the engine retains its latest checkpoint, fires
-// the OnCheckpoint audit hook at each boundary, and the retained
-// checkpoint is itself restorable.
+// CheckpointEvery set, the engine takes a fresh checkpoint at each
+// boundary, retains the latest, and the retained checkpoint is itself
+// restorable.
 func TestAutomaticCheckpoints(t *testing.T) {
 	bed := deployBed(t, core.ApproachRecalibrated, 33, workload.Stress{}, 0.5)
 	probe := &auditProbe{}
 	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
 		stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 10})
-	e.Audit = probe
-	e.RunTicks(35)
+	e.Observer = probe
+	checkpoints := checkpointsAlong(t, e, 35, func(int) { e.RunTicks(1) })
 	if e.LastCheckpoint() == nil || e.LastCheckpoint().Tick != 30 {
 		t.Fatalf("LastCheckpoint = %+v, want tick 30", e.LastCheckpoint())
 	}
-	if len(probe.checkpoints) != 3 || probe.checkpoints[0] != 10 || probe.checkpoints[2] != 30 {
-		t.Fatalf("OnCheckpoint ticks = %v, want [10 20 30]", probe.checkpoints)
+	if len(checkpoints) != 3 || checkpoints[0] != 10 || checkpoints[2] != 30 {
+		t.Fatalf("checkpoint ticks = %v, want [10 20 30]", checkpoints)
 	}
 	if len(probe.violations) != 0 {
 		t.Fatalf("stream violations on a clean run: %v", probe.violations)

@@ -20,7 +20,11 @@ import (
 // streamFaultCounter counts fault events the plan delivered.
 type streamFaultCounter struct{ n int }
 
-func (c *streamFaultCounter) OnFault(faults.Event) { c.n++ }
+func (c *streamFaultCounter) Observe(e sim.Event) {
+	if e.Kind == sim.KindFault {
+		c.n++
+	}
+}
 
 // faultBed builds a faultmatrix-style rig driven by the stream engine: a
 // SandyBridge machine whose chip meter is (optionally) wrapped with a
@@ -34,7 +38,7 @@ func faultBed(t *testing.T, seed uint64, mf *faults.MeterFaults, counter *stream
 	}
 	var meter power.Meter = m.Chip
 	if mf != nil {
-		plan := &faults.Plan{Seed: seed + 1000, Meter: mf, Audit: counter}
+		plan := &faults.Plan{Seed: seed + 1000, Meter: mf, Observer: counter}
 		meter = plan.WrapMeter(m.Chip)
 	}
 	r := m.Fac.EnableRecalibration(meter, model.ScopePackage, m.Calib.Samples, 0)

@@ -51,7 +51,7 @@ func TestStreamSoak(t *testing.T) {
 	hasher := stream.NewHasher()
 	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
 		stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 50})
-	e.Audit = probe
+	e.Observer = probe
 	done, tenantRecs := 0, 0
 	e.Sink = stream.Tee{hasher, sinkFunc(func(r stream.Record) {
 		if r.Kind == stream.KindContainer && r.Done {
@@ -61,17 +61,18 @@ func TestStreamSoak(t *testing.T) {
 			tenantRecs++
 		}
 	})}
-	e.RunUntil(horizon)
-
+	// RunUntil at every tick boundary, the last being the horizon: the
+	// engine must land on the exact tick count.
 	ticks := int(horizon / (100 * sim.Millisecond))
+	checkpoints := checkpointsAlong(t, e, ticks, func(i int) { e.RunUntil(sim.Time(i) * 100 * sim.Millisecond) })
 	if e.Tick() != ticks {
 		t.Fatalf("engine at tick %d, want %d", e.Tick(), ticks)
 	}
 	if len(probe.violations) != 0 {
 		t.Fatalf("stream violations during soak: %v", probe.violations)
 	}
-	if want := ticks / 50; len(probe.checkpoints) != want {
-		t.Fatalf("%d automatic checkpoints, want %d", len(probe.checkpoints), want)
+	if want := ticks / 50; len(checkpoints) != want {
+		t.Fatalf("%d automatic checkpoints, want %d", len(checkpoints), want)
 	}
 	if hasher.Count() == 0 || done == 0 {
 		t.Fatalf("soak emitted %d records with %d container retirements", hasher.Count(), done)

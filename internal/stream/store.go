@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"powercontainers/internal/durable"
+	"powercontainers/internal/sim"
 )
 
 // Store persists the engine's output through internal/durable: every
@@ -33,10 +34,9 @@ type Store struct {
 	// as already-durable); may be nil.
 	Next Sink
 
-	fs    durable.FS
-	dir   string
-	log   *durable.Log
-	audit StoreAuditSink
+	fs  durable.FS
+	dir string
+	log *durable.Log
 
 	seq        int64 // last sequence number handled this process
 	appended   int64 // last sequence number present in the WAL
@@ -47,16 +47,6 @@ type Store struct {
 
 	eng         *Engine
 	cpPersisted int64 // Records of the last persisted checkpoint
-}
-
-// StoreAuditSink observes recovery: WAL tail repairs and the recovery
-// decision itself. audit.Auditor implements it; may be nil everywhere.
-type StoreAuditSink interface {
-	OnWALTruncate(path string, off, lost int64, reason string)
-	// OnRecovery fires once per open: mode is "fresh", "checkpoint", or
-	// "scratch"; lastSeq is the highest durable record; cpTick the
-	// checkpoint tick resumed from (-1 when none).
-	OnRecovery(mode string, lastSeq int64, cpTick int, detail string)
 }
 
 // Recovered is what OpenStore found on disk: the durable frontier and
@@ -78,9 +68,11 @@ const checkpointFile = "checkpoint.ck"
 // load the newest valid checkpoint, and decide the resume mode. A
 // corrupt or missing checkpoint is never fatal — the checkpoint is an
 // optimization; determinism plus the WAL give correctness — but interior
-// WAL corruption is (durable.ErrCorrupt).
-func OpenStore(fsys durable.FS, dir string, audit StoreAuditSink) (*Store, *Recovered, error) {
-	s := &Store{fs: fsys, dir: dir, audit: audit, h: sha256.New()}
+// WAL corruption is (durable.ErrCorrupt). obs, when non-nil, sees each
+// torn-tail repair (sim.KindWALTruncate) and the resume decision
+// (sim.KindRecovery).
+func OpenStore(fsys durable.FS, dir string, obs sim.Observer) (*Store, *Recovered, error) {
+	s := &Store{fs: fsys, dir: dir, h: sha256.New()}
 	rec := &Recovered{Mode: "fresh"}
 
 	// Load the checkpoint first: its Records count splits the WAL into
@@ -107,9 +99,8 @@ func OpenStore(fsys durable.FS, dir string, audit StoreAuditSink) (*Store, *Reco
 	suffix := sha256.New()
 	full := sha256.New()
 	var lastSeq int64
-	truncs := &truncRelay{audit: audit}
 	log, err := durable.OpenLog(fsys, dir, durable.Options{
-		Audit: truncs,
+		Observer: obs,
 		Replay: replayFrames(dir, func(seq int64, line []byte) error {
 			lastSeq = seq
 			full.Write(line)
@@ -142,12 +133,12 @@ func OpenStore(fsys durable.FS, dir string, audit StoreAuditSink) (*Store, *Reco
 		rec.Mode = "scratch"
 		rec.suffixSum = hex.EncodeToString(full.Sum(nil))
 	}
-	if audit != nil {
+	if obs != nil {
 		cpTick := -1
 		if rec.Checkpoint != nil {
 			cpTick = rec.Checkpoint.Tick
 		}
-		audit.OnRecovery(rec.Mode, rec.LastSeq, cpTick, rec.Detail)
+		obs.Observe(sim.Event{Kind: sim.KindRecovery, Name: rec.Mode, N: rec.LastSeq, M: int64(cpTick), Detail: rec.Detail})
 	}
 	return s, rec, nil
 }
@@ -168,15 +159,6 @@ func replayFrames(dir string, deliver func(seq int64, line []byte) error) func(p
 		}
 		last = seq
 		return deliver(seq, payload[8:])
-	}
-}
-
-// truncRelay forwards durable tail repairs to the store's audit sink.
-type truncRelay struct{ audit StoreAuditSink }
-
-func (r *truncRelay) OnWALTruncate(path string, off, lost int64, reason string) {
-	if r.audit != nil {
-		r.audit.OnWALTruncate(path, off, lost, reason)
 	}
 }
 

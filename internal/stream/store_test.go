@@ -214,7 +214,7 @@ func TestDurableRecoveryModes(t *testing.T) {
 		t.Fatalf("corrupt checkpoint recovered as %q", rec3.Mode)
 	}
 	if got := probe.modes; len(got) != 4 || got[0] != "fresh" || got[1] != "checkpoint" || got[2] != "scratch" || got[3] != "scratch" {
-		t.Fatalf("OnRecovery modes = %v", got)
+		t.Fatalf("recovery modes = %v", got)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestDurableScratchFallbackReplaysExactly(t *testing.T) {
 		t.Fatalf("recovered as %q, want scratch (cp overtook WAL)", rec2.Mode)
 	}
 	if probe.truncates == 0 {
-		t.Fatal("no OnWALTruncate for the destroyed final frame")
+		t.Fatal("no WAL truncation observed for the destroyed final frame")
 	}
 	bed2 := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
 	e2, err := stream.Resume(stream.Sources{Eng: bed2.m.Eng, Fac: bed2.m.Fac, Meter: bed2.m.Chip, Scope: model.ScopePackage}, storeCfg(), st2, rec2)
@@ -382,9 +382,13 @@ type recoveryProbe struct {
 	truncates int
 }
 
-func (p *recoveryProbe) OnWALTruncate(path string, off, lost int64, reason string) { p.truncates++ }
-func (p *recoveryProbe) OnRecovery(mode string, lastSeq int64, cpTick int, detail string) {
-	p.modes = append(p.modes, mode)
+func (p *recoveryProbe) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.KindWALTruncate:
+		p.truncates++
+	case sim.KindRecovery:
+		p.modes = append(p.modes, e.Name)
+	}
 }
 
 // TestSupervisorBudgetAndCrashLoop pins the supervisor's control logic

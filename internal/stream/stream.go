@@ -73,13 +73,6 @@ type Sink interface {
 	OnRecord(r Record)
 }
 
-// AuditSink receives the engine's audit events; audit.Auditor implements
-// it. OnStreamViolation reports live conservation-check failures.
-type AuditSink interface {
-	OnCheckpoint(tick int, t sim.Time, encodedBytes int)
-	OnStreamViolation(check string, t sim.Time, detail string)
-}
-
 // contCursor tracks one live container's last observed cumulative
 // energy; per-tick records are deltas of it.
 type contCursor struct {
@@ -110,7 +103,7 @@ const (
 )
 
 // Engine is the streaming attribution engine. Drive it with RunTicks or
-// RunUntil; records flow to Sink, audit events to Audit. Outside the
+// RunUntil; records flow to Sink, live-check failures to Observer. Outside the
 // Sources the engine holds cursors (one per live container, service and
 // tenant) and the drift refit's window of at most 512 aligned pairs.
 type Engine struct {
@@ -119,8 +112,9 @@ type Engine struct {
 
 	// Sink receives records; nil discards them (Records still counts).
 	Sink Sink
-	// Audit receives checkpoint and conservation events; may be nil.
-	Audit AuditSink
+	// Observer sees live conservation-check failures
+	// (sim.KindStreamViolation); may be nil.
+	Observer sim.Observer
 
 	tick    int // completed ticks; engine time is tick*cfg.Tick
 	records int64
@@ -374,9 +368,9 @@ func (e *Engine) checkLedger(t sim.Time) {
 		diff = -diff
 	}
 	bound := ledgerTol * (1 + abs(want))
-	if diff > bound && e.Audit != nil {
-		e.Audit.OnStreamViolation("stream-ledger", t,
-			"streamed ledger "+formatFloat(e.cumJ)+" J vs accounted "+formatFloat(want)+" J")
+	if diff > bound && e.Observer != nil {
+		e.Observer.Observe(sim.Event{Kind: sim.KindStreamViolation, T: t, Name: "stream-ledger",
+			Detail: "streamed ledger " + formatFloat(e.cumJ) + " J vs accounted " + formatFloat(want) + " J"})
 	}
 }
 
