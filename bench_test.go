@@ -27,7 +27,7 @@ import (
 func BenchmarkFig1IncrementalPower(b *testing.B) {
 	var first, later float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig1(1)
+		r, err := experiments.Fig1(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkFig1IncrementalPower(b *testing.B) {
 func BenchmarkFig2AlignmentCrossCorrelation(b *testing.B) {
 	var chipMs, wattsupMs float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(1)
+		r, err := experiments.Fig2(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func BenchmarkFig3AlignedTraces(b *testing.B) {
 	// assembly and reports its measured/modeled gap.
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig2(1)
+		r, err := experiments.Fig2(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func BenchmarkFig3AlignedTraces(b *testing.B) {
 func BenchmarkFig4RequestTrace(b *testing.B) {
 	var totalJ float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig4(1)
+		r, err := experiments.Fig4(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func BenchmarkFig5WorkloadPower(b *testing.B) {
 func BenchmarkFig6RequestPowerDistribution(b *testing.B) {
 	var sep float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(1)
+		r, err := experiments.Fig6(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkFig6RequestPowerDistribution(b *testing.B) {
 func BenchmarkFig7RequestEnergyDistribution(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(1)
+		r, err := experiments.Fig6(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkFig8ValidationError(b *testing.B) {
 func BenchmarkFig9GAEBackground(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(1)
+		r, err := experiments.Fig9(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func BenchmarkFig10CompositionPrediction(b *testing.B) {
 func BenchmarkFig11PowerConditioning(b *testing.B) {
 	var peakDrop float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(1)
+		r, err := experiments.Fig11(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func BenchmarkFig11PowerConditioning(b *testing.B) {
 func BenchmarkFig12FairThrottling(b *testing.B) {
 	var normal, virus float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(1)
+		r, err := experiments.Fig11(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

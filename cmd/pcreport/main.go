@@ -21,7 +21,6 @@ import (
 	"powercontainers/internal/export"
 	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
-	"powercontainers/internal/workload"
 )
 
 // The -seed flag is the run's registered base seed: every generator in
@@ -46,54 +45,35 @@ func main() {
 	}
 }
 
-func workloadByName(name string) (workload.Workload, error) {
-	switch name {
-	case "RSA-crypto":
-		return workload.RSA{}, nil
-	case "Solr":
-		return workload.Solr{}, nil
-	case "WeBWorK":
-		return workload.WeBWorK{}, nil
-	case "Stress":
-		return workload.Stress{}, nil
-	case "GAE-Vosao":
-		return workload.GAE{}, nil
-	case "GAE-Hybrid":
-		return workload.GAE{VirusLoadFraction: 0.5}, nil
-	case "EventServer":
-		return workload.EventServer{}, nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
 func run(machine, wl, loadFlag string, duration time.Duration, format string, seed uint64, byClient bool, clients int) error {
 	spec, err := cpu.SpecByName(machine)
 	if err != nil {
 		return err
 	}
-	w, err := workloadByName(wl)
+	w, err := experiments.WorkloadByName(wl)
 	if err != nil {
 		return err
+	}
+	var load experiments.LoadLevel
+	switch loadFlag {
+	case "peak":
+		load = experiments.PeakLoad
+	case "half":
+		load = experiments.HalfLoad
+	default:
+		return fmt.Errorf("unknown load %q (peak|half)", loadFlag)
 	}
 	m, err := experiments.NewMachine(spec, core.ApproachRecalibrated, seed)
 	if err != nil {
 		return err
 	}
-	dep := w.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
-	gen.Clients = server.NewClientPool(clients, 0.9, m.Rng.Fork(15))
+	rig := m.Deploy(w)
+	rig.Gen.Clients = server.NewClientPool(clients, 0.9, m.Rng.Fork(15))
 	until := sim.Time(duration)
-	switch loadFlag {
-	case "peak":
-		gen.RunClosedLoop(experiments.PeakClients(spec), until)
-	case "half":
-		gen.RunOpenLoop(0.5*experiments.PeakRate(spec, dep), until, m.Rng.Fork(13))
-	default:
-		return fmt.Errorf("unknown load %q (peak|half)", loadFlag)
-	}
+	rig.Drive(load, until)
 	m.Eng.RunUntil(until)
 
-	records := export.Collect(gen.Completed())
+	records := export.Collect(rig.Gen.Completed())
 	if byClient {
 		usage := export.AggregateByClient(records)
 		if format == "json" {

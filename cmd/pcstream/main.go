@@ -32,14 +32,11 @@ package main
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"powercontainers/internal/core"
@@ -47,12 +44,8 @@ import (
 	"powercontainers/internal/durable"
 	"powercontainers/internal/experiments"
 	"powercontainers/internal/faults"
-	"powercontainers/internal/model"
-	"powercontainers/internal/power"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
-	"powercontainers/internal/workload"
 )
 
 func main() {
@@ -82,19 +75,6 @@ func (s *lineSink) OnRecord(r stream.Record) {
 	}
 }
 
-// pickWorkload resolves a -workload flag value.
-func pickWorkload(name string) (workload.Workload, error) {
-	for _, wl := range []workload.Workload{
-		workload.Stress{}, workload.GAE{}, workload.WeBWorK{},
-		workload.EventServer{}, workload.Solr{}, workload.RSA{},
-	} {
-		if strings.EqualFold(wl.Name(), name) {
-			return wl, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
 // pickApproach resolves an -attribution flag value.
 func pickApproach(name string) (core.Approach, error) {
 	for _, ap := range experiments.Approaches() {
@@ -103,16 +83,6 @@ func pickApproach(name string) (core.Approach, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown attribution approach %q (want core-only, chip-share, or recalibrated)", name)
-}
-
-// pickMachine resolves a -machine flag value.
-func pickMachine(name string) (cpu.MachineSpec, error) {
-	for _, spec := range cpu.Specs() {
-		if strings.EqualFold(spec.Name, name) {
-			return spec, nil
-		}
-	}
-	return cpu.MachineSpec{}, fmt.Errorf("unknown machine %q", name)
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -158,11 +128,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(crashSpecs) > 0 && !*supervise {
 		return fmt.Errorf("-crash requires -supervise (an unsupervised crash just kills the run)")
 	}
-	spec, err := pickMachine(*machine)
+	spec, err := cpu.SpecByName(*machine)
 	if err != nil {
 		return err
 	}
-	wl, err := pickWorkload(*wlName)
+	wl, err := experiments.WorkloadByName(*wlName)
 	if err != nil {
 		return err
 	}
@@ -181,27 +151,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return stream.Sources{}, err
 		}
-		dep := wl.Deploy(m.K, m.Rng.Fork(11))
-		gen := server.NewLoadGen(m.K, m.Fac, dep)
-		gen.RunOpenLoop(*load*experiments.PeakRate(m.K.Spec, dep), horizon, m.Rng.Fork(13))
-		var meter power.Meter
-		scope := model.ScopeMachine
-		if r := m.Fac.Recalibrator(); r != nil {
-			meter, scope = r.Meter, r.Scope
-		} else {
-			meter, scope = m.Chip, model.ScopePackage
-		}
-		return stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: meter, Scope: scope}, nil
+		m.Deploy(wl).DriveFrac(*load, horizon)
+		return m.Sources(), nil
 	}
 	cfg := stream.Config{Tick: sim.Time(*tickMS) * sim.Millisecond}
 
 	if *dir != "" {
 		cfg.CheckpointEvery = durableCheckpointEvery
-		return runDurable(durableRun{
-			dir: *dir, cfg: cfg, horizon: horizon, newSources: newSources,
-			supervise: *supervise, maxRestarts: *maxRestarts, backoffMS: *backoffMS,
-			plans: crashSpecs,
-		}, stdout, stderr)
+		d := &experiments.DurableStream{
+			FS: durable.OSFS{}, Dir: *dir, Config: cfg, Horizon: horizon,
+			Sources: newSources, Crashes: crashSpecs, Log: stderr,
+		}
+		if len(crashSpecs) > 0 {
+			d.FS = durable.NewMemFS()
+		}
+		// The driver always supervises: only a planned crash can kill an
+		// attempt, and -crash requires -supervise, so without it exactly
+		// one attempt runs.
+		attempts, err := d.Run(*maxRestarts, backoff(*backoffMS))
+		if err != nil {
+			return err
+		}
+		// The WAL is the output: print it back so stdout carries each
+		// record exactly once, in order, independent of the crash history.
+		out := bufio.NewWriter(stdout)
+		sum, records, err := d.Read(out)
+		if err == nil {
+			err = out.Flush()
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "durable stream: %d records, %d attempts, sha256 %s\n", records, attempts, sum)
+		return nil
 	}
 
 	src, err := newSources()
@@ -231,102 +213,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 // checkpoint.
 const durableCheckpointEvery = 10
 
-// durableRun is the configuration for one durable-mode invocation.
-type durableRun struct {
-	dir        string
-	cfg        stream.Config
-	horizon    sim.Time
-	newSources func() (stream.Sources, error)
-
-	supervise   bool
-	maxRestarts int
-	backoffMS   int
-	// plans[i] is the crash plan injected into attempt i (in-memory
-	// store); attempts beyond the list run undisturbed.
-	plans []*faults.CrashPlan
-}
-
-// runDurable streams through the crash-safe store: recover, resume, run
-// to the horizon (under the supervisor when asked), then print the
-// durable stream read back from the WAL — exactly the records an
-// uninterrupted run emits, no matter how many times attempts died.
-func runDurable(dr durableRun, stdout, stderr io.Writer) error {
-	var fsys durable.FS = durable.OSFS{}
-	var mem *durable.MemFS
-	if len(dr.plans) > 0 {
-		mem = durable.NewMemFS()
-		fsys = mem
+// backoff returns the supervisor's wait before restart n: ms
+// milliseconds, doubling each restart up to 10 s. It is nil, restarting
+// at once, when ms is not positive.
+func backoff(ms int) func(restart int) {
+	if ms <= 0 {
+		return nil
 	}
-
-	attemptN := 0
-	frontier := int64(0) // durable frontier found by the latest recovery
-	attempt := func() error {
-		f := fsys
-		if mem != nil && attemptN < len(dr.plans) {
-			f = faults.NewCrashFS(mem, dr.plans[attemptN])
+	return func(restart int) {
+		d := time.Duration(ms) * time.Millisecond
+		for i := 1; i < restart && d < 10*time.Second; i++ {
+			d *= 2
 		}
-		attemptN++
-		src, err := dr.newSources()
-		if err != nil {
-			return err
+		if d > 10*time.Second {
+			d = 10 * time.Second
 		}
-		st, rec, err := stream.OpenStore(f, dr.dir, nil)
-		if err != nil {
-			return err
-		}
-		frontier = rec.LastSeq
-		fmt.Fprintf(stderr, "recovery: mode=%s frontier=%d\n", rec.Mode, rec.LastSeq)
-		e, err := stream.Resume(src, dr.cfg, st, rec)
-		if err != nil {
-			return err
-		}
-		e.RunUntil(dr.horizon)
-		return st.Close()
+		time.Sleep(d)
 	}
-
-	if dr.supervise {
-		sup := &stream.Supervisor{
-			MaxRestarts: dr.maxRestarts,
-			IsCrash:     func(r any) bool { _, ok := r.(faults.Crash); return ok },
-			Progress:    func() int64 { return frontier },
-			OnRestart:   func(n int, cause string) { fmt.Fprintf(stderr, "restart %d: %s\n", n, cause) },
-		}
-		if dr.backoffMS > 0 {
-			sup.Sleep = func(restart int) {
-				d := time.Duration(dr.backoffMS) * time.Millisecond
-				for i := 1; i < restart && d < 10*time.Second; i++ {
-					d *= 2
-				}
-				if d > 10*time.Second {
-					d = 10 * time.Second
-				}
-				time.Sleep(d)
-			}
-		}
-		if err := sup.Run(attempt); err != nil {
-			return err
-		}
-	} else if err := attempt(); err != nil {
-		return err
-	}
-
-	// The WAL is the output: print it back so stdout carries each record
-	// exactly once, in order, independent of the crash history above.
-	out := bufio.NewWriter(stdout)
-	h := sha256.New()
-	var records int64
-	if err := stream.ReadStream(fsys, dr.dir, func(seq int64, line []byte) error {
-		records = seq
-		h.Write(line)
-		_, err := out.Write(line)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := out.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "durable stream: %d records, %d attempts, sha256 %s\n",
-		records, attemptN, hex.EncodeToString(h.Sum(nil)))
-	return nil
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,6 +28,45 @@ func TestRunStreamsDeterministically(t *testing.T) {
 	}
 	if !strings.HasPrefix(out1.String(), "c,") && !strings.HasPrefix(out1.String(), "s,") {
 		t.Fatalf("unexpected stream leader: %q", out1.String()[:40])
+	}
+}
+
+// TestRunStreamPinned pins pcstream's exact output: the SHA-256 of the
+// plain run's stdout for one run per meter tap — the on-chip meter a
+// SandyBridge recalibrates against and the Wattsup a Westmere does.
+func TestRunStreamPinned(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		sum  string
+	}{
+		{[]string{"-duration", "30", "-seed", "3"},
+			"4f3a08d5b7d15bcc6db2f2a707fd14d213b479eff873596b6bc0902450be5909"},
+		{[]string{"-machine", "Westmere", "-workload", "GAE-Vosao", "-load", "0.9", "-duration", "10", "-seed", "1"},
+			"1bcee5373d6801973cf51bde8d27d0a4601d034fcb7aab115c957e7b48fad8f3"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(tc.args, &out, &errb); err != nil {
+			t.Fatalf("args %v: %v", tc.args, err)
+		}
+		sum := sha256.Sum256(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.sum {
+			t.Errorf("args %v: stream sha256 %s, want %s", tc.args, got, tc.sum)
+		}
+	}
+}
+
+// TestRunAcceptsSharedNames: -workload and -machine take the names the
+// other entry points accept, in any case.
+func TestRunAcceptsSharedNames(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "GAE-Hybrid"},
+		{"-workload", "eventserver"},
+		{"-machine", "westmere"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(append(args, "-duration", "1"), &out, &errb); err != nil {
+			t.Errorf("args %v: %v", args, err)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func main() {
 		return
 	}
 
-	r, err := experiments.Fig4(*seed)
+	r, err := experiments.Fig4(experiments.Exec{}, *seed)
 	if err != nil {
 		fail(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/experiments"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/workload"
 )
@@ -54,10 +53,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	h := core.NewHierarchy()
 	m.Fac.AttachHierarchy(h)
-	dep := workload.Stress{}.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
-	gen.ServiceFor = func(string) (string, string) { return "acme", "web" }
-	gen.RunOpenLoop(50, 2*sim.Second, m.Rng.Fork(13))
+	rig := m.Deploy(workload.Stress{})
+	rig.Gen.ServiceFor = func(string) (string, string) { return "acme", "web" }
+	rig.DriveRate(50, 2*sim.Second)
 	m.Eng.RunUntil(3 * sim.Second)
 
 	snap := h.Snapshot()

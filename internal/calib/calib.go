@@ -135,12 +135,12 @@ func runConfig(spec cpu.MachineSpec, profile power.TrueProfile, mb workload.Micr
 	hi := int(end / ms.Interval())
 	s := model.CalSample{M: ms.WindowMean(lo, hi), Weight: 1}
 
-	s.MachineActiveW, err = meterWindowMean(wattsup, eng.Now(), warm, end)
+	s.MachineActiveW, err = power.ActiveMean(wattsup, eng.Now(), warm, end)
 	if err != nil {
 		return s, err
 	}
 	if HasChipMeter(spec) {
-		s.PkgActiveW, err = meterWindowMean(chip, eng.Now(), warm, end)
+		s.PkgActiveW, err = power.ActiveMean(chip, eng.Now(), warm, end)
 		if err != nil {
 			return s, err
 		}
@@ -148,21 +148,4 @@ func runConfig(spec cpu.MachineSpec, profile power.TrueProfile, mb workload.Micr
 		s.PkgActiveW = math.NaN()
 	}
 	return s, nil
-}
-
-// meterWindowMean averages a meter's active power over [t0, t1) using true
-// window timestamps (legitimate for offline calibration).
-func meterWindowMean(m power.Meter, now, t0, t1 sim.Time) (float64, error) {
-	var sum float64
-	n := 0
-	for _, s := range m.Read(now) {
-		if s.Start >= t0 && s.Start+m.Interval() <= t1 {
-			sum += s.Watts - m.IdleW()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("calib: no %s samples in window", m.Name())
-	}
-	return sum / float64(n), nil
 }

@@ -10,7 +10,10 @@
 // "SandyBridge".
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // MachineSpec describes the processor topology and timing of a simulated
 // machine. Power characteristics live in package power, keyed by this spec,
@@ -109,10 +112,10 @@ func Specs() []MachineSpec {
 	return []MachineSpec{Woodcrest, Westmere, SandyBridge}
 }
 
-// SpecByName looks a machine model up by name.
+// SpecByName looks a machine model up by name, ignoring case.
 func SpecByName(name string) (MachineSpec, error) {
 	for _, s := range Specs() {
-		if s.Name == name {
+		if strings.EqualFold(s.Name, name) {
 			return s, nil
 		}
 	}

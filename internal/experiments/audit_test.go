@@ -14,15 +14,13 @@ import (
 // attached and requires a clean bill: energy conservation, lifecycle,
 // socket tagging and sim ordering all hold on the real simulation paths.
 func TestAuditedRunIsClean(t *testing.T) {
-	EnableAudit()
-	defer DisableAudit()
-
-	m, err := NewMachine(cpu.SandyBridge, core.ApproachChipShare, 21)
+	c := NewAuditCollector(true)
+	m, err := Assembly{Audit: c}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Audit == nil {
-		t.Fatal("EnableAudit did not attach an auditor to the machine")
+		t.Fatal("an enabled collector did not attach an auditor to the machine")
 	}
 	if _, err := RunOn(m, RunSpec{
 		Workload: workload.Stress{},
@@ -35,8 +33,8 @@ func TestAuditedRunIsClean(t *testing.T) {
 	if err := m.FinalizeAudit(); err != nil {
 		t.Fatalf("audit violations on a clean run: %v", err)
 	}
-	if vs := AuditViolations(); len(vs) != 0 {
-		t.Fatalf("registry reports %d violations: %v", len(vs), vs)
+	if vs := c.Violations(); len(vs) != 0 {
+		t.Fatalf("collector reports %d violations: %v", len(vs), vs)
 	}
 }
 
@@ -65,10 +63,7 @@ func TestAuditorObservesRecalibrator(t *testing.T) {
 // streamed record total no longer matches the recorder series, and the
 // attributed energy no longer reconciles with ground truth.
 func TestAuditCatchesTamperedGroundTruth(t *testing.T) {
-	EnableAudit()
-	defer DisableAudit()
-
-	m, err := NewMachine(cpu.SandyBridge, core.ApproachChipShare, 23)
+	m, err := Assembly{Audit: NewAuditCollector(true)}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,36 +88,37 @@ func TestAuditCatchesTamperedGroundTruth(t *testing.T) {
 
 // TestAuditedExperimentsFinalizeEveryMachine runs, with auditing on, the
 // experiments that drive their machines by hand rather than through
-// RunOn, and requires every auditor they attached to have run its
-// end-of-run checks: a machine that skips FinalizeAudit never checks
-// conservation, lifecycle or the hierarchy, and nothing reads its online
-// violations.
+// RunOn, plus fig6 and fig9, and requires every auditor they attached to
+// have run its end-of-run checks: a machine that skips FinalizeAudit
+// never checks conservation, lifecycle or the hierarchy, and nothing
+// reads its online violations. Each runs through the registry with its
+// own per-run collector, as pcbench runs it, and must audit into that
+// collector: the process-default one, enabled here, must gain nothing.
 func TestAuditedExperimentsFinalizeEveryMachine(t *testing.T) {
-	defer DisableAudit()
+	prev := DefaultAudit()
+	defer setDefaultAudit(prev)
 	const seed = 1
-	runs := []struct {
-		name string
-		run  func() error
-	}{
-		{"intro", func() error { _, err := Intro(seed); return err }},
-		{"fig1", func() error { _, err := Fig1(seed); return err }},
-		{"fig2", func() error { _, err := Fig2(seed); return err }},
-		{"fig4", func() error { _, err := Fig4(seed); return err }},
-		{"fig10", func() error { _, err := Fig10(seed); return err }},
-		{"fig11", func() error { _, err := Fig11(seed); return err }},
-	}
-	for _, r := range runs {
-		EnableAudit()
-		if err := r.run(); err != nil {
-			t.Fatalf("%s: %v", r.name, err)
+	for _, id := range []string{"intro", "fig1", "fig2", "fig4", "fig6", "fig9", "fig10", "fig11"} {
+		def := NewAuditCollector(true)
+		setDefaultAudit(def)
+		e, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		c := DefaultAudit()
+		ex := Exec{Assembly: Assembly{Audit: NewAuditCollector(true)}}
+		if _, err := e.Run(ex, seed); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if n := len(def.auditors); n != 0 {
+			t.Errorf("%s attached %d auditors to the process-default collector", id, n)
+		}
+		c := ex.Audit
 		if len(c.auditors) == 0 {
-			t.Fatalf("%s attached no auditors", r.name)
+			t.Errorf("%s attached no auditors to its run's collector", id)
 		}
 		for _, a := range c.auditors {
 			if !a.Finalized() {
-				t.Errorf("%s: auditor %s never finalized (%d auditors)", r.name, a.Label, len(c.auditors))
+				t.Errorf("%s: auditor %s never finalized (%d auditors)", id, a.Label, len(c.auditors))
 			}
 		}
 	}

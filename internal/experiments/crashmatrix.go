@@ -1,18 +1,13 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/durable"
 	"powercontainers/internal/faults"
-	"powercontainers/internal/model"
-	"powercontainers/internal/power"
 	"powercontainers/internal/runner"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -52,15 +47,6 @@ type CrashMatrixResult struct {
 	GoldenSHA string
 	Records   int64
 	Cells     []CrashMatrixCell
-}
-
-// CrashMatrixOptions trims the experiment.
-type CrashMatrixOptions struct {
-	// Specs are the crash-plan specs to sweep; nil selects the default
-	// matrix below.
-	Specs []string
-	// Exec configures parallelism and per-run assembly.
-	Exec Exec
 }
 
 // defaultCrashSpecs is the standing matrix: ≥ 12 distinct crash points
@@ -113,106 +99,64 @@ func (p *crashRecoveryProbe) Observe(e sim.Event) {
 	}
 }
 
-// crashMatrixStream runs one durable streaming attempt over fsys: build
-// the seeded machine, recover the store, resume, run to the horizon.
-func crashMatrixStream(as Assembly, seed uint64, fsys durable.FS, probe sim.Observer) error {
-	m, err := as.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
-	if err != nil {
-		return err
+// crashMatrixStream is the durable stream the golden run completes and
+// every cell crashes, over its own in-memory store.
+func crashMatrixStream(as Assembly, seed uint64, crashes []*faults.CrashPlan, probe sim.Observer) *DurableStream {
+	return &DurableStream{
+		FS:      durable.NewMemFS(),
+		Dir:     crashStreamDir,
+		Config:  stream.Config{Tick: crashStreamTick, CheckpointEvery: crashStreamCPEvery},
+		Horizon: crashStreamHorizon,
+		Sources: func() (stream.Sources, error) {
+			m, err := as.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
+			if err != nil {
+				return stream.Sources{}, err
+			}
+			m.Deploy(workload.GAE{}).DriveFrac(0.4, crashStreamHorizon)
+			return m.Sources(), nil
+		},
+		Crashes:  crashes,
+		Observer: probe,
 	}
-	dep := workload.GAE{}.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
-	gen.RunOpenLoop(0.4*PeakRate(m.K.Spec, dep), crashStreamHorizon, m.Rng.Fork(13))
-	var meter power.Meter
-	scope := model.ScopeMachine
-	if r := m.Fac.Recalibrator(); r != nil {
-		meter, scope = r.Meter, r.Scope
-	} else {
-		meter, scope = m.Chip, model.ScopePackage
-	}
-	src := stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: meter, Scope: scope}
-	cfg := stream.Config{Tick: crashStreamTick, CheckpointEvery: crashStreamCPEvery}
-	st, rec, err := stream.OpenStore(fsys, crashStreamDir, probe)
-	if err != nil {
-		return err
-	}
-	e, err := stream.Resume(src, cfg, st, rec)
-	if err != nil {
-		return err
-	}
-	e.RunUntil(crashStreamHorizon)
-	return st.Close()
 }
 
-// hashDurableStream reads the store's record stream back and hashes it.
-func hashDurableStream(fsys durable.FS) (string, int64, error) {
-	h := sha256.New()
-	var records int64
-	err := stream.ReadStream(fsys, crashStreamDir, func(seq int64, line []byte) error {
-		records = seq
-		h.Write(line)
-		return nil
-	})
-	if err != nil {
-		return "", 0, err
-	}
-	return hex.EncodeToString(h.Sum(nil)), records, nil
-}
-
-// crashMatrixCell executes one crash point: attempt 1 runs over a CrashFS
-// armed with the plan, the supervisor absorbs the death, and the restart
-// recovers and finishes on the bare in-memory filesystem.
+// crashMatrixCell executes one crash point: attempt 1 runs armed with the
+// plan, the supervisor absorbs the death, and the restart recovers and
+// finishes on the bare in-memory filesystem.
 func crashMatrixCell(as Assembly, seed uint64, spec string) (CrashMatrixCell, error) {
 	plan, err := faults.ParseCrashPlan(spec)
 	if err != nil {
 		return CrashMatrixCell{}, err
 	}
-	mem := durable.NewMemFS()
 	probe := &crashRecoveryProbe{}
-	cell := CrashMatrixCell{Spec: plan.String()}
-	attempt := 0
-	sup := &stream.Supervisor{
-		IsCrash:   func(r any) bool { _, ok := r.(faults.Crash); return ok },
-		Progress:  func() int64 { return probe.frontier },
-		OnRestart: func(n int, cause string) { cell.Restarts = n },
+	d := crashMatrixStream(as, seed, []*faults.CrashPlan{plan}, probe)
+	attempts, err := d.Run(0, nil)
+	if err != nil {
+		return CrashMatrixCell{}, err
 	}
-	if err := sup.Run(func() error {
-		var f durable.FS = mem
-		if attempt == 0 {
-			f = faults.NewCrashFS(mem, plan)
-		}
-		attempt++
-		return crashMatrixStream(as, seed, f, probe)
-	}); err != nil {
-		return cell, err
-	}
-	cell.Mode, cell.Frontier, cell.Truncations = probe.mode, probe.frontier, probe.truncs
-	if cell.SHA, _, err = hashDurableStream(mem); err != nil {
-		return cell, err
-	}
-	return cell, nil
+	cell := CrashMatrixCell{Spec: plan.String(), Restarts: attempts - 1,
+		Mode: probe.mode, Frontier: probe.frontier, Truncations: probe.truncs}
+	cell.SHA, _, err = d.Read(nil)
+	return cell, err
 }
 
 // CrashMatrix runs the golden stream and sweeps the crash points, fanning
-// independent cells across opt.Exec.Jobs workers.
-func CrashMatrix(opt CrashMatrixOptions, seed uint64) (*CrashMatrixResult, error) {
-	if opt.Specs == nil {
-		opt.Specs = defaultCrashSpecs()
-	}
-	as := opt.Exec.Assembly
+// independent cells across ex.Jobs workers.
+func CrashMatrix(ex Exec, seed uint64) (*CrashMatrixResult, error) {
+	as := ex.Assembly
 
 	res := &CrashMatrixResult{}
-	mem := durable.NewMemFS()
-	if err := crashMatrixStream(as, seed, mem, nil); err != nil {
+	golden := crashMatrixStream(as, seed, nil, nil)
+	if _, err := golden.Run(0, nil); err != nil {
 		return nil, fmt.Errorf("crashmatrix golden run: %w", err)
 	}
 	var err error
-	if res.GoldenSHA, res.Records, err = hashDurableStream(mem); err != nil {
+	if res.GoldenSHA, res.Records, err = golden.Read(nil); err != nil {
 		return nil, fmt.Errorf("crashmatrix golden run: %w", err)
 	}
 
 	plan := &runner.Plan{}
-	for _, spec := range opt.Specs {
+	for _, spec := range defaultCrashSpecs() {
 		spec := spec
 		plan.Add("crashmatrix/"+spec, func() (any, error) {
 			cell, err := crashMatrixCell(as, seed, spec)
@@ -222,7 +166,7 @@ func CrashMatrix(opt CrashMatrixOptions, seed uint64) (*CrashMatrixResult, error
 			return cell, nil
 		})
 	}
-	cells, err := runner.Collect[CrashMatrixCell](plan, opt.Exec.Jobs)
+	cells, err := runner.Collect[CrashMatrixCell](plan, ex.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -231,11 +175,6 @@ func CrashMatrix(opt CrashMatrixOptions, seed uint64) (*CrashMatrixResult, error
 	}
 	res.Cells = cells
 	return res, nil
-}
-
-// CrashMatrixEx runs the default matrix under an execution configuration.
-func CrashMatrixEx(ex Exec, seed uint64) (*CrashMatrixResult, error) {
-	return CrashMatrix(CrashMatrixOptions{Exec: ex}, seed)
 }
 
 // Render prints one row per crash point.

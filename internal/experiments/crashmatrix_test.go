@@ -14,7 +14,7 @@ import (
 // point that never triggers proves nothing), and the sweep must exercise
 // both recovery modes.
 func TestCrashMatrixExactRecovery(t *testing.T) {
-	r, err := CrashMatrixEx(NewRunExec(0), 7)
+	r, err := CrashMatrix(NewRunExec(0), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

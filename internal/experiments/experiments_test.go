@@ -11,7 +11,7 @@ import (
 )
 
 func TestFig1IncrementalPowerShape(t *testing.T) {
-	r, err := Fig1(1)
+	r, err := Fig1(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFig1IncrementalPowerShape(t *testing.T) {
 }
 
 func TestFig2AlignmentFindsTrueDelays(t *testing.T) {
-	r, err := Fig2(1)
+	r, err := Fig2(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func sqrt(x float64) float64 {
 }
 
 func TestFig4CapturesMultiStageRequest(t *testing.T) {
-	r, err := Fig4(1)
+	r, err := Fig4(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFig5SubsetRuns(t *testing.T) {
 }
 
 func TestFig6DistributionsBimodalForHybrid(t *testing.T) {
-	r, err := Fig6(1)
+	r, err := Fig6(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFig8OrderingOnSandyBridge(t *testing.T) {
 }
 
 func TestFig9BackgroundShare(t *testing.T) {
-	r, err := Fig9(1)
+	r, err := Fig9(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFig10PredictionOrdering(t *testing.T) {
 }
 
 func TestFig11ConditioningFairness(t *testing.T) {
-	r, err := Fig11(1)
+	r, err := Fig11(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestRegistryResolvesAllIDs(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	run := func() float64 {
-		r, err := Run(cpu.SandyBridge, core.ApproachChipShare,
+		r, err := Assembly{}.Run(cpu.SandyBridge, core.ApproachChipShare,
 			RunSpec{Workload: workload.Solr{}, Load: HalfLoad}, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -430,11 +430,11 @@ func TestRendersDoNotPanic(t *testing.T) {
 			t.Fatalf("%s render too short:\n%s", name, out)
 		}
 	}
-	r1, err := Fig1(2)
+	r1, err := Fig1(Exec{}, 2)
 	check("fig1", r1, err)
-	r2, err := Fig2(2)
+	r2, err := Fig2(Exec{}, 2)
 	check("fig2", r2, err)
-	r4, err := Fig4(2)
+	r4, err := Fig4(Exec{}, 2)
 	check("fig4", r4, err)
 	rc, err := Coefficients(cpu.Westmere)
 	check("coeffs", rc, err)
@@ -443,11 +443,11 @@ func TestRendersDoNotPanic(t *testing.T) {
 		Workloads: []workload.Workload{workload.Solr{}},
 	}, 2)
 	check("fig5", r5, err)
-	r6, err := Fig6(2)
+	r6, err := Fig6(Exec{}, 2)
 	check("fig6", r6, err)
-	r9, err := Fig9(2)
+	r9, err := Fig9(Exec{}, 2)
 	check("fig9", r9, err)
-	ri, err := Intro(2)
+	ri, err := Intro(Exec{}, 2)
 	check("intro", ri, err)
 	ra, err := Ablations(2)
 	check("ablations", ra, err)

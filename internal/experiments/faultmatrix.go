@@ -17,7 +17,7 @@ import (
 // the degradation machinery either armed or disabled.
 type FaultMatrixCell struct {
 	// Rate is the per-sample fault probability driving the injected
-	// meter faults (dropout at Rate, spikes at Rate·SpikeFrac).
+	// meter faults (dropout at Rate, ×8 spikes at Rate/2).
 	Rate float64
 	// Degraded selects whether robust recalibration (MAD outlier
 	// rejection + refit sanity gating) was enabled.
@@ -46,11 +46,6 @@ type FaultMatrixOptions struct {
 	// Rates are the per-sample fault probabilities; the 0 cell doubles
 	// as the fault-free baseline. Default {0, 0.05, 0.10, 0.20}.
 	Rates []float64
-	// SpikeFrac scales the spike probability relative to the rate
-	// (default 0.5: at rate p, dropout p and spikes 0.5p).
-	SpikeFrac float64
-	// SpikeMag is the spike multiplier (default 8).
-	SpikeMag float64
 	// Exec configures parallelism and per-run assembly.
 	Exec Exec
 }
@@ -75,9 +70,7 @@ func (c *faultCounter) Observe(e sim.Event) {
 // faultMatrixRun executes one cell: a SandyBridge machine whose on-chip
 // meter is wrapped with the cell's fault plan before recalibration is
 // wired against it.
-func faultMatrixRun(as Assembly, opt FaultMatrixOptions, rate float64, degraded bool,
-	seed, planSeed uint64) (FaultMatrixCell, error) {
-
+func faultMatrixRun(as Assembly, rate float64, degraded bool, seed, planSeed uint64) (FaultMatrixCell, error) {
 	if !degraded && rate > 0 {
 		// The plain faulted cells run with every defense ablated: their
 		// attribution is supposed to diverge from ground truth, so the
@@ -98,8 +91,8 @@ func faultMatrixRun(as Assembly, opt FaultMatrixOptions, rate float64, degraded 
 		Seed: planSeed,
 		Meter: &faults.MeterFaults{
 			DropoutP: rate,
-			SpikeP:   rate * opt.SpikeFrac,
-			SpikeMag: opt.SpikeMag,
+			SpikeP:   rate * 0.5,
+			SpikeMag: 8,
 		},
 		Observer: counter,
 	}
@@ -137,7 +130,7 @@ func faultMatrixPlan(opt FaultMatrixOptions, seed uint64) *runner.Plan {
 			rate, degraded := rate, degraded
 			key := fmt.Sprintf("faultmatrix/p=%g/degraded=%v", rate, degraded)
 			plan.Add(key, func() (any, error) {
-				cell, err := faultMatrixRun(as, opt, rate, degraded, seed, runner.SeedFor(seed, key))
+				cell, err := faultMatrixRun(as, rate, degraded, seed, runner.SeedFor(seed, key))
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", key, err)
 				}
@@ -155,12 +148,6 @@ func FaultMatrix(opt FaultMatrixOptions, seed uint64) (*FaultMatrixResult, error
 	if opt.Rates == nil {
 		opt.Rates = []float64{0, 0.05, 0.10, 0.20}
 	}
-	if opt.SpikeFrac == 0 {
-		opt.SpikeFrac = 0.5
-	}
-	if opt.SpikeMag == 0 {
-		opt.SpikeMag = 8
-	}
 	cells, err := runner.Collect[FaultMatrixCell](faultMatrixPlan(opt, seed), opt.Exec.Jobs)
 	if err != nil {
 		return nil, err
@@ -176,11 +163,7 @@ func FaultMatrix(opt FaultMatrixOptions, seed uint64) (*FaultMatrixResult, error
 		if base <= 0 {
 			return nil, fmt.Errorf("faultmatrix: no fault-free baseline for degraded=%v", c.Degraded)
 		}
-		d := c.AccountedW - base
-		if d < 0 {
-			d = -d
-		}
-		cells[i].Error = d / base
+		cells[i].Error = ValidationError(c.AccountedW, base)
 	}
 	return &FaultMatrixResult{Cells: cells}, nil
 }

@@ -31,7 +31,7 @@ type Fig1Machine struct {
 }
 
 // Fig1 measures the incremental power staircases.
-func Fig1(seed uint64) (*Fig1Result, error) {
+func Fig1(ex Exec, seed uint64) (*Fig1Result, error) {
 	res := &Fig1Result{}
 	// The paper's figure shows SandyBridge and Woodcrest; Westmere's
 	// twelve-core staircase is included as a bonus row (its first two
@@ -39,7 +39,7 @@ func Fig1(seed uint64) (*Fig1Result, error) {
 	for _, spec := range []cpu.MachineSpec{cpu.SandyBridge, cpu.Woodcrest, cpu.Westmere} {
 		m := Fig1Machine{Spec: spec, ActiveW: []float64{0}}
 		for k := 1; k <= spec.Cores(); k++ {
-			w, err := spinActivePower(spec, k, seed+uint64(k))
+			w, err := spinActivePower(ex.Assembly, spec, k, seed+uint64(k))
 			if err != nil {
 				return nil, err
 			}
@@ -56,8 +56,8 @@ func Fig1(seed uint64) (*Fig1Result, error) {
 // spinActivePower measures machine active power with k spinning tasks.
 // The caller derives a distinct seed per point (base+k), keeping the
 // derivation where both inputs are in scope.
-func spinActivePower(spec cpu.MachineSpec, k int, seed uint64) (float64, error) {
-	m, err := NewMachine(spec, core.ApproachChipShare, seed)
+func spinActivePower(as Assembly, spec cpu.MachineSpec, k int, seed uint64) (float64, error) {
+	m, err := as.NewMachine(spec, core.ApproachChipShare, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -68,7 +68,7 @@ func spinActivePower(spec cpu.MachineSpec, k int, seed uint64) (float64, error) 
 		}), nil)
 	}
 	m.Eng.RunUntil(6 * sim.Second)
-	w, err := wattsupWindowMean(m.Wattsup, m.Eng.Now(), 1*sim.Second, 3*sim.Second)
+	w, err := WattsupActiveMean(m, m.Eng.Now(), 1*sim.Second, 3*sim.Second)
 	if err != nil {
 		return 0, err
 	}

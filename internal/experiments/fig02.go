@@ -7,7 +7,6 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/power"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/workload"
 )
@@ -38,15 +37,13 @@ type Fig2Result struct {
 // Fig2 runs a fluctuating workload (GAE-Vosao at half load, whose request
 // mix and background bursts produce strong power phases) and computes the
 // alignment curves.
-func Fig2(seed uint64) (*Fig2Result, error) {
-	m, err := NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
+func Fig2(ex Exec, seed uint64) (*Fig2Result, error) {
+	m, err := ex.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
 	if err != nil {
 		return nil, err
 	}
-	dep := workload.GAE{}.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
 	const runFor = 24 * sim.Second
-	gen.RunOpenLoop(0.5*PeakRate(m.K.Spec, dep), runFor, m.Rng.Fork(13))
+	m.Deploy(workload.GAE{}).DriveFrac(0.5, runFor)
 	m.Eng.RunUntil(runFor + 3*sim.Second)
 
 	ms := m.Fac.Metrics()

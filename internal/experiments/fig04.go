@@ -27,18 +27,17 @@ type Fig4Result struct {
 
 // Fig4 runs WeBWorK on SandyBridge at low load with tracing enabled and
 // captures a representative (near-median-energy) request.
-func Fig4(seed uint64) (*Fig4Result, error) {
-	m, err := NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
+func Fig4(ex Exec, seed uint64) (*Fig4Result, error) {
+	m, err := ex.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
 	if err != nil {
 		return nil, err
 	}
-	dep := workload.WeBWorK{}.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
-	gen.TraceRequests = true
-	gen.RunOpenLoop(4, 6*sim.Second, m.Rng.Fork(13))
+	rig := m.Deploy(workload.WeBWorK{})
+	rig.Gen.TraceRequests = true
+	rig.DriveRate(4, 6*sim.Second)
 	m.Eng.RunUntil(8 * sim.Second)
 
-	done := gen.Completed()
+	done := rig.Gen.Completed()
 	if len(done) == 0 {
 		return nil, fmt.Errorf("fig4: no completed WeBWorK requests")
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
@@ -20,6 +21,17 @@ func EvalWorkloads() []workload.Workload {
 		workload.GAE{},
 		workload.GAE{VirusLoadFraction: 0.5},
 	}
+}
+
+// WorkloadByName resolves a workload by its Name, ignoring case: one of
+// EvalWorkloads, or the event-driven EventServer.
+func WorkloadByName(name string) (workload.Workload, error) {
+	for _, w := range append(EvalWorkloads(), workload.EventServer{}) {
+		if strings.EqualFold(w.Name(), name) {
+			return w, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
 }
 
 // Fig5Cell is one bar of Figure 5.

@@ -41,10 +41,10 @@ type Fig6TypeStats struct {
 }
 
 // Fig6 collects request power/energy distributions.
-func Fig6(seed uint64) (*Fig6Result, error) {
+func Fig6(ex Exec, seed uint64) (*Fig6Result, error) {
 	res := &Fig6Result{}
 	for _, wl := range []workload.Workload{workload.Solr{}, workload.GAE{VirusLoadFraction: 0.5}} {
-		r, err := Run(cpu.SandyBridge, core.ApproachRecalibrated,
+		r, err := ex.Run(cpu.SandyBridge, core.ApproachRecalibrated,
 			RunSpec{Workload: wl, Load: HalfLoad}, seed)
 		if err != nil {
 			return nil, err

@@ -64,7 +64,7 @@ func fig8Plan(opt Fig8Options, seed uint64) *runner.Plan {
 						}
 						return Fig8Cell{
 							Machine: spec.Name, Workload: wl.Name(), Load: load,
-							Approach: ap, Error: r.ValidationError(),
+							Approach: ap, Error: ValidationError(r.AccountedW, r.MeasuredActiveW),
 						}, nil
 					})
 				}

@@ -26,10 +26,10 @@ type Fig9Result struct {
 }
 
 // Fig9 measures GAE-Vosao at peak and half load.
-func Fig9(seed uint64) (*Fig9Result, error) {
+func Fig9(ex Exec, seed uint64) (*Fig9Result, error) {
 	res := &Fig9Result{}
 	for _, load := range []LoadLevel{PeakLoad, HalfLoad} {
-		r, err := Run(cpu.SandyBridge, core.ApproachRecalibrated,
+		r, err := ex.Run(cpu.SandyBridge, core.ApproachRecalibrated,
 			RunSpec{Workload: workload.GAE{}, Load: load}, seed)
 		if err != nil {
 			return nil, err

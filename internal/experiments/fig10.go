@@ -7,7 +7,6 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/runner"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/workload"
 )
@@ -41,12 +40,7 @@ type Fig10Point struct {
 
 // Errors returns the three relative prediction errors.
 func (p Fig10Point) Errors() (containers, cpuUtil, rate float64) {
-	e := func(pred float64) float64 {
-		if p.MeasuredW <= 0 {
-			return 0
-		}
-		return math.Abs(pred-p.MeasuredW) / p.MeasuredW
-	}
+	e := func(pred float64) float64 { return ValidationError(pred, p.MeasuredW) }
 	return e(p.ContainersW), e(p.CPUUtilW), e(p.RateW)
 }
 
@@ -138,13 +132,11 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep := app.Original.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
-	origRate := 0.5 * PeakRate(spec, dep)
+	rig := m.Deploy(app.Original)
 	t0, t1 := 2*sim.Second, 62*sim.Second
-	gen.RunOpenLoop(origRate, t1, m.Rng.Fork(13))
+	rig.DriveFrac(0.5, t1)
 	m.Eng.RunUntil(t1 + 3*sim.Second)
-	origMeasured, err := wattsupWindowMean(m.Wattsup, m.Eng.Now(), t0, t1)
+	origMeasured, err := WattsupActiveMean(m, m.Eng.Now(), t0, t1)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +144,7 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 	profiles := map[string]*typeProfile{}
 	var overall typeProfile
 	completedRate := 0.0
-	for _, req := range gen.Completed() {
+	for _, req := range rig.Gen.Completed() {
 		if !req.Finished() || req.Done < t0 || req.Done >= t1 {
 			continue
 		}
@@ -235,12 +227,10 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		dep2 := app.NewComp.Deploy(m2.K, m2.Rng.Fork(11))
-		gen2 := server.NewLoadGen(m2.K, m2.Fac, dep2)
 		mt0, mt1 := 2*sim.Second, 27*sim.Second
-		gen2.RunOpenLoop(rate, mt1, m2.Rng.Fork(13))
+		m2.Deploy(app.NewComp).DriveRate(rate, mt1)
 		m2.Eng.RunUntil(mt1 + 3*sim.Second)
-		measured, err := wattsupWindowMean(m2.Wattsup, m2.Eng.Now(), mt0, mt1)
+		measured, err := WattsupActiveMean(m2, m2.Eng.Now(), mt0, mt1)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,7 @@ type Fig12Point struct {
 }
 
 // Fig11 runs both systems on SandyBridge.
-func Fig11(seed uint64) (*Fig11Result, error) {
+func Fig11(ex Exec, seed uint64) (*Fig11Result, error) {
 	const (
 		runFor     = 20 * sim.Second
 		virusStart = 10 * sim.Second
@@ -57,16 +57,15 @@ func Fig11(seed uint64) (*Fig11Result, error) {
 	)
 
 	run := func(condition bool, targetW float64) (*Machine, *server.LoadGen, error) {
-		m, err := NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
+		m, err := ex.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
 		if err != nil {
 			return nil, nil, err
 		}
 		if condition {
 			m.Fac.EnableConditioning(targetW)
 		}
-		dep := workload.GAE{}.Deploy(m.K, m.Rng.Fork(11))
-		gen := server.NewLoadGen(m.K, m.Fac, dep)
-		gen.RunClosedLoop(PeakClients(m.K.Spec), runFor)
+		rig := m.Deploy(workload.GAE{})
+		rig.Drive(PeakLoad, runFor)
 
 		vdep := workload.GAE{VirusLoadFraction: 1, DisableBackground: true}.Deploy(m.K, m.Rng.Fork(12))
 		vgen := server.NewLoadGen(m.K, m.Fac, vdep)
@@ -78,9 +77,9 @@ func Fig11(seed uint64) (*Fig11Result, error) {
 		// Merge virus requests into the main generator's view for the
 		// scatter.
 		for _, r := range vgen.Completed() {
-			gen.InjectedExternally(r)
+			rig.Gen.InjectedExternally(r)
 		}
-		return m, gen, nil
+		return m, rig.Gen, nil
 	}
 
 	// Run (A): original system; derive the conditioning target from its

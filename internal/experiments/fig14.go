@@ -122,15 +122,9 @@ func fig14Run(ex Exec, pol cluster.Policy, affinity map[string]float64, seed uin
 		30*sim.Second, 5*sim.Second, 25*sim.Second)
 }
 
-// clusterApps are the applications the cluster experiments distribute.
-var clusterApps = []string{"GAE-Vosao", "RSA-crypto"}
-
-func clusterWorkloads() map[string]workload.Workload {
-	return map[string]workload.Workload{
-		"GAE-Vosao":  workload.GAE{},
-		"RSA-crypto": workload.RSA{},
-	}
-}
+// clusterApps are the applications the cluster experiments distribute,
+// each named by its workload's Name.
+var clusterApps = []workload.Workload{workload.GAE{}, workload.RSA{}}
 
 // profileEnergy measures every cluster app's mean per-request energy (J)
 // on every machine, energy[app][node]: the container-captured profiles the
@@ -138,11 +132,10 @@ func clusterWorkloads() map[string]workload.Workload {
 // (app, machine) cell is one independent runner job.
 func profileEnergy(ex Exec, exp string, specs []cpu.MachineSpec, seed uint64) (map[string][]float64, error) {
 	as := ex.Assembly
-	wls := clusterWorkloads()
 	var plan runner.Plan
-	for _, name := range clusterApps {
+	for _, wl := range clusterApps {
 		for _, spec := range specs {
-			wl, spec := wls[name], spec
+			wl, spec := wl, spec
 			plan.Add(fmt.Sprintf("%s/profile/%s/%s", exp, wl.Name(), spec.Name), func() (any, error) {
 				r, err := as.Run(spec, core.ApproachRecalibrated, RunSpec{Workload: wl, Load: PeakLoad}, seed)
 				if err != nil {
@@ -168,8 +161,8 @@ func profileEnergy(ex Exec, exp string, specs []cpu.MachineSpec, seed uint64) (m
 		return nil, err
 	}
 	energy := map[string][]float64{}
-	for ai, name := range clusterApps {
-		energy[name] = cells[ai*len(specs) : (ai+1)*len(specs) : (ai+1)*len(specs)]
+	for ai, wl := range clusterApps {
+		energy[wl.Name()] = cells[ai*len(specs) : (ai+1)*len(specs) : (ai+1)*len(specs)]
 	}
 	return energy, nil
 }
@@ -178,9 +171,9 @@ func profileEnergy(ex Exec, exp string, specs []cpu.MachineSpec, seed uint64) (m
 // per-request energy over the least efficient (last) machine's.
 func affinityRatios(energy map[string][]float64) map[string]float64 {
 	affinity := map[string]float64{}
-	for _, name := range clusterApps {
-		e := energy[name]
-		affinity[name] = e[0] / e[len(e)-1]
+	for _, wl := range clusterApps {
+		e := energy[wl.Name()]
+		affinity[wl.Name()] = e[0] / e[len(e)-1]
 	}
 	return affinity
 }
@@ -199,8 +192,8 @@ type clusterRig struct {
 // the apps' profiled affinity ratios.
 func newClusterRig(affinity map[string]float64) *clusterRig {
 	rig := &clusterRig{}
-	for _, name := range clusterApps {
-		rig.apps = append(rig.apps, &cluster.App{Name: name, AffinityRatio: affinity[name]})
+	for _, wl := range clusterApps {
+		rig.apps = append(rig.apps, &cluster.App{Name: wl.Name(), AffinityRatio: affinity[wl.Name()]})
 	}
 	return rig
 }
@@ -209,11 +202,10 @@ func newClusterRig(affinity map[string]float64) *clusterRig {
 // recording each app's mean service time there (dispatchers know service
 // demand from standard monitoring).
 func (rig *clusterRig) add(m *Machine) {
-	wls := clusterWorkloads()
 	gens := map[string]*server.LoadGen{}
 	reqs := map[string]func() *server.Request{}
-	for _, app := range rig.apps {
-		dep := wls[app.Name].Deploy(m.K, m.Rng.Fork(uint64(len(app.Name))))
+	for i, app := range rig.apps {
+		dep := clusterApps[i].Deploy(m.K, m.Rng.Fork(uint64(len(app.Name))))
 		gens[app.Name] = server.NewLoadGen(m.K, m.Fac, dep)
 		reqs[app.Name] = dep.NewRequest
 		app.SvcSec = append(app.SvcSec, dep.MeanServiceSec)
@@ -264,7 +256,7 @@ func (rig *clusterRig) run(ex Exec, auditName string, pol cluster.Policy, rates 
 
 	out := &Fig14Policy{Policy: pol, RespMs: sres.ResponseTimes(), Dispatched: sres.PerApp}
 	for _, m := range rig.machines {
-		w, err := wattsupWindowMean(m.Wattsup, m.Eng.Now(), t0, t1)
+		w, err := WattsupActiveMean(m, m.Eng.Now(), t0, t1)
 		if err != nil {
 			return nil, err
 		}

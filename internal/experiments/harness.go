@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sync"
 
@@ -23,9 +24,8 @@ import (
 
 // AuditCollector gathers the invariant auditors of one run. Each parallel
 // experiment run owns its own collector, so concurrent runs never
-// interleave violation lists; the process-default collector (PC_AUDIT /
-// EnableAudit) backs the compatibility API and machines assembled without
-// an explicit Assembly.
+// interleave violation lists; the process-default collector (PC_AUDIT)
+// backs machines assembled without an explicit Assembly.
 type AuditCollector struct {
 	mu       sync.Mutex
 	enabled  bool
@@ -77,10 +77,9 @@ func (c *AuditCollector) newAuditor(label string) *audit.Auditor {
 	return a
 }
 
-// defaultAudit is the process-default collector, the PC_AUDIT/EnableAudit
-// compatibility path. Auditing is off by default (zero overhead beyond
-// nil checks); tests enable it with EnableAudit, and PC_AUDIT=1 in the
-// environment turns it on for a whole test run.
+// defaultAudit is the process-default collector. Auditing is off by
+// default (zero overhead beyond nil checks); PC_AUDIT=1 in the
+// environment turns it on for a whole process, such as a test run.
 var defaultAudit struct {
 	sync.Mutex
 	c *AuditCollector
@@ -113,23 +112,11 @@ func DefaultAudit() *AuditCollector {
 	return defaultAudit.c
 }
 
-// EnableAudit turns on invariant auditing for machines assembled from now
-// on (without an explicit per-run collector) and clears previously
-// collected auditors.
-func EnableAudit() { setDefaultAudit(NewAuditCollector(true)) }
-
-// DisableAudit turns auditing back off and clears collected auditors.
-func DisableAudit() { setDefaultAudit(NewAuditCollector(false)) }
-
-// AuditViolations returns every violation collected since auditing was
-// enabled, across all machines audited through the default collector.
-func AuditViolations() []audit.Violation { return DefaultAudit().Violations() }
-
 // Assembly is per-run machine-assembly configuration, threaded through
 // every machine a run builds so parallel runs stay isolated.
 type Assembly struct {
 	// Audit receives the run's machine auditors; nil falls back to the
-	// process-default collector (PC_AUDIT / EnableAudit).
+	// process-default collector (PC_AUDIT).
 	Audit *AuditCollector
 }
 
@@ -207,8 +194,8 @@ type Machine struct {
 	Chip    *power.ChipMeter
 	Calib   *calib.Result
 	Rng     *sim.Rand
-	// Audit is the machine's invariant auditor when auditing is enabled
-	// (EnableAudit or PC_AUDIT=1), nil otherwise.
+	// Audit is the machine's invariant auditor when its collector is
+	// enabled, nil otherwise.
 	Audit *audit.Auditor
 }
 
@@ -225,12 +212,6 @@ func (m *Machine) FinalizeAudit() error {
 // against the process-default audit collector.
 func NewMachine(spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
 	return Assembly{}.NewMachine(spec, approach, seed)
-}
-
-// NewMachineOnEngine assembles a machine onto a shared engine against the
-// process-default audit collector.
-func NewMachineOnEngine(eng *sim.Engine, spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
-	return Assembly{}.NewMachineOnEngine(eng, spec, approach, seed)
 }
 
 // NewMachine assembles a machine with the given attribution approach.
@@ -309,9 +290,6 @@ func (l LoadLevel) String() string {
 type RunSpec struct {
 	Workload workload.Workload
 	Load     LoadLevel
-	// Rate overrides the arrival rate (requests/sec) when positive;
-	// otherwise it is derived from the load level.
-	Rate float64
 	// Warmup and Window bound the measurement window.
 	Warmup, Window sim.Time
 }
@@ -336,16 +314,13 @@ type RunResult struct {
 }
 
 // ValidationError is the paper's Figure 8 metric:
-// |aggregate profiled request power − measured active| / measured.
-func (r *RunResult) ValidationError() float64 {
-	if r.MeasuredActiveW <= 0 {
+// |accounted − measured| / measured, with 0 for a non-positive measured
+// power.
+func ValidationError(accounted, measured float64) float64 {
+	if measured <= 0 {
 		return 0
 	}
-	d := r.AccountedW - r.MeasuredActiveW
-	if d < 0 {
-		d = -d
-	}
-	return d / r.MeasuredActiveW
+	return math.Abs(accounted-measured) / measured
 }
 
 // defaultWarmup and defaultWindow are aligned to Wattsup one-second
@@ -362,12 +337,6 @@ func PeakClients(spec cpu.MachineSpec) int { return 3 * spec.Cores() }
 // PeakRate estimates a deployment's saturation throughput (req/s).
 func PeakRate(spec cpu.MachineSpec, dep *server.Deployment) float64 {
 	return float64(spec.Cores()) / dep.MeanServiceSec
-}
-
-// Run executes a workload on a fresh machine and measures the window,
-// against the process-default audit collector.
-func Run(spec cpu.MachineSpec, approach core.Approach, rs RunSpec, seed uint64) (*RunResult, error) {
-	return Assembly{}.Run(spec, approach, rs, seed)
 }
 
 // Run executes a workload on a fresh machine and measures the window.
@@ -393,72 +362,48 @@ func RunOn(m *Machine, rs RunSpec) (*RunResult, error) {
 	if rs.Window <= 0 {
 		rs.Window = defaultWindow
 	}
-	dep := rs.Workload.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
-
+	rig := m.Deploy(rs.Workload)
 	t0 := rs.Warmup
 	t1 := rs.Warmup + rs.Window
-	switch {
-	case rs.Rate > 0:
-		gen.RunOpenLoop(rs.Rate, t1, m.Rng.Fork(13))
-	case rs.Load == PeakLoad:
-		gen.RunClosedLoop(PeakClients(m.K.Spec), t1)
-	default:
-		gen.RunOpenLoop(0.5*PeakRate(m.K.Spec, dep), t1, m.Rng.Fork(13))
-	}
+	rig.Drive(rs.Load, t1)
 
-	var accounted0, background0 float64
-	m.Eng.At(t0, func() {
-		accounted0 = m.Fac.TotalAccountedEnergyJ()
-		background0 = m.Fac.Background.EnergyJ()
-	})
-	var accounted1, background1 float64
-	m.Eng.At(t1, func() {
-		accounted1 = m.Fac.TotalAccountedEnergyJ()
-		background1 = m.Fac.Background.EnergyJ()
-	})
 	// Run past t1 so delayed meter samples are delivered.
-	m.Eng.RunUntil(t1 + 3*sim.Second)
-
-	if err := m.FinalizeAudit(); err != nil {
-		return nil, err
-	}
-
-	windowSec := float64(t1-t0) / float64(sim.Second)
-	measured, err := wattsupWindowMean(m.Wattsup, m.Eng.Now(), t0, t1)
+	measured, accounted, background, err := m.MeasureWindow(t0, t1, t1+3*sim.Second)
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{
 		Spec:            m.K.Spec,
-		Gen:             gen,
+		Gen:             rig.Gen,
 		T0:              t0,
 		T1:              t1,
 		MeasuredActiveW: measured,
-		AccountedW:      (accounted1 - accounted0) / windowSec,
-		BackgroundW:     (background1 - background0) / windowSec,
+		AccountedW:      accounted,
+		BackgroundW:     background,
 		Machine:         m,
 	}, nil
+}
+
+// MeasureWindow runs the machine until end, then its end-of-run audit,
+// and measures the window [t0, t1): the Wattsup active power, the power
+// the facility accounted, and the background container's part of it.
+func (m *Machine) MeasureWindow(t0, t1, end sim.Time) (measuredW, accountedW, backgroundW float64, err error) {
+	var acc0, bg0, acc1, bg1 float64
+	m.Eng.At(t0, func() { acc0, bg0 = m.Fac.TotalAccountedEnergyJ(), m.Fac.Background.EnergyJ() })
+	m.Eng.At(t1, func() { acc1, bg1 = m.Fac.TotalAccountedEnergyJ(), m.Fac.Background.EnergyJ() })
+	m.Eng.RunUntil(end)
+	if err := m.FinalizeAudit(); err != nil {
+		return 0, 0, 0, err
+	}
+	if measuredW, err = WattsupActiveMean(m, m.Eng.Now(), t0, t1); err != nil {
+		return 0, 0, 0, err
+	}
+	windowSec := float64(t1-t0) / float64(sim.Second)
+	return measuredW, (acc1 - acc0) / windowSec, (bg1 - bg0) / windowSec, nil
 }
 
 // WattsupActiveMean averages a machine's Wattsup active power over
 // [t0, t1); the window must be aligned to whole seconds.
 func WattsupActiveMean(m *Machine, now, t0, t1 sim.Time) (float64, error) {
-	return wattsupWindowMean(m.Wattsup, now, t0, t1)
-}
-
-// wattsupWindowMean averages Wattsup active power over [t0, t1).
-func wattsupWindowMean(m *power.WattsupMeter, now, t0, t1 sim.Time) (float64, error) {
-	var sum float64
-	n := 0
-	for _, s := range m.Read(now) {
-		if s.Start >= t0 && s.Start+m.Interval() <= t1 {
-			sum += s.Watts - m.IdleW()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("experiments: no wattsup samples in [%s,%s)", sim.FormatTime(t0), sim.FormatTime(t1))
-	}
-	return sum / float64(n), nil
+	return power.ActiveMean(m.Wattsup, now, t0, t1)
 }

@@ -34,18 +34,18 @@ type IntroResult struct {
 }
 
 // Intro measures the motivating numbers.
-func Intro(seed uint64) (*IntroResult, error) {
+func Intro(ex Exec, seed uint64) (*IntroResult, error) {
 	spec := cpu.SandyBridge
 	res := &IntroResult{}
 
 	measure := func(mb workload.MicroBench) (machineActive, pkgFull float64, err error) {
-		m, err := NewMachine(spec, core.ApproachChipShare, seed)
+		m, err := ex.NewMachine(spec, core.ApproachChipShare, seed)
 		if err != nil {
 			return 0, 0, err
 		}
 		mb.SpawnLoop(m.K, spec.Cores(), 1.0)
 		m.Eng.RunUntil(6 * sim.Second)
-		machineActive, err = wattsupWindowMean(m.Wattsup, m.Eng.Now(), 1*sim.Second, 3*sim.Second)
+		machineActive, err = WattsupActiveMean(m, m.Eng.Now(), 1*sim.Second, 3*sim.Second)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -69,7 +69,7 @@ func Intro(seed uint64) (*IntroResult, error) {
 	// Idle baselines come straight from the meters; loaded references use
 	// a busy mixed workload (GAE-Hybrid peak, the observed high-load
 	// scenario of §4).
-	m, err := NewMachine(spec, core.ApproachChipShare, seed+1)
+	m, err := ex.NewMachine(spec, core.ApproachChipShare, seed+1)
 	if err != nil {
 		return nil, err
 	}

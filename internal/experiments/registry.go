@@ -39,19 +39,19 @@ func Registry() []Experiment {
 	return []Experiment{
 		{
 			ID: "intro", Title: "motivating measurements: idle proportions, power variation (§1)",
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return Intro(seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return Intro(ex, seed) },
 		},
 		{
 			ID: "fig1", Title: "incremental per-core power (shared chip maintenance power)",
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig1(seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig1(ex, seed) },
 		},
 		{
 			ID: "fig2", Title: "measurement/model alignment cross-correlation", Aliases: []string{"fig3"},
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig2(seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig2(ex, seed) },
 		},
 		{
 			ID: "fig4", Title: "captured WeBWorK request execution with per-stage power/energy",
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig4(seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig4(ex, seed) },
 		},
 		{
 			ID: "coeffs", Title: "calibrated offline model coefficients (§4.1)",
@@ -63,7 +63,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID: "fig6", Title: "request power and energy distributions", Aliases: []string{"fig7"},
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig6(seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig6(ex, seed) },
 		},
 		{
 			ID: "fig8", Title: "validation error of the three attribution approaches",
@@ -71,7 +71,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID: "fig9", Title: "GAE background processing power",
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig9(seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig9(ex, seed) },
 		},
 		{
 			ID: "fig10", Title: "power prediction at new request compositions",
@@ -79,7 +79,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID: "fig11", Title: "fair request power conditioning with power viruses", Aliases: []string{"fig12"},
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig11(seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return Fig11(ex, seed) },
 		},
 		{
 			ID: "fig13", Title: "cross-machine energy usage ratios",
@@ -108,7 +108,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID: "streamequiv", Title: "streaming vs batch attribution equivalence (online engine extension)",
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return StreamEquivEx(ex, seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return StreamEquiv(ex, seed) },
 		},
 		{
 			ID: "tenantmix", Title: "multi-tenant budget enforcement and isolation (hierarchy extension)",
@@ -116,7 +116,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID: "crashmatrix", Title: "exact recovery of the durable record stream across injected crash points (durability extension)",
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return CrashMatrixEx(ex, seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return CrashMatrix(ex, seed) },
 		},
 	}
 }

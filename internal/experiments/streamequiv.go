@@ -7,9 +7,7 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/export"
-	"powercontainers/internal/model"
 	"powercontainers/internal/runner"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -46,12 +44,6 @@ type StreamEquivResult struct {
 	Cells []StreamEquivCell
 }
 
-// StreamEquivOptions trims the experiment.
-type StreamEquivOptions struct {
-	// Exec configures parallelism and per-run assembly.
-	Exec Exec
-}
-
 // streamEquivRun executes one cell's two arms on identically seeded
 // SandyBridge machines.
 func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) (StreamEquivCell, error) {
@@ -67,23 +59,17 @@ func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) 
 		return StreamEquivCell{}, err
 	}
 
-	// Streaming arm: identical machine and load schedule (RunOn's exact
-	// deployment sequence), but the engine is driven tick-by-tick through
-	// the streaming consumer.
+	// Streaming arm: identical machine and load schedule, but the
+	// engine is driven tick-by-tick through the streaming consumer.
 	m, err := as.NewMachine(cpu.SandyBridge, ap, seed)
 	if err != nil {
 		return StreamEquivCell{}, err
 	}
-	dep := wl.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
+	rig := m.Deploy(wl)
 	t0 := defaultWarmup
 	t1 := t0 + defaultWindow
-	if load == PeakLoad {
-		gen.RunClosedLoop(PeakClients(m.K.Spec), t1)
-	} else {
-		gen.RunOpenLoop(0.5*PeakRate(m.K.Spec, dep), t1, m.Rng.Fork(13))
-	}
-	e := stream.New(stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: m.Chip, Scope: model.ScopePackage}, stream.Config{})
+	rig.Drive(load, t1)
+	e := stream.New(m.Sources(), stream.Config{})
 	h := stream.NewHasher()
 	e.Sink = h
 	if m.Audit != nil {
@@ -103,23 +89,15 @@ func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) 
 	if err != nil {
 		return StreamEquivCell{}, err
 	}
-	streamHash, err := audit.HashAccounting(export.Collect(gen.Completed()))
+	streamHash, err := audit.HashAccounting(export.Collect(rig.Gen.Completed()))
 	if err != nil {
 		return StreamEquivCell{}, err
 	}
 	windowSec := float64(t1-t0) / float64(sim.Second)
-	accountedW := (cum1 - cum0) / windowSec
-	streamErr := 0.0
-	if measured > 0 {
-		d := accountedW - measured
-		if d < 0 {
-			d = -d
-		}
-		streamErr = d / measured
-	}
+	streamErr := ValidationError((cum1-cum0)/windowSec, measured)
 	return StreamEquivCell{
 		Workload: wl.Name(), Load: load, Approach: ap,
-		BatchError: batch.ValidationError(), StreamError: streamErr,
+		BatchError: ValidationError(batch.AccountedW, batch.MeasuredActiveW), StreamError: streamErr,
 		BatchHash: batchHash, StreamHash: streamHash,
 		Records: h.Count(),
 	}, nil
@@ -127,8 +105,7 @@ func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) 
 
 // streamEquivPlan decomposes the grid into one job per (load, approach)
 // cell.
-func streamEquivPlan(opt StreamEquivOptions, seed uint64) *runner.Plan {
-	as := opt.Exec.Assembly
+func streamEquivPlan(as Assembly, seed uint64) *runner.Plan {
 	plan := &runner.Plan{}
 	for _, load := range []LoadLevel{PeakLoad, HalfLoad} {
 		for _, ap := range Approaches() {
@@ -148,17 +125,12 @@ func streamEquivPlan(opt StreamEquivOptions, seed uint64) *runner.Plan {
 
 // StreamEquiv runs the streaming-vs-batch grid: SandyBridge, the stress
 // workload, both load levels, all three attribution approaches.
-func StreamEquiv(opt StreamEquivOptions, seed uint64) (*StreamEquivResult, error) {
-	cells, err := runner.Collect[StreamEquivCell](streamEquivPlan(opt, seed), opt.Exec.Jobs)
+func StreamEquiv(ex Exec, seed uint64) (*StreamEquivResult, error) {
+	cells, err := runner.Collect[StreamEquivCell](streamEquivPlan(ex.Assembly, seed), ex.Jobs)
 	if err != nil {
 		return nil, err
 	}
 	return &StreamEquivResult{Cells: cells}, nil
-}
-
-// StreamEquivEx runs the default grid under an execution configuration.
-func StreamEquivEx(ex Exec, seed uint64) (*StreamEquivResult, error) {
-	return StreamEquiv(StreamEquivOptions{Exec: ex}, seed)
 }
 
 // AllIdentical reports whether every cell's two arms attributed

@@ -12,7 +12,7 @@ import (
 // harness's in every cell, and the streaming arm's rendered fig8-format
 // validation table is byte-identical to the batch renderer's.
 func TestStreamEquivIdenticalToBatch(t *testing.T) {
-	r, err := StreamEquiv(StreamEquivOptions{Exec: Exec{Jobs: 4}}, 7)
+	r, err := StreamEquiv(Exec{Jobs: 4}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,11 +81,10 @@ func tenantMixRun(as Assembly, arm string, seed uint64) (TenantMixCell, error) {
 
 	// Victim tenant: the GAE Vosao application at a light open-loop load,
 	// filed under acme/web.
-	dep := workload.GAE{}.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
-	gen.ServiceFor = func(string) (string, string) { return "acme", "web" }
+	victim := m.Deploy(workload.GAE{})
+	victim.Gen.ServiceFor = func(string) (string, string) { return "acme", "web" }
 	t0, t1 := tenantMixWarmup, tenantMixEnd
-	gen.RunOpenLoop(0.3*PeakRate(m.K.Spec, dep), t1, m.Rng.Fork(13))
+	victim.DriveFrac(0.3, t1)
 
 	// Virus tenant: two closed-loop clients of pure power viruses, filed
 	// under mallory/burn (absent in the solo arm).
@@ -121,7 +120,7 @@ func tenantMixRun(as Assembly, arm string, seed uint64) (TenantMixCell, error) {
 	cell.BudgetThrottles = h.Tenant("mallory").BudgetThrottles()
 
 	var lat, energy, intrinsic stats.Sample
-	for _, r := range gen.Completed() {
+	for _, r := range victim.Gen.Completed() {
 		if !r.Finished() || r.Done < t0 || r.Done >= t1 || r.Cont == nil {
 			continue
 		}

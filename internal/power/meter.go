@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 
 	"powercontainers/internal/sim"
@@ -58,6 +59,25 @@ func ReadFresh(m Meter, now sim.Time, seen int) ([]Sample, int) {
 		return nil, seen
 	}
 	return all[seen:], len(all)
+}
+
+// ActiveMean averages a meter's active power (reading minus IdleW) over
+// the windows that lie wholly inside [t0, t1) and were delivered by now.
+// It selects windows by their true Start, so it serves offline
+// calibration and experiment measurement, never the online facility.
+func ActiveMean(m Meter, now, t0, t1 sim.Time) (float64, error) {
+	var sum float64
+	n := 0
+	for _, s := range m.Read(now) {
+		if s.Start >= t0 && s.Start+m.Interval() <= t1 {
+			sum += s.Watts - m.IdleW()
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("power: no %s samples in [%s,%s)", m.Name(), sim.FormatTime(t0), sim.FormatTime(t1))
+	}
+	return sum / float64(n), nil
 }
 
 // Sample is one delivered meter reading.

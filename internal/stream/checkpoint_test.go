@@ -9,8 +9,6 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/experiments"
-	"powercontainers/internal/model"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -40,7 +38,7 @@ func testCheckpointReplay(t *testing.T, cfg stream.Config, cuts []int) {
 
 	// Baseline: one uninterrupted streaming run collecting everything.
 	base := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-	be := stream.New(stream.Sources{Eng: base.m.Eng, Fac: base.m.Fac, Meter: base.m.Chip, Scope: model.ScopePackage}, cfg)
+	be := stream.New(base.m.Sources(), cfg)
 	var baseCol stream.Collector
 	be.Sink = &baseCol
 	be.RunUntil(base.end())
@@ -51,7 +49,7 @@ func testCheckpointReplay(t *testing.T, cfg stream.Config, cuts []int) {
 	for _, cut := range cuts {
 		// Run a fresh bed to the cut and checkpoint there.
 		bed := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-		e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, cfg)
+		e := stream.New(bed.m.Sources(), cfg)
 		e.RunTicks(cut)
 		enc := stream.EncodeCheckpoint(e.Checkpoint())
 		cp, err := stream.DecodeCheckpoint(enc)
@@ -61,7 +59,7 @@ func testCheckpointReplay(t *testing.T, cfg stream.Config, cuts []int) {
 
 		// Restore into a fresh engine over a fresh machine and continue.
 		bed2 := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-		re, err := stream.ReplayTo(stream.Sources{Eng: bed2.m.Eng, Fac: bed2.m.Fac, Meter: bed2.m.Chip, Scope: model.ScopePackage}, cfg, cp)
+		re, err := stream.ReplayTo(bed2.m.Sources(), cfg, cp)
 		if err != nil {
 			t.Fatalf("cut %d: ReplayTo: %v", cut, err)
 		}
@@ -97,19 +95,19 @@ func testCheckpointReplay(t *testing.T, cfg stream.Config, cuts []int) {
 func TestReplayToRejectsForeignCheckpoint(t *testing.T) {
 	cfg := stream.Config{Tick: 100 * sim.Millisecond}
 	bed := deployBed(t, core.ApproachRecalibrated, 31, workload.Stress{}, 0.5)
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, cfg)
+	e := stream.New(bed.m.Sources(), cfg)
 	e.RunTicks(25)
 	cp := e.Checkpoint()
 
 	other := deployBed(t, core.ApproachRecalibrated, 32, workload.Stress{}, 0.5)
-	if _, err := stream.ReplayTo(stream.Sources{Eng: other.m.Eng, Fac: other.m.Fac, Meter: other.m.Chip, Scope: model.ScopePackage}, cfg, cp); err == nil {
+	if _, err := stream.ReplayTo(other.m.Sources(), cfg, cp); err == nil {
 		t.Fatal("ReplayTo accepted a checkpoint from a differently-seeded run")
 	}
 
 	// A mismatched tick grid is rejected up front.
 	bad := stream.Config{Tick: 70 * sim.Millisecond}
 	third := deployBed(t, core.ApproachRecalibrated, 31, workload.Stress{}, 0.5)
-	if _, err := stream.ReplayTo(stream.Sources{Eng: third.m.Eng, Fac: third.m.Fac, Meter: third.m.Chip, Scope: model.ScopePackage}, bad, cp); err == nil {
+	if _, err := stream.ReplayTo(third.m.Sources(), bad, cp); err == nil {
 		t.Fatal("ReplayTo accepted a checkpoint off the configured tick grid")
 	}
 }
@@ -167,8 +165,7 @@ func checkpointsAlong(t *testing.T, e *stream.Engine, n int, advance func(i int)
 func TestAutomaticCheckpoints(t *testing.T) {
 	bed := deployBed(t, core.ApproachRecalibrated, 33, workload.Stress{}, 0.5)
 	probe := &auditProbe{}
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
-		stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 10})
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 10})
 	e.Observer = probe
 	checkpoints := checkpointsAlong(t, e, 35, func(int) { e.RunTicks(1) })
 	if e.LastCheckpoint() == nil || e.LastCheckpoint().Tick != 30 {
@@ -182,7 +179,7 @@ func TestAutomaticCheckpoints(t *testing.T) {
 	}
 
 	bed2 := deployBed(t, core.ApproachRecalibrated, 33, workload.Stress{}, 0.5)
-	re, err := stream.ReplayTo(stream.Sources{Eng: bed2.m.Eng, Fac: bed2.m.Fac, Meter: bed2.m.Chip, Scope: model.ScopePackage},
+	re, err := stream.ReplayTo(bed2.m.Sources(),
 		stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 10}, e.LastCheckpoint())
 	if err != nil {
 		t.Fatalf("replaying the automatic checkpoint: %v", err)
@@ -214,15 +211,14 @@ func TestAutomaticCheckpoints(t *testing.T) {
 func TestCheckpointBytesStable(t *testing.T) {
 	cases := []struct {
 		name        string
-		spec        cpu.MachineSpec
-		wall        bool // stream against the wall meter the recalibrator uses
+		spec        cpu.MachineSpec // streams against the meter its recalibrator uses
 		checkpoints string
 		stream      string
 	}{
-		{"chip", cpu.SandyBridge, false,
+		{"chip", cpu.SandyBridge,
 			"08b8bbf47198b025b460905055b8f8ade37f34d78ac350bc1b3ed00b4fb222cb",
 			"cdb63181be4480f7e0f42205009b09fa9ecad4cbc890a751d5da3c46a997d312"},
-		{"wall", cpu.Westmere, true,
+		{"wall", cpu.Westmere,
 			"cd3ca19f846745e859bec475ba294aefd8b1b709134ec28a8daf9ee18e9101f7",
 			"6590b7bc74b29f20a76add695790a46fd4558af88ac8d4adb15d015732037499"},
 	}
@@ -233,13 +229,8 @@ func TestCheckpointBytesStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dep := workload.Stress{}.Deploy(m.K, m.Rng.Fork(11))
-			server.NewLoadGen(m.K, m.Fac, dep).RunOpenLoop(0.5*experiments.PeakRate(m.K.Spec, dep), horizon-sim.Second, m.Rng.Fork(13))
-			src := stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: m.Chip, Scope: model.ScopePackage}
-			if tc.wall {
-				src.Meter, src.Scope = m.Wattsup, model.ScopeMachine
-			}
-			e := stream.New(src, stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 10})
+			m.Deploy(workload.Stress{}).DriveFrac(0.5, horizon-sim.Second)
+			e := stream.New(m.Sources(), stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 10})
 			records := stream.NewHasher()
 			e.Sink = records
 			cps := sha256.New()

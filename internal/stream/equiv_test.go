@@ -33,19 +33,19 @@ const (
 	equivWindow = 4 * sim.Second
 )
 
-// deployBed replicates experiments.RunOn's deployment sequence (same rng
-// fork points, same load schedule) without executing the run.
+// deployBed deploys wl on a SandyBridge machine through the experiments
+// rig, with open-loop arrivals at rateFrac of peak until t1, without
+// executing the run.
 func deployBed(t testing.TB, approach core.Approach, seed uint64, wl workload.Workload, rateFrac float64) testbed {
 	t.Helper()
 	m, err := experiments.Assembly{}.NewMachine(cpu.SandyBridge, approach, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep := wl.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
+	rig := m.Deploy(wl)
 	t1 := equivWarmup + equivWindow
-	gen.RunOpenLoop(rateFrac*experiments.PeakRate(m.K.Spec, dep), t1, m.Rng.Fork(13))
-	return testbed{m: m, gen: gen, t1: t1}
+	rig.DriveFrac(rateFrac, t1)
+	return testbed{m: m, gen: rig.Gen, t1: t1}
 }
 
 func (b testbed) end() sim.Time { return b.t1 + 3*sim.Second }
@@ -213,8 +213,7 @@ func TestModeledWattsCoverWholeTick(t *testing.T) {
 	const tick = 10 * sim.Second
 	bed := longBed(t, 3, 3*tick)
 	fac := bed.m.Fac
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
-		stream.Config{Tick: tick})
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: tick})
 	ms := fac.Metrics()
 	checked := 0
 	e.Sink = sinkFunc(func(r stream.Record) {

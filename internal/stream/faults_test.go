@@ -11,7 +11,6 @@ import (
 	"powercontainers/internal/faults"
 	"powercontainers/internal/model"
 	"powercontainers/internal/power"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -47,11 +46,10 @@ func faultBed(t *testing.T, seed uint64, mf *faults.MeterFaults, counter *stream
 	// with delay-search error.
 	r.SetDelay(sim.Millisecond)
 	r.Robust = align.Robust{Enabled: true}
-	dep := workload.Stress{}.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
+	rig := m.Deploy(workload.Stress{})
 	t1 := equivWarmup + equivWindow
-	gen.RunOpenLoop(0.5*experiments.PeakRate(m.K.Spec, dep), t1, m.Rng.Fork(13))
-	return testbed{m: m, gen: gen, t1: t1}, r, meter
+	rig.DriveFrac(0.5, t1)
+	return testbed{m: m, gen: rig.Gen, t1: t1}, r, meter
 }
 
 // streamRun drives a bed through the streaming engine to its horizon —
@@ -145,11 +143,10 @@ func TestStreamMeterDeathFailsOver(t *testing.T) {
 			Robust:        align.Robust{Enabled: true},
 		})
 		r.SetDelay(sim.Millisecond)
-		dep := workload.Stress{}.Deploy(m.K, m.Rng.Fork(11))
-		gen := server.NewLoadGen(m.K, m.Fac, dep)
+		rig := m.Deploy(workload.Stress{})
 		t1 := equivWarmup + equivWindow
-		gen.RunOpenLoop(0.5*experiments.PeakRate(m.K.Spec, dep), t1, m.Rng.Fork(13))
-		bed := testbed{m: m, gen: gen, t1: t1}
+		rig.DriveFrac(0.5, t1)
+		bed := testbed{m: m, gen: rig.Gen, t1: t1}
 		e, col := streamRun(bed, primary)
 		return bed, r, e, col
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"powercontainers/internal/core"
-	"powercontainers/internal/model"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -21,8 +20,7 @@ import (
 func TestStreamEmitsHierarchyRecords(t *testing.T) {
 	const horizon = 4 * sim.Second
 	bed := longBed(t, 61, horizon-sim.Second)
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
-		stream.Config{Tick: 100 * sim.Millisecond})
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: 100 * sim.Millisecond})
 	var col stream.Collector
 	e.Sink = &col
 	e.RunUntil(horizon)
@@ -103,8 +101,7 @@ func TestStreamEmitsHierarchyRecords(t *testing.T) {
 // untouched by the hierarchy machinery.
 func TestFlatStreamHasNoHierarchyRecords(t *testing.T) {
 	bed := deployBed(t, core.ApproachChipShare, 62, workload.Stress{}, 0.5)
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
-		stream.Config{Tick: 100 * sim.Millisecond})
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: 100 * sim.Millisecond})
 	var col stream.Collector
 	e.Sink = &col
 	e.RunUntil(bed.end())
@@ -128,14 +125,14 @@ func TestHierarchyCheckpointReplay(t *testing.T) {
 	cfg := stream.Config{Tick: 100 * sim.Millisecond}
 
 	base := longBed(t, seed, horizon-sim.Second)
-	be := stream.New(stream.Sources{Eng: base.m.Eng, Fac: base.m.Fac, Meter: base.m.Chip, Scope: model.ScopePackage}, cfg)
+	be := stream.New(base.m.Sources(), cfg)
 	var baseCol stream.Collector
 	be.Sink = &baseCol
 	be.RunUntil(horizon)
 
 	const cut = 23
 	bed := longBed(t, seed, horizon-sim.Second)
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, cfg)
+	e := stream.New(bed.m.Sources(), cfg)
 	e.RunTicks(cut)
 	enc := stream.EncodeCheckpoint(e.Checkpoint())
 	if !bytes.Contains(enc, []byte(`"svc_last"`)) || !bytes.Contains(enc, []byte(`"ten_last"`)) {
@@ -147,7 +144,7 @@ func TestHierarchyCheckpointReplay(t *testing.T) {
 	}
 
 	bed2 := longBed(t, seed, horizon-sim.Second)
-	re, err := stream.ReplayTo(stream.Sources{Eng: bed2.m.Eng, Fac: bed2.m.Fac, Meter: bed2.m.Chip, Scope: model.ScopePackage}, cfg, cp)
+	re, err := stream.ReplayTo(bed2.m.Sources(), cfg, cp)
 	if err != nil {
 		t.Fatalf("ReplayTo: %v", err)
 	}

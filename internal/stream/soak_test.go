@@ -7,8 +7,6 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/experiments"
-	"powercontainers/internal/model"
-	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -25,17 +23,16 @@ func longBed(tb testing.TB, seed uint64, until sim.Time) testbed {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dep := workload.GAE{}.Deploy(m.K, m.Rng.Fork(11))
-	gen := server.NewLoadGen(m.K, m.Fac, dep)
+	rig := m.Deploy(workload.GAE{})
 	m.Fac.AttachHierarchy(core.NewHierarchy())
-	gen.ServiceFor = func(reqType string) (string, string) {
+	rig.Gen.ServiceFor = func(reqType string) (string, string) {
 		if i := strings.IndexByte(reqType, '/'); i >= 0 {
 			return reqType[:i], reqType[i+1:]
 		}
 		return "misc", reqType
 	}
-	gen.RunOpenLoop(0.4*experiments.PeakRate(m.K.Spec, dep), until, m.Rng.Fork(13))
-	return testbed{m: m, gen: gen, t1: until}
+	rig.DriveFrac(0.4, until)
+	return testbed{m: m, gen: rig.Gen, t1: until}
 }
 
 // TestStreamSoak runs the streaming engine continuously for 30 virtual
@@ -49,8 +46,7 @@ func TestStreamSoak(t *testing.T) {
 	bed := longBed(t, 51, horizon-2*sim.Second)
 	probe := &auditProbe{}
 	hasher := stream.NewHasher()
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
-		stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 50})
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: 100 * sim.Millisecond, CheckpointEvery: 50})
 	e.Observer = probe
 	done, tenantRecs := 0, 0
 	e.Sink = stream.Tee{hasher, sinkFunc(func(r stream.Record) {
@@ -107,8 +103,7 @@ func (f sinkFunc) OnRecord(r stream.Record) { f(r) }
 // BENCH_stream.json.
 func BenchmarkStreamIngest(b *testing.B) {
 	bed := longBed(b, 53, sim.Time(1)<<62)
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage},
-		stream.Config{Tick: 100 * sim.Millisecond})
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: 100 * sim.Millisecond})
 	e.Sink = stream.NewHasher()
 	// Warm past model bring-up so the benchmark sees steady state.
 	e.RunTicks(50)

@@ -10,7 +10,6 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/durable"
 	"powercontainers/internal/faults"
-	"powercontainers/internal/model"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
 	"powercontainers/internal/workload"
@@ -42,7 +41,7 @@ func runDurable(t testing.TB, mem *durable.MemFS, fsys durable.FS, seed uint64) 
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	e, err := stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec)
+	e, err := stream.Resume(bed.m.Sources(), storeCfg(), st, rec)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -71,7 +70,7 @@ func dumpStream(t *testing.T, mem *durable.MemFS) []byte {
 func TestDurableRunMatchesPlainRun(t *testing.T) {
 	const seed = 41
 	bed := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-	e := stream.New(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg())
+	e := stream.New(bed.m.Sources(), storeCfg())
 	var col stream.Collector
 	e.Sink = &col
 	e.RunUntil(bed.end())
@@ -146,7 +145,7 @@ func TestDurableRecoveryModes(t *testing.T) {
 		t.Fatalf("empty dir recovered as %q lastSeq=%d", rec.Mode, rec.LastSeq)
 	}
 	bed := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-	e, err := stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec)
+	e, err := stream.Resume(bed.m.Sources(), storeCfg(), st, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestDurableRecoveryModes(t *testing.T) {
 		t.Fatalf("version-2 checkpoint recovered as %q (%s)", rec.Mode, rec.Detail)
 	}
 	bed = deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-	if e, err = stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec); err != nil {
+	if e, err = stream.Resume(bed.m.Sources(), storeCfg(), st, rec); err != nil {
 		t.Fatal(err)
 	}
 	e.RunUntil(bed.end())
@@ -233,7 +232,7 @@ func TestDurableScratchFallbackReplaysExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec)
+	e, err := stream.Resume(bed.m.Sources(), storeCfg(), st, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +268,7 @@ func TestDurableScratchFallbackReplaysExactly(t *testing.T) {
 		t.Fatal("no WAL truncation observed for the destroyed final frame")
 	}
 	bed2 := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-	e2, err := stream.Resume(stream.Sources{Eng: bed2.m.Eng, Fac: bed2.m.Fac, Meter: bed2.m.Chip, Scope: model.ScopePackage}, storeCfg(), st2, rec2)
+	e2, err := stream.Resume(bed2.m.Sources(), storeCfg(), st2, rec2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +353,7 @@ func TestStoreCloseAfterFailedSync(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenStore: %v", err)
 			}
-			e, err := stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec)
+			e, err := stream.Resume(bed.m.Sources(), storeCfg(), st, rec)
 			if err != nil {
 				t.Fatalf("Resume: %v", err)
 			}
@@ -489,7 +488,7 @@ func TestSupervisedStoreRunConverges(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		e, err := stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec)
+		e, err := stream.Resume(bed.m.Sources(), storeCfg(), st, rec)
 		if err != nil {
 			return err
 		}
@@ -529,7 +528,7 @@ func BenchmarkStreamRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := stream.Resume(stream.Sources{Eng: bed.m.Eng, Fac: bed.m.Fac, Meter: bed.m.Chip, Scope: model.ScopePackage}, storeCfg(), st, rec); err != nil {
+		if _, err := stream.Resume(bed.m.Sources(), storeCfg(), st, rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/experiments"
 	"powercontainers/internal/export"
-	"powercontainers/internal/model"
 	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/stream"
@@ -73,10 +72,8 @@ func TestDeterministicReplayCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dep := workload.GAE{}.Deploy(m.K, m.Rng.Fork(11))
-		gen := server.NewLoadGen(m.K, m.Fac, dep)
-		gen.RunOpenLoop(0.4*experiments.PeakRate(m.K.Spec, dep), horizon-sim.Second, m.Rng.Fork(13))
-		return m, stream.Sources{Eng: m.Eng, Fac: m.Fac, Meter: m.Chip, Scope: model.ScopePackage}
+		m.Deploy(workload.GAE{}).DriveFrac(0.4, horizon-sim.Second)
+		return m, m.Sources()
 	}
 
 	// Uninterrupted run: hash everything emitted after the cut.

@@ -100,32 +100,22 @@ type AnomalyReport struct {
 // ValidationError is |AccountedWatts − MeasuredActiveWatts| / measured: the
 // paper's accounting accuracy metric (Figure 8).
 func (r *Report) ValidationError() float64 {
-	if r.MeasuredActiveWatts <= 0 {
-		return 0
-	}
-	d := r.AccountedWatts - r.MeasuredActiveWatts
-	if d < 0 {
-		d = -d
-	}
-	return d / r.MeasuredActiveWatts
+	return experiments.ValidationError(r.AccountedWatts, r.MeasuredActiveWatts)
 }
 
-// buildReport assembles the run's report over window [t0, t1).
-func (r *Run) buildReport(t0, t1 sim.Time, accJ, bgJ float64) (*Report, error) {
+// buildReport assembles the run's report over window [t0, t1), given its
+// measured, accounted and background power.
+func (r *Run) buildReport(t0, t1 sim.Time, measuredW, accountedW, backgroundW float64) *Report {
 	m := r.sys.m
-	measured, err := experiments.WattsupActiveMean(m, m.Eng.Now(), t0, t1)
-	if err != nil {
-		return nil, err
-	}
 	windowSec := float64(t1-t0) / float64(sim.Second)
 	rep := &Report{
 		Machine:             m.K.Spec.Name,
 		Workload:            r.wl.Name(),
 		WindowStart:         time.Duration(t0),
 		WindowEnd:           time.Duration(t1),
-		MeasuredActiveWatts: measured,
-		AccountedWatts:      accJ / windowSec,
-		BackgroundWatts:     bgJ / windowSec,
+		MeasuredActiveWatts: measuredW,
+		AccountedWatts:      accountedW,
+		BackgroundWatts:     backgroundW,
 		Audited:             m.Audit != nil,
 	}
 
@@ -195,7 +185,7 @@ func (r *Run) buildReport(t0, t1 sim.Time, accJ, bgJ float64) (*Report, error) {
 			})
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // requestReport converts a finished request's container into its report.

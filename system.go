@@ -167,27 +167,13 @@ func (s *System) AuditViolations() []string {
 // Cores returns the machine's core count.
 func (s *System) Cores() int { return s.m.K.Spec.Cores() }
 
-// Workloads lists the supported named workloads.
+// Workloads lists the paper's evaluation workloads.
 func Workloads() []string {
-	return []string{"RSA-crypto", "Solr", "WeBWorK", "Stress", "GAE-Vosao", "GAE-Hybrid"}
-}
-
-func workloadByName(name string) (workload.Workload, error) {
-	switch name {
-	case "RSA-crypto":
-		return workload.RSA{}, nil
-	case "Solr":
-		return workload.Solr{}, nil
-	case "WeBWorK":
-		return workload.WeBWorK{}, nil
-	case "Stress":
-		return workload.Stress{}, nil
-	case "GAE-Vosao":
-		return workload.GAE{}, nil
-	case "GAE-Hybrid":
-		return workload.GAE{VirusLoadFraction: 0.5}, nil
+	var out []string
+	for _, w := range experiments.EvalWorkloads() {
+		out = append(out, w.Name())
 	}
-	return nil, fmt.Errorf("powercontainers: unknown workload %q (known: %v)", name, Workloads())
+	return out
 }
 
 // Run is one prepared workload execution on a System. A System runs one
@@ -246,11 +232,12 @@ func (r *Run) targetFor(reqType string) float64 {
 	return best
 }
 
-// NewRun deploys a named workload on the machine.
+// NewRun deploys a named workload on the machine: one of Workloads, or
+// the event-driven "EventServer". Names match regardless of case.
 func (s *System) NewRun(workloadName string, load Load) (*Run, error) {
-	wl, err := workloadByName(workloadName)
+	wl, err := experiments.WorkloadByName(workloadName)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("powercontainers: %w (known: %v)", err, Workloads())
 	}
 	return &Run{sys: s, wl: wl, load: load}, nil
 }
@@ -293,8 +280,16 @@ func (r *Run) Execute(d time.Duration) (*Report, error) {
 	if until < 2*sim.Second {
 		return nil, fmt.Errorf("powercontainers: run duration %v too short (need ≥2s)", d)
 	}
-	dep := r.wl.Deploy(m.K, m.Rng.Fork(11))
-	r.gen = server.NewLoadGen(m.K, m.Fac, dep)
+	level := experiments.PeakLoad
+	switch r.load {
+	case PeakLoad:
+	case HalfLoad:
+		level = experiments.HalfLoad
+	default:
+		return nil, fmt.Errorf("powercontainers: unknown load %d", r.load)
+	}
+	rig := m.Deploy(r.wl)
+	r.gen = rig.Gen
 	r.gen.TraceRequests = r.trace
 	if r.clients > 0 {
 		pool := server.NewClientPool(r.clients, 0.9, m.Rng.Fork(15))
@@ -311,14 +306,7 @@ func (r *Run) Execute(d time.Duration) (*Report, error) {
 			m.Fac.EnableConditioning(1e9)
 		}
 	}
-	switch r.load {
-	case PeakLoad:
-		r.gen.RunClosedLoop(experiments.PeakClients(m.K.Spec), until)
-	case HalfLoad:
-		r.gen.RunOpenLoop(0.5*experiments.PeakRate(m.K.Spec, dep), until, m.Rng.Fork(13))
-	default:
-		return nil, fmt.Errorf("powercontainers: unknown load %d", r.load)
-	}
+	rig.Drive(level, until)
 	for _, arm := range r.schedule {
 		arm(until)
 	}
@@ -331,21 +319,9 @@ func (r *Run) Execute(d time.Duration) (*Report, error) {
 	warm = (warm / sim.Second) * sim.Second
 	end := (until / sim.Second) * sim.Second
 
-	var acc0, bg0 float64
-	m.Eng.At(warm, func() {
-		acc0 = m.Fac.TotalAccountedEnergyJ()
-		bg0 = m.Fac.Background.EnergyJ()
-	})
-	var acc1, bg1 float64
-	m.Eng.At(end, func() {
-		acc1 = m.Fac.TotalAccountedEnergyJ()
-		bg1 = m.Fac.Background.EnergyJ()
-	})
-	m.Eng.RunUntil(until + 3*sim.Second)
-
-	if err := m.FinalizeAudit(); err != nil {
+	measured, accounted, background, err := m.MeasureWindow(warm, end, until+3*sim.Second)
+	if err != nil {
 		return nil, fmt.Errorf("powercontainers: %w", err)
 	}
-
-	return r.buildReport(warm, end, acc1-acc0, bg1-bg0)
+	return r.buildReport(warm, end, measured, accounted, background), nil
 }
