@@ -20,6 +20,7 @@ import (
 	"powercontainers/internal/experiments"
 	"powercontainers/internal/kernel"
 	"powercontainers/internal/model"
+	"powercontainers/internal/runner"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/workload"
 )
@@ -92,16 +93,30 @@ func BenchmarkFig4RequestTrace(b *testing.B) {
 func BenchmarkCoefficientCalibration(b *testing.B) {
 	// Calibrate from scratch each iteration (the experiment registry
 	// caches per machine; the §4.1 procedure itself is what's measured:
-	// 8 microbenchmarks × 4 load levels plus two least-squares fits).
-	var fitErr float64
-	for i := 0; i < b.N; i++ {
-		r, err := calib.Calibrate(cpu.SandyBridge, calib.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
+	// 8 microbenchmarks × 4 load levels plus two least-squares fits), per
+	// machine, with the configurations run serially (jobs=1) and fanned
+	// out at the GOMAXPROCS default (jobs=max). scripts/bench_calib.sh
+	// records both in BENCH_calib.json.
+	for _, spec := range cpu.Specs() {
+		for _, leg := range []struct {
+			name string
+			jobs int
+		}{{"1", 1}, {"max", 0}} {
+			b.Run("machine="+spec.Name+"/jobs="+leg.name, func(b *testing.B) {
+				runner.SetDefaultJobs(leg.jobs)
+				defer runner.SetDefaultJobs(0)
+				var fitErr float64
+				for i := 0; i < b.N; i++ {
+					r, err := calib.Calibrate(spec, calib.DefaultConfig())
+					if err != nil {
+						b.Fatal(err)
+					}
+					fitErr = r.FitErrEq2
+				}
+				b.ReportMetric(100*fitErr, "%-fit-err")
+			})
 		}
-		fitErr = r.FitErrEq2
 	}
-	b.ReportMetric(100*fitErr, "%-fit-err")
 }
 
 func BenchmarkFig5WorkloadPower(b *testing.B) {

@@ -8,20 +8,22 @@
 //	                                      # ablations, cluster3, faultmatrix
 //	pcbench [-seed N] [-jobs N] all
 //
-// -jobs bounds the worker pool (default: GOMAXPROCS). Distinct experiments
-// and the independent cells inside grid experiments run concurrently, but
-// output is byte-identical at any -jobs value: every job owns its own
-// simulation engine and RNG, and results assemble by plan index.
+// -jobs bounds the worker pool (default: GOMAXPROCS). Distinct experiments,
+// the independent cells inside grid experiments and the configurations of
+// each machine's offline calibration run concurrently, but output is
+// byte-identical at any -jobs value: every job owns its own simulation
+// engine and RNG, and results assemble by plan index. -jobs 1 runs
+// everything serially.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"powercontainers"
+	"powercontainers/internal/runner"
 )
 
 func main() {
@@ -29,6 +31,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed (identical seeds reproduce identical results)")
 	jobs := flag.Int("jobs", 0, "max concurrent simulation jobs (0 = GOMAXPROCS); output is identical at any value")
 	flag.Parse()
+	// The flag is also the process default, so plans that take no
+	// explicit bound — calibration's among them — honour it.
+	runner.SetDefaultJobs(*jobs)
 
 	if *list {
 		for _, e := range powercontainers.ListExperiments() {
@@ -75,10 +80,7 @@ func main() {
 			sum += r.Elapsed
 			fmt.Printf("  %-9s %v\n", r.ID, r.Elapsed.Round(time.Millisecond))
 		}
-		njobs := *jobs
-		if njobs <= 0 {
-			njobs = runtime.GOMAXPROCS(0)
-		}
+		njobs := runner.DefaultJobs()
 		fmt.Printf("  %-9s %v (sum of experiment times)\n", "total", sum.Round(time.Millisecond))
 		fmt.Printf("  %-9s %v (speedup %.2fx at jobs=%d)\n", "wall",
 			wall.Round(time.Millisecond), float64(sum)/float64(wall), njobs)

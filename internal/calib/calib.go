@@ -19,6 +19,7 @@ import (
 	"powercontainers/internal/kernel"
 	"powercontainers/internal/model"
 	"powercontainers/internal/power"
+	"powercontainers/internal/runner"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/workload"
 )
@@ -69,16 +70,41 @@ func Calibrate(spec cpu.MachineSpec, cfg Config) (*Result, error) {
 	}
 	res := &Result{Spec: spec, IdleW: profile.MachineIdleW}
 
-	benches := workload.MicroBenches()
-	for bi, mb := range benches {
+	// The configurations share nothing: each builds its own engine,
+	// kernel, facility and meters, salted by its (benchmark, load) index.
+	// They run as one runner plan at the process-default worker bound, and
+	// the samples fold in plan order, so the result is bit-identical at
+	// any bound. A job reports its failure in its cell, keeping the
+	// calib-prefixed error text; the first failure in plan order wins,
+	// as in a serial sweep.
+	type cell struct {
+		s   model.CalSample
+		err error
+	}
+	var plan runner.Plan
+	for bi, mb := range workload.MicroBenches() {
 		for li, load := range workload.CalibrationLoadLevels {
-			s, err := runConfig(spec, profile, mb, load, cfg, uint64(bi*10+li))
-			if err != nil {
-				return nil, fmt.Errorf("calib: %s@%.0f%%: %w", mb.Name, load*100, err)
-			}
-			res.Samples = append(res.Samples, s)
-			res.Mmax = res.Mmax.Max(s.M)
+			key := fmt.Sprintf("%s@%.0f%%", mb.Name, load*100)
+			salt := uint64(bi*10 + li)
+			plan.Add(key, func() (any, error) {
+				s, err := runConfig(spec, profile, mb, load, cfg, salt)
+				if err != nil {
+					err = fmt.Errorf("calib: %s: %w", key, err)
+				}
+				return cell{s, err}, nil
+			})
 		}
+	}
+	cells, err := runner.Collect[cell](&plan, 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cells {
+		if c.err != nil {
+			return nil, c.err
+		}
+		res.Samples = append(res.Samples, c.s)
+		res.Mmax = res.Mmax.Max(c.s.M)
 	}
 
 	// One pass over the samples serves both fits: Eq. 1's normal equations

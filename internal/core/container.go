@@ -142,7 +142,6 @@ type Container struct {
 	refs     int
 	Released bool
 
-	stageIdx     map[string]int
 	stages       []StageStat
 	traceEnabled bool
 	Trace        []TraceEvent
@@ -234,13 +233,14 @@ func (c *Container) addPeriod(task string, end, wall sim.Time, ev cpu.Counters, 
 	if dutyFrac > 0 {
 		c.origEnergyJ += energyJ / dutyFrac
 	}
-	if c.stageIdx == nil {
-		c.stageIdx = make(map[string]int)
+	// A container sees a handful of stages (at most six across the
+	// evaluation workloads), so a linear scan in first-seen order beats a
+	// per-container map.
+	i := 0
+	for i < len(c.stages) && c.stages[i].Task != task {
+		i++
 	}
-	i, ok := c.stageIdx[task]
-	if !ok {
-		i = len(c.stages)
-		c.stageIdx[task] = i
+	if i == len(c.stages) {
 		c.stages = append(c.stages, StageStat{Task: task})
 	}
 	c.stages[i].CPUTime += wall

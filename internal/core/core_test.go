@@ -334,6 +334,27 @@ func TestTraceOnlyWhenEnabled(t *testing.T) {
 	}
 }
 
+// TestUntracedHooksDoNotAllocate checks that with tracing off a rebind and
+// a device operation on a running task allocate nothing once its stage
+// exists (the warm-up call opens it): the trace details those hooks
+// describe are built only for traced containers.
+func TestUntracedHooksDoNotAllocate(t *testing.T) {
+	k, f := newRig(t, uniSpec, Config{})
+	req := f.NewContainer("req")
+	task := k.Spawn("server", kernel.Script(kernel.OpCompute{BaseCycles: 1e12, Act: cpu.Activity{IPC: 1}}), nil)
+	k.Eng.RunUntil(10 * sim.Millisecond)
+	if task.Core() < 0 {
+		t.Fatal("task is not running")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f.OnBind(task, req)
+		f.OnIO(task, kernel.DeviceDisk, 4096, sim.Millisecond, testProfile.DiskW)
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced OnBind+OnIO allocate %v objects per call, want 0", allocs)
+	}
+}
+
 func TestSampleNowAndRewind(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	cont := f.NewContainer("req")

@@ -84,7 +84,6 @@ type coreState struct {
 	valid    bool
 	last     cpu.Counters
 	lastTime sim.Time
-	maintOps int
 	// lastM remembers the previous period's (observer-compensated,
 	// capped) metrics so a period whose counters are unrecoverable —
 	// lost overflow interrupts under a wrapping register — can be
@@ -235,7 +234,6 @@ func (f *Facility) resetBaseline(c *cpu.Core) {
 	st.lastTime = f.K.Now()
 	st.valid = true
 	f.K.ChargeMaintenance(c.ID, f.maint)
-	st.maintOps = 1
 }
 
 // samplePeriod closes the current sampling period on core c, attributing
@@ -277,10 +275,12 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 				fixKind = "extrapolate"
 			}
 		}
-		// Extrapolated deltas derive from already-compensated metrics;
-		// subtracting maintenance again would double-count it.
-		if fixKind != "extrapolate" && !f.cfg.DisableObserverComp && st.maintOps > 0 {
-			delta = delta.Sub(f.maint.Scale(float64(st.maintOps))).ClampNonNegative()
+		// Every period opens with exactly one maintenance operation (the
+		// sample that started it). Extrapolated deltas derive from
+		// already-compensated metrics; subtracting maintenance again would
+		// double-count it.
+		if fixKind != "extrapolate" && !f.cfg.DisableObserverComp {
+			delta = delta.Sub(f.maint).ClampNonNegative()
 		}
 		var m model.Metrics
 		if elapsedCycles > 0 {
@@ -339,7 +339,6 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 	st.last = cur
 	st.lastTime = now
 	f.K.ChargeMaintenance(c.ID, f.maint)
-	st.maintOps = 1
 }
 
 // unwrapDelta repairs a counter delta whose minuend wrapped once: negative
@@ -447,7 +446,9 @@ func (f *Facility) OnBind(t *kernel.Task, newCtx kernel.Context) {
 	f.releaseRef(old)
 	if nc, ok := newCtx.(*Container); ok && nc != nil {
 		f.retainRef(nc)
-		nc.addTrace(f.K.Now(), TraceBind, t.Name, fmt.Sprintf("from %s", old.Label))
+		if nc.traceEnabled {
+			nc.addTrace(f.K.Now(), TraceBind, t.Name, "from "+old.Label)
+		}
 		// Re-apply conditioning for the new binding if running.
 		if f.cond != nil {
 			if core := t.Core(); core >= 0 {
@@ -460,8 +461,9 @@ func (f *Facility) OnBind(t *kernel.Task, newCtx kernel.Context) {
 // OnFork implements kernel.Monitor: the child inherits the parent's
 // binding; the container gains a task reference.
 func (f *Facility) OnFork(parent, child *kernel.Task) {
-	cont := f.containerOf(child)
-	cont.addTrace(f.K.Now(), TraceFork, parent.Name, "forks "+child.Name)
+	if cont := f.containerOf(child); cont.traceEnabled {
+		cont.addTrace(f.K.Now(), TraceFork, parent.Name, "forks "+child.Name)
+	}
 }
 
 // OnExit implements kernel.Monitor: drop the exiting task's reference.
@@ -501,7 +503,9 @@ func (f *Facility) OnIO(t *kernel.Task, dev kernel.DeviceKind, bytes int64, busy
 	if cont.svc != nil {
 		cont.svc.chargeDevice(joules)
 	}
-	cont.addTrace(f.K.Now(), TraceIO, t.Name, fmt.Sprintf("%s %dB", dev, bytes))
+	if cont.traceEnabled {
+		cont.addTrace(f.K.Now(), TraceIO, t.Name, fmt.Sprintf("%s %dB", dev, bytes))
+	}
 	var m model.Metrics
 	if dev == kernel.DeviceDisk {
 		m.Disk = 1

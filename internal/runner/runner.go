@@ -46,7 +46,8 @@ func (p *Plan) Add(key string, run func() (any, error)) {
 func (p *Plan) Len() int { return len(p.jobs) }
 
 // defaultJobs overrides the default worker bound when positive
-// (SetDefaultJobs; cmd/pcbench's -jobs flag lands here).
+// (SetDefaultJobs). cmd/pcbench's -jobs flag lands here, so it also bounds
+// plans that run at the default, such as calib.Calibrate's.
 var defaultJobs atomic.Int64
 
 // DefaultJobs returns the worker bound used when Run is called with

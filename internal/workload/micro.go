@@ -73,6 +73,16 @@ func (m MicroBench) SpawnLoop(k *kernel.Kernel, tasks int, util float64) []*kern
 	// unidentifiable — real calibration runs are never phase-locked.
 	period := busyNs + ioNs + pauseNs
 
+	// The loop's ops never change, so each is boxed into a kernel.Op once
+	// here rather than on every Next: ops are values the kernel copies
+	// out, and sharing them across tasks is safe.
+	var (
+		burst  kernel.Op = kernel.OpCompute{BaseCycles: burstCycles, Act: m.Act}
+		filler kernel.Op = kernel.OpCompute{BaseCycles: 1, Act: m.Act}
+		disk   kernel.Op = kernel.OpDisk{Bytes: m.DiskBytes}
+		net    kernel.Op = kernel.OpNet{Bytes: m.NetBytes}
+		sleep  kernel.Op = kernel.OpSleep{D: pause}
+	)
 	var out []*kernel.Task
 	for i := 0; i < tasks; i++ {
 		step := 0
@@ -86,22 +96,22 @@ func (m MicroBench) SpawnLoop(k *kernel.Kernel, tasks int, util float64) []*kern
 			step++
 			switch step % 4 {
 			case 1:
-				return kernel.OpCompute{BaseCycles: burstCycles, Act: m.Act}
+				return burst
 			case 2:
 				if m.DiskBytes > 0 {
-					return kernel.OpDisk{Bytes: m.DiskBytes}
+					return disk
 				}
-				return kernel.OpCompute{BaseCycles: 1, Act: m.Act}
+				return filler
 			case 3:
 				if m.NetBytes > 0 {
-					return kernel.OpNet{Bytes: m.NetBytes}
+					return net
 				}
-				return kernel.OpCompute{BaseCycles: 1, Act: m.Act}
+				return filler
 			default:
 				if pause < 1 {
-					return kernel.OpCompute{BaseCycles: 1, Act: m.Act}
+					return filler
 				}
-				return kernel.OpSleep{D: pause}
+				return sleep
 			}
 		})
 		out = append(out, k.Spawn("micro-"+m.Name, prog, nil))

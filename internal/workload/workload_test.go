@@ -240,6 +240,30 @@ func TestMicroBenchUtilization(t *testing.T) {
 	}
 }
 
+// TestMicroBenchLoopDoesNotAllocatePerOp checks a microbenchmark loop hands
+// the kernel its fixed ops without allocating: at half load on four cores
+// the loop issues about 400 ops per 100 ms (four per iteration, about 25
+// iterations per task), and boxing a fresh op on each would allocate as
+// often. What remains is the engine's and recorder's amortized growth.
+func TestMicroBenchLoopDoesNotAllocatePerOp(t *testing.T) {
+	for _, mb := range MicroBenches() {
+		if mb.DiskBytes > 0 || mb.NetBytes > 0 {
+			continue // device I/O has allocations of its own
+		}
+		eng := sim.NewEngine()
+		k, err := kernel.New("test", cpu.SandyBridge, power.MustProfile(cpu.SandyBridge), eng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb.SpawnLoop(k, cpu.SandyBridge.Cores(), 0.5)
+		eng.RunUntil(500 * sim.Millisecond)
+		allocs := testing.AllocsPerRun(10, func() { eng.RunUntil(eng.Now() + 100*sim.Millisecond) })
+		if allocs > 40 {
+			t.Errorf("%s: %v allocations per 100 ms of loop, want at most 40", mb.Name, allocs)
+		}
+	}
+}
+
 func TestMicroBenchIOVariantsTouchDevices(t *testing.T) {
 	k, fac := newRig(t, cpu.SandyBridge)
 	for _, mb := range MicroBenches() {
