@@ -102,11 +102,6 @@ func (r *Recalibrator) OnlineCount() int { return r.online.Len() }
 // Refits returns how many successful refits have been performed.
 func (r *Recalibrator) Refits() int { return r.refits }
 
-// Delivered returns how many meter samples have reached the recalibrator —
-// the freshness signal the meter-health watchdog (core) monitors to detect
-// a dead meter.
-func (r *Recalibrator) Delivered() int { return r.seen }
-
 // Rejected returns how many aligned pairs robust ingestion has discarded.
 func (r *Recalibrator) Rejected() int { return r.rejected }
 

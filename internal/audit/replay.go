@@ -1,10 +1,10 @@
 package audit
 
-// Determinism replay: the simulation is a pure function of its seed, so
-// running an experiment twice must reproduce the exported per-request
-// accounting bit for bit. The content hash covers both canonical export
-// encodings (CSV and JSON), catching nondeterminism anywhere between the
-// event queue and the serializers.
+// Accounting hash: the simulation is a pure function of its seed, so two
+// runs of an experiment must export bit-identical per-request accounting.
+// The content hash covers both canonical export encodings (CSV and JSON),
+// catching nondeterminism anywhere between the event queue and the
+// serializers.
 
 import (
 	"bytes"
@@ -27,31 +27,4 @@ func HashAccounting(recs []export.RequestRecord) (string, error) {
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// ReplayCheck runs produce twice and verifies the exported accounting is
-// bit-identical. produce must build a fresh simulation from a fixed seed
-// on every call.
-func ReplayCheck(produce func() ([]export.RequestRecord, error)) error {
-	first, err := produce()
-	if err != nil {
-		return fmt.Errorf("audit: replay run 1: %w", err)
-	}
-	second, err := produce()
-	if err != nil {
-		return fmt.Errorf("audit: replay run 2: %w", err)
-	}
-	h1, err := HashAccounting(first)
-	if err != nil {
-		return err
-	}
-	h2, err := HashAccounting(second)
-	if err != nil {
-		return err
-	}
-	if h1 != h2 {
-		return fmt.Errorf("audit: replay diverged: %d records hashing %s vs %d records hashing %s",
-			len(first), h1, len(second), h2)
-	}
-	return nil
 }

@@ -40,27 +40,6 @@ func (f *Facility) EnableConditioning(systemTargetW float64) *Conditioner {
 	return f.cond
 }
 
-// DisableConditioning removes the conditioning policy and resets the duty
-// machinery exactly once: every core's duty register returns to full speed
-// immediately, and every container's conditioner-assigned duty level is
-// cleared, so a later EnableConditioning starts from the same state a
-// freshly conditioned facility would instead of resuming stale throttle
-// levels. Calling it again without an intervening enable is a no-op.
-func (f *Facility) DisableConditioning() {
-	if f.cond == nil {
-		return
-	}
-	f.cond = nil
-	for _, c := range f.K.Cores {
-		if c.DutyLevel() != c.DutyMax() {
-			c.SetDutyLevel(c.DutyMax())
-		}
-	}
-	for _, c := range f.containers {
-		c.dutyLevel = 0
-	}
-}
-
 // budget returns the current per-request power budget: the system target
 // divided evenly among busy cores, so a request running while siblings
 // idle legitimately enjoys a larger budget (the unthrottled viruses at the

@@ -5,7 +5,6 @@ import (
 
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/kernel"
-	"powercontainers/internal/sim"
 )
 
 // hotAct draws ~19 W on the test profile; coolAct ~10 W.
@@ -13,14 +12,6 @@ var (
 	hotAct  = cpu.Activity{IPC: 1.5, LLCPC: 0.02, MemPC: 0.03}
 	coolAct = cpu.Activity{IPC: 1}
 )
-
-// spin returns an endless constant-activity program: the steady-state
-// workload the enforcement and regression tests observe.
-func spin(act cpu.Activity) kernel.Program {
-	return kernel.FuncProgram(func(k *kernel.Kernel, t *kernel.Task) kernel.Op {
-		return kernel.OpCompute{BaseCycles: 5e6, Act: act}
-	})
-}
 
 func TestTenantPowerBudgetThrottlesWorstFirst(t *testing.T) {
 	k, f := newRig(t, quadSpec, Config{Approach: ApproachChipShare})
@@ -100,76 +91,5 @@ func TestBudgetEnforcementInactiveInFlatMode(t *testing.T) {
 	}
 	if cond.BudgetThrottles != 0 {
 		t.Fatalf("flat mode counted %d budget throttles", cond.BudgetThrottles)
-	}
-}
-
-func TestDisableConditioningResetsExactlyOnce(t *testing.T) {
-	k, f := newRig(t, uniSpec, Config{})
-	f.EnableConditioning(10)
-	hot := f.NewContainer("hot")
-	k.Spawn("w", spin(hotAct), hot)
-	k.Eng.RunUntil(200 * sim.Millisecond)
-	if hot.dutyLevel == 0 {
-		t.Fatal("setup failed: request never throttled")
-	}
-	f.DisableConditioning()
-	if hot.dutyLevel != 0 {
-		t.Fatal("container duty level not cleared")
-	}
-	if k.Cores[0].DutyLevel() != k.Cores[0].DutyMax() {
-		t.Fatal("core duty not restored")
-	}
-	// A second disable without an intervening enable is a no-op — even if
-	// someone poked the duty register in between, it is not reset again.
-	k.Cores[0].SetDutyLevel(3)
-	f.DisableConditioning()
-	if k.Cores[0].DutyLevel() != 3 {
-		t.Fatal("second disable was not a no-op")
-	}
-	k.Cores[0].SetDutyLevel(k.Cores[0].DutyMax())
-}
-
-// TestReenableAfterDisableReproducesThrottleDecisions is the satellite
-// regression test: disabling conditioning must clear per-container duty
-// state, so a later re-enable makes exactly the throttle decisions a fresh
-// enable would. The workload is a steady-state spin, so the decision
-// sequence depends only on the (reset) starting state.
-func TestReenableAfterDisableReproducesThrottleDecisions(t *testing.T) {
-	const window = sim.Second
-
-	// Reference machine: conditioning enabled once, at t=1s.
-	kA, fA := newRig(t, uniSpec, Config{})
-	contA := fA.NewContainer("hot")
-	kA.Spawn("w", spin(hotAct), contA)
-	kA.Eng.RunUntil(1 * sim.Second)
-	condA := fA.EnableConditioning(10)
-	kA.Eng.RunUntil(1*sim.Second + window)
-	decA := condA.ThrottleDecisions
-	lvlA := contA.dutyLevel
-
-	// Probed machine: an earlier enable throttles the request, then
-	// conditioning is disabled, the workload recovers to steady state, and
-	// conditioning is re-enabled for an identical window.
-	kB, fB := newRig(t, uniSpec, Config{})
-	contB := fB.NewContainer("hot")
-	kB.Spawn("w", spin(hotAct), contB)
-	kB.Eng.RunUntil(300 * sim.Millisecond)
-	fB.EnableConditioning(10)
-	kB.Eng.RunUntil(600 * sim.Millisecond)
-	if contB.dutyLevel == 0 {
-		t.Fatal("setup failed: first enable never throttled")
-	}
-	fB.DisableConditioning()
-	kB.Eng.RunUntil(2 * sim.Second) // recover to full-speed steady state
-	condB := fB.EnableConditioning(10)
-	kB.Eng.RunUntil(2*sim.Second + window)
-	decB := condB.ThrottleDecisions
-	lvlB := contB.dutyLevel
-
-	if decB != decA {
-		t.Fatalf("re-enable made %d decisions, fresh enable made %d: stale duty state survived disable", decB, decA)
-	}
-	if lvlB != lvlA {
-		t.Fatalf("re-enable settled at duty level %d, fresh enable at %d", lvlB, lvlA)
 	}
 }

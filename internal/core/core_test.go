@@ -261,16 +261,6 @@ func TestConditionerLeavesNormalRequestsAlone(t *testing.T) {
 	}
 }
 
-func TestDisableConditioningRestoresFullSpeed(t *testing.T) {
-	k, f := newRig(t, uniSpec, Config{})
-	f.EnableConditioning(5)
-	k.Cores[0].SetDutyLevel(3)
-	f.DisableConditioning()
-	if k.Cores[0].DutyLevel() != k.Cores[0].DutyMax() {
-		t.Fatal("duty not restored")
-	}
-}
-
 func TestDeviceEnergyAttribution(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	cont := f.NewContainer("req")

@@ -67,8 +67,6 @@ type Config struct {
 	// from each sampling period (default on; DisableObserverComp turns
 	// it off for the ablation).
 	DisableObserverComp bool
-	// MaintenanceEvents overrides the per-operation observer cost.
-	MaintenanceEvents *cpu.Counters
 	// UseOracleChipShare replaces the paper's synchronization-free Eq. 3
 	// estimate with an oracle that knows exactly which sibling cores are
 	// busy — the ablation baseline for the coordination-free design.
@@ -101,13 +99,11 @@ type Facility struct {
 	Background *Container
 	// Observer sees attribution, lifecycle, counter-repair and budget
 	// events (sim.KindPeriod, KindDevicePeriod, KindRetain, KindRelease,
-	// KindCounterFix, KindBudgetThrottle) and meter failovers
-	// (KindRecalFallback); nil disables. EnableRecalibration hands it to
-	// the recalibrator it builds.
+	// KindCounterFix, KindBudgetThrottle); nil disables.
+	// EnableRecalibration hands it to the recalibrator it builds.
 	Observer sim.Observer
 
 	cfg        Config
-	maint      cpu.Counters
 	perCore    []coreState
 	metrics    *model.MetricSeries
 	containers []*Container
@@ -129,12 +125,8 @@ func Attach(k *kernel.Kernel, coeff model.Coefficients, cfg Config) *Facility {
 		K:       k,
 		Coeff:   coeff,
 		cfg:     cfg,
-		maint:   DefaultMaintenanceEvents,
 		perCore: make([]coreState, len(k.Cores)),
 		metrics: model.NewMetricSeries(power.RecorderInterval),
-	}
-	if cfg.MaintenanceEvents != nil {
-		f.maint = *cfg.MaintenanceEvents
 	}
 	f.Background = f.newContainer("background", KindBackground)
 	f.Background.retain() // immortal
@@ -233,7 +225,7 @@ func (f *Facility) resetBaseline(c *cpu.Core) {
 	st.last = f.K.ReadCounters(c.ID) // read before charging: the op lands in the new period
 	st.lastTime = f.K.Now()
 	st.valid = true
-	f.K.ChargeMaintenance(c.ID, f.maint)
+	f.K.ChargeMaintenance(c.ID, DefaultMaintenanceEvents)
 }
 
 // samplePeriod closes the current sampling period on core c, attributing
@@ -280,7 +272,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		// already-compensated metrics; subtracting maintenance again would
 		// double-count it.
 		if fixKind != "extrapolate" && !f.cfg.DisableObserverComp {
-			delta = delta.Sub(f.maint).ClampNonNegative()
+			delta = delta.Sub(DefaultMaintenanceEvents).ClampNonNegative()
 		}
 		var m model.Metrics
 		if elapsedCycles > 0 {
@@ -338,7 +330,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 	// to that period and are compensated there.
 	st.last = cur
 	st.lastTime = now
-	f.K.ChargeMaintenance(c.ID, f.maint)
+	f.K.ChargeMaintenance(c.ID, DefaultMaintenanceEvents)
 }
 
 // unwrapDelta repairs a counter delta whose minuend wrapped once: negative

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"powercontainers/internal/sim"
 )
@@ -254,45 +253,6 @@ func (h *Hierarchy) NumTenants() int          { return len(h.tenants) }
 func (h *Hierarchy) TenantAt(i int) *Tenant   { return h.tenants[i] }
 func (h *Hierarchy) NumServices() int         { return len(h.services) }
 func (h *Hierarchy) ServiceAt(i int) *Service { return h.services[i] }
-
-// TenantShare is one tenant's portion of the shared chip draw.
-type TenantShare struct {
-	Tenant string
-	// Share is the tenant's fraction of all tenant-attributed chip
-	// energy, in [0, 1]; shares sum to 1 when any chip energy exists.
-	Share float64
-	// ChipEnergyJ is the tenant's Eq. 3-attributed chip energy.
-	ChipEnergyJ float64
-}
-
-// TenantChipShares apportions the shared chip maintenance draw one level
-// up, as the tentpole requires: each request's chip share was already
-// estimated synchronization-free by Eq. 3 at attribution time; the tenant
-// level normalizes those per-request estimates into exact fractions. The
-// computation iterates tenants in sorted-name order with canonical
-// roll-ups, so the result is independent of both registration order and
-// request completion order.
-func (h *Hierarchy) TenantChipShares() []TenantShare {
-	names := make([]string, 0, len(h.tenants))
-	for _, t := range h.tenants {
-		names = append(names, t.Name)
-	}
-	sort.Strings(names)
-	out := make([]TenantShare, 0, len(names))
-	var total float64
-	for _, name := range names {
-		t, _ := h.FindTenant(name)
-		chip := t.RollUp().ChipEnergyJ
-		out = append(out, TenantShare{Tenant: name, ChipEnergyJ: chip})
-		total += chip
-	}
-	if total > 0 {
-		for i := range out {
-			out[i].Share = out[i].ChipEnergyJ / total
-		}
-	}
-	return out
-}
 
 // ---- snapshots ----
 

@@ -184,7 +184,6 @@ func TestHierarchyRollUpPermutationInvariant(t *testing.T) {
 	}
 	apply(h0, conts0, charges0, base)
 	want := tenantTotals(h0)
-	wantShares := h0.TenantChipShares()
 
 	for trial := uint64(1); trial <= 20; trial++ {
 		h, conts, charges := build()
@@ -211,39 +210,6 @@ func TestHierarchyRollUpPermutationInvariant(t *testing.T) {
 				t.Fatalf("trial %d: tenant %s integer totals drifted", trial, name)
 			}
 		}
-		shares := h.TenantChipShares()
-		for i := range shares {
-			if shares[i] != wantShares[i] {
-				t.Fatalf("trial %d: chip share %d = %+v != %+v", trial, i, shares[i], wantShares[i])
-			}
-		}
-	}
-}
-
-func TestTenantChipSharesNormalizeAndSort(t *testing.T) {
-	// Registration order differs from name order; shares must come back
-	// name-sorted and sum to 1.
-	h := NewHierarchy()
-	for i, spec := range []struct {
-		ten  string
-		chip float64
-	}{{"zeta", 3}, {"acme", 1}} {
-		c := &Container{ID: i + 1}
-		h.Service(spec.ten, "s").adopt(c)
-		c.ChipEnergyJ = spec.chip
-	}
-	shares := h.TenantChipShares()
-	if len(shares) != 2 || shares[0].Tenant != "acme" || shares[1].Tenant != "zeta" {
-		t.Fatalf("shares = %+v", shares)
-	}
-	if shares[0].Share != 0.25 || shares[1].Share != 0.75 {
-		t.Fatalf("shares = %+v", shares)
-	}
-	// No chip energy at all: shares are zero, not NaN.
-	empty := NewHierarchy()
-	empty.Tenant("a")
-	if s := empty.TenantChipShares(); len(s) != 1 || s[0].Share != 0 {
-		t.Fatalf("empty shares = %+v", s)
 	}
 }
 

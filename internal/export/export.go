@@ -10,7 +10,6 @@ import (
 	"io"
 	"strconv"
 
-	"powercontainers/internal/core"
 	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 )
@@ -155,26 +154,5 @@ func sortClients(us []ClientUsage) {
 			(us[j].EnergyJ == us[j-1].EnergyJ && us[j].Client < us[j-1].Client)); j-- {
 			us[j], us[j-1] = us[j-1], us[j]
 		}
-	}
-}
-
-// ContainerRecord exports a container independent of a request (e.g. the
-// background container).
-type ContainerRecord struct {
-	ID        int     `json:"id"`
-	Label     string  `json:"label"`
-	Kind      string  `json:"kind"`
-	CPUTimeMs float64 `json:"cpu_time_ms"`
-	EnergyJ   float64 `json:"energy_j"`
-}
-
-// FromContainer flattens one container.
-func FromContainer(c *core.Container) ContainerRecord {
-	return ContainerRecord{
-		ID:        c.ID,
-		Label:     c.Label,
-		Kind:      c.Kind.String(),
-		CPUTimeMs: float64(c.CPUTime) / float64(sim.Millisecond),
-		EnergyJ:   c.EnergyJ(),
 	}
 }

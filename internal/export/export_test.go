@@ -18,7 +18,7 @@ import (
 )
 
 // runSample produces a handful of finished requests.
-func runSample(t *testing.T) ([]*server.Request, *core.Facility) {
+func runSample(t *testing.T) []*server.Request {
 	t.Helper()
 	eng := sim.NewEngine()
 	profile := power.MustProfile(cpu.SandyBridge)
@@ -33,11 +33,11 @@ func runSample(t *testing.T) ([]*server.Request, *core.Facility) {
 	gen := server.NewLoadGen(k, fac, dep)
 	gen.RunOpenLoop(50, sim.Second, rng.Fork(1))
 	eng.RunUntil(2 * sim.Second)
-	return gen.Completed(), fac
+	return gen.Completed()
 }
 
 func TestCollectAndCSVRoundTrip(t *testing.T) {
-	reqs, _ := runSample(t)
+	reqs := runSample(t)
 	records := Collect(reqs)
 	if len(records) < 10 {
 		t.Fatalf("records = %d", len(records))
@@ -71,7 +71,7 @@ func TestCollectAndCSVRoundTrip(t *testing.T) {
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {
-	reqs, _ := runSample(t)
+	reqs := runSample(t)
 	records := Collect(reqs)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, records); err != nil {
@@ -89,14 +89,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromContainer(t *testing.T) {
-	_, fac := runSample(t)
-	rec := FromContainer(fac.Background)
-	if rec.Kind != "background" || rec.Label != "background" {
-		t.Fatalf("container record %+v", rec)
-	}
-}
-
 func TestFromRequestWithoutContainer(t *testing.T) {
 	if _, err := FromRequest(&server.Request{Type: "x"}); err == nil {
 		t.Fatal("containerless request accepted")
@@ -104,7 +96,7 @@ func TestFromRequestWithoutContainer(t *testing.T) {
 }
 
 func TestCollectSkipsUnfinished(t *testing.T) {
-	reqs, _ := runSample(t)
+	reqs := runSample(t)
 	// Append an unfinished request.
 	reqs = append(reqs, &server.Request{Type: "pending"})
 	records := Collect(reqs)

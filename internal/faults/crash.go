@@ -10,8 +10,9 @@ import (
 
 // CrashPlan schedules one process death at an exact filesystem operation,
 // optionally followed by stable-storage damage inflicted while the
-// process is down. Like Schedule, a plan has a compact text form so the
-// crashmatrix experiment and tests can name a crash point in one string:
+// process is down. A plan has a compact text form so the crashmatrix
+// experiment, pcstream -crash and tests can name a crash point in one
+// string:
 //
 //	crash:op=sync,match=wal-,index=3,keep=5,at=post;corrupt:file=.seg,off=-1,mask=64
 //
@@ -112,6 +113,15 @@ func ParseCrashPlan(spec string) (*CrashPlan, error) {
 		}
 	}
 	return p, nil
+}
+
+// splitParams splits a clause's comma-separated key=value list; an empty
+// list yields no params.
+func splitParams(params string) []string {
+	if params == "" {
+		return nil
+	}
+	return strings.Split(params, ",")
 }
 
 func parseCrashClause(params string) (CrashPoint, error) {

@@ -8,7 +8,7 @@ import (
 
 // MeterFaults configures the meter decorator. Dropout, spike, and stuck
 // probabilities partition a single per-sample uniform draw, so their sum
-// must be ≤ 1 (ParseSchedule validates this; WrapMeter trusts it).
+// must be ≤ 1. WrapMeter trusts this; the caller must keep it true.
 type MeterFaults struct {
 	// DropoutP is the probability a sample is silently lost.
 	DropoutP float64

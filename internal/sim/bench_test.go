@@ -44,7 +44,8 @@ func benchDelta(state uint64, batch bool) Time {
 //
 // scripts/bench_engine.sh parses this benchmark's output into
 // BENCH_engine.json; events/sec at load=batch/depth=1024 is the repo's
-// headline engine number, and the arena path must report 0 allocs/op
+// headline engine number, and the engine's rows (path=arena, a name kept
+// from the engine's former slot arena) must report 0 allocs/op
 // everywhere.
 func BenchmarkEngine(b *testing.B) {
 	depths := []int{16, 1024, 65536}
@@ -103,38 +104,4 @@ func BenchmarkEngine(b *testing.B) {
 			})
 		}
 	}
-}
-
-// BenchmarkEngineScheduleCancel isolates the At/Cancel pair (no
-// dispatch), the path every preempted timer takes.
-func BenchmarkEngineScheduleCancel(b *testing.B) {
-	b.Run("path=arena", func(b *testing.B) {
-		e := NewEngine()
-		for i := 0; i < 1024; i++ {
-			e.After(Time(i)+1, func() {})
-		}
-		cb := func() {}
-		// Warmup so the arena free list and bucket capacities converge
-		// before allocation accounting starts.
-		for i := 0; i < 4096; i++ {
-			e.Cancel(e.After(Millisecond, cb))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Cancel(e.After(Millisecond, cb))
-		}
-	})
-	b.Run("path=ref", func(b *testing.B) {
-		e := newRefEngine()
-		for i := 0; i < 1024; i++ {
-			e.After(Time(i)+1, func() {})
-		}
-		cb := func() {}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Cancel(e.After(Millisecond, cb))
-		}
-	})
 }

@@ -64,16 +64,12 @@ const (
 )
 
 // heapEntry is one pending event as seen by the queue (heap, bucket or
-// sorted dispatch run). The ordering keys (at, seq) live inline so
-// compares never chase a slot index into the arena. slot addresses the
-// event's arena columns; gen pins the slot incarnation the entry belongs
-// to, so a lazily cancelled entry (whose slot has moved on) is
-// recognised and discarded when it surfaces for dispatch.
+// sorted dispatch run): the ordering keys (at, seq) inline, so compares
+// touch nothing else, and the callback to run.
 type heapEntry struct {
-	at   Time
-	seq  uint64
-	slot int32
-	gen  uint32
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // entryLess is the total event order: virtual time, then schedule
@@ -138,27 +134,14 @@ func sortRun(b []heapEntry) {
 	slices.SortFunc(b, entryCmp)
 }
 
-// Handle identifies a scheduled event so that it can be cancelled. It
-// pins the slot's incarnation: a Handle held across the event firing
-// (and its arena slot being recycled for a new event) goes inert instead
-// of aliasing the new occupant. The zero Handle is inert.
-type Handle struct {
-	// slot1 is the arena slot index plus one, so the zero Handle never
-	// addresses slot 0.
-	slot1 int32
-	gen   uint32
-}
-
-// Engine is a discrete-event simulation driver. Events live in a
-// struct-of-arrays arena addressed by slot index with generation-counted
-// handles; slots are recycled through a free stack, so steady-state
-// scheduling performs zero allocations. Pending events sit in a
+// Engine is a discrete-event simulation driver. Pending events sit in a
 // hierarchical timing wheel (near horizon) backed by an index-addressed
 // d-ary min-heap (far horizon); dispatch consumes one sorted level-0
-// bucket at a time. Cancellation is lazy: Cancel retires the slot in
-// O(1) and the orphaned entry is dropped when it surfaces for dispatch,
-// with an amortized compaction sweep if orphans pile up. It is not safe
-// for concurrent use; an entire experiment runs on one goroutine.
+// bucket at a time. Scheduling allocates nothing once warm: the bucket,
+// dispatch-run and heap slices reuse their capacity, and the caller
+// allocates the closure. Every slot the engine vacates is zeroed, so a
+// fired closure becomes unreachable. It is not safe for concurrent use;
+// an entire experiment runs on one goroutine.
 type Engine struct {
 	now Time
 	seq uint64
@@ -187,22 +170,8 @@ type Engine struct {
 	// (at, seq).
 	heap []heapEntry
 
-	// live counts pending (scheduled, not fired, not cancelled) events;
-	// dead counts orphaned entries from lazy cancellation still queued.
+	// live counts pending (scheduled, not yet fired) events.
 	live int
-	dead int
-
-	// Event arena, one column per field, addressed by slot index.
-	// fn is the scheduled callback (nil once retired); gen is the slot's
-	// incarnation counter for Handle and entry staleness checks.
-	fn  []func()
-	gen []uint32
-
-	// free recycles retired slot indices. Scheduling is the hottest
-	// path in a simulation (every context switch, I/O completion and
-	// sampling period schedules at least one event), so fired/cancelled
-	// slots go back to this stack instead of growing the arena.
-	free []int32
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -223,24 +192,13 @@ func (e *Engine) Now() Time { return e.now }
 // it indicates a causality bug in the caller, not a recoverable condition.
 //
 //pclint:hotpath
-func (e *Engine) At(t Time, fn func()) Handle {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now)) //pclint:allow hotalloc panic path: formats only when a causality bug fires
 	}
 	e.seq++
-	var slot int32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		slot = int32(len(e.fn))
-		e.fn = append(e.fn, nil) //pclint:allow hotalloc arena growth; steady state recycles slots through retire
-		e.gen = append(e.gen, 0) //pclint:allow hotalloc arena growth; steady state recycles slots through retire
-	}
-	g := e.gen[slot]
-	e.fn[slot] = fn
 	e.live++
-	ent := heapEntry{at: t, seq: e.seq, slot: slot, gen: g}
+	ent := heapEntry{at: t, seq: e.seq, fn: fn}
 	if t>>l0Shift <= e.wheelPos>>l0Shift {
 		// At or behind the level-0 bucket the dispatcher is currently
 		// consuming (peek may advance the wheel cursor ahead of the
@@ -262,7 +220,6 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	} else {
 		e.scatter(ent)
 	}
-	return Handle{slot1: slot + 1, gen: g}
 }
 
 // scatter files an entry into the wheel level picked by the highest
@@ -287,109 +244,17 @@ func (e *Engine) scatter(ent heapEntry) {
 // After schedules fn to run d nanoseconds from now.
 //
 //pclint:hotpath
-func (e *Engine) After(d Time, fn func()) Handle {
-	return e.At(e.now+d, fn)
+func (e *Engine) After(d Time, fn func()) {
+	e.At(e.now+d, fn)
 }
 
-// retire returns a dequeued slot to the free stack, bumping its
-// incarnation so outstanding Handles and queued entries to it go inert.
-//
-//pclint:hotpath
-func (e *Engine) retire(slot int32) {
-	e.gen[slot]++
-	e.fn[slot] = nil
-	e.free = append(e.free, slot) //pclint:allow hotalloc free-stack growth is bounded by the peak pending-event count
-}
-
-// Cancel removes a pending event. Cancelling an event that already fired,
-// was already cancelled, or whose slot has since been recycled is a no-op.
-// The queued entry is not touched here: retiring the slot bumps its
-// generation, which orphans the entry; it is discarded when it surfaces
-// for dispatch, or at the next compaction sweep if orphans pile up.
-//
-//pclint:hotpath
-func (e *Engine) Cancel(h Handle) {
-	slot := h.slot1 - 1
-	if slot < 0 || int(slot) >= len(e.gen) || e.gen[slot] != h.gen {
-		return
-	}
-	e.retire(slot)
-	e.live--
-	e.dead++
-	// Amortized compaction: once orphans outnumber live entries the next
-	// cancel pays one O(n) sweep, keeping memory bounded by the live
-	// event count.
-	if e.dead > 64 && e.dead > e.live {
-		e.compact()
-	}
-}
-
-// compact drops every orphaned entry in place. Relative order within
-// each structure is preserved and (at, seq) is a total order, so
-// dispatch order is unaffected.
-//
-//pclint:hotpath
-func (e *Engine) compact() {
-	tail := e.filterLive(e.bottom[e.bottomIdx:])
-	e.bottom = e.bottom[:e.bottomIdx+len(tail)]
-	for k := 0; k < wheelLevels; k++ {
-		if e.occ[k] == 0 {
-			continue
-		}
-		for j := 0; j < bucketCount; j++ {
-			if e.occ[k]&(1<<uint(j)) == 0 {
-				continue
-			}
-			b := e.filterLive(e.lvl[k][j])
-			e.lvl[k][j] = b
-			if len(b) == 0 {
-				e.occ[k] &^= 1 << uint(j)
-			}
-		}
-	}
-	e.heap = e.filterLive(e.heap)
-	if n := len(e.heap); n >= 2 {
-		for i := (n - 2) / heapArity; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
-	e.dead = 0
-}
-
-// filterLive compacts a run of entries down to those whose slot
-// generation still matches, in place.
-//
-//pclint:hotpath
-func (e *Engine) filterLive(s []heapEntry) []heapEntry {
-	out := s[:0]
-	for _, ent := range s {
-		if e.gen[ent.slot] == ent.gen {
-			out = append(out, ent) //pclint:allow hotalloc filters into the input's own backing array from s[:0], never past its capacity
-		}
-	}
-	return out
-}
-
-// peek positions bottomIdx on the next live pending event, consuming
-// wheel buckets and discarding cancellation orphans as needed. It
-// reports whether any pending event exists. peek mutates cursor state
-// but never changes dispatch order.
+// peek positions bottomIdx on the next pending event, consuming wheel
+// buckets as needed. It reports whether any pending event exists. peek
+// mutates cursor state but never changes dispatch order.
 //
 //pclint:hotpath
 func (e *Engine) peek() bool {
-	for {
-		for e.bottomIdx < len(e.bottom) {
-			ent := e.bottom[e.bottomIdx]
-			if e.gen[ent.slot] == ent.gen {
-				return true
-			}
-			e.bottomIdx++ // orphaned by a lazy Cancel: drop it
-			e.dead--
-		}
-		if !e.advance() {
-			return false
-		}
-	}
+	return e.bottomIdx < len(e.bottom) || e.advance()
 }
 
 // advance moves the wheel to its next occupied source and loads one
@@ -411,7 +276,9 @@ func (e *Engine) advance() bool {
 			if len(b) > 1 {
 				sortRun(b)
 			}
-			e.lvl[0][j] = e.bottom[:0] // swap backing arrays: both reuse capacity
+			// Swap backing arrays: both reuse capacity, and Step has
+			// already zeroed every slot of the outgoing run.
+			e.lvl[0][j] = e.bottom[:0]
 			e.bottom = b
 			e.bottomIdx = 0
 			return true
@@ -433,6 +300,7 @@ func (e *Engine) advance() bool {
 			for _, ent := range b {
 				e.scatter(ent) // targets strictly lower levels: safe while iterating b
 			}
+			clear(b) // the copies moved down; drop their closures here
 			cascaded = true
 			break
 		}
@@ -457,17 +325,6 @@ func (e *Engine) advance() bool {
 // Pending returns the number of events waiting to run.
 func (e *Engine) Pending() int { return e.live }
 
-// NextEventAt peeks at the earliest pending event's time without running
-// it. It reports false when no event is pending. Streaming consumers use
-// it to tell a drained simulation (nothing left but clock advancement)
-// from one with work still scheduled.
-func (e *Engine) NextEventAt() (Time, bool) {
-	if !e.peek() {
-		return 0, false
-	}
-	return e.bottom[e.bottomIdx].at, true
-}
-
 // Step runs the next event, if any, advancing the clock to its time.
 // It reports whether an event ran.
 //
@@ -477,20 +334,14 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ent := e.bottom[e.bottomIdx]
+	e.bottom[e.bottomIdx] = heapEntry{}
 	e.bottomIdx++
 	e.live--
 	if e.obs != nil {
 		e.obs.Observe(Event{Kind: KindStep, T0: e.now, T: ent.at, Seq: ent.seq})
 	}
 	e.now = ent.at
-	fn := e.fn[ent.slot]
-	// Retire before running fn: the callback may schedule new events, and
-	// the freshly freed slot being reused inside fn is exactly the case
-	// the generation counter exists for.
-	e.retire(ent.slot)
-	if fn != nil {
-		fn()
-	}
+	ent.fn()
 	return true
 }
 
@@ -525,6 +376,7 @@ func (e *Engine) heapPush(ent heapEntry) {
 func (e *Engine) heapPop() {
 	n := len(e.heap) - 1
 	moved := e.heap[n]
+	e.heap[n] = heapEntry{} // past the new length: drop the stale copy's closure
 	e.heap = e.heap[:n]
 	if n > 0 {
 		e.heap[0] = moved

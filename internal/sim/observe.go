@@ -60,9 +60,8 @@ const (
 	// rejects: X is its residual deviation from the batch median (W) and
 	// Y the threshold it exceeded (W).
 	KindRecalReject
-	// KindRecalFallback fires at T when a degradation fallback engages (a
-	// divergent refit replaced by the offline fit, or a meter failover);
-	// Detail is the reason.
+	// KindRecalFallback fires at T when a divergent refit is replaced by
+	// the offline fit; Detail is the reason.
 	KindRecalFallback
 	// KindFault fires when an injected fault takes effect at T: Name is
 	// the injection site ("meter/<name>", "counter" or "socket"), Class

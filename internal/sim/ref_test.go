@@ -6,35 +6,24 @@ import (
 )
 
 // This file preserves the classic container/heap event queue as a
-// reference implementation. The arena engine in clock.go must dispatch
+// reference implementation. The wheel engine in clock.go must dispatch
 // events in exactly the same (at, seq) order; the property and fuzz
 // tests in equiv_test.go drive both engines with identical operation
 // sequences and require bit-identical dispatch streams, and the engine
-// benchmark reports the arena's speedup over this path.
+// benchmark reports the wheel's speedup over this path (its rows keep
+// the historical names path=arena and path=ref).
 //
-// The reference engine is the pre-arena design: one heap-managed
-// *refEvent allocation per scheduled event, with ordering and
-// cancellation semantics identical to Engine. It is deliberately not on
-// any hot path and carries no //pclint:hotpath marks.
+// The reference engine is the original design: one heap-managed
+// *refEvent allocation per scheduled event, with ordering semantics
+// identical to Engine. It is deliberately not on any hot path and
+// carries no //pclint:hotpath marks.
 
 // refEvent is a scheduled callback in the reference engine.
 type refEvent struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// index in the heap, maintained by heap.Interface methods; -1 when
-	// removed. Needed for cancellation.
-	index int
 }
-
-// refHandle identifies a scheduled reference-engine event for Cancel.
-// Events are not recycled, so a handle to a fired or cancelled event is
-// permanently inert.
-type refHandle struct {
-	ev *refEvent
-}
-
-func (h refHandle) live() bool { return h.ev != nil && h.ev.index >= 0 }
 
 type refEventHeap []*refEvent
 
@@ -45,22 +34,13 @@ func (h refEventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refEventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *refEventHeap) Push(x any) {
-	ev := x.(*refEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h refEventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refEventHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refEventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*h = old[:n-1]
 	return ev
 }
@@ -80,37 +60,19 @@ func (e *refEngine) SetObserver(o Observer) { e.obs = o }
 
 func (e *refEngine) Now() Time { return e.now }
 
-func (e *refEngine) At(t Time, fn func()) refHandle {
+func (e *refEngine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	ev := &refEvent{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.heap, ev)
-	return refHandle{ev: ev}
+	heap.Push(&e.heap, &refEvent{at: t, seq: e.seq, fn: fn})
 }
 
-func (e *refEngine) After(d Time, fn func()) refHandle {
-	return e.At(e.now+d, fn)
-}
-
-func (e *refEngine) Cancel(h refHandle) {
-	if !h.live() {
-		return
-	}
-	heap.Remove(&e.heap, h.ev.index)
-	h.ev.index = -1
-	h.ev.fn = nil
+func (e *refEngine) After(d Time, fn func()) {
+	e.At(e.now+d, fn)
 }
 
 func (e *refEngine) Pending() int { return len(e.heap) }
-
-func (e *refEngine) NextEventAt() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].at, true
-}
 
 func (e *refEngine) Step() bool {
 	if len(e.heap) == 0 {
@@ -121,11 +83,7 @@ func (e *refEngine) Step() bool {
 		e.obs.Observe(Event{Kind: KindStep, T0: e.now, T: ev.at, Seq: ev.seq})
 	}
 	e.now = ev.at
-	fn := ev.fn
-	ev.fn = nil
-	if fn != nil {
-		fn()
-	}
+	ev.fn()
 	return true
 }
 

@@ -69,22 +69,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	h := e.At(10, func() { fired = true })
-	e.Cancel(h)
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	e.Cancel(h)
-	h2 := e.At(20, func() {})
-	e.Run()
-	e.Cancel(h2)
-}
-
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
@@ -249,25 +233,5 @@ func TestRandForkIndependence(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("forked streams matched %d/1000 draws", same)
-	}
-}
-
-func TestNextEventAt(t *testing.T) {
-	e := NewEngine()
-	if _, ok := e.NextEventAt(); ok {
-		t.Fatal("empty engine reported a pending event")
-	}
-	e.At(30, func() {})
-	e.At(10, func() {})
-	if at, ok := e.NextEventAt(); !ok || at != 10 {
-		t.Fatalf("NextEventAt = %v, %v; want 10, true", at, ok)
-	}
-	e.RunUntil(10)
-	if at, ok := e.NextEventAt(); !ok || at != 30 {
-		t.Fatalf("NextEventAt after run = %v, %v; want 30, true", at, ok)
-	}
-	e.RunUntil(30)
-	if _, ok := e.NextEventAt(); ok {
-		t.Fatal("drained engine reported a pending event")
 	}
 }

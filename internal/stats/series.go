@@ -1,12 +1,11 @@
 // Package stats provides the time-series and distribution utilities shared
 // by the power model, the alignment machinery, and the experiment harness:
-// fixed-interval bucketed series, cross-correlation (the paper's Eq. 4),
-// histograms, and streaming summary statistics.
+// fixed-interval bucketed series, histograms, and streaming summary
+// statistics.
 package stats
 
 import (
 	"fmt"
-	"math"
 
 	"powercontainers/internal/sim"
 )
@@ -150,61 +149,6 @@ func (s *Series) Rebucket(factor int) *Series {
 		out.markDirty(i / factor)
 	}
 	return out
-}
-
-// CrossCorrelation computes the paper's Eq. 4: the raw inner product between
-// the measurement series and the model series at a hypothetical measurement
-// delay of lag buckets. measured[i] is compared against model[i+lag].
-// Both slices must be per-bucket rates on the same grid.
-func CrossCorrelation(measured, model []float64, lag int) float64 {
-	var sum float64
-	for i := range measured {
-		j := i + lag
-		if j < 0 || j >= len(model) {
-			continue
-		}
-		sum += measured[i] * model[j]
-	}
-	return sum
-}
-
-// NormalizedCrossCorrelation subtracts each series' mean and divides by the
-// standard deviations, yielding a correlation in [-1, 1] that is robust to
-// constant offsets (e.g. idle power in the measurement but not the model).
-func NormalizedCrossCorrelation(measured, model []float64, lag int) float64 {
-	var mx, my float64
-	n := 0
-	for i := range measured {
-		j := i + lag
-		if j < 0 || j >= len(model) {
-			continue
-		}
-		mx += measured[i]
-		my += model[j]
-		n++
-	}
-	if n < 2 {
-		return 0
-	}
-	mx /= float64(n)
-	my /= float64(n)
-	var sxy, sxx, syy float64
-	for i := range measured {
-		j := i + lag
-		if j < 0 || j >= len(model) {
-			continue
-		}
-		dx := measured[i] - mx
-		dy := model[j] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	//pclint:allow floatsafe exactly-zero variance means a bit-constant series; a tolerance would misclassify genuinely near-constant data
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }
 
 // String describes the series briefly.

@@ -108,63 +108,6 @@ func TestSeriesDirtyMark(t *testing.T) {
 	}
 }
 
-func TestCrossCorrelationFindsKnownLag(t *testing.T) {
-	// model[i] = signal[i]; measured[i] = signal[i-3] (measurement is
-	// delayed by 3 buckets). Peak correlation must be at lag 3.
-	r := sim.NewRand(5)
-	n := 500
-	signal := make([]float64, n)
-	for i := range signal {
-		signal[i] = 10 + 5*math.Sin(float64(i)/7) + r.Float64()
-	}
-	const trueLag = 3
-	measured := make([]float64, n)
-	for i := trueLag; i < n; i++ {
-		measured[i] = signal[i-trueLag]
-	}
-	bestLag, bestVal := -1, math.Inf(-1)
-	for lag := 0; lag <= 10; lag++ {
-		// measured[i] vs model[i+lag] aligning means shifting model
-		// forward; with measured[i]=model[i-3], match at lag... we
-		// compare measured[i] to model[i - lag] by passing -lag.
-		v := NormalizedCrossCorrelation(measured, signal, -lag)
-		if v > bestVal {
-			bestVal, bestLag = v, lag
-		}
-	}
-	if bestLag != trueLag {
-		t.Fatalf("peak at lag %d, want %d", bestLag, trueLag)
-	}
-}
-
-func TestNormalizedCrossCorrelationBounds(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if v := NormalizedCrossCorrelation(a, a, 0); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("self-correlation = %g, want 1", v)
-	}
-	b := []float64{5, 4, 3, 2, 1}
-	if v := NormalizedCrossCorrelation(a, b, 0); math.Abs(v+1) > 1e-12 {
-		t.Fatalf("anti-correlation = %g, want -1", v)
-	}
-	flat := []float64{2, 2, 2, 2, 2}
-	if v := NormalizedCrossCorrelation(a, flat, 0); v != 0 {
-		t.Fatalf("flat-series correlation = %g, want 0", v)
-	}
-}
-
-func TestCrossCorrelationRawMatchesEquation(t *testing.T) {
-	measured := []float64{1, 2, 3}
-	model := []float64{4, 5, 6, 7}
-	// lag 1: 1*5 + 2*6 + 3*7 = 38
-	if v := CrossCorrelation(measured, model, 1); v != 38 {
-		t.Fatalf("raw cross-correlation = %g, want 38", v)
-	}
-	// Out-of-range products are skipped.
-	if v := CrossCorrelation(measured, model, 3); v != 1*7 {
-		t.Fatalf("edge cross-correlation = %g, want 7", v)
-	}
-}
-
 func TestSummaryMoments(t *testing.T) {
 	var s Summary
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {

@@ -115,73 +115,3 @@ func TestStreamUnderMeterDropout(t *testing.T) {
 		t.Fatal("a run emitted no records")
 	}
 }
-
-// TestStreamMeterDeathFailsOver kills the primary chip meter mid-stream
-// (injected meter death) with the facility's failover watchdog armed: the
-// streaming engine must ride through the failover — the facility swaps
-// recalibration to the wall meter, the engine keeps emitting every tick,
-// and end-to-end attribution stays within 8% of the death-free run.
-func TestStreamMeterDeathFailsOver(t *testing.T) {
-	const seed = 43
-	run := func(mf *faults.MeterFaults) (testbed, *align.Recalibrator, *stream.Engine, *stream.Collector) {
-		m, err := experiments.Assembly{}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var primary power.Meter = m.Chip
-		if mf != nil {
-			plan := &faults.Plan{Seed: seed + 1000, Meter: mf}
-			primary = plan.WrapMeter(m.Chip)
-		}
-		r := m.Fac.EnableRecalibrationFailover(core.FailoverConfig{
-			Primary:       primary,
-			PrimaryScope:  model.ScopePackage,
-			Fallback:      m.Wattsup,
-			FallbackScope: model.ScopeMachine,
-			Offline:       m.Calib.Samples,
-			DeadAfter:     500 * sim.Millisecond,
-			Robust:        align.Robust{Enabled: true},
-		})
-		r.SetDelay(sim.Millisecond)
-		rig := m.Deploy(workload.Stress{})
-		t1 := equivWarmup + equivWindow
-		rig.DriveFrac(0.5, t1)
-		bed := testbed{m: m, gen: rig.Gen, t1: t1}
-		e, col := streamRun(bed, primary)
-		return bed, r, e, col
-	}
-
-	clean, cr, _, _ := run(nil)
-	if clean.m.Fac.Recalibrator() != cr {
-		t.Fatal("healthy primary was failed over")
-	}
-	baseJ := clean.m.Fac.TotalAccountedEnergyJ()
-
-	dead, dr, de, col := run(&faults.MeterFaults{DeathAt: 3 * sim.Second})
-	active := dead.m.Fac.Recalibrator()
-	if active == dr {
-		t.Fatal("watchdog did not fail over from the dead primary meter")
-	}
-	if active.Meter != dead.m.Wattsup {
-		t.Fatalf("failover selected meter %q, want the wall meter", active.Meter.Name())
-	}
-	if active.Delivered() == 0 {
-		t.Fatal("fallback recalibrator received no samples after failover")
-	}
-	sys := 0
-	for _, rec := range col.Records {
-		if rec.Kind == stream.KindSystem {
-			sys++
-		}
-	}
-	if want := int(dead.end() / (100 * sim.Millisecond)); sys != want {
-		t.Fatalf("stream stalled around the failover: %d system records, want %d", sys, want)
-	}
-	gotJ := dead.m.Fac.TotalAccountedEnergyJ()
-	if relErr := math.Abs(gotJ-baseJ) / baseJ; relErr > 0.08 {
-		t.Fatalf("attribution across meter death off by %.2f%% (%g J vs %g J), budget 8%%", 100*relErr, gotJ, baseJ)
-	}
-	if diff := math.Abs(de.CumAttributedJ() - gotJ); diff > 1e-9*(1+gotJ) {
-		t.Fatalf("stream ledger %g J vs accounted %g J across failover", de.CumAttributedJ(), gotJ)
-	}
-}

@@ -190,14 +190,6 @@ func (e *Engine) DriftEvictions() int64 { return e.window.Evictions() }
 // the first CheckpointEvery boundary).
 func (e *Engine) LastCheckpoint() *Checkpoint { return e.lastCP }
 
-// Drained reports whether the simulation has no pending events: nothing
-// remains but clock advancement (and meter tail delivery, which needs no
-// events). Long-running drivers use it to stop early.
-func (e *Engine) Drained() bool {
-	_, ok := e.src.Eng.NextEventAt()
-	return !ok
-}
-
 // RunTicks advances the engine by n ticks.
 func (e *Engine) RunTicks(n int) {
 	for i := 0; i < n; i++ {

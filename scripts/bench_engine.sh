@@ -1,25 +1,31 @@
 #!/bin/sh
 # Refreshes BENCH_engine.json: the simulation engine's raw-speed benchmark —
-# events dispatched per wall second on the arena/timing-wheel engine vs the
-# retained container/heap reference path, across load shapes (batch =
+# events dispatched per wall second on the timing-wheel engine (rows named
+# path=arena, after the engine's former slot arena) vs the retained
+# container/heap reference path (path=ref), across load shapes (batch =
 # quantum-aligned mass simultaneity, the simulator's real workload shape;
-# jitter = uniform random timestamps, the wheel's worst case) and pending-set
-# depths, plus the schedule/cancel churn path. Emits per-row speedup ratios
-# and the headline events/sec (load=batch, depth=1024).
+# jitter = uniform random timestamps, the wheel's worst case) and
+# pending-set depths. Emits per-row speedup ratios and the headline
+# events/sec (load=batch, depth=1024).
 #
-# The script FAILS (exit 1) when any steady-state arena row reports a
-# non-zero allocs/op — the zero-allocation contract CI enforces — or when
-# run with PC_BENCH_GATE=1 and the headline speedup falls below 10x.
-# Extra args go to `go test` (e.g. -benchtime=1x for a smoke run,
-# -benchtime=2s for stable numbers).
+# The script FAILS (exit 1) and leaves BENCH_engine.json untouched when
+# the benchmark fails to run or reports no row, when any steady-state
+# path=arena row reports a non-zero allocs/op — the zero-allocation
+# contract CI enforces — or when run with PC_BENCH_GATE=1 and the
+# headline speedup falls below 10x. Extra args go to `go test` (e.g.
+# -benchtime=1x for a smoke run, -benchtime=2s for stable numbers).
 set -e
 cd "$(dirname "$0")/.."
 out="$PWD/BENCH_engine.json"
 tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+json="$(mktemp)"
+trap 'rm -f "$tmp" "$json"' EXIT
 
-go test -run='^$' -bench='^(BenchmarkEngine|BenchmarkEngineScheduleCancel)$' \
-	-benchmem "$@" ./internal/sim/ | tee "$tmp"
+# Not piped through tee: a pipeline's status is tee's, and a benchmark
+# that fails to run must fail the script, not pass an empty gate.
+go test -run='^$' -bench='^BenchmarkEngine$' \
+	-benchmem "$@" ./internal/sim/ > "$tmp" || { cat "$tmp"; exit 1; }
+cat "$tmp"
 
 # Parse `BenchmarkName[-P]  iters  <value unit>...` lines into JSON, the
 # same scheme as bench_stream.sh, then join arena rows with their ref
@@ -48,6 +54,10 @@ awk -v cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
 	lines[n] = line "}"
 }
 END {
+	if (n == 0) {
+		print "FAIL: no benchmark rows parsed" > "/dev/stderr"
+		exit 1
+	}
 	fails = 0
 	# Zero-allocation contract: every steady-state arena row must report
 	# 0 allocs/op (B/op may carry warmup-tail rounding; the gate is on
@@ -69,9 +79,8 @@ END {
 		if (ns[refname] == "" || ns[name] == "" || ns[name] + 0 == 0) continue
 		sp = ns[refname] / ns[name]
 		scen = name
-		sub(/^[^\/]*\/?/, "", scen)   # drop "BenchmarkEngine*/"... keep load/depth
+		sub(/^[^\/]*\/?/, "", scen)   # drop "BenchmarkEngine/"... keep load/depth
 		sub(/path=arena\/?/, "", scen)
-		if (scen == "") scen = "schedule_cancel"
 		ratios[++m] = sprintf("    {\"scenario\": \"%s\", \"arena_ns_per_event\": %s, \"ref_ns_per_event\": %s, \"speedup\": %.2f}", scen, ns[name], ns[refname], sp)
 		if (scen == "load=batch/depth=1024") headline = sp
 		if (name ~ /load=batch\/depth=1024/ && evps[name] != "") headline_evps = evps[name]
@@ -89,5 +98,6 @@ END {
 	for (i = 1; i <= n; i++) printf "%s%s\n", lines[i], (i < n ? "," : "")
 	printf "  ]\n}\n"
 	exit (fails > 0 ? 1 : 0)
-}' "$tmp" > "$out" || { cat "$out"; exit 1; }
+}' "$tmp" > "$json" || { cat "$json"; exit 1; }
+cat "$json" > "$out"
 cat "$out"

@@ -5,18 +5,25 @@
 # end-to-end Figure 2 alignment run, with ns/op and allocation counts and
 # the derived ref-vs-fast speedups. Extra args go to `go test`
 # (e.g. -benchtime=1x for a smoke run, -benchtime=5s for stable numbers).
+#
+# The script FAILS (exit 1) and leaves BENCH_numerics.json untouched when
+# any benchmark fails to run or no benchmark row is reported.
 set -e
 cd "$(dirname "$0")/.."
 out="$PWD/BENCH_numerics.json"
 tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+json="$(mktemp)"
+trap 'rm -f "$tmp" "$json"' EXIT
 
+# Not piped through tee: a pipeline's status is tee's, and a benchmark
+# that fails to run must fail the script, not write an empty file.
 go test -run='^$' -bench='^(BenchmarkCorrelationCurve|BenchmarkRefit)$' \
-	-benchmem "$@" ./internal/align/ | tee -a "$tmp"
+	-benchmem "$@" ./internal/align/ > "$tmp" || { cat "$tmp"; exit 1; }
 go test -run='^$' -bench='^(BenchmarkLeastSquares|BenchmarkGramSolve|BenchmarkGramFold)$' \
-	-benchmem "$@" ./internal/linalg/ | tee -a "$tmp"
+	-benchmem "$@" ./internal/linalg/ >> "$tmp" || { cat "$tmp"; exit 1; }
 go test -run='^$' -bench='^BenchmarkFig2AlignmentCrossCorrelation$' \
-	-benchmem "$@" . | tee -a "$tmp"
+	-benchmem "$@" . >> "$tmp" || { cat "$tmp"; exit 1; }
+cat "$tmp"
 
 # Parse `BenchmarkName[-P]  iters  <value unit>...` lines into JSON. The
 # unit pairs cover ns/op, B/op, allocs/op and any ReportMetric extras;
@@ -47,6 +54,10 @@ function speedup(refname, fastname,   r, f) {
 	return sprintf("%.3f", r / f)
 }
 END {
+	if (n == 0) {
+		print "FAIL: no benchmark rows parsed" > "/dev/stderr"
+		exit 1
+	}
 	printf "{\n  \"cores\": %d,\n  \"benchmarks\": [\n", cores
 	for (i = 1; i <= n; i++) printf "%s%s\n", lines[i], (i < n ? "," : "")
 	printf "  ],\n  \"speedups\": {\n"
@@ -61,5 +72,6 @@ END {
 	printf "    \"least_squares_vs_gram_solve\": %s\n", \
 		speedup("BenchmarkLeastSquares", "BenchmarkGramSolve")
 	printf "  }\n}\n"
-}' "$tmp" > "$out"
+}' "$tmp" > "$json" || { cat "$json"; exit 1; }
+cat "$json" > "$out"
 cat "$out"
