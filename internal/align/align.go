@@ -214,13 +214,14 @@ func (p AlignedPair) CalSample(scope model.FitScope) model.CalSample {
 }
 
 // AlignSamples converts delivered meter samples into aligned
-// (metrics, active power) pairs using the estimated delay. Samples whose
-// reconstructed window is not fully covered by the metric series are
-// skipped.
-func AlignSamples(measured []power.Sample, idleW float64, meterInterval sim.Time,
+// (metrics, active power) pairs using the estimated delay, appends them to
+// dst and returns the extended slice, so a caller that aligns on every
+// ingest can reuse one buffer. Samples whose reconstructed window is not
+// fully covered by the metric series are skipped.
+func AlignSamples(dst []AlignedPair, measured []power.Sample, idleW float64, meterInterval sim.Time,
 	ms *model.MetricSeries, delay sim.Time) []AlignedPair {
 
-	out := make([]AlignedPair, 0, len(measured))
+	out := dst
 	horizon := sim.Time(ms.Len()) * ms.Interval()
 	for _, s := range measured {
 		end := s.Arrival - delay

@@ -86,7 +86,7 @@ func TestAlignSamplesReconstructsWindows(t *testing.T) {
 		{Arrival: 15*sim.Millisecond + delay, Watts: 42 + 10}, // window [5,15)
 		{Arrival: 200 * sim.Millisecond, Watts: 99},           // beyond series → skipped
 	}
-	pairs := AlignSamples(samples, 10, 10*sim.Millisecond, ms, delay)
+	pairs := AlignSamples(nil, samples, 10, 10*sim.Millisecond, ms, delay)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %d, want 1", len(pairs))
 	}

@@ -266,7 +266,7 @@ func TestRecalibratorDropsUnfoldableSample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("refit after a NaN reading: %v", err)
 	}
-	if pairs := len(AlignSamples(samples, meter.idle, meter.interval, ms, delay)); added != pairs-1 {
+	if pairs := len(AlignSamples(nil, samples, meter.idle, meter.interval, ms, delay)); added != pairs-1 {
 		t.Fatalf("ingested %d of %d aligned pairs, want all but the NaN one", added, pairs)
 	}
 	want, err := model.Fit(append(append([]model.CalSample(nil), offline...), r.online.Samples()...), model.FitOptions{

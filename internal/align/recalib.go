@@ -53,6 +53,7 @@ type Recalibrator struct {
 	online    *model.Window
 	seen      int
 	buffered  []power.Sample
+	pairs     []AlignedPair // Ingest's reused alignment buffer
 	refits    int
 	rejected  int
 	fallbacks int
@@ -107,6 +108,23 @@ func (r *Recalibrator) Rejected() int { return r.rejected }
 
 // Fallbacks returns how many divergent refits fell back to the offline fit.
 func (r *Recalibrator) Fallbacks() int { return r.fallbacks }
+
+// MetricsFloor returns the earliest time whose metric bucket a future
+// Ingest can read. Until the delay is known, Ingest buffers every
+// delivered sample and aligns them all once it locks, so the floor is
+// zero. After that it reads only for samples it has not aligned yet:
+// those still buffered and those arriving after the last Ingest, each
+// over its window [arrival − delay − meter interval, arrival − delay).
+func (r *Recalibrator) MetricsFloor() sim.Time {
+	if !r.delayKnown {
+		return 0
+	}
+	arrival := r.lastNow
+	for _, s := range r.buffered {
+		arrival = min(arrival, s.Arrival)
+	}
+	return max(arrival-r.delay-r.Meter.Interval(), 0)
+}
 
 // readFresh pulls meter samples not seen by a previous Ingest. Meters that
 // implement power.SinceReader skip rematerializing the already-consumed
@@ -175,7 +193,8 @@ func (r *Recalibrator) Ingest(now sim.Time, ms *model.MetricSeries, current mode
 		r.delayKnown = true
 	}
 
-	pairs := AlignSamples(r.buffered, r.Meter.IdleW(), r.Meter.Interval(), ms, r.delay)
+	r.pairs = AlignSamples(r.pairs[:0], r.buffered, r.Meter.IdleW(), r.Meter.Interval(), ms, r.delay)
+	pairs := r.pairs
 	r.buffered = r.buffered[:0]
 	if r.Robust.Enabled {
 		pairs = r.rejectOutliers(now, pairs, current)

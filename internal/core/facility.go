@@ -142,6 +142,30 @@ func Attach(k *kernel.Kernel, coeff model.Coefficients, cfg Config) *Facility {
 // the modeled power trace source).
 func (f *Facility) Metrics() *model.MetricSeries { return f.metrics }
 
+// MetricsFloor returns the earliest time the facility can still touch in
+// its metric series: the start of the oldest open sampling period (lost
+// overflow interrupts stretch a period, so it can lie far back), the
+// service start of the oldest in-flight device transfer, and the
+// recalibrator's read floor. A period or transfer that has not begun yet
+// starts at or after now.
+func (f *Facility) MetricsFloor() sim.Time {
+	floor := f.K.Now()
+	for i := range f.perCore {
+		if st := &f.perCore[i]; st.valid {
+			floor = min(floor, st.lastTime)
+		}
+	}
+	for _, d := range [...]*kernel.Device{f.K.Disk, f.K.Net} {
+		if start, ok := d.InFlightStart(); ok {
+			floor = min(floor, start)
+		}
+	}
+	if f.recal != nil {
+		floor = min(floor, f.recal.MetricsFloor())
+	}
+	return floor
+}
+
 // Containers returns every container ever created, including Background.
 func (f *Facility) Containers() []*Container {
 	return append([]*Container(nil), f.containers...)
@@ -317,7 +341,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 			f.Observer.Observe(sim.Event{Kind: sim.KindPeriod, Obj: cont, Name: name, T0: st.lastTime, T: now,
 				X: p * seconds, Y: chipP * seconds, Z: m.Chip})
 		}
-		f.metrics.AddSpread(st.lastTime, now, m) //pclint:allow hotalloc 1ms-bucket metric series growth, bounded by elapsed sim time
+		f.metrics.AddSpread(st.lastTime, now, m) //pclint:allow hotalloc 1ms-bucket metric series growth, bounded by the retained window in a stream and by elapsed sim time in a batch run
 		f.hookAnomaly(c, t, p-chipP)             //pclint:allow hotalloc anomaly detector window growth, bounded by sample cadence
 		if fixKind != "" && f.Observer != nil {
 			f.Observer.Observe(sim.Event{Kind: sim.KindCounterFix, N: int64(c.ID), Name: fixKind, T: now})

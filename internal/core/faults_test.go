@@ -85,3 +85,68 @@ func TestLostInterruptExtrapolation(t *testing.T) {
 			repaired, clean, 100*err)
 	}
 }
+
+// floorProbe checks every metric-series write the facility reports
+// against the highest floor MetricsFloor has returned so far.
+type floorProbe struct {
+	t      *testing.T
+	floor  sim.Time
+	writes [2]int // sampling periods, device transfers
+}
+
+func (p *floorProbe) Observe(e sim.Event) {
+	switch e.Kind {
+	case sim.KindPeriod:
+		p.writes[0]++
+	case sim.KindDevicePeriod:
+		p.writes[1]++
+	default:
+		return
+	}
+	if e.T0 < p.floor {
+		p.t.Fatalf("%v over [%s,%s) reaches below the metrics floor %s",
+			e.Kind, sim.FormatTime(e.T0), sim.FormatTime(e.T), sim.FormatTime(p.floor))
+	}
+}
+
+// TestMetricsFloorBoundsLaterWrites: MetricsFloor is a promise that no
+// later write to the metric series reaches below it. Four tasks queue
+// disk and network transfers behind each other between bursts of
+// computation, and lost overflow interrupts stretch sampling periods;
+// the floor, taken every millisecond, must stay at or below the start
+// of every period and transfer the facility reports afterwards.
+func TestMetricsFloorBoundsLaterWrites(t *testing.T) {
+	k, f := newRig(t, quadSpec, Config{Approach: ApproachChipShare})
+	p := &faults.Plan{Seed: 3, Counter: &faults.CounterFaults{WrapEvery: 2e6, LostInterruptP: 0.6}}
+	k.Faults = p.KernelSurface()
+	probe := &floorProbe{t: t}
+	f.Observer = probe
+	act := cpu.Activity{IPC: 1}
+	for i := 0; i < 4; i++ {
+		var ops []kernel.Op
+		for j := 0; j < 6; j++ {
+			ops = append(ops, kernel.OpCompute{BaseCycles: 3e6, Act: act}, kernel.OpDisk{Bytes: 2e6}, kernel.OpNet{Bytes: 3e6})
+		}
+		k.Spawn("io", kernel.Script(ops...), f.NewContainer("req"))
+	}
+	deviceHeld := 0 // checks at which an in-flight transfer set the floor
+	for now := sim.Time(0); k.Eng.Pending() > 0; now += sim.Millisecond {
+		k.Eng.RunUntil(now)
+		floor := f.MetricsFloor()
+		if floor > now {
+			t.Fatalf("floor %s ahead of now %s", sim.FormatTime(floor), sim.FormatTime(now))
+		}
+		probe.floor = max(probe.floor, floor)
+		for _, d := range []*kernel.Device{k.Disk, k.Net} {
+			if start, ok := d.InFlightStart(); ok && start == floor && start < now {
+				deviceHeld++
+			}
+		}
+	}
+	if probe.writes[0] == 0 || probe.writes[1] == 0 {
+		t.Fatalf("checked %d periods and %d transfers", probe.writes[0], probe.writes[1])
+	}
+	if deviceHeld == 0 {
+		t.Fatal("no in-flight transfer ever set the floor")
+	}
+}

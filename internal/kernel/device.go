@@ -34,6 +34,10 @@ type Device struct {
 	BusyWatts   float64
 
 	freeAt sim.Time
+	// inFlight counts reserved transfers whose completion has not fired
+	// yet; headStart is the service start of the oldest of them.
+	inFlight  int
+	headStart sim.Time
 }
 
 // NewDisk returns a disk modeled on a 7200 RPM SATA drive.
@@ -66,10 +70,25 @@ func (d *Device) schedule(now sim.Time, bytes int64) (start, done sim.Time) {
 	busy := d.LatencyNs + sim.Time(float64(bytes)/d.BytesPerSec*float64(sim.Second))
 	done = start + busy
 	d.freeAt = done
+	if d.inFlight == 0 {
+		d.headStart = start
+	}
+	d.inFlight++
 	return start, done
 }
 
-// Utilization returns the fraction of [t0, t1) the device was busy,
-// approximated from its reservation horizon; experiment harnesses use it
-// for sanity checks only.
-func (d *Device) Busy() sim.Time { return d.freeAt }
+// complete retires the oldest in-flight transfer when it finishes at now.
+// Service is FIFO and every transfer still queued was reserved while this
+// one was pending, so the next one's service started exactly now.
+func (d *Device) complete(now sim.Time) {
+	d.inFlight--
+	d.headStart = now
+}
+
+// InFlightStart returns the service start of the oldest transfer that has
+// not completed, and false when the device is idle. A completing transfer
+// reports its whole busy interval [start, done) to Monitor.OnIO, so this
+// is the earliest time a future OnIO can cover.
+func (d *Device) InFlightStart() (sim.Time, bool) {
+	return d.headStart, d.inFlight > 0
+}

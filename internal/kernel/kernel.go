@@ -609,6 +609,7 @@ func (k *Kernel) deviceOp(c int, t *Task, dev *Device, bytes int64) {
 	k.block(c, t)
 	busy := done - start
 	k.Eng.At(done, func() {
+		dev.complete(k.Now())
 		k.Monitor.OnIO(t, dev.Kind, bytes, busy, dev.BusyWatts)
 		k.wake(t)
 	})

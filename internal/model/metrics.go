@@ -191,6 +191,25 @@ func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 	}
 }
 
+// Trim advances every component series' trim frontier to bucket b (see
+// stats.Series.Trim): buckets below b are released, and a later read or
+// write of one panics.
+func (ms *MetricSeries) Trim(b int) {
+	for _, s := range ms.series {
+		s.Trim(b)
+	}
+}
+
+// Retained returns how many buckets the largest component series holds in
+// memory.
+func (ms *MetricSeries) Retained() int {
+	n := 0
+	for _, s := range ms.series {
+		n = max(n, s.Retained())
+	}
+	return n
+}
+
 // At returns the time-averaged metrics of bucket b.
 func (ms *MetricSeries) At(b int) Metrics {
 	return Metrics{

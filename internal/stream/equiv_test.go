@@ -93,9 +93,10 @@ func containerDigest(fac *core.Facility) string {
 // (container population), load level, streaming tick (sample rate), and
 // the engine's measured tap (meter delay: 1ms chip vs 1.2s wattsup), the
 // streaming engine's attribution must be bit-identical to the batch path
-// — a single RunUntil over the identical machine. Under recalibration the
-// tick must sit on the recalibration grid (see the package comment);
-// without it any tick is exact. The drift refit additionally reproduces a
+// — a single RunUntil over the identical machine, whose metric series
+// nothing trims. Under recalibration the tick must sit on the
+// recalibration grid (see the package comment); without it any tick is
+// exact. The drift refit additionally reproduces a
 // batch fit over its retained window bit-for-bit until the first
 // eviction, and within 1e-9 after.
 func TestStreamMatchesBatch(t *testing.T) {
@@ -151,6 +152,44 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Fatalf("completed requests: batch %d, stream %d", bg, sg)
 			}
 		})
+	}
+}
+
+// TestTrimFollowsRecalibrator streams a Westmere machine that
+// recalibrates against its 1 s wall meter while the engine itself reads
+// no meter, so only the recalibrator's floor keeps the trim frontier
+// behind what it aligns: everything buffered before its delay locks, and
+// a whole meter interval behind each later arrival. The run must lock,
+// refit, and attribute bit-identically to the untrimmed batch run.
+func TestTrimFollowsRecalibrator(t *testing.T) {
+	const horizon = 16 * sim.Second
+	run := func(streamed bool) (*experiments.Machine, string) {
+		m, err := experiments.Assembly{}.NewMachine(cpu.Westmere, core.ApproachRecalibrated, 27)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Deploy(workload.GAE{}).DriveFrac(0.4, horizon)
+		if streamed {
+			stream.New(stream.Sources{Eng: m.Eng, Fac: m.Fac}, stream.Config{}).RunUntil(horizon)
+		} else {
+			m.Eng.RunUntil(horizon)
+		}
+		return m, containerDigest(m.Fac)
+	}
+	batch, want := run(false)
+	m, got := run(true)
+	if got != want {
+		t.Fatalf("trimmed stream attribution diverged from batch: digest %s vs %s", got, want)
+	}
+	r := m.Fac.Recalibrator()
+	if _, ok := r.Delay(); !ok || r.Refits() == 0 {
+		t.Fatalf("recalibrator never locked and refit (refits %d)", r.Refits())
+	}
+	if m.Fac.Coeff != batch.Fac.Coeff {
+		t.Fatalf("coefficients %v after the stream, %v after the batch run", m.Fac.Coeff, batch.Fac.Coeff)
+	}
+	if ms := m.Fac.Metrics(); ms.Retained() >= ms.Len()/2 {
+		t.Fatalf("metric series holds %d of %d buckets: the stream did not trim", ms.Retained(), ms.Len())
 	}
 }
 

@@ -92,6 +92,90 @@ func TestStreamSoak(t *testing.T) {
 	}
 }
 
+// TestStreamMemoryBounded streams 600 virtual seconds of light GAE traffic
+// on both meters (SandyBridge against its 1 ms chip meter, Westmere
+// against the 1 s Wattsup meter) and checks, after every tick from the
+// one at which the recalibrator's delay locks to the horizon, that the
+// facility's metric series holds fewer buckets than
+//
+//	2 · ((Tick + MaxDelay + meter interval) / bucket + 1).
+//
+// After the lock, the lowest reader is alignment: a sample arriving after
+// the last ingest (at most one tick ago, the recalibration period) reads
+// back at most MaxDelay plus one meter interval, so the live part from
+// the trim frontier to the newest bucket spans at most the bracketed
+// term; a trim copies the live part down once the released prefix is as
+// long as it, so the series holds less than twice that. The record
+// stream must hash to the digest recorded before trimming existed: the
+// trim changes memory, not output. Under -race the horizon is 60 s.
+func TestStreamMemoryBounded(t *testing.T) {
+	cases := []struct {
+		name          string
+		spec          cpu.MachineSpec
+		sum600        string
+		sum60         string
+		meterInterval sim.Time
+	}{
+		{"chip", cpu.SandyBridge,
+			"4d647a84ee80ac36ee30278a8211b60a288d11cdf878e4f81647b6d35dea7e60",
+			"f58315ad28983755dc64ee01d562b8b1a01a2f76306329bebec24c2b633bf1ff",
+			sim.Millisecond},
+		{"wall", cpu.Westmere,
+			"9bca1d781888b4b1643c49e2efb818cfa0a912d7933238d263a49015562fd108",
+			"5b877408a4a91518db82b05b5900d8a07888d5b54722431de84132d72e53817c",
+			sim.Second},
+	}
+	const tick = 100 * sim.Millisecond
+	horizon := 600 * sim.Second
+	if raceDetector {
+		horizon = 60 * sim.Second
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			m, err := experiments.Assembly{}.NewMachine(tc.spec, core.ApproachRecalibrated, 61)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Deploy(workload.GAE{}).DriveFrac(0.1, horizon)
+			r := m.Fac.Recalibrator()
+			if got := r.Meter.Interval(); got != tc.meterInterval {
+				t.Fatalf("%s recalibrates against a %s meter, want %s", tc.spec.Name, sim.FormatTime(got), sim.FormatTime(tc.meterInterval))
+			}
+			ms := m.Fac.Metrics()
+			bound := 2 * (int((tick+r.MaxDelay+r.Meter.Interval())/ms.Interval()) + 1)
+			e := stream.New(m.Sources(), stream.Config{Tick: tick})
+			records := stream.NewHasher()
+			e.Sink = records
+			locked, peak := -1, 0
+			for e.Now() < horizon {
+				e.RunTicks(1)
+				if _, ok := r.Delay(); !ok {
+					continue
+				}
+				if locked < 0 {
+					locked = e.Tick()
+				}
+				peak = max(peak, ms.Retained())
+				if ms.Retained() >= bound {
+					t.Fatalf("tick %d: metric series holds %d buckets, bound %d", e.Tick(), ms.Retained(), bound)
+				}
+			}
+			if locked < 0 {
+				t.Fatal("the recalibrator never locked its delay")
+			}
+			t.Logf("delay locked at tick %d; peak %d retained buckets of %d, bound %d", locked, peak, ms.Len(), bound)
+			want := tc.sum600
+			if raceDetector {
+				want = tc.sum60
+			}
+			if got := records.Sum(); got != want {
+				t.Errorf("record stream digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
 // sinkFunc adapts a function to the Sink interface.
 type sinkFunc func(stream.Record)
 

@@ -6,7 +6,10 @@
 // (core.Facility creation-order scans), evaluates the modeled power over
 // the tick's own metric buckets, and emits a per-container power/energy
 // record stream. The only history it keeps is the drift refit's bounded
-// window of aligned pairs; everything else is a cursor.
+// window of aligned pairs; everything else is a cursor. At every tick
+// boundary it trims the facility's metric series to the lowest bucket any
+// writer or reader can still touch, so a stream that runs for hours holds
+// only seconds of metric buckets.
 //
 // Determinism contract: the engine is a pure consumer — it never schedules
 // simulation events, so driving the engine tick by tick processes the
@@ -134,7 +137,8 @@ type Engine struct {
 
 	delay      sim.Time // drift-pair alignment delay
 	delayKnown bool
-	window     *model.Window // aligned pairs of the drift refit
+	window     *model.Window       // aligned pairs of the drift refit
+	pairs      []align.AlignedPair // foldDrift's reused alignment buffer
 	drift      model.Coefficients
 	driftOK    bool
 	driftErr   float64
@@ -288,6 +292,25 @@ func (e *Engine) step() {
 	if e.cfg.CheckpointEvery > 0 && e.tick%e.cfg.CheckpointEvery == 0 {
 		e.lastCP = e.Checkpoint()
 	}
+
+	// Release the metric buckets no writer or reader will touch again.
+	ms := fac.Metrics()
+	ms.Trim(int(min(fac.MetricsFloor(), e.metricsFloor()) / ms.Interval()))
+}
+
+// metricsFloor returns the earliest time the engine's coming ticks can
+// read from the facility's metric series: the next tick's modeled mean
+// reads from Now on, and the drift refit aligns samples arriving after Now
+// over [arrival − delay − meter interval, arrival − delay). Until the
+// drift delay is known a sample's window is unknown, so the floor is zero.
+func (e *Engine) metricsFloor() sim.Time {
+	if e.src.Meter == nil {
+		return e.Now()
+	}
+	if !e.delayKnown {
+		return 0
+	}
+	return max(e.Now()-e.delay-e.src.Meter.Interval(), 0)
 }
 
 // emitHierarchy walks the hierarchy's services and tenants in
@@ -434,7 +457,8 @@ func (e *Engine) foldDrift(fresh []power.Sample) {
 	}
 	// The drift window has no base block, so no plan can fail it.
 	_ = e.window.SetPlan(model.FitPlan{Scope: opts.Scope, IncludeChipShare: opts.IncludeChipShare})
-	for _, p := range align.AlignSamples(fresh, e.src.Meter.IdleW(), e.src.Meter.Interval(), ms, e.delay) {
+	e.pairs = align.AlignSamples(e.pairs[:0], fresh, e.src.Meter.IdleW(), e.src.Meter.Interval(), ms, e.delay)
+	for _, p := range e.pairs {
 		// A pair the plan cannot fold is not kept.
 		_ = e.window.Add(p.CalSample(e.src.Scope))
 	}

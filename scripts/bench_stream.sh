@@ -7,17 +7,19 @@
 # BenchmarkStreamIngest always runs a fixed 300 ticks (-benchtime=300x),
 # where its allocs/op is deterministic, and the script FAILS (exit 1) when
 # that exceeds the ceiling below: the facility hot path's allocation gate,
-# which CI enforces. There is no ns/op gate. Extra args go to `go test`
-# for BenchmarkStreamRecover (e.g. -benchtime=1x for a smoke run,
-# -benchtime=5s for stable numbers).
+# which CI enforces. There is no ns/op gate. It also fails when either
+# benchmark reports no row. A failing run leaves BENCH_stream.json
+# untouched. Extra args go to `go test` for BenchmarkStreamRecover (e.g.
+# -benchtime=1x for a smoke run, -benchtime=5s for stable numbers).
 set -e
 cd "$(dirname "$0")/.."
 out="$PWD/BENCH_stream.json"
 tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+json="$(mktemp)"
+trap 'rm -f "$tmp" "$json"' EXIT
 
 # Ingest allocations per tick at -benchtime=300x.
-ingest_allocs_ceiling=233
+ingest_allocs_ceiling=231
 
 # Not piped through tee: a pipeline's status is tee's, and a benchmark
 # that fails to run must fail the script, not pass an empty gate.
@@ -51,6 +53,7 @@ awk -v cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
 		line = line sprintf(", \"%s\": %s", key, v)
 	}
 	lines[++n] = line "}"
+	if (name == "BenchmarkStreamRecover") recovered = 1
 }
 END {
 	fails = 0
@@ -61,9 +64,14 @@ END {
 		printf "FAIL: BenchmarkStreamIngest allocates %s objects per tick (ceiling %s)\n", ingest, ceiling > "/dev/stderr"
 		fails++
 	}
+	if (!recovered) {
+		print "FAIL: BenchmarkStreamRecover reported no row" > "/dev/stderr"
+		fails++
+	}
 	printf "{\n  \"cores\": %d,\n  \"ingest_allocs_ceiling\": %d,\n  \"benchmarks\": [\n", cores, ceiling
 	for (i = 1; i <= n; i++) printf "%s%s\n", lines[i], (i < n ? "," : "")
 	printf "  ]\n}\n"
 	exit (fails > 0 ? 1 : 0)
-}' "$tmp" > "$out" || { cat "$out"; exit 1; }
+}' "$tmp" > "$json" || { cat "$json"; exit 1; }
+cat "$json" > "$out"
 cat "$out"
