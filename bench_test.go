@@ -217,7 +217,7 @@ func BenchmarkFig9GAEBackground(b *testing.B) {
 func BenchmarkFig10CompositionPrediction(b *testing.B) {
 	var wc, wu, wr float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig10(1)
+		r, err := experiments.Fig10Ex(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func BenchmarkFig12FairThrottling(b *testing.B) {
 func BenchmarkFig13EnergyHeterogeneity(b *testing.B) {
 	var rsa, stress float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig13(1)
+		r, err := experiments.Fig13Ex(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func BenchmarkFig13EnergyHeterogeneity(b *testing.B) {
 func BenchmarkFig14RequestDistribution(b *testing.B) {
 	var vsSimple, vsMachine float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig14(1)
+		r, err := experiments.Fig14Ex(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,7 +289,7 @@ func BenchmarkFig14RequestDistribution(b *testing.B) {
 func BenchmarkTable1ResponseTimes(b *testing.B) {
 	var simpleMs, awareMs float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig14(1)
+		r, err := experiments.Fig14Ex(experiments.Exec{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

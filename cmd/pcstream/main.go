@@ -7,8 +7,7 @@
 //
 //	pcstream [-machine M] [-workload W] [-load F] [-attribution A]
 //	         [-duration S] [-tick MS] [-seed N]
-//	pcstream -dir DIR [-supervise [-max-restarts N] [-backoff-ms MS]
-//	         [-crash SPEC]...] [same flags] ...
+//	pcstream -dir DIR [-crash SPEC]... [same flags] ...
 //
 // The stream is deterministic: the same flags produce the byte-identical
 // stream.
@@ -22,12 +21,11 @@
 // -duration continues the stream from where the previous run stopped.
 // What is printed is the stream read back from the WAL, so stdout is
 // byte-identical to an uninterrupted run regardless of crash history.
-// -supervise adds an in-process supervisor: attempts that die with a
-// crash are restarted with exponential backoff (-backoff-ms, 0 disables
-// waiting) within a restart budget (-max-restarts), and repeated deaths
-// without durable progress abort as a crash loop. Each -crash flag
-// (repeatable) injects one faults.CrashPlan into the corresponding
-// attempt over an in-memory filesystem — the e2e crashmatrix harness.
+// Each -crash flag (repeatable) arms one faults.CrashPlan for the
+// corresponding attempt over an in-memory filesystem, and the attempt a
+// plan kills is followed by one that recovers the store — the e2e
+// crashmatrix harness. A real crash is recovered by rerunning the
+// command, whose store recovers the same way.
 package main
 
 import (
@@ -37,7 +35,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"time"
 
 	"powercontainers/internal/core"
 	"powercontainers/internal/cpu"
@@ -96,11 +93,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tickMS := fs.Int64("tick", 100, "streaming tick in virtual milliseconds")
 	seed := fs.Uint64("seed", 1, "simulation seed (identical seeds reproduce identical streams)")
 	dir := fs.String("dir", "", "durable mode: stream through a crash-safe WAL + checkpoint store in this directory and print the stream read back from it")
-	supervise := fs.Bool("supervise", false, "restart crashed attempts with exponential backoff (requires -dir)")
-	maxRestarts := fs.Int("max-restarts", 8, "restart budget for -supervise")
-	backoffMS := fs.Int("backoff-ms", 100, "base wait before restart n, doubling each restart (0 = no waiting)")
 	var crashSpecs []*faults.CrashPlan
-	fs.Func("crash", "crash-plan `spec` injected into the next attempt (repeatable; uses an in-memory store; requires -supervise)", func(v string) error {
+	fs.Func("crash", "crash-plan `spec` killing the next attempt, which the one after it recovers (repeatable; uses an in-memory store; requires -dir)", func(v string) error {
 		p, err := faults.ParseCrashPlan(v)
 		if err != nil {
 			return err
@@ -122,11 +116,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !(*durationS > 0 && *durationS*float64(sim.Second) < math.MaxInt64) || *tickMS <= 0 {
 		return fmt.Errorf("duration and tick must be positive, and duration representable in sim time")
 	}
-	if *dir == "" && (*supervise || len(crashSpecs) > 0) {
-		return fmt.Errorf("-supervise and -crash require -dir")
-	}
-	if len(crashSpecs) > 0 && !*supervise {
-		return fmt.Errorf("-crash requires -supervise (an unsupervised crash just kills the run)")
+	if *dir == "" && len(crashSpecs) > 0 {
+		return fmt.Errorf("-crash requires -dir")
 	}
 	spec, err := cpu.SpecByName(*machine)
 	if err != nil {
@@ -143,9 +134,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	baseSeed = *seed
 	horizon := sim.Time(*durationS * float64(sim.Second))
-	// Every attempt — the plain run, or each supervised restart — rebuilds
-	// the identically seeded machine from scratch: determinism is what
-	// makes the recovered replay reproduce the durable stream.
+	// Every attempt — the plain run, or each restart after a planned
+	// crash — rebuilds the identically seeded machine from scratch:
+	// determinism is what makes the recovered replay reproduce the durable
+	// stream.
 	newSources := func() (stream.Sources, error) {
 		m, err := experiments.NewMachine(spec, ap, baseSeed)
 		if err != nil {
@@ -165,10 +157,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if len(crashSpecs) > 0 {
 			d.FS = durable.NewMemFS()
 		}
-		// The driver always supervises: only a planned crash can kill an
-		// attempt, and -crash requires -supervise, so without it exactly
-		// one attempt runs.
-		attempts, err := d.Run(*maxRestarts, backoff(*backoffMS))
+		// Only a planned crash restarts an attempt, so without -crash
+		// exactly one runs.
+		attempts, err := d.Run()
 		if err != nil {
 			return err
 		}
@@ -212,22 +203,3 @@ func run(args []string, stdout, stderr io.Writer) error {
 // ticks: recovery replays at most this many ticks past the newest
 // checkpoint.
 const durableCheckpointEvery = 10
-
-// backoff returns the supervisor's wait before restart n: ms
-// milliseconds, doubling each restart up to 10 s. It is nil, restarting
-// at once, when ms is not positive.
-func backoff(ms int) func(restart int) {
-	if ms <= 0 {
-		return nil
-	}
-	return func(restart int) {
-		d := time.Duration(ms) * time.Millisecond
-		for i := 1; i < restart && d < 10*time.Second; i++ {
-			d *= 2
-		}
-		if d > 10*time.Second {
-			d = 10 * time.Second
-		}
-		time.Sleep(d)
-	}
-}

@@ -137,12 +137,12 @@ func TestRunDurableMatchesPlainRun(t *testing.T) {
 	}
 }
 
-// TestRunSuperviseCrashRecovery is the CLI-level exactly-once contract:
+// TestRunDurableCrashRecovery is the CLI-level exactly-once contract:
 // three injected crashes — mid-WAL-sync, a torn WAL append, and a death
-// at the checkpoint rename — each kill an attempt, the supervisor
-// restarts through them, and the final stdout is byte-identical to the
+// at the checkpoint rename — each kill an attempt, the next attempt
+// recovers the store, and the final stdout is byte-identical to the
 // uninterrupted run.
-func TestRunSuperviseCrashRecovery(t *testing.T) {
+func TestRunDurableCrashRecovery(t *testing.T) {
 	base := []string{"-duration", "4", "-seed", "9", "-workload", "GAE-Vosao", "-load", "0.4"}
 	var plain, errb bytes.Buffer
 	if err := run(base, &plain, &errb); err != nil {
@@ -150,21 +150,21 @@ func TestRunSuperviseCrashRecovery(t *testing.T) {
 	}
 
 	args := append([]string{
-		"-dir", "wal", "-supervise", "-backoff-ms", "0",
+		"-dir", "wal",
 		"-crash", "crash:op=sync,match=wal-,index=3",
 		"-crash", "crash:op=write,match=wal-,index=40,keep=6",
 		"-crash", "crash:op=rename,match=checkpoint.ck,index=2",
 	}, base...)
 	var got, serr bytes.Buffer
 	if err := run(args, &got, &serr); err != nil {
-		t.Fatalf("supervised run: %v\nstderr: %s", err, serr.String())
+		t.Fatalf("crashed run: %v\nstderr: %s", err, serr.String())
 	}
 	if !bytes.Equal(got.Bytes(), plain.Bytes()) {
 		t.Fatalf("stream after 3 injected crashes (%d bytes) differs from uninterrupted run (%d bytes)\nstderr: %s",
 			got.Len(), plain.Len(), serr.String())
 	}
 	if !strings.Contains(serr.String(), "restart 3:") {
-		t.Fatalf("supervisor did not report three restarts: %s", serr.String())
+		t.Fatalf("run did not report three restarts: %s", serr.String())
 	}
 	if !strings.Contains(serr.String(), "4 attempts") {
 		t.Fatalf("summary missing attempt count: %s", serr.String())
@@ -172,14 +172,17 @@ func TestRunSuperviseCrashRecovery(t *testing.T) {
 }
 
 // TestRunDurableFlagValidation: the durable-mode flag combinations that
-// cannot work are refused up front.
+// cannot work are refused up front, as are restart-tuning flags pcstream
+// does not define.
 func TestRunDurableFlagValidation(t *testing.T) {
 	var out, errb bytes.Buffer
 	for _, args := range [][]string{
-		{"-supervise"},
 		{"-crash", "crash:op=sync,index=1"},
-		{"-dir", "d", "-crash", "crash:op=sync,index=1"},
-		{"-dir", "d", "-supervise", "-crash", "nonsense"},
+		{"-dir", "d", "-crash", "nonsense"},
+		{"-supervise"},
+		{"-dir", "d", "-supervise"},
+		{"-dir", "d", "-max-restarts", "3"},
+		{"-dir", "d", "-backoff-ms", "0"},
 	} {
 		if err := run(args, &out, &errb); err == nil {
 			t.Errorf("args %v accepted", args)

@@ -60,9 +60,6 @@ var DefaultMaintenanceEvents = cpu.Counters{
 type Config struct {
 	// Approach selects the attribution scheme (default chip-share).
 	Approach Approach
-	// SampleInterval is the non-halt-cycle overflow interrupt cadence
-	// (default DefaultSampleInterval).
-	SampleInterval sim.Time
 	// CompensateObserver subtracts maintenance-operation event counts
 	// from each sampling period (default on; DisableObserverComp turns
 	// it off for the ablation).
@@ -118,9 +115,6 @@ type Facility struct {
 // Attach creates a facility, installs it as the kernel's monitor, and
 // programs every core's overflow interrupt threshold.
 func Attach(k *kernel.Kernel, coeff model.Coefficients, cfg Config) *Facility {
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = DefaultSampleInterval
-	}
 	f := &Facility{
 		K:       k,
 		Coeff:   coeff,
@@ -131,7 +125,7 @@ func Attach(k *kernel.Kernel, coeff model.Coefficients, cfg Config) *Facility {
 	f.Background = f.newContainer("background", KindBackground)
 	f.Background.retain() // immortal
 	k.Monitor = f
-	intervalSec := float64(cfg.SampleInterval) / float64(sim.Second)
+	intervalSec := float64(DefaultSampleInterval) / float64(sim.Second)
 	for _, c := range k.Cores {
 		c.SetOverflowThreshold(c.FreqHz * intervalSec)
 	}

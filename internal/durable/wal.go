@@ -275,9 +275,6 @@ func (l *Log) Frames() int64 { return l.frames }
 // Segment returns the current segment index.
 func (l *Log) Segment() int { return l.seg }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // SegmentPath returns the path of segment idx.
 func (l *Log) SegmentPath(idx int) string { return filepath.Join(l.dir, segName(idx)) }
 

@@ -41,9 +41,10 @@ type AblationResult struct {
 	UserTransferMisattribution float64
 }
 
-// ablationKernel builds a bare SandyBridge kernel + facility with the
-// offline Eq. 2 model.
-func ablationKernel(seed uint64, configure func(*kernel.Kernel)) (*kernel.Kernel, *core.Facility, error) {
+// ablationKernel builds a bare SandyBridge kernel, lets configure adjust
+// it (nil leaves it as built), and attaches a facility with the offline
+// Eq. 2 model under cfg.
+func ablationKernel(cfg core.Config, configure func(*kernel.Kernel)) (*kernel.Kernel, *core.Facility, error) {
 	eng := sim.NewEngine()
 	spec := cpu.SandyBridge
 	profile, err := power.Profiles(spec)
@@ -61,36 +62,21 @@ func ablationKernel(seed uint64, configure func(*kernel.Kernel)) (*kernel.Kernel
 	if err != nil {
 		return nil, nil, err
 	}
-	fac := core.Attach(k, cal.Eq2, core.Config{Approach: core.ApproachChipShare})
-	_ = seed
-	return k, fac, nil
+	return k, core.Attach(k, cal.Eq2, cfg), nil
 }
 
 // AblationChipShare measures the Eq. 3 estimate against the oracle.
 func AblationChipShare(seed uint64) (deviation, maxSum float64, err error) {
 	run := func(oracle bool) (*core.Facility, error) {
-		eng := sim.NewEngine()
-		spec := cpu.SandyBridge
-		profile, err := power.Profiles(spec)
+		k, fac, err := ablationKernel(core.Config{Approach: core.ApproachChipShare, UseOracleChipShare: oracle}, nil)
 		if err != nil {
 			return nil, err
 		}
-		k, err := kernel.New("abl", spec, profile, eng, nil)
-		if err != nil {
-			return nil, err
-		}
-		cal, err := CalibrationFor(spec)
-		if err != nil {
-			return nil, err
-		}
-		fac := core.Attach(k, cal.Eq2, core.Config{
-			Approach: core.ApproachChipShare, UseOracleChipShare: oracle,
-		})
 		rng := sim.NewRand(seed)
 		dep := workload.GAE{}.Deploy(k, rng)
 		gen := server.NewLoadGen(k, fac, dep)
-		gen.RunOpenLoop(0.5*PeakRate(spec, dep), 6*sim.Second, rng.Fork(2))
-		eng.RunUntil(6 * sim.Second)
+		gen.RunOpenLoop(0.5*PeakRate(cpu.SandyBridge, dep), 6*sim.Second, rng.Fork(2))
+		k.Eng.RunUntil(6 * sim.Second)
 		return fac, nil
 	}
 	approx, err := run(false)
@@ -123,7 +109,7 @@ func AblationChipShare(seed uint64) (deviation, maxSum float64, err error) {
 func AblationTagging(seed uint64) (float64, error) {
 	type job struct{ cycles float64 }
 	run := func(perSegment bool) ([]float64, error) {
-		k, fac, err := ablationKernel(seed, func(k *kernel.Kernel) {
+		k, fac, err := ablationKernel(core.Config{Approach: core.ApproachChipShare}, func(k *kernel.Kernel) {
 			k.PerSegmentTagging = perSegment
 		})
 		if err != nil {
@@ -188,24 +174,13 @@ func AblationTagging(seed uint64) (float64, error) {
 // AblationObserver measures the counter inflation compensation removes.
 func AblationObserver(seed uint64) (float64, error) {
 	run := func(disable bool) (float64, error) {
-		eng := sim.NewEngine()
-		spec := cpu.SandyBridge
-		profile, err := power.Profiles(spec)
+		k, fac, err := ablationKernel(core.Config{DisableObserverComp: disable}, nil)
 		if err != nil {
 			return 0, err
 		}
-		k, err := kernel.New("abl", spec, profile, eng, nil)
-		if err != nil {
-			return 0, err
-		}
-		cal, err := CalibrationFor(spec)
-		if err != nil {
-			return 0, err
-		}
-		fac := core.Attach(k, cal.Eq2, core.Config{DisableObserverComp: disable})
 		cont := fac.NewContainer("req")
 		k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 3.1e9, Act: cpu.Activity{IPC: 1}}), cont)
-		eng.Run()
+		k.Eng.Run()
 		return cont.Counters.Instructions, nil
 	}
 	comp, err := run(false)
@@ -226,7 +201,7 @@ func AblationObserver(seed uint64) (float64, error) {
 // the published (blind) facility vs the trapping extension.
 func AblationUserTransfers(seed uint64) (float64, error) {
 	run := func(trap bool) ([]float64, error) {
-		k, fac, err := ablationKernel(seed, func(k *kernel.Kernel) {
+		k, fac, err := ablationKernel(core.Config{Approach: core.ApproachChipShare}, func(k *kernel.Kernel) {
 			k.TrapUserTransfers = trap
 		})
 		if err != nil {
@@ -267,11 +242,6 @@ func AblationUserTransfers(seed uint64) (float64, error) {
 		}
 	}
 	return sum / float64(m), nil
-}
-
-// Ablations runs all four.
-func Ablations(seed uint64) (*AblationResult, error) {
-	return AblationsEx(Exec{}, seed)
 }
 
 // ablationCell carries one ablation job's metrics; jobs that produce a

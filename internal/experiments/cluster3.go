@@ -29,11 +29,6 @@ func cluster3Specs() []cpu.MachineSpec {
 	return []cpu.MachineSpec{cpu.SandyBridge, cpu.Westmere, cpu.Woodcrest}
 }
 
-// Cluster3 runs the three-machine distribution experiment.
-func Cluster3(seed uint64) (*Cluster3Result, error) {
-	return Cluster3Ex(Exec{}, seed)
-}
-
 // Cluster3Ex runs the three-machine distribution experiment with explicit
 // execution configuration. Profiling decomposes into one runner job per
 // (app, machine) cell; each policy run shards its three machines onto

@@ -13,13 +13,13 @@ import (
 	"powercontainers/internal/workload"
 )
 
-// CrashMatrixCell is one crash point of the matrix: a supervised durable
-// streaming run killed by the injected plan, restarted, and compared
-// against the golden uninterrupted stream.
+// CrashMatrixCell is one crash point of the matrix: a durable streaming
+// run killed by the injected plan, restarted, and compared against the
+// golden uninterrupted stream.
 type CrashMatrixCell struct {
 	// Spec is the canonical faults.CrashPlan that killed the run.
 	Spec string
-	// Restarts counts supervisor restarts (≥ 1 when the plan fired).
+	// Restarts counts attempts after the first (1 when the plan fired).
 	Restarts int
 	// Mode is the recovery decision of the restart attempt: "fresh",
 	// "checkpoint", or "scratch".
@@ -121,8 +121,8 @@ func crashMatrixStream(as Assembly, seed uint64, crashes []*faults.CrashPlan, pr
 }
 
 // crashMatrixCell executes one crash point: attempt 1 runs armed with the
-// plan, the supervisor absorbs the death, and the restart recovers and
-// finishes on the bare in-memory filesystem.
+// plan, and when the plan kills it, attempt 2 recovers and finishes on the
+// bare in-memory filesystem.
 func crashMatrixCell(as Assembly, seed uint64, spec string) (CrashMatrixCell, error) {
 	plan, err := faults.ParseCrashPlan(spec)
 	if err != nil {
@@ -130,7 +130,7 @@ func crashMatrixCell(as Assembly, seed uint64, spec string) (CrashMatrixCell, er
 	}
 	probe := &crashRecoveryProbe{}
 	d := crashMatrixStream(as, seed, []*faults.CrashPlan{plan}, probe)
-	attempts, err := d.Run(0, nil)
+	attempts, err := d.Run()
 	if err != nil {
 		return CrashMatrixCell{}, err
 	}
@@ -147,7 +147,7 @@ func CrashMatrix(ex Exec, seed uint64) (*CrashMatrixResult, error) {
 
 	res := &CrashMatrixResult{}
 	golden := crashMatrixStream(as, seed, nil, nil)
-	if _, err := golden.Run(0, nil); err != nil {
+	if _, err := golden.Run(); err != nil {
 		return nil, fmt.Errorf("crashmatrix golden run: %w", err)
 	}
 	var err error

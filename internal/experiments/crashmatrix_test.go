@@ -9,7 +9,7 @@ import (
 // point in the default matrix — WAL appends torn at several depths, pre-
 // and post-fsync deaths, the checkpoint write/fsync/rename pipeline, and
 // bit-flip/truncation damage applied while the process is down — the
-// supervised restart recovers a durable stream whose SHA-256 equals the
+// restarted attempt recovers a durable stream whose SHA-256 equals the
 // uninterrupted golden run's. Every plan must actually fire (a crash
 // point that never triggers proves nothing), and the sweep must exercise
 // both recovery modes.

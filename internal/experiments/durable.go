@@ -39,48 +39,58 @@ type DurableStream struct {
 }
 
 // Run runs attempts until one reaches the horizon and returns how many
-// ran. An attempt that dies with a faults.Crash is restarted, after
-// sleep(n) before restart n when sleep is non-nil, at most maxRestarts
-// times (0 selects stream.Supervisor's default); repeated deaths that
-// recover no new durable record abort as a crash loop. Only a planned
-// crash can kill an attempt, so without Crashes exactly one runs.
-func (d *DurableStream) Run(maxRestarts int, sleep func(restart int)) (attempts int, err error) {
+// ran. Attempt i runs armed with Crashes[i] when there is one; an armed
+// attempt that dies with a faults.Crash is logged as a restart and
+// followed by the next attempt, which recovers the store. An attempt's
+// error returns at once and any other panic propagates, so at most
+// len(Crashes)+1 attempts run.
+func (d *DurableStream) Run() (attempts int, err error) {
 	log := d.Log
 	if log == nil {
 		log = io.Discard
 	}
-	var frontier int64 // durable frontier found by the latest recovery
-	sup := &stream.Supervisor{
-		MaxRestarts: maxRestarts,
-		IsCrash:     func(r any) bool { _, ok := r.(faults.Crash); return ok },
-		Sleep:       sleep,
-		Progress:    func() int64 { return frontier },
-		OnRestart:   func(n int, cause string) { fmt.Fprintf(log, "restart %d: %s\n", n, cause) },
-	}
-	err = sup.Run(func() error {
-		fsys := d.FS
-		if attempts < len(d.Crashes) {
-			fsys = faults.NewCrashFS(d.FS.(*durable.MemFS), d.Crashes[attempts])
-		}
+	for {
+		crash, err := d.attempt(attempts, log)
 		attempts++
-		src, err := d.Sources()
-		if err != nil {
-			return err
+		if crash == nil || err != nil {
+			return attempts, err
 		}
-		st, rec, err := stream.OpenStore(fsys, d.Dir, d.Observer)
-		if err != nil {
-			return err
-		}
-		frontier = rec.LastSeq
-		fmt.Fprintf(log, "recovery: mode=%s frontier=%d\n", rec.Mode, rec.LastSeq)
-		e, err := stream.Resume(src, d.Config, st, rec)
-		if err != nil {
-			return err
-		}
-		e.RunUntil(d.Horizon)
-		return st.Close()
-	})
-	return attempts, err
+		fmt.Fprintf(log, "restart %d: %s\n", attempts, crash)
+	}
+}
+
+// attempt runs attempt i: it rebuilds the machine, recovers the store,
+// resumes and streams to the horizon. Armed with a crash plan, it returns
+// the planned death that cut it short, if one did.
+func (d *DurableStream) attempt(i int, log io.Writer) (crash *faults.Crash, err error) {
+	fsys := d.FS
+	if i < len(d.Crashes) {
+		fsys = faults.NewCrashFS(d.FS.(*durable.MemFS), d.Crashes[i])
+		defer func() {
+			if r := recover(); r != nil {
+				c, ok := r.(faults.Crash)
+				if !ok {
+					panic(r)
+				}
+				crash = &c
+			}
+		}()
+	}
+	src, err := d.Sources()
+	if err != nil {
+		return nil, err
+	}
+	st, rec, err := stream.OpenStore(fsys, d.Dir, d.Observer)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(log, "recovery: mode=%s frontier=%d\n", rec.Mode, rec.LastSeq)
+	e, err := stream.Resume(src, d.Config, st, rec)
+	if err != nil {
+		return nil, err
+	}
+	e.RunUntil(d.Horizon)
+	return nil, st.Close()
 }
 
 // Read reads the durable stream back, copying each record's line to w

@@ -241,7 +241,7 @@ func TestFig9BackgroundShare(t *testing.T) {
 }
 
 func TestFig10PredictionOrdering(t *testing.T) {
-	r, err := Fig10(1)
+	r, err := Fig10Ex(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFig11ConditioningFairness(t *testing.T) {
 }
 
 func TestFig13AffinitySpread(t *testing.T) {
-	r, err := Fig13(1)
+	r, err := Fig13Ex(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestFig13AffinitySpread(t *testing.T) {
 }
 
 func TestFig14SavingsAndResponseTimes(t *testing.T) {
-	r, err := Fig14(1)
+	r, err := Fig14Ex(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestCluster3ThreeTierHealthy(t *testing.T) {
-	r, err := Cluster3(1)
+	r, err := Cluster3Ex(Exec{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestRendersDoNotPanic(t *testing.T) {
 	check("fig9", r9, err)
 	ri, err := Intro(Exec{}, 2)
 	check("intro", ri, err)
-	ra, err := Ablations(2)
+	ra, err := AblationsEx(Exec{}, 2)
 	check("ablations", ra, err)
 	ro, err := Overhead()
 	check("overhead", ro, err)

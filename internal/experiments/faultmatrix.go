@@ -168,11 +168,6 @@ func FaultMatrix(opt FaultMatrixOptions, seed uint64) (*FaultMatrixResult, error
 	return &FaultMatrixResult{Cells: cells}, nil
 }
 
-// FaultMatrixEx runs the default grid under an execution configuration.
-func FaultMatrixEx(ex Exec, seed uint64) (*FaultMatrixResult, error) {
-	return FaultMatrix(FaultMatrixOptions{Exec: ex}, seed)
-}
-
 // Cell returns the (rate, degraded) cell, if present.
 func (r *FaultMatrixResult) Cell(rate float64, degraded bool) (FaultMatrixCell, bool) {
 	for _, c := range r.Cells {

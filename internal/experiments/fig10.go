@@ -64,11 +64,6 @@ type typeProfile struct {
 	totEnergy float64
 }
 
-// Fig10 runs the profiling and prediction procedure on SandyBridge.
-func Fig10(seed uint64) (*Fig10Result, error) {
-	return Fig10Ex(Exec{}, seed)
-}
-
 // Fig10Ex runs Figure 10 with explicit execution configuration. The two
 // applications are independent jobs (profiling feeds prediction within an
 // app, so each app's pipeline stays sequential inside its job).

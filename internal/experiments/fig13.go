@@ -40,11 +40,6 @@ func Fig13Workloads() []workload.Workload {
 	}
 }
 
-// Fig13 profiles request energy on both machines.
-func Fig13(seed uint64) (*Fig13Result, error) {
-	return Fig13Ex(Exec{}, seed)
-}
-
 // Fig13Ex runs Figure 13 with explicit execution configuration: one job
 // per (workload, machine) profiling run, reduced into per-workload ratio
 // rows in workload order.

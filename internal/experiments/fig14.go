@@ -45,11 +45,6 @@ func fig14Specs() []cpu.MachineSpec {
 	return []cpu.MachineSpec{cpu.SandyBridge, cpu.Woodcrest}
 }
 
-// Fig14 runs the cluster experiment.
-func Fig14(seed uint64) (*Fig14Result, error) {
-	return Fig14Ex(Exec{}, seed)
-}
-
 // Fig14Ex runs the cluster experiment with explicit execution
 // configuration. Profiling fans out one runner job per (app, machine)
 // cell; each policy then plans its dispatch and executes the plan on one

@@ -104,7 +104,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID: "faultmatrix", Title: "attribution error vs injected meter-fault rate, degradation on/off (robustness extension)",
-			Run: func(ex Exec, seed uint64) (Renderable, error) { return FaultMatrixEx(ex, seed) },
+			Run: func(ex Exec, seed uint64) (Renderable, error) { return FaultMatrix(FaultMatrixOptions{Exec: ex}, seed) },
 		},
 		{
 			ID: "streamequiv", Title: "streaming vs batch attribution equivalence (online engine extension)",

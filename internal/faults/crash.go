@@ -54,8 +54,9 @@ type Corruption struct {
 }
 
 // Crash is the panic value a CrashFS dies with — the in-process stand-in
-// for kill -9. Supervisors recover it by type; any other panic value is
-// a real bug and must propagate.
+// for kill -9. experiments.DurableStream recovers it by type from an
+// attempt it armed with a plan; any other panic value is a real bug and
+// must propagate.
 type Crash struct {
 	Op   string // operation kind that triggered the death
 	Name string // file the operation targeted

@@ -107,13 +107,12 @@ func (g *Gram) Clone() *Gram {
 	return out
 }
 
-// GramState is the serializable snapshot of a Gram accumulator. Streaming
-// checkpoints must carry the accumulators verbatim — rebuilding from the
-// retained observation window would yield the algebraically equal but
-// bit-different "clean" accumulators (Remove leaves rounding residue), and
-// the restored engine would diverge from the uninterrupted one at the ulp
-// level. JSON round-trips float64 exactly, so State/GramFromState preserve
-// every bit, residue included.
+// GramState is the serializable snapshot of a Gram accumulator. It carries
+// the accumulators verbatim, Remove's rounding residue included, rather
+// than the algebraically equal "clean" ones a rebuild from the retained
+// observations would give. JSON round-trips float64 exactly, so two
+// encoded snapshots are equal only when every bit is: that is what lets a
+// streaming checkpoint's byte comparison catch an ulp-level divergence.
 type GramState struct {
 	K   int         `json:"k"`
 	N   int         `json:"n"`
@@ -129,23 +128,6 @@ func (g *Gram) State() GramState {
 		st.XtX[i] = append([]float64(nil), row[i:]...)
 	}
 	return st
-}
-
-// GramFromState reconstructs an accumulator from a snapshot.
-func GramFromState(st GramState) (*Gram, error) {
-	if st.K <= 0 || st.N < 0 || len(st.XtY) != st.K || len(st.XtX) != st.K {
-		return nil, fmt.Errorf("linalg: invalid Gram state (k=%d n=%d |xty|=%d |xtx|=%d)", st.K, st.N, len(st.XtY), len(st.XtX))
-	}
-	g := NewGram(st.K)
-	g.n = st.N
-	copy(g.xty, st.XtY)
-	for i, row := range st.XtX {
-		if len(row) != st.K-i {
-			return nil, fmt.Errorf("linalg: Gram state row %d has %d entries, want %d", i, len(row), st.K-i)
-		}
-		copy(g.xtx[i][i:], row)
-	}
-	return g, nil
 }
 
 // Subset projects the accumulators onto the given strictly-increasing column

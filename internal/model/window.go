@@ -150,10 +150,10 @@ func (w *Window) SolveBase(opts FitOptions) (Coefficients, error) {
 }
 
 // WindowState is the serializable state of a Window, its base block aside.
-// The accumulators travel verbatim: rebuilding them from the samples would
-// drop the downdate residue, and the restored window would drift from the
-// uninterrupted one at the ulp level. The JSON names are a persisted
-// format (stream checkpoints embed this state).
+// The accumulators travel verbatim, downdate residue included, so that
+// comparing two encoded states catches a divergence down to the ulp
+// level. The JSON names are a persisted format (stream checkpoints embed
+// this state).
 type WindowState struct {
 	Plan      FitPlan           `json:"plan"`
 	PlanKnown bool              `json:"plan_known"`
@@ -174,36 +174,4 @@ func (w *Window) State() WindowState {
 		st.Plan, st.PlanKnown, st.Gram = w.plan, true, &g
 	}
 	return st
-}
-
-// Restore replaces the window's state with a snapshot State took on a
-// window over the same base block; the restored window continues
-// bit-identically. A snapshot inconsistent with the base block is refused
-// and leaves the window as it was.
-func (w *Window) Restore(st WindowState) error {
-	var base, g *linalg.Gram
-	if st.PlanKnown != (st.Gram != nil) {
-		return fmt.Errorf("model: window state plan_known=%v with accumulators present=%v", st.PlanKnown, st.Gram != nil)
-	}
-	if st.Gram == nil {
-		if len(st.Samples) > 0 {
-			return fmt.Errorf("model: window state holds %d samples but no plan", len(st.Samples))
-		}
-	} else {
-		var err error
-		if g, err = linalg.GramFromState(*st.Gram); err != nil {
-			return err
-		}
-		if base, err = foldAll(st.Plan, w.base); err != nil {
-			return err
-		}
-		if g.K() != base.K() || g.N() != len(w.base)+len(st.Samples) {
-			return fmt.Errorf("model: window state accumulators (k=%d n=%d) do not match plan k=%d over %d base + %d window samples",
-				g.K(), g.N(), base.K(), len(w.base), len(st.Samples))
-		}
-	}
-	w.plan, w.baseGram, w.gram = st.Plan, base, g
-	w.samples = append(w.samples[:0], st.Samples...)
-	w.evictions, w.evTotal = st.Evictions, st.EvTotal
-	return nil
 }

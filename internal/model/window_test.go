@@ -39,8 +39,7 @@ func foldable(p FitPlan, s CalSample) bool {
 // 3: SetPlan) and its high six bits the argument. The seed fixes the base
 // block (empty to 23 samples; with seed%5 == 0 its first sample lacks a
 // package reading, so package-scope plans must be refused), the rebuild
-// cadence (1 to 8) and the sample values. From the script's midpoint a
-// twin restored from the window's State must solve bit-identically.
+// cadence (1 to 8) and the sample values.
 func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 	t.Helper()
 	rng := sim.NewRand(seed)
@@ -52,7 +51,6 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 	w := NewWindow(base, every)
 
 	var (
-		twin    *Window
 		live    []CalSample
 		plan    FitPlan
 		planSet bool
@@ -60,20 +58,11 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 		since   int    // evictions since the last rebuild
 	)
 	for i, op := range ops {
-		if i == len(ops)/2 {
-			twin = NewWindow(base, every)
-			if err := twin.Restore(w.State()); err != nil {
-				t.Fatalf("op %d: Restore(State()): %v", i, err)
-			}
-		}
 		arg := int(op >> 2)
 		switch op % 4 {
 		case 0, 1:
 			s := windowSample(rng, arg%5 == 0)
 			err := w.Add(s)
-			if twin != nil {
-				_ = twin.Add(s)
-			}
 			kept := planSet && foldable(plan, s)
 			if (err == nil) != kept {
 				t.Fatalf("op %d: Add err = %v, want kept=%v", i, err, kept)
@@ -84,9 +73,6 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 		case 2:
 			max := arg % 12
 			n := w.Trim(max)
-			if twin != nil {
-				twin.Trim(max)
-			}
 			want := len(live) - max
 			if want < 0 {
 				want = 0
@@ -103,9 +89,6 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 		case 3:
 			p := FitPlan{Scope: FitScope(arg & 1), IncludeChipShare: arg&2 != 0}
 			err := w.SetPlan(p)
-			if twin != nil {
-				_ = twin.SetPlan(p)
-			}
 			baseOK := true
 			for _, s := range base {
 				baseOK = baseOK && foldable(p, s)
@@ -139,12 +122,6 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 		opts := FitOptions{Scope: plan.Scope, IncludeChipShare: plan.IncludeChipShare, IdleW: 7}
 		got, gotErr := w.Solve(opts)
 		want, wantErr := Fit(append(append([]CalSample(nil), base...), live...), opts)
-		if twin != nil {
-			tw, twErr := twin.Solve(opts)
-			if (twErr == nil) != (gotErr == nil) || tw != got {
-				t.Fatalf("op %d: restored twin solved %+v (err %v), window %+v (err %v)", i, tw, twErr, got, gotErr)
-			}
-		}
 		switch {
 		case exact:
 			if (gotErr == nil) != (wantErr == nil) || got != want {
@@ -218,20 +195,6 @@ func TestWindowRefusals(t *testing.T) {
 	}
 	if after := w.State(); after.Plan != st.Plan || after.Gram.N != st.Gram.N || w.Len() != 1 {
 		t.Fatalf("refused plan changed the window: %+v, was %+v", after, st)
-	}
-
-	bad := st
-	bad.Samples = nil
-	if err := NewWindow(base, 4).Restore(bad); err == nil {
-		t.Fatal("Restore accepted accumulators over more samples than the state holds")
-	}
-	bad = st
-	bad.Gram = nil
-	if err := NewWindow(base, 4).Restore(bad); err == nil {
-		t.Fatal("Restore accepted a known plan without accumulators")
-	}
-	if err := NewWindow(base[:1], 4).Restore(st); err == nil {
-		t.Fatal("Restore accepted a state taken over a different base block")
 	}
 }
 

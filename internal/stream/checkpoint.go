@@ -23,12 +23,13 @@ type ContainerState struct {
 
 // Checkpoint is the engine's complete consumer-side state at a tick
 // boundary. The simulation itself is not serialized: it is deterministic,
-// so a restore rebuilds an identical machine and replays it quietly to
-// the checkpoint time (ReplayTo), then swaps in the decoded consumer
-// state. Every field round-trips exactly through JSON (float64 encodes as
-// shortest-round-trip), so Checkpoint → Encode → Decode → restore →
-// continue produces the byte-identical record stream an uninterrupted run
-// produces — the contract pinned by the checkpoint-replay tests.
+// so recovery rebuilds an identical machine, replays it quietly to the
+// checkpoint time and checks the replayed state against the checkpoint
+// (ReplayTo). Every field round-trips exactly through JSON (float64
+// encodes as shortest-round-trip), so that check is a byte comparison,
+// and the verified engine continues with the byte-identical record stream
+// an uninterrupted run produces — the contract pinned by the
+// checkpoint-replay tests.
 type Checkpoint struct {
 	Version int      `json:"version"`
 	Tick    int      `json:"tick"`
@@ -87,7 +88,7 @@ func (e *Engine) Checkpoint() *Checkpoint {
 
 // EncodeCheckpoint serializes a checkpoint. The encoding is deterministic
 // (fixed field order, shortest-round-trip floats), so equal states encode
-// to equal bytes — which is what lets ReplayTo verify a restore.
+// to equal bytes — which is what lets ReplayTo verify a replay.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
 	out, err := json.Marshal(cp)
 	if err != nil {
@@ -100,11 +101,10 @@ func EncodeCheckpoint(cp *Checkpoint) []byte {
 
 // DecodeCheckpoint parses an encoded checkpoint and validates every
 // structural invariant a truncated, bit-flipped, or hand-rolled payload
-// can break. Semantic validation against the rebuilt machine (container
-// and hierarchy resolution, the drift window) happens later in restore;
-// everything checkable from the bytes alone is checked here, so a
-// damaged checkpoint is refused with a clear error instead of failing
-// deep inside a replay.
+// can break. Whatever the bytes alone cannot show is caught later, when
+// ReplayTo compares the checkpoint with the replayed state; everything
+// checkable from the bytes is checked here, so a damaged checkpoint is
+// refused with a clear error before any replay.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
@@ -142,76 +142,17 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // assembled by other means must not smuggle them in.
 func badFloat(v float64) bool { return v != v || v > 1e308 || v < -1e308 } //pclint:allow floatsafe v != v is the NaN test; exactness is the point
 
-// restore overwrites the engine's consumer state with the checkpoint's.
-// The engine must already sit at the checkpoint tick (ReplayTo arranges
-// this); restore resolves live container IDs against the facility.
-func (e *Engine) restore(cp *Checkpoint) error {
-	if e.tick != cp.Tick {
-		return fmt.Errorf("stream: restore at tick %d, checkpoint at %d", e.tick, cp.Tick)
-	}
-	// Resolve live container IDs by merge scan: both the checkpoint's
-	// live list and the facility's container list are in creation order.
-	live := make([]*contCursor, 0, len(cp.Live))
-	if cp.ContainersSeen > e.src.Fac.NumContainers() {
-		return fmt.Errorf("stream: checkpoint saw %d containers, facility has %d", cp.ContainersSeen, e.src.Fac.NumContainers())
-	}
-	i := 0
-	for _, st := range cp.Live {
-		for i < cp.ContainersSeen && e.src.Fac.ContainerAt(i).ID != st.ID {
-			i++
-		}
-		if i == cp.ContainersSeen {
-			return fmt.Errorf("stream: checkpoint live container %d not found in facility", st.ID)
-		}
-		live = append(live, &contCursor{c: e.src.Fac.ContainerAt(i), lastJ: st.LastJ})
-		i++
-	}
-
-	// Hierarchy cursors resolve against the rebuilt facility's hierarchy:
-	// the checkpointed run cannot have seen more services or tenants than
-	// the replayed machine has registered by now.
-	h := e.src.Fac.Hierarchy()
-	if len(cp.SvcLast) > 0 || len(cp.TenLast) > 0 {
-		if h == nil {
-			return fmt.Errorf("stream: checkpoint carries hierarchy cursors but the facility has no hierarchy")
-		}
-		if len(cp.SvcLast) > h.NumServices() || len(cp.TenLast) > h.NumTenants() {
-			return fmt.Errorf("stream: checkpoint saw %d services / %d tenants, hierarchy has %d / %d",
-				len(cp.SvcLast), len(cp.TenLast), h.NumServices(), h.NumTenants())
-		}
-	}
-	// The window restores last: it refuses a bad state without changing,
-	// so nothing below can fail after it.
-	if err := e.window.Restore(cp.WindowState); err != nil {
-		return err
-	}
-
-	e.records = cp.Records
-	e.cumJ = cp.CumJ
-	e.meterSeen = cp.MeterSeen
-	e.containersSeen = cp.ContainersSeen
-	e.live = live
-	e.svcLast = append(e.svcLast[:0], cp.SvcLast...)
-	e.tenLast = append(e.tenLast[:0], cp.TenLast...)
-	e.delay = cp.Delay
-	e.delayKnown = cp.DelayKnown
-	e.drift = cp.Drift
-	e.driftOK = cp.DriftOK
-	e.driftErr = cp.DriftErr
-	return nil
-}
-
-// ReplayTo restores a checkpoint into a fresh engine over a freshly built,
-// identically seeded machine: it drives the engine quietly (no sink, no
-// observer, no automatic checkpoints) through cp.Tick ticks — reproducing
-// the exact pull/flush pattern of the original run, which the
-// simulation's float state depends on — verifies that the naturally
-// replayed consumer state encodes byte-identically to the checkpoint
-// (catching any state the checkpoint failed to capture, or any divergence
-// in the rebuilt machine), and then installs the decoded checkpoint
-// state. The returned engine continues the stream exactly where the
-// checkpointed run left off, on the configured checkpoint cadence; when
-// cp.Tick is on that cadence, cp is its LastCheckpoint.
+// ReplayTo rebuilds a checkpointed engine over a freshly built,
+// identically seeded machine: it drives a fresh engine quietly (no sink,
+// no observer, no automatic checkpoints) through cp.Tick ticks —
+// reproducing the exact pull/flush pattern of the original run, which the
+// simulation's float state depends on — and requires the replayed
+// consumer state to encode byte-identically to the checkpoint, refusing
+// any state the checkpoint failed to capture or any divergence in the
+// rebuilt machine. The replayed engine is the recovered one: it continues
+// the stream exactly where the checkpointed run left off, on the
+// configured checkpoint cadence; when cp.Tick is on that cadence, cp is
+// its LastCheckpoint.
 func ReplayTo(src Sources, cfg Config, cp *Checkpoint) (*Engine, error) {
 	e := New(src, cfg)
 	if got := sim.Time(cp.Tick) * e.cfg.Tick; got != cp.T {
@@ -225,9 +166,6 @@ func ReplayTo(src Sources, cfg Config, cp *Checkpoint) (*Engine, error) {
 	want := EncodeCheckpoint(cp)
 	if !bytes.Equal(natural, want) {
 		return nil, fmt.Errorf("stream: quiet replay diverged from checkpoint at tick %d (%d vs %d encoded bytes)", cp.Tick, len(natural), len(want))
-	}
-	if err := e.restore(cp); err != nil {
-		return nil, err
 	}
 	if every > 0 && cp.Tick > 0 && cp.Tick%every == 0 {
 		e.lastCP = cp

@@ -249,8 +249,7 @@ func (s *Store) persistCheckpoint() error {
 	return nil
 }
 
-// LastSeq returns the highest record sequence number the WAL holds —
-// the supervisor's progress metric.
+// LastSeq returns the highest record sequence number the WAL holds.
 func (s *Store) LastSeq() int64 { return s.appended }
 
 // Close syncs the WAL, persists the newest checkpoint, and closes the

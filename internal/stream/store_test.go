@@ -390,122 +390,6 @@ func (p *recoveryProbe) Observe(e sim.Event) {
 	}
 }
 
-// TestSupervisorBudgetAndCrashLoop pins the supervisor's control logic
-// with synthetic attempts (no engine involved).
-func TestSupervisorBudgetAndCrashLoop(t *testing.T) {
-	isCrash := func(r any) bool { _, ok := r.(faults.Crash); return ok }
-	boom := func() { panic(faults.Crash{Op: "sync", Name: "x"}) }
-
-	// Crashes with progress: restarts until the attempt succeeds.
-	var progress int64
-	attempts := 0
-	sup := &stream.Supervisor{IsCrash: isCrash, Progress: func() int64 { return progress }}
-	err := sup.Run(func() error {
-		attempts++
-		progress++
-		if attempts < 4 {
-			boom()
-		}
-		return nil
-	})
-	if err != nil || attempts != 4 {
-		t.Fatalf("progressing run: err=%v attempts=%d", err, attempts)
-	}
-
-	// No progress: crash-loop detection fires well inside the budget.
-	attempts = 0
-	sup = &stream.Supervisor{IsCrash: isCrash, MaxRestarts: 50, Progress: func() int64 { return 0 }}
-	err = sup.Run(func() error { attempts++; boom(); return nil })
-	if err == nil || attempts > 4 {
-		t.Fatalf("stalled run: err=%v attempts=%d, want crash-loop abort", err, attempts)
-	}
-
-	// Budget exhaustion with steady progress.
-	var n int64
-	sup = &stream.Supervisor{IsCrash: isCrash, MaxRestarts: 3, Progress: func() int64 { return n }}
-	err = sup.Run(func() error { n++; boom(); return nil })
-	if err == nil || n != 4 {
-		t.Fatalf("budget run: err=%v attempts=%d, want give-up after 3 restarts", err, n)
-	}
-
-	// Errors are fatal immediately; foreign panics propagate.
-	calls := 0
-	sentinel := errors.New("refused")
-	if err := (&stream.Supervisor{IsCrash: isCrash}).Run(func() error { calls++; return sentinel }); !errors.Is(err, sentinel) || calls != 1 {
-		t.Fatalf("error run: err=%v calls=%d", err, calls)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("foreign panic swallowed")
-			}
-		}()
-		_ = (&stream.Supervisor{IsCrash: isCrash}).Run(func() error { panic("bug") })
-	}()
-
-	// Sleep and OnRestart observe each restart in order.
-	var slept, restarts []int
-	sup = &stream.Supervisor{
-		IsCrash:   isCrash,
-		Sleep:     func(r int) { slept = append(slept, r) },
-		OnRestart: func(r int, cause string) { restarts = append(restarts, r) },
-		Progress:  func() int64 { progress++; return progress },
-	}
-	attempts = 0
-	if err := sup.Run(func() error {
-		attempts++
-		if attempts < 3 {
-			boom()
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(slept) != "[1 2]" || fmt.Sprint(restarts) != "[1 2]" {
-		t.Fatalf("slept=%v restarts=%v", slept, restarts)
-	}
-}
-
-// TestSupervisedStoreRunConverges glues supervisor + store + crash plan:
-// a supervised run that dies twice still produces the golden stream.
-func TestSupervisedStoreRunConverges(t *testing.T) {
-	const seed = 41
-	golden := goldenStream(t, seed)
-	mem := durable.NewMemFS()
-	plan, err := faults.ParseCrashPlan("crash:op=sync,match=wal-,index=9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfs := faults.NewCrashFS(mem, plan)
-	restarts := 0
-	sup := &stream.Supervisor{
-		IsCrash:   func(r any) bool { _, ok := r.(faults.Crash); return ok },
-		OnRestart: func(r int, cause string) { restarts = r },
-	}
-	err = sup.Run(func() error {
-		bed := deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
-		st, rec, err := stream.OpenStore(durable.FS(cfs), "wal", nil)
-		if err != nil {
-			return err
-		}
-		e, err := stream.Resume(bed.m.Sources(), storeCfg(), st, rec)
-		if err != nil {
-			return err
-		}
-		e.RunUntil(bed.end())
-		return st.Close()
-	})
-	if err != nil {
-		t.Fatalf("supervised run: %v", err)
-	}
-	if restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", restarts)
-	}
-	if got := dumpStream(t, mem); !bytes.Equal(got, golden) {
-		t.Fatalf("supervised stream differs from golden")
-	}
-}
-
 // BenchmarkStreamRecover measures restart latency: reopening a populated
 // durable store (checkpoint decode plus full WAL segment scan) and
 // rebuilding the engine via the quiet-replay path — the gap between
