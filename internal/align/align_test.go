@@ -217,3 +217,30 @@ func TestRecalibratorSetDelaySkipsEstimation(t *testing.T) {
 		t.Fatalf("ingest with fixed delay added %d, want 1", n)
 	}
 }
+
+// TestDelayLockReleasesSearchCache: the delay search's modeled-power
+// cache is read only while the delay is unknown, so both ways of locking
+// the delay, an Ingest that estimates it and SetDelay, release it.
+func TestDelayLockReleasesSearchCache(t *testing.T) {
+	ms, meter, offline, coeff := spikedWorld(0)
+	r := NewRecalibrator(meter, model.ScopeMachine, offline)
+	r.MaxDelay = 100 * sim.Millisecond
+	if r.Ingest(5*sim.Second, ms, coeff) == 0 {
+		t.Fatal("no online samples ingested")
+	}
+	if _, ok := r.Delay(); !ok {
+		t.Fatal("Ingest did not lock the delay")
+	}
+	if r.mp != nil || r.mpValid {
+		t.Fatalf("after Ingest locked the delay the search cache holds %d buckets (valid %v)", len(r.mp), r.mpValid)
+	}
+
+	r = NewRecalibrator(meter, model.ScopeMachine, offline)
+	if len(r.modeledPower(ms, coeff)) == 0 {
+		t.Fatal("the search cache stayed empty")
+	}
+	r.SetDelay(10 * sim.Millisecond)
+	if r.mp != nil || r.mpValid {
+		t.Fatalf("after SetDelay the search cache holds %d buckets (valid %v)", len(r.mp), r.mpValid)
+	}
+}

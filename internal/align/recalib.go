@@ -61,7 +61,7 @@ type Recalibrator struct {
 	// Incremental modeled-power cache for the delay search: mp mirrors
 	// ms.ModeledPower(mpCoeff, len(mp)) and is extended/patched from the
 	// metric series' dirty low-water mark instead of being rebuilt on
-	// every delay-unknown Ingest.
+	// every delay-unknown Ingest. Locking the delay releases it.
 	mp      []float64
 	mpCoeff model.Coefficients
 	mpValid bool
@@ -94,7 +94,14 @@ func (r *Recalibrator) Delay() (sim.Time, bool) { return r.delay, r.delayKnown }
 // unlikely to change dynamically).
 func (r *Recalibrator) SetDelay(d sim.Time) {
 	r.delay = d
+	r.lockDelay()
+}
+
+// lockDelay marks the delay known and releases the delay search's
+// modeled-power cache, which only an unknown delay reads.
+func (r *Recalibrator) lockDelay() {
 	r.delayKnown = true
+	r.mp, r.mpValid = nil, false
 }
 
 // OnlineCount returns the number of retained online samples.
@@ -190,7 +197,7 @@ func (r *Recalibrator) Ingest(now sim.Time, ms *model.MetricSeries, current mode
 			return 0
 		}
 		r.delay = d
-		r.delayKnown = true
+		r.lockDelay()
 	}
 
 	r.pairs = AlignSamples(r.pairs[:0], r.buffered, r.Meter.IdleW(), r.Meter.Interval(), ms, r.delay)

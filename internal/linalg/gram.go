@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Gram holds the sufficient statistics of a weighted least-squares problem:
@@ -107,27 +109,33 @@ func (g *Gram) Clone() *Gram {
 	return out
 }
 
-// GramState is the serializable snapshot of a Gram accumulator. It carries
-// the accumulators verbatim, Remove's rounding residue included, rather
-// than the algebraically equal "clean" ones a rebuild from the retained
-// observations would give. JSON round-trips float64 exactly, so two
-// encoded snapshots are equal only when every bit is: that is what lets a
-// streaming checkpoint's byte comparison catch an ulp-level divergence.
-type GramState struct {
-	K   int         `json:"k"`
-	N   int         `json:"n"`
-	XtX [][]float64 `json:"xtx"` // upper triangle, row i holds columns [i, k)
-	XtY []float64   `json:"xty"`
-}
-
-// State returns a deep-copied snapshot of the accumulators.
-func (g *Gram) State() GramState {
-	st := GramState{K: g.k, N: g.n, XtY: append([]float64(nil), g.xty...)}
-	st.XtX = make([][]float64, g.k)
+// AppendCanonical appends the accumulators' canonical bytes to dst and
+// returns the extended slice: k and n, then the upper triangle of XᵀX row
+// by row, then XᵀY, each value as 8 little-endian bytes (a float64 as its
+// IEEE-754 bits). The accumulators go verbatim, Remove's rounding residue
+// included, rather than the algebraically equal "clean" ones a rebuild
+// from the retained observations would give, so two Grams encode alike
+// only when every bit agrees: that is what lets a streaming checkpoint's
+// digest catch an ulp-level divergence. A non-finite accumulator, which
+// no fold of finite rows produces, panics naming its entry.
+func (g *Gram) AppendCanonical(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(g.k))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(g.n))
 	for i, row := range g.xtx {
-		st.XtX[i] = append([]float64(nil), row[i:]...)
+		for j := i; j < g.k; j++ {
+			if !isFinite(row[j]) {
+				panic(fmt.Sprintf("linalg: Gram xtx[%d][%d] is not finite: %v", i, j, row[j]))
+			}
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(row[j]))
+		}
 	}
-	return st
+	for i, v := range g.xty {
+		if !isFinite(v) {
+			panic(fmt.Sprintf("linalg: Gram xty[%d] is not finite: %v", i, v))
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
 }
 
 // Subset projects the accumulators onto the given strictly-increasing column

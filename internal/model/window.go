@@ -1,8 +1,10 @@
 package model
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"powercontainers/internal/linalg"
 )
@@ -149,29 +151,46 @@ func (w *Window) SolveBase(opts FitOptions) (Coefficients, error) {
 	return FitFromGram(w.baseGram, opts)
 }
 
-// WindowState is the serializable state of a Window, its base block aside.
-// The accumulators travel verbatim, downdate residue included, so that
-// comparing two encoded states catches a divergence down to the ulp
-// level. The JSON names are a persisted format (stream checkpoints embed
-// this state).
-type WindowState struct {
-	Plan      FitPlan           `json:"plan"`
-	PlanKnown bool              `json:"plan_known"`
-	Samples   []CalSample       `json:"pairs,omitempty"`
-	Evictions int               `json:"evictions"`
-	EvTotal   int64             `json:"ev_total"`
-	Gram      *linalg.GramState `json:"gram,omitempty"`
+// AppendCanonical appends the window's canonical bytes to dst and returns
+// the extended slice, its base block aside (it is retained, not copied, and
+// fixed for the window's life): whether a plan is set, the plan, the sample
+// count and the samples in order, the evictions since the last rebuild and
+// in total, then the accumulators verbatim (linalg.Gram.AppendCanonical)
+// when a plan is set. Integers take 8 little-endian bytes, a float64 its
+// IEEE-754 bits the same way, a bool one byte. Equal windows encode alike,
+// and a difference anywhere, Remove residue included, changes the bytes.
+// A non-finite sample value panics naming it.
+func (w *Window) AppendCanonical(dst []byte) []byte {
+	dst = appendBool(dst, w.gram != nil)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(w.plan.Scope))
+	dst = appendBool(dst, w.plan.IncludeChipShare)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(w.samples)))
+	for i := range w.samples {
+		s := &w.samples[i]
+		vals := [...]float64{s.M.Core, s.M.Ins, s.M.Float, s.M.Cache, s.M.Mem, s.M.Chip, s.M.Disk, s.M.Net,
+			s.MachineActiveW, s.PkgActiveW, s.Weight}
+		for j, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				panic(fmt.Sprintf("model: window sample %d %s is not finite: %v", i, sampleFields[j], v))
+			}
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(w.evictions))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(w.evTotal))
+	if w.gram != nil {
+		dst = w.gram.AppendCanonical(dst)
+	}
+	return dst
 }
 
-// State returns a deep-copied snapshot of the window.
-func (w *Window) State() WindowState {
-	st := WindowState{Evictions: w.evictions, EvTotal: w.evTotal}
-	if len(w.samples) > 0 {
-		st.Samples = append([]CalSample(nil), w.samples...)
+// sampleFields names AppendCanonical's per-sample values, in order.
+var sampleFields = [...]string{"M.Core", "M.Ins", "M.Float", "M.Cache", "M.Mem", "M.Chip", "M.Disk", "M.Net",
+	"MachineActiveW", "PkgActiveW", "Weight"}
+
+func appendBool(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, 1)
 	}
-	if w.gram != nil {
-		g := w.gram.State()
-		st.Plan, st.PlanKnown, st.Gram = w.plan, true, &g
-	}
-	return st
+	return append(dst, 0)
 }

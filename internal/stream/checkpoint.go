@@ -1,110 +1,136 @@
 package stream
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
-	"powercontainers/internal/model"
 	"powercontainers/internal/sim"
 )
 
 // CheckpointVersion identifies the checkpoint encoding. Version 2 added
-// the hierarchy roll-up cursors (svc_last/ten_last); version 3 dropped
-// the meter, attribution and modeled-power histories and the per-container
-// CPU cursor, none of which the engine reads.
-const CheckpointVersion = 3
+// the hierarchy roll-up cursors; version 3 dropped the meter, attribution
+// and modeled-power histories and the per-container CPU cursor, none of
+// which the engine reads; version 4 replaced the consumer state with its
+// SHA-256, since recovery only compares it.
+const CheckpointVersion = 4
 
-// ContainerState is one live container's cursor in a checkpoint.
-type ContainerState struct {
-	ID    int     `json:"id"`
-	LastJ float64 `json:"last_j"`
-}
-
-// Checkpoint is the engine's complete consumer-side state at a tick
-// boundary. The simulation itself is not serialized: it is deterministic,
-// so recovery rebuilds an identical machine, replays it quietly to the
-// checkpoint time and checks the replayed state against the checkpoint
-// (ReplayTo). Every field round-trips exactly through JSON (float64
-// encodes as shortest-round-trip), so that check is a byte comparison,
-// and the verified engine continues with the byte-identical record stream
-// an uninterrupted run produces — the contract pinned by the
-// checkpoint-replay tests.
+// Checkpoint identifies the engine's consumer state at a tick boundary.
+// Nothing is restored from it: the simulation is deterministic, so
+// recovery rebuilds an identical machine, replays it quietly to the
+// checkpoint time and compares the replayed engine's checkpoint with this
+// one (ReplayTo). The position (tick, time, record count) stays in the
+// clear, because the durable store splits its WAL at Records; everything
+// else is State, the SHA-256 of the state's canonical bytes (see
+// Engine.Checkpoint). The verified engine continues with the
+// byte-identical record stream an uninterrupted run produces — the
+// contract pinned by the checkpoint-replay tests.
 type Checkpoint struct {
 	Version int      `json:"version"`
 	Tick    int      `json:"tick"`
 	T       sim.Time `json:"t"`
 	Records int64    `json:"records"`
-	CumJ    float64  `json:"cum_j"`
-
-	MeterSeen      int              `json:"meter_seen"`
-	ContainersSeen int              `json:"containers_seen"`
-	Live           []ContainerState `json:"live"`
-
-	// Hierarchy roll-up cursors, indexed by registration order (absent on
-	// flat runs).
-	SvcLast []float64 `json:"svc_last,omitempty"`
-	TenLast []float64 `json:"ten_last,omitempty"`
-
-	Delay      sim.Time `json:"delay"`
-	DelayKnown bool     `json:"delay_known"`
-	// The drift refit's window, its fields encoded inline.
-	model.WindowState
-	Drift    model.Coefficients `json:"drift"`
-	DriftOK  bool               `json:"drift_ok"`
-	DriftErr float64            `json:"drift_err"`
+	State   string   `json:"state"` // 64 lowercase hex digits
 }
 
 // Checkpoint captures the engine's consumer state at the last completed
-// tick. It is a pure read — taking a checkpoint never perturbs the
-// stream.
+// tick. It reads the state in place and never perturbs the stream. The
+// digest covers, in this order: the record count and the ledger; the
+// meter and container cursors; the live-container cursors (ID, last J) in
+// cursor order; the service and tenant roll-up cursors; the drift delay
+// and whether it is known; the drift window (model.Window.AppendCanonical:
+// plan, samples, eviction counters, Gram accumulators verbatim); the drift
+// coefficients, whether the fit holds and its error. Integers take 8
+// little-endian bytes, a float64 its IEEE-754 bits the same way, a bool
+// one byte, and each variable-length section opens with its length, so
+// equal states encode alike and any differing value, −0 included, changes
+// the bytes. A non-finite value panics naming its field.
 func (e *Engine) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		Version:        CheckpointVersion,
-		Tick:           e.tick,
-		T:              e.Now(),
-		Records:        e.records,
-		CumJ:           e.cumJ,
-		MeterSeen:      e.meterSeen,
-		ContainersSeen: e.containersSeen,
-		Delay:          e.delay,
-		DelayKnown:     e.delayKnown,
-		WindowState:    e.window.State(),
-		Drift:          e.drift,
-		DriftOK:        e.driftOK,
-		DriftErr:       e.driftErr,
+	b := e.stateBuf[:0]
+	b = appendWord(b, e.records)
+	b = appendBits(b, e.cumJ, "cum_j", -1)
+	b = appendWord(b, int64(e.meterSeen))
+	b = appendWord(b, int64(e.containersSeen))
+	b = appendWord(b, int64(len(e.live)))
+	for i, cc := range e.live {
+		b = appendWord(b, int64(cc.c.ID))
+		b = appendBits(b, cc.lastJ, "live last_j", i)
 	}
-	for _, cc := range e.live {
-		cp.Live = append(cp.Live, ContainerState{ID: cc.c.ID, LastJ: cc.lastJ})
+	b = appendWord(b, int64(len(e.svcLast)))
+	for i, v := range e.svcLast {
+		b = appendBits(b, v, "svc_last", i)
 	}
-	if len(e.svcLast) > 0 {
-		cp.SvcLast = append([]float64(nil), e.svcLast...)
+	b = appendWord(b, int64(len(e.tenLast)))
+	for i, v := range e.tenLast {
+		b = appendBits(b, v, "ten_last", i)
 	}
-	if len(e.tenLast) > 0 {
-		cp.TenLast = append([]float64(nil), e.tenLast...)
+	b = appendWord(b, int64(e.delay))
+	b = appendFlag(b, e.delayKnown)
+	b = e.window.AppendCanonical(b)
+	d := &e.drift
+	for i, v := range [...]float64{d.IdleW, d.Core, d.Ins, d.Float, d.Cache, d.Mem, d.Chip, d.Disk, d.Net} {
+		b = appendBits(b, v, driftFields[i], -1)
 	}
-	return cp
+	b = appendFlag(b, d.IncludesChipShare)
+	b = appendFlag(b, e.driftOK)
+	b = appendBits(b, e.driftErr, "drift_err", -1)
+	e.stateBuf = b
+	sum := sha256.Sum256(b)
+	return &Checkpoint{
+		Version: CheckpointVersion,
+		Tick:    e.tick,
+		T:       e.Now(),
+		Records: e.records,
+		State:   hex.EncodeToString(sum[:]),
+	}
 }
 
-// EncodeCheckpoint serializes a checkpoint. The encoding is deterministic
-// (fixed field order, shortest-round-trip floats), so equal states encode
-// to equal bytes — which is what lets ReplayTo verify a replay.
+// driftFields names the drift coefficients Checkpoint hashes, in order.
+var driftFields = [...]string{"drift.IdleW", "drift.Core", "drift.Ins", "drift.Float", "drift.Cache",
+	"drift.Mem", "drift.Chip", "drift.Disk", "drift.Net"}
+
+func appendWord(dst []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, uint64(v))
+}
+
+func appendFlag(dst []byte, v bool) []byte {
+	if v {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// appendBits appends v's IEEE-754 bits; field and index (−1 for none) name
+// it in the panic a non-finite value raises.
+func appendBits(dst []byte, v float64, field string, index int) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if index >= 0 {
+			field = fmt.Sprintf("%s[%d]", field, index)
+		}
+		panic(fmt.Sprintf("stream: checkpoint %s is not finite: %v", field, v))
+	}
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+// EncodeCheckpoint serializes a checkpoint as JSON with a fixed field
+// order, so equal checkpoints encode to equal bytes.
 func EncodeCheckpoint(cp *Checkpoint) []byte {
 	out, err := json.Marshal(cp)
 	if err != nil {
-		// Checkpoint contains only JSON-safe field types; Marshal cannot
-		// fail unless a NaN leaks in, which the fold paths exclude.
+		// Integers and a string cannot fail to marshal.
 		panic(fmt.Sprintf("stream: checkpoint encode: %v", err))
 	}
 	return out
 }
 
-// DecodeCheckpoint parses an encoded checkpoint and validates every
-// structural invariant a truncated, bit-flipped, or hand-rolled payload
-// can break. Whatever the bytes alone cannot show is caught later, when
-// ReplayTo compares the checkpoint with the replayed state; everything
-// checkable from the bytes is checked here, so a damaged checkpoint is
-// refused with a clear error before any replay.
+// DecodeCheckpoint parses an encoded checkpoint and validates what the
+// bytes alone can show: the version, a non-negative position, no records
+// at tick 0 and a well-formed digest. Whether the digest matches is for
+// ReplayTo to find out, so a damaged checkpoint is refused with a clear
+// error before any replay or, at the latest, when its replay is compared.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
@@ -119,40 +145,38 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if cp.Records < 0 {
 		return nil, fmt.Errorf("stream: checkpoint with negative record count %d", cp.Records)
 	}
-	if cp.MeterSeen < 0 || cp.ContainersSeen < 0 {
-		return nil, fmt.Errorf("stream: checkpoint with negative cursors (meter %d, containers %d)", cp.MeterSeen, cp.ContainersSeen)
-	}
-	if len(cp.Live) > cp.ContainersSeen {
-		return nil, fmt.Errorf("stream: checkpoint holds %d live containers but saw only %d", len(cp.Live), cp.ContainersSeen)
-	}
-	if cp.Evictions < 0 || cp.EvTotal < int64(cp.Evictions) {
-		return nil, fmt.Errorf("stream: checkpoint eviction counters inconsistent (%d since rebuild, %d total)", cp.Evictions, cp.EvTotal)
-	}
-	if badFloat(cp.CumJ) || badFloat(cp.DriftErr) {
-		return nil, fmt.Errorf("stream: checkpoint carries non-finite accumulators")
-	}
-	if cp.Tick == 0 && (cp.Records != 0 || len(cp.Live) != 0) {
+	if cp.Tick == 0 && cp.Records != 0 {
 		return nil, fmt.Errorf("stream: checkpoint at tick 0 claims %d records", cp.Records)
+	}
+	if !isDigest(cp.State) {
+		return nil, fmt.Errorf("stream: checkpoint state %q is not a SHA-256 in lowercase hex", cp.State)
 	}
 	return &cp, nil
 }
 
-// badFloat reports a value JSON should never have produced for an
-// accumulator: json.Unmarshal rejects NaN/Inf literals, but a checkpoint
-// assembled by other means must not smuggle them in.
-func badFloat(v float64) bool { return v != v || v > 1e308 || v < -1e308 } //pclint:allow floatsafe v != v is the NaN test; exactness is the point
+// isDigest reports whether s is a SHA-256 in lowercase hex.
+func isDigest(s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // ReplayTo rebuilds a checkpointed engine over a freshly built,
 // identically seeded machine: it drives a fresh engine quietly (no sink,
 // no observer, no automatic checkpoints) through cp.Tick ticks —
 // reproducing the exact pull/flush pattern of the original run, which the
 // simulation's float state depends on — and requires the replayed
-// consumer state to encode byte-identically to the checkpoint, refusing
-// any state the checkpoint failed to capture or any divergence in the
-// rebuilt machine. The replayed engine is the recovered one: it continues
-// the stream exactly where the checkpointed run left off, on the
-// configured checkpoint cadence; when cp.Tick is on that cadence, cp is
-// its LastCheckpoint.
+// engine's checkpoint to equal cp, refusing any divergence in the rebuilt
+// machine. The replayed engine is the recovered one: it continues the
+// stream exactly where the checkpointed run left off, on the configured
+// checkpoint cadence; when cp.Tick is on that cadence, cp is its
+// LastCheckpoint.
 func ReplayTo(src Sources, cfg Config, cp *Checkpoint) (*Engine, error) {
 	e := New(src, cfg)
 	if got := sim.Time(cp.Tick) * e.cfg.Tick; got != cp.T {
@@ -162,13 +186,15 @@ func ReplayTo(src Sources, cfg Config, cp *Checkpoint) (*Engine, error) {
 	e.cfg.CheckpointEvery = 0
 	e.RunTicks(cp.Tick)
 	e.cfg.CheckpointEvery = every
-	natural := EncodeCheckpoint(e.Checkpoint())
-	want := EncodeCheckpoint(cp)
-	if !bytes.Equal(natural, want) {
-		return nil, fmt.Errorf("stream: quiet replay diverged from checkpoint at tick %d (%d vs %d encoded bytes)", cp.Tick, len(natural), len(want))
+	if natural := e.Checkpoint(); *natural != *cp {
+		return nil, fmt.Errorf("stream: quiet replay diverged from checkpoint at tick %d (replayed state %s…, checkpoint %s…)",
+			cp.Tick, digestPrefix(natural.State), digestPrefix(cp.State))
 	}
 	if every > 0 && cp.Tick > 0 && cp.Tick%every == 0 {
 		e.lastCP = cp
 	}
 	return e, nil
 }
+
+// digestPrefix shortens a digest for an error message.
+func digestPrefix(s string) string { return s[:min(len(s), 12)] }

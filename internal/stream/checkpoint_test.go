@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"powercontainers/internal/core"
@@ -112,18 +114,91 @@ func TestReplayToRejectsForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointDigestCoversState checks that the checkpoint digest covers
+// the whole consumer state ReplayTo compares: on a hierarchy bed with a
+// full, evicting drift window and a locked delay, the two sides of every
+// stream.DigestCases case (one per hashed value, plus two that only the
+// live and service counts tell apart) must hash differently, undoing a
+// case must restore the digest, and a non-finite value must refuse to
+// checkpoint, naming its field.
+func TestCheckpointDigestCoversState(t *testing.T) {
+	bed := longBed(t, 67, 10*sim.Second)
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: 100 * sim.Millisecond})
+	var col stream.Collector
+	e.Sink = &col
+	e.RunTicks(40)
+	if _, ok := bed.m.Fac.Recalibrator().Delay(); !ok {
+		t.Fatal("the recalibrator never locked its delay")
+	}
+	if n := len(e.DriftWindow()); n != 512 || e.DriftEvictions() == 0 {
+		t.Fatalf("drift window holds %d pairs after %d evictions, want a full evicting window", n, e.DriftEvictions())
+	}
+	var svc, ten bool
+	for _, r := range col.Records {
+		svc = svc || r.Kind == stream.KindService
+		ten = ten || r.Kind == stream.KindTenant
+	}
+	if !svc || !ten {
+		t.Fatal("the bed streamed no service or tenant records")
+	}
+
+	base := e.Checkpoint().State
+	state := func(edit stream.StateEdit) string {
+		if edit == nil {
+			return e.Checkpoint().State
+		}
+		undo := edit(e)
+		defer undo()
+		return e.Checkpoint().State
+	}
+	for _, c := range stream.DigestCases() {
+		if a, b := state(c.A), state(c.B); a == b {
+			t.Errorf("%s: both sides hash to %s", c.Name, a)
+		}
+		if got := e.Checkpoint().State; got != base {
+			t.Fatalf("%s: undo left digest %s, want %s", c.Name, got, base)
+		}
+	}
+
+	// A non-finite value refuses to checkpoint, naming its field.
+	for _, c := range stream.NonFiniteCases() {
+		func() {
+			defer c.Edit(e)()
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.Field) {
+					t.Errorf("non-finite %s: checkpoint panicked with %q", c.Field, msg)
+				}
+			}()
+			e.Checkpoint()
+		}()
+	}
+	if got := e.Checkpoint().State; got != base {
+		t.Fatalf("after the non-finite cases the digest is %s, want %s", got, base)
+	}
+}
+
 func TestDecodeCheckpointValidates(t *testing.T) {
-	if _, err := stream.DecodeCheckpoint([]byte("{")); err == nil {
-		t.Fatal("garbage accepted")
+	const digest = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	if _, err := stream.DecodeCheckpoint([]byte(`{"version":4,"tick":3,"t":300000000,"records":7,"state":"` + digest + `"}`)); err != nil {
+		t.Fatalf("well-formed checkpoint refused: %v", err)
 	}
-	if _, err := stream.DecodeCheckpoint([]byte(`{"version":99}`)); err == nil {
-		t.Fatal("future version accepted")
-	}
-	if _, err := stream.DecodeCheckpoint([]byte(`{"version":1}`)); err == nil {
-		t.Fatal("superseded version accepted")
-	}
-	if _, err := stream.DecodeCheckpoint([]byte(`{"version":3,"tick":-1}`)); err == nil {
-		t.Fatal("negative tick accepted")
+	for _, tc := range []struct{ name, data string }{
+		{"garbage", "{"},
+		{"future version", `{"version":99}`},
+		{"superseded version", `{"version":1}`},
+		{"format 3", `{"version":3,"tick":3,"t":300000000,"records":7,"cum_j":1.5,"meter_seen":9,"containers_seen":1,"live":[{"id":0,"last_j":1.5}]}`},
+		{"negative tick", `{"version":4,"tick":-1,"state":"` + digest + `"}`},
+		{"negative time", `{"version":4,"tick":1,"t":-1,"state":"` + digest + `"}`},
+		{"negative records", `{"version":4,"tick":1,"t":100000000,"records":-1,"state":"` + digest + `"}`},
+		{"records at tick 0", `{"version":4,"tick":0,"t":0,"records":1,"state":"` + digest + `"}`},
+		{"no state", `{"version":4,"tick":1,"t":100000000,"records":1}`},
+		{"short state", `{"version":4,"tick":1,"t":100000000,"records":1,"state":"` + digest[1:] + `"}`},
+		{"upper-case state", `{"version":4,"tick":1,"t":100000000,"records":1,"state":"` + strings.ToUpper(digest) + `"}`},
+		{"non-hex state", `{"version":4,"tick":1,"t":100000000,"records":1,"state":"` + digest[:63] + `g"}`},
+	} {
+		if _, err := stream.DecodeCheckpoint([]byte(tc.data)); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -203,7 +278,7 @@ func TestAutomaticCheckpoints(t *testing.T) {
 // every automatic checkpoint (CheckpointEvery 10) of two runs is hashed,
 // as is the record stream, and both digests must equal recorded ones:
 // checkpoints are persisted (a durable store resumes from them and
-// ReplayTo compares them byte for byte), so their bytes change only with
+// ReplayTo compares their state digests), so their bytes change only with
 // CheckpointVersion. The cases cover the drift window filling and
 // evicting (13 s of 1 ms chip samples against its 512 pairs) and
 // coefficients that change only once a second (recalibration against the
@@ -216,10 +291,10 @@ func TestCheckpointBytesStable(t *testing.T) {
 		stream      string
 	}{
 		{"chip", cpu.SandyBridge,
-			"08b8bbf47198b025b460905055b8f8ade37f34d78ac350bc1b3ed00b4fb222cb",
+			"26a970388d5f1f38256c6a7b7b3401253db18f8f535592ca742e088cedf69fe3",
 			"cdb63181be4480f7e0f42205009b09fa9ecad4cbc890a751d5da3c46a997d312"},
 		{"wall", cpu.Westmere,
-			"cd3ca19f846745e859bec475ba294aefd8b1b709134ec28a8daf9ee18e9101f7",
+			"80283dea5f67ae3cf53f1920efac18d626d960f53299f52ec9aa3044e8c43d00",
 			"6590b7bc74b29f20a76add695790a46fd4558af88ac8d4adb15d015732037499"},
 	}
 	const horizon = 13 * sim.Second
@@ -249,4 +324,26 @@ func TestCheckpointBytesStable(t *testing.T) {
 			}
 		})
 	}
+}
+
+var checkpointSink []byte
+
+// BenchmarkStreamCheckpoint times what every CheckpointEvery-th tick pays
+// for its checkpoint, Engine.Checkpoint plus EncodeCheckpoint, on a
+// hierarchy engine whose drift window is full, and reports the encoded
+// size. scripts/bench_stream.sh records it in BENCH_stream.json.
+func BenchmarkStreamCheckpoint(b *testing.B) {
+	bed := longBed(b, 53, sim.Time(1)<<62)
+	e := stream.New(bed.m.Sources(), stream.Config{Tick: 100 * sim.Millisecond})
+	e.RunTicks(50)
+	if n := len(e.DriftWindow()); n != 512 {
+		b.Fatalf("drift window holds %d pairs, want 512", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checkpointSink = stream.EncodeCheckpoint(e.Checkpoint())
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(checkpointSink)), "bytes/ckpt")
 }

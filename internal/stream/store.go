@@ -39,7 +39,6 @@ type Store struct {
 	log *durable.Log
 
 	seq        int64 // last sequence number handled this process
-	appended   int64 // last sequence number present in the WAL
 	suppressTo int64 // regenerated records up to here are deduped
 	storedSum  string
 	h          hash.Hash
@@ -114,7 +113,6 @@ func OpenStore(fsys durable.FS, dir string, obs sim.Observer) (*Store, *Recovere
 		return nil, nil, err
 	}
 	s.log = log
-	s.appended = lastSeq
 	rec.LastSeq = lastSeq
 
 	switch {
@@ -211,7 +209,6 @@ func (s *Store) OnRecord(r Record) {
 	if err := s.log.Append(payload); err != nil {
 		panic(fmt.Sprintf("stream: WAL append: %v", err))
 	}
-	s.appended = s.seq
 	if r.Kind == KindSystem {
 		s.syncTick()
 	}
@@ -248,9 +245,6 @@ func (s *Store) persistCheckpoint() error {
 	s.cpPersisted = cp.Records
 	return nil
 }
-
-// LastSeq returns the highest record sequence number the WAL holds.
-func (s *Store) LastSeq() int64 { return s.appended }
 
 // Close syncs the WAL, persists the newest checkpoint, and closes the
 // log. The log is closed on every path; a failed sync skips the persist

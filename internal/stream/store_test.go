@@ -161,14 +161,15 @@ func TestDurableRecoveryModes(t *testing.T) {
 	if rec2.Mode != "checkpoint" || rec2.Checkpoint == nil || rec2.Checkpoint.Tick != 20 {
 		t.Fatalf("after 25 ticks recovered as %q (cp %v)", rec2.Mode, rec2.Checkpoint)
 	}
-	if rec2.LastSeq != st.LastSeq() {
-		t.Fatalf("recovered lastSeq %d, store reported %d", rec2.LastSeq, st.LastSeq())
+	if rec2.LastSeq != e.Records() {
+		t.Fatalf("recovered lastSeq %d, engine emitted %d records", rec2.LastSeq, e.Records())
 	}
 
-	// A store written by an older build holds a version-2 checkpoint:
-	// recovery must refuse it by version, replay from scratch (checking
-	// every regenerated record against the WAL), and resume the exact
-	// stream.
+	// A store written by the previous build holds a checkpoint of the
+	// previous version: recovery must refuse it by version, replay from
+	// scratch (checking every regenerated record against the WAL), and
+	// resume the exact stream.
+	prev := stream.CheckpointVersion - 1
 	cur := []byte(fmt.Sprintf(`{"version":%d,`, stream.CheckpointVersion))
 	data, err := durable.ReadChecked(mem, "wal/checkpoint.ck")
 	if err != nil {
@@ -177,7 +178,7 @@ func TestDurableRecoveryModes(t *testing.T) {
 	if !bytes.HasPrefix(data, cur) {
 		t.Fatalf("checkpoint does not open with %s", cur)
 	}
-	old := append([]byte(`{"version":2,`), data[len(cur):]...)
+	old := append([]byte(fmt.Sprintf(`{"version":%d,`, prev)), data[len(cur):]...)
 	if err := durable.WriteChecked(mem, "wal/checkpoint.ck", old); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +186,8 @@ func TestDurableRecoveryModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Mode != "scratch" || !strings.Contains(rec.Detail, "version 2") {
-		t.Fatalf("version-2 checkpoint recovered as %q (%s)", rec.Mode, rec.Detail)
+	if rec.Mode != "scratch" || !strings.Contains(rec.Detail, fmt.Sprintf("version %d", prev)) {
+		t.Fatalf("version-%d checkpoint recovered as %q (%s)", prev, rec.Mode, rec.Detail)
 	}
 	bed = deployBed(t, core.ApproachRecalibrated, seed, workload.GAE{}, 0.4)
 	if e, err = stream.Resume(bed.m.Sources(), storeCfg(), st, rec); err != nil {
@@ -197,7 +198,7 @@ func TestDurableRecoveryModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dumpStream(t, mem), goldenStream(t, seed)) {
-		t.Fatal("stream resumed past a version-2 checkpoint differs from golden")
+		t.Fatalf("stream resumed past a version-%d checkpoint differs from golden", prev)
 	}
 
 	// Bit-flip the checkpoint blob: recovery must fall back to scratch,

@@ -143,7 +143,8 @@ type Engine struct {
 	driftOK    bool
 	driftErr   float64
 
-	lastCP *Checkpoint
+	lastCP   *Checkpoint
+	stateBuf []byte // Checkpoint's reused canonical-state buffer
 }
 
 // New attaches a streaming engine to the given sources. The engine

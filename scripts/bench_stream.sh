@@ -1,13 +1,15 @@
 #!/bin/sh
 # Refreshes BENCH_stream.json: the streaming attribution engine's ingest
 # benchmark — virtual ticks and meter samples consumed per wall second,
-# with per-tick allocation counts — plus the durability layer's recovery
-# benchmark (ms to resume from checkpoint + WAL).
+# with per-tick allocation counts — the cost of one checkpoint (state
+# digest plus encoding, with the encoded size), and the durability
+# layer's recovery benchmark (ms to resume from checkpoint + WAL).
 #
 # BenchmarkStreamIngest always runs a fixed 300 ticks (-benchtime=300x),
 # where its allocs/op is deterministic, and the script FAILS (exit 1) when
 # that exceeds the ceiling below: the facility hot path's allocation gate,
-# which CI enforces. There is no ns/op gate. It also fails when either
+# which CI enforces. There is no ns/op gate. BenchmarkStreamCheckpoint
+# always runs a fixed 1000 checkpoints. The script also fails when any
 # benchmark reports no row. A failing run leaves BENCH_stream.json
 # untouched. Extra args go to `go test` for BenchmarkStreamRecover (e.g.
 # -benchtime=1x for a smoke run, -benchtime=5s for stable numbers).
@@ -25,6 +27,8 @@ ingest_allocs_ceiling=231
 # that fails to run must fail the script, not pass an empty gate.
 go test -run='^$' -bench='^BenchmarkStreamIngest$' -benchtime=300x \
 	-benchmem ./internal/stream/ > "$tmp" || { cat "$tmp"; exit 1; }
+go test -run='^$' -bench='^BenchmarkStreamCheckpoint$' -benchtime=1000x \
+	-benchmem ./internal/stream/ >> "$tmp" || { cat "$tmp"; exit 1; }
 go test -run='^$' -bench='^BenchmarkStreamRecover$' \
 	-benchmem "$@" ./internal/stream/ >> "$tmp" || { cat "$tmp"; exit 1; }
 cat "$tmp"
@@ -32,7 +36,7 @@ cat "$tmp"
 # Parse `BenchmarkName[-P]  iters  <value unit>...` lines into JSON, the
 # same scheme as bench_numerics.sh: ns/op, B/op, allocs/op plus the
 # benchmark's ReportMetric extras (ticks/sec, samples/sec, samples/tick,
-# recovery-ms); GOMAXPROCS suffixes are stripped so names are
+# bytes/ckpt, recovery-ms); GOMAXPROCS suffixes are stripped so names are
 # host-independent. Then apply the ingest allocation gate.
 awk -v cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
 	-v ceiling="$ingest_allocs_ceiling" '
@@ -53,6 +57,7 @@ awk -v cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
 		line = line sprintf(", \"%s\": %s", key, v)
 	}
 	lines[++n] = line "}"
+	if (name == "BenchmarkStreamCheckpoint") checkpointed = 1
 	if (name == "BenchmarkStreamRecover") recovered = 1
 }
 END {
@@ -62,6 +67,10 @@ END {
 		fails++
 	} else if (ingest + 0 > ceiling + 0) {
 		printf "FAIL: BenchmarkStreamIngest allocates %s objects per tick (ceiling %s)\n", ingest, ceiling > "/dev/stderr"
+		fails++
+	}
+	if (!checkpointed) {
+		print "FAIL: BenchmarkStreamCheckpoint reported no row" > "/dev/stderr"
 		fails++
 	}
 	if (!recovered) {
