@@ -106,15 +106,3 @@ func (a Activity) Events(cycles float64) Counters {
 		Mem:          cycles * a.MemPC,
 	}
 }
-
-// Blend returns a weighted mix of two activity profiles, used by workloads
-// whose phases interpolate between signatures.
-func Blend(a, b Activity, wa float64) Activity {
-	wb := 1 - wa
-	return Activity{
-		IPC:   a.IPC*wa + b.IPC*wb,
-		FLOPC: a.FLOPC*wa + b.FLOPC*wb,
-		LLCPC: a.LLCPC*wa + b.LLCPC*wb,
-		MemPC: a.MemPC*wa + b.MemPC*wb,
-	}
-}

@@ -82,15 +82,6 @@ func TestActivityEvents(t *testing.T) {
 	}
 }
 
-func TestBlend(t *testing.T) {
-	a := Activity{IPC: 2}
-	b := Activity{IPC: 0, MemPC: 0.01}
-	m := Blend(a, b, 0.25)
-	if math.Abs(m.IPC-0.5) > 1e-12 || math.Abs(m.MemPC-0.0075) > 1e-12 {
-		t.Fatalf("Blend = %+v", m)
-	}
-}
-
 func TestCoreAdvanceBusyCounters(t *testing.T) {
 	c := NewCore(0, SandyBridge)
 	act := Activity{IPC: 2, FLOPC: 0.5, LLCPC: 0.01, MemPC: 0.001}

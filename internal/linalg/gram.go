@@ -21,10 +21,15 @@ import (
 // until the first Remove. Remove introduces rounding-level residue (float
 // addition does not associate), which callers bound with periodic exact
 // rebuilds from a retained base (see Clone).
+//
+// XᵀWX is symmetric, so only its upper triangle is kept, packed into one
+// slice row by row: entry (i, j), i ≤ j, sits at tri(k, i, j). That is the
+// order AppendCanonical writes it in, and Solve mirrors it into a dense
+// scratch matrix.
 type Gram struct {
 	k   int
 	n   int
-	xtx [][]float64 // upper triangle maintained; mirrored on Solve
+	xtx []float64 // packed upper triangle of XᵀWX, k(k+1)/2 entries
 	xty []float64
 
 	// Solve scratch, lazily built and reused across calls: the streaming
@@ -42,12 +47,13 @@ func NewGram(k int) *Gram {
 	if k <= 0 {
 		panic(fmt.Sprintf("linalg: NewGram with %d features", k))
 	}
-	g := &Gram{k: k, xty: make([]float64, k), xtx: make([][]float64, k)}
-	for i := range g.xtx {
-		g.xtx[i] = make([]float64, k)
-	}
-	return g
+	return &Gram{k: k, xty: make([]float64, k), xtx: make([]float64, k*(k+1)/2)}
 }
+
+// tri returns the index of entry (i, j), i ≤ j, of a k-column packed upper
+// triangle: row i starts after the k+(k-1)+…+(k-i+1) entries of rows 0 to
+// i-1, and (i, j) is j-i entries into it.
+func tri(k, i, j int) int { return i*(2*k-i-1)/2 + j }
 
 // K returns the feature count.
 func (g *Gram) K() int { return g.k }
@@ -55,21 +61,38 @@ func (g *Gram) K() int { return g.k }
 // N returns the number of folded observations (adds minus removes).
 func (g *Gram) N() int { return g.n }
 
-// Add folds one weighted observation into the accumulators. The loop body
-// mirrors LeastSquares' accumulation exactly (same products, same addition
-// order) to preserve the bit-exactness contract.
+// Add folds one weighted observation into the accumulators. For each
+// column i it forms wi = w·row[i] and adds wi·y to XᵀWy[i] and wi·row[j]
+// to XᵀWX(i, j), j ≥ i: the products LeastSquares accumulates, in the
+// same order, which is what the bit-exactness contract rests on. Rows of
+// 6 and 8 columns, the widths the power model's Eq. 2 fits fold, take a
+// straight-line body (fold.go); every other width takes the loop.
 func (g *Gram) Add(row []float64, y, w float64) {
 	if len(row) != g.k {
 		panic(fmt.Sprintf("linalg: Gram.Add row has %d features, want %d", len(row), g.k))
 	}
+	switch g.k {
+	case 6:
+		add6((*[21]float64)(g.xtx), (*[6]float64)(g.xty), (*[6]float64)(row), y, w)
+	case 8:
+		add8((*[36]float64)(g.xtx), (*[8]float64)(g.xty), (*[8]float64)(row), y, w)
+	default:
+		g.addLoop(row, y, w)
+	}
+	g.n++
+}
+
+// addLoop is Add's fold for any row width.
+func (g *Gram) addLoop(row []float64, y, w float64) {
+	p := 0
 	for i := 0; i < g.k; i++ {
 		wi := w * row[i]
 		g.xty[i] += wi * y
 		for j := i; j < g.k; j++ {
-			g.xtx[i][j] += wi * row[j]
+			g.xtx[p] += wi * row[j]
+			p++
 		}
 	}
-	g.n++
 }
 
 // ErrEmptyGram is returned by Remove when no observations remain.
@@ -86,27 +109,36 @@ func (g *Gram) Remove(row []float64, y, w float64) error {
 	if g.n == 0 {
 		return ErrEmptyGram
 	}
+	switch g.k {
+	case 6:
+		remove6((*[21]float64)(g.xtx), (*[6]float64)(g.xty), (*[6]float64)(row), y, w)
+	case 8:
+		remove8((*[36]float64)(g.xtx), (*[8]float64)(g.xty), (*[8]float64)(row), y, w)
+	default:
+		g.removeLoop(row, y, w)
+	}
+	g.n--
+	return nil
+}
+
+// removeLoop is Remove's fold for any row width.
+func (g *Gram) removeLoop(row []float64, y, w float64) {
+	p := 0
 	for i := 0; i < g.k; i++ {
 		wi := w * row[i]
 		g.xty[i] -= wi * y
 		for j := i; j < g.k; j++ {
-			g.xtx[i][j] -= wi * row[j]
+			g.xtx[p] -= wi * row[j]
+			p++
 		}
 	}
-	g.n--
-	return nil
 }
 
 // Clone returns an independent deep copy; the snapshot pattern for the
 // rebuild policy (clone the never-evicted offline base, re-fold the live
 // online window).
 func (g *Gram) Clone() *Gram {
-	out := &Gram{k: g.k, n: g.n, xty: append([]float64(nil), g.xty...)}
-	out.xtx = make([][]float64, g.k)
-	for i, row := range g.xtx {
-		out.xtx[i] = append([]float64(nil), row...)
-	}
-	return out
+	return &Gram{k: g.k, n: g.n, xtx: append([]float64(nil), g.xtx...), xty: append([]float64(nil), g.xty...)}
 }
 
 // AppendCanonical appends the accumulators' canonical bytes to dst and
@@ -121,12 +153,15 @@ func (g *Gram) Clone() *Gram {
 func (g *Gram) AppendCanonical(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(g.k))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(g.n))
-	for i, row := range g.xtx {
+	p := 0
+	for i := 0; i < g.k; i++ {
 		for j := i; j < g.k; j++ {
-			if !isFinite(row[j]) {
-				panic(fmt.Sprintf("linalg: Gram xtx[%d][%d] is not finite: %v", i, j, row[j]))
+			v := g.xtx[p]
+			if !isFinite(v) {
+				panic(fmt.Sprintf("linalg: Gram xtx[%d][%d] is not finite: %v", i, j, v))
 			}
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(row[j]))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			p++
 		}
 	}
 	for i, v := range g.xty {
@@ -157,13 +192,13 @@ func (g *Gram) Subset(cols []int) *Gram {
 	}
 	out := NewGram(len(cols))
 	out.n = g.n
+	p := 0
 	for i, ci := range cols {
 		out.xty[i] = g.xty[ci]
-		for j, cj := range cols {
-			if j < i {
-				continue // upper triangle only; ci<cj holds since cols ascend
-			}
-			out.xtx[i][j] = g.xtx[ci][cj]
+		// Upper triangle only: ci ≤ cj holds since cols ascend.
+		for _, cj := range cols[i:] {
+			out.xtx[p] = g.xtx[tri(g.k, ci, cj)]
+			p++
 		}
 	}
 	return out
@@ -181,12 +216,11 @@ func (g *Gram) dense() [][]float64 {
 		}
 	}
 	out := g.scratchM
-	for i := range out {
-		copy(out[i], g.xtx[i])
-	}
+	p := 0
 	for i := 0; i < g.k; i++ {
-		for j := 0; j < i; j++ {
-			out[i][j] = out[j][i]
+		for j := i; j < g.k; j++ {
+			out[i][j], out[j][i] = g.xtx[p], g.xtx[p]
+			p++
 		}
 	}
 	return out
@@ -209,7 +243,7 @@ func (g *Gram) Solve() ([]float64, error) {
 	const ridge = 1e-6
 	reg := g.dense()
 	for i := 0; i < g.k; i++ {
-		reg[i][i] += ridge * (1 + g.xtx[i][i])
+		reg[i][i] += ridge * (1 + g.xtx[tri(g.k, i, i)])
 	}
 	sol, err = Solve(reg, g.rhs())
 	if err != nil {

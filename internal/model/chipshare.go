@@ -22,14 +22,20 @@ type IdleChecker interface {
 // approximate, coordination-free estimate. If a core is busy while all
 // siblings idle, the full chip maintenance power attributes to it
 // (share = myUtil / 1); with k fully-busy cores each gets ≈1/k.
+//
+// cores is indexed by core ID, as kernel.Kernel.Cores is, so a chip's
+// cores are the contiguous run spec.CoresPerChip long that starts at
+// chip·CoresPerChip; only that run is scanned. The chip comes from the
+// core's own Chip field rather than spec.ChipOf, whose integer division
+// would sit on the loop's critical path.
 func ChipShare(spec cpu.MachineSpec, cores []*cpu.Core, self int, myUtil float64, idle IdleChecker) float64 {
 	if myUtil <= 0 {
 		return 0
 	}
-	chip := spec.ChipOf(self)
+	first := cores[self].Chip * spec.CoresPerChip
 	var siblings float64
-	for _, sib := range cores {
-		if sib.ID == self || sib.Chip != chip {
+	for _, sib := range cores[first : first+spec.CoresPerChip] {
+		if sib.ID == self {
 			continue
 		}
 		if idle != nil && idle.CoreIdle(sib.ID) {

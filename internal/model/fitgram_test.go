@@ -96,8 +96,8 @@ func TestFitPlanFoldUnfoldRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const drop = 15
-	for _, s := range samples[:drop] {
-		if err := plan.Unfold(g, s); err != nil {
+	for i := range samples[:drop] {
+		if err := plan.Unfold(g, &samples[i]); err != nil {
 			t.Fatalf("Unfold: %v", err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"powercontainers/internal/sim"
-	"powercontainers/internal/stats"
 )
 
 // Metrics is the model input vector for one sampling period. CPU metrics
@@ -137,113 +136,169 @@ func (c Coefficients) String() string {
 }
 
 // MetricSeries stores time-weighted system-wide metrics on a fixed bucket
-// grid: bucket b of each component holds the time-average of that metric
-// over the bucket, summed across cores. The facility feeds it from every
+// grid: bucket b holds the time-average of each metric over the bucket,
+// summed across cores, as one Metrics row. The facility feeds it from every
 // attribution period; recalibration regresses its buckets against aligned
 // meter readings, and the modeled-power trace for alignment is computed
 // from it.
+//
+// A long-lived consumer bounds the series' memory with Trim: buckets below
+// the trim frontier can no longer be read or written, and their storage is
+// released in place. Bucket indices stay absolute, so Len, DirtyLow and
+// every bucket at or above the frontier read exactly as they would on the
+// untrimmed series.
 type MetricSeries struct {
 	interval sim.Time
-	series   [8]*stats.Series
+	// rows holds buckets [base, base+len(rows)) in one contiguous slice;
+	// the prefix below base has been released.
+	rows []Metrics
+	base int
+	// frontier is the lowest bucket that may still be read or written
+	// (0 until the first Trim). base ≤ frontier: Trim moves the frontier
+	// at once and releases storage in batches.
+	frontier int
+	// dirtyLo is the lowest bucket written since the last ClearDirty
+	// (clean meaning none). It lets a single derived-series consumer
+	// recompute only the suffix that may have changed: writes are not
+	// append-only (device I/O spreads energy over past buckets), so a
+	// low-water mark is the cheapest sound summary.
+	dirtyLo int
 }
+
+// clean is the dirtyLo sentinel meaning "no writes since ClearDirty".
+const clean = int(^uint(0) >> 1) // max int
 
 // NewMetricSeries returns a metric series on the given bucket grid.
 func NewMetricSeries(interval sim.Time) *MetricSeries {
-	ms := &MetricSeries{interval: interval}
-	for i := range ms.series {
-		ms.series[i] = stats.NewSeries(interval)
+	if interval <= 0 {
+		panic("model: non-positive metric series interval")
 	}
-	return ms
+	return &MetricSeries{interval: interval, dirtyLo: clean}
 }
 
 // Interval returns the bucket width.
 func (ms *MetricSeries) Interval() sim.Time { return ms.interval }
 
-// Len returns the number of buckets touched.
-func (ms *MetricSeries) Len() int {
-	n := 0
-	for _, s := range ms.series {
-		if s.Len() > n {
-			n = s.Len()
-		}
-	}
-	return n
+// Len returns the number of buckets touched so far, counting released
+// ones: the index one past the last bucket written.
+func (ms *MetricSeries) Len() int { return ms.base + len(ms.rows) }
+
+// Retained returns how many buckets the series holds in memory.
+func (ms *MetricSeries) Retained() int { return len(ms.rows) }
+
+// frontierError is the panic value of a read or write of a bucket below
+// the trim frontier: whoever trimmed released data a reader or writer
+// still needed. Panicking with a plain value, formatted only when printed,
+// keeps At small enough to inline.
+type frontierError struct {
+	op       string // "read" or "write"
+	bucket   int
+	frontier int
+}
+
+func (e frontierError) Error() string {
+	return fmt.Sprintf("model: %s of metric bucket %d below the trim frontier %d", e.op, e.bucket, e.frontier)
 }
 
 // AddSpread accumulates a period's metrics over [t0, t1): each bucket gains
 // metric × (overlap / interval), so a fully covered bucket of a fully
-// utilized core accumulates Core = 1.
+// utilized core accumulates Core = 1. Each nonzero component k of the
+// bucket a period overlaps by ov gains (m_k·scale)·ov/total, where total
+// is the period's length and scale its length in buckets; a zero
+// component is left alone, and a period whose metrics are all zero
+// touches nothing, not even the dirty mark. It panics when the period
+// starts below the trim frontier.
 func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 	if t1 <= t0 {
 		return
 	}
-	//pclint:allow floatsafe series are constructed with a positive bucket interval
-	scale := float64(t1-t0) / float64(ms.interval)
 	// A stack array instead of m.Vector(): this runs on every attribution
 	// period and device-I/O completion, so it must not allocate.
 	v := [8]float64{m.Core, m.Ins, m.Float, m.Cache, m.Mem, m.Chip, m.Disk, m.Net}
-	for i, s := range ms.series {
-		//pclint:allow floatsafe exact-zero fast path skipping metrics that were never observed
-		if v[i] == 0 {
-			continue
+	// Exact zeros, as below: a period that observed no metric writes
+	// nothing, not even the dirty mark.
+	if v == [8]float64{} {
+		return
+	}
+	first, last := int(t0/ms.interval), int((t1-1)/ms.interval)
+	if first < ms.frontier {
+		panic(frontierError{"write", first, ms.frontier})
+	}
+	ms.grow(last)
+	ms.dirtyLo = min(ms.dirtyLo, first)
+	total := float64(t1 - t0)
+	//pclint:allow floatsafe series are constructed with a positive bucket interval
+	scale := total / float64(ms.interval)
+	rows := ms.rows[first-ms.base : last-ms.base+1]
+	lo := sim.Time(first) * ms.interval
+	for i := range rows {
+		hi := lo + ms.interval
+		ov := float64(min(hi, t1) - max(lo, t0))
+		r := &rows[i]
+		for k, p := range [...]*float64{&r.Core, &r.Ins, &r.Float, &r.Cache, &r.Mem, &r.Chip, &r.Disk, &r.Net} {
+			//pclint:allow floatsafe exact-zero fast path skipping metrics that were never observed
+			if v[k] == 0 {
+				continue
+			}
+			//pclint:allow floatsafe total = t1-t0 is positive: the empty and reversed periods returned above
+			*p += v[k] * scale * ov / total
 		}
-		s.AddSpread(t0, t1, v[i]*scale)
+		lo = hi
 	}
 }
 
-// Trim advances every component series' trim frontier to bucket b (see
-// stats.Series.Trim): buckets below b are released, and a later read or
-// write of one panics.
-func (ms *MetricSeries) Trim(b int) {
-	for _, s := range ms.series {
-		s.Trim(b)
+// grow ensures bucket b, at or above the frontier, exists. A series holding
+// nothing restarts its storage at the frontier, so a write after a long
+// silence does not fill the released gap behind it with zeros.
+func (ms *MetricSeries) grow(b int) {
+	if len(ms.rows) == 0 {
+		ms.base = ms.frontier
+	}
+	for len(ms.rows) <= b-ms.base {
+		ms.rows = append(ms.rows, Metrics{})
 	}
 }
 
-// Retained returns how many buckets the largest component series holds in
-// memory.
-func (ms *MetricSeries) Retained() int {
-	n := 0
-	for _, s := range ms.series {
-		n = max(n, s.Retained())
+// Trim advances the trim frontier to bucket f: from then on a read or
+// write of a bucket below f panics. A frontier at or below the current one
+// leaves the series as it is. The live rows, frontier to Len, are copied
+// down to the start of the backing array only once the released prefix is
+// at least as long as they are, so each row moves about once and a steady
+// trimmed stream reuses one array instead of reallocating it.
+func (ms *MetricSeries) Trim(f int) {
+	if f <= ms.frontier {
+		return
 	}
-	return n
+	ms.frontier = f
+	dead := min(f, ms.Len()) - ms.base
+	if live := len(ms.rows) - dead; dead < live {
+		return
+	}
+	ms.rows = ms.rows[:copy(ms.rows, ms.rows[dead:])]
+	ms.base += dead
 }
 
-// At returns the time-averaged metrics of bucket b.
+// At returns the time-averaged metrics of bucket b: its row, or zero for a
+// bucket never written. It panics for a bucket below the trim frontier.
 func (ms *MetricSeries) At(b int) Metrics {
-	return Metrics{
-		Core:  ms.series[0].Bucket(b),
-		Ins:   ms.series[1].Bucket(b),
-		Float: ms.series[2].Bucket(b),
-		Cache: ms.series[3].Bucket(b),
-		Mem:   ms.series[4].Bucket(b),
-		Chip:  ms.series[5].Bucket(b),
-		Disk:  ms.series[6].Bucket(b),
-		Net:   ms.series[7].Bucket(b),
+	if b < ms.frontier && b >= 0 {
+		panic(frontierError{"read", b, ms.frontier})
 	}
+	if b < 0 || b >= ms.Len() {
+		return Metrics{}
+	}
+	return ms.rows[b-ms.base]
 }
 
-// DirtyLow returns the lowest bucket index any component series has written
-// since the last ClearDirty (≥ Len() when nothing changed). Like
-// stats.Series, the mark supports a single consumer — in this repo, the
-// recalibrator's incremental modeled-power cache.
-func (ms *MetricSeries) DirtyLow() int {
-	lo := ms.series[0].DirtyLow()
-	for _, s := range ms.series[1:] {
-		if d := s.DirtyLow(); d < lo {
-			lo = d
-		}
-	}
-	return lo
-}
+// DirtyLow returns the lowest bucket index written since the last
+// ClearDirty; any value ≥ Len() means no bucket changed. The dirty mark is
+// a single shared low-water value, so it supports one consumer — in this
+// repo, the recalibrator's incremental modeled-power cache. A fresh series
+// is clean.
+func (ms *MetricSeries) DirtyLow() int { return ms.dirtyLo }
 
-// ClearDirty resets the dirty mark of every component series.
-func (ms *MetricSeries) ClearDirty() {
-	for _, s := range ms.series {
-		s.ClearDirty()
-	}
-}
+// ClearDirty resets the dirty mark; see DirtyLow.
+func (ms *MetricSeries) ClearDirty() { ms.dirtyLo = clean }
 
 // WindowMean returns the mean metrics over buckets [lo, hi).
 func (ms *MetricSeries) WindowMean(lo, hi int) Metrics {

@@ -10,9 +10,9 @@ import (
 
 // TestChipShareSiblingPermutationInvariance: Eq. 3 sums sibling
 // utilizations, so the share must not depend on the order in which the
-// cores slice enumerates the siblings (the kernel rebuilds that slice in
-// different orders across configurations). Tolerance 1e-12 allows only
-// float summation reordering.
+// cores slice enumerates the siblings. SandyBridge has one chip, so any
+// permutation of the slice keeps every sibling in the run ChipShare
+// scans. Tolerance 1e-12 allows only float summation reordering.
 func TestChipShareSiblingPermutationInvariance(t *testing.T) {
 	spec := cpu.SandyBridge
 	rng := sim.NewRand(11)

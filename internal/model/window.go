@@ -15,6 +15,12 @@ import (
 // samples, weighed equally. Add folds a sample in and Trim folds the oldest
 // out, so a solve costs O(k³) instead of a pass over every retained sample.
 //
+// Eviction copies nothing: Trim downdates the oldest samples and advances
+// a head index past them, and the exact rebuild, which walks every live
+// sample anyway, moves the survivors down to the front of the array as it
+// refolds them. The array therefore holds at most the window's cap plus
+// rebuildEvery evictions plus one batch of adds.
+//
 // Exactness: a plan change, and every rebuildEvery evictions, rebuild the
 // accumulators from base plus window in sample order — the accumulation
 // Fit performs — so Solve is bit-identical to Fit over base plus window
@@ -32,8 +38,9 @@ type Window struct {
 	plan      FitPlan
 	baseGram  *linalg.Gram // the base block alone; nil until a plan is set
 	gram      *linalg.Gram // base block plus window; nil until a plan is set
-	samples   []CalSample
-	evictions int // since the last rebuild
+	samples   []CalSample  // samples[head:] is the window, oldest first
+	head      int          // evicted samples not yet compacted away
+	evictions int          // since the last rebuild
 	evTotal   int64
 }
 
@@ -69,21 +76,23 @@ func (w *Window) SetPlan(p FitPlan) error {
 }
 
 // rebuild refolds the window onto a copy of the base block's accumulators,
-// compacting away samples the plan cannot fold (only a plan change can
-// leave any, so the common case moves nothing).
+// compacting the samples it keeps to the front of the array: the evicted
+// prefix goes, and so do samples the plan cannot fold (only a plan change
+// can leave any).
 func (w *Window) rebuild() {
 	g := w.baseGram.Clone()
 	kept := 0
-	for i := range w.samples {
-		if w.plan.Fold(g, w.samples[i]) != nil {
+	for i := w.head; i < len(w.samples); i++ {
+		s := &w.samples[i]
+		if w.plan.Fold(g, s) != nil {
 			continue
 		}
 		if kept != i {
-			w.samples[kept] = w.samples[i]
+			w.samples[kept] = *s
 		}
 		kept++
 	}
-	w.samples, w.gram, w.evictions = w.samples[:kept], g, 0
+	w.samples, w.head, w.gram, w.evictions = w.samples[:kept], 0, g, 0
 }
 
 // Add appends a sample to the window. A sample the plan cannot fold is
@@ -92,7 +101,7 @@ func (w *Window) Add(s CalSample) error {
 	if w.gram == nil {
 		return errNoPlan
 	}
-	if err := w.plan.Fold(w.gram, s); err != nil {
+	if err := w.plan.Fold(w.gram, &s); err != nil {
 		return err
 	}
 	w.samples = append(w.samples, s)
@@ -103,18 +112,19 @@ func (w *Window) Add(s CalSample) error {
 // evicted. Once rebuildEvery evictions have passed since the last rebuild,
 // the accumulators are rebuilt exactly.
 func (w *Window) Trim(max int) int {
-	over := len(w.samples) - max
+	over := w.Len() - max
 	if over <= 0 {
 		return 0
 	}
-	for _, s := range w.samples[:over] {
+	evicted := w.Samples()[:over]
+	for i := range evicted {
 		// Every window sample was folded under the current plan, so the
 		// downdate can neither reject its row nor find the Gram empty.
-		if err := w.plan.Unfold(w.gram, s); err != nil {
+		if err := w.plan.Unfold(w.gram, &evicted[i]); err != nil {
 			panic(fmt.Sprintf("model: window downdate: %v", err))
 		}
 	}
-	w.samples = append(w.samples[:0], w.samples[over:]...)
+	w.head += over
 	w.evictions += over
 	w.evTotal += int64(over)
 	if w.evictions >= w.rebuildEvery {
@@ -124,11 +134,11 @@ func (w *Window) Trim(max int) int {
 }
 
 // Len returns the number of window samples (the base block not counted).
-func (w *Window) Len() int { return len(w.samples) }
+func (w *Window) Len() int { return len(w.samples) - w.head }
 
 // Samples returns the window samples, oldest first. The slice is the
 // window's own and is valid until the next SetPlan, Add or Trim.
-func (w *Window) Samples() []CalSample { return w.samples }
+func (w *Window) Samples() []CalSample { return w.samples[w.head:] }
 
 // Evictions returns how many samples Trim has ever evicted.
 func (w *Window) Evictions() int64 { return w.evTotal }
@@ -164,9 +174,10 @@ func (w *Window) AppendCanonical(dst []byte) []byte {
 	dst = appendBool(dst, w.gram != nil)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(w.plan.Scope))
 	dst = appendBool(dst, w.plan.IncludeChipShare)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(w.samples)))
-	for i := range w.samples {
-		s := &w.samples[i]
+	live := w.Samples()
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(live)))
+	for i := range live {
+		s := &live[i]
 		vals := [...]float64{s.M.Core, s.M.Ins, s.M.Float, s.M.Cache, s.M.Mem, s.M.Chip, s.M.Disk, s.M.Net,
 			s.MachineActiveW, s.PkgActiveW, s.Weight}
 		for j, v := range vals {

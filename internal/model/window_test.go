@@ -2,10 +2,13 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"powercontainers/internal/linalg"
 	"powercontainers/internal/sim"
 )
 
@@ -34,13 +37,125 @@ func foldable(p FitPlan, s CalSample) bool {
 	return p.Scope == ScopeMachine || !math.IsNaN(s.PkgActiveW)
 }
 
+// refWindow is the window layout Window replaced, kept as its reference:
+// the same folds, in the same order, but Trim copies the surviving samples
+// down on every eviction and rebuild collects the kept samples into a
+// fresh slice, so the live window is always the whole slice.
+type refWindow struct {
+	base         []CalSample
+	rebuildEvery int
+	plan         FitPlan
+	baseGram     *linalg.Gram
+	gram         *linalg.Gram
+	samples      []CalSample
+	evictions    int
+	evTotal      int64
+}
+
+func (r *refWindow) setPlan(p FitPlan) {
+	if r.gram != nil && p == r.plan {
+		return
+	}
+	base, err := foldAll(p, r.base)
+	if err != nil {
+		return
+	}
+	r.plan, r.baseGram = p, base
+	r.rebuild()
+}
+
+func (r *refWindow) rebuild() {
+	g := r.baseGram.Clone()
+	var kept []CalSample
+	for i := range r.samples {
+		if r.plan.Fold(g, &r.samples[i]) == nil {
+			kept = append(kept, r.samples[i])
+		}
+	}
+	r.samples, r.gram, r.evictions = kept, g, 0
+}
+
+func (r *refWindow) add(s CalSample) {
+	if r.gram != nil && r.plan.Fold(r.gram, &s) == nil {
+		r.samples = append(r.samples, s)
+	}
+}
+
+func (r *refWindow) trim(max int) {
+	over := len(r.samples) - max
+	if over <= 0 {
+		return
+	}
+	for i := range r.samples[:over] {
+		if err := r.plan.Unfold(r.gram, &r.samples[i]); err != nil {
+			panic(err)
+		}
+	}
+	r.samples = append([]CalSample(nil), r.samples[over:]...)
+	r.evictions += over
+	r.evTotal += int64(over)
+	if r.evictions >= r.rebuildEvery {
+		r.rebuild()
+	}
+}
+
+// canonical returns w.AppendCanonical's bytes, or the panic message of a
+// window holding a non-finite sample value.
+func canonical(w *Window) (enc []byte, refused string) {
+	defer func() {
+		if p := recover(); p != nil {
+			refused = fmt.Sprint(p)
+		}
+	}()
+	return w.AppendCanonical(nil), ""
+}
+
+// checkSameWindow fails unless w and its reference hold the same samples,
+// bit for bit, the same counters and accumulators, and encode alike.
+func checkSameWindow(t *testing.T, op int, w *Window, ref *refWindow) {
+	t.Helper()
+	got := w.Samples()
+	if len(got) != len(ref.samples) {
+		t.Fatalf("op %d: window holds %d samples, reference %d", op, len(got), len(ref.samples))
+	}
+	for j := range got {
+		if !bytes.Equal(sampleBits(&got[j]), sampleBits(&ref.samples[j])) {
+			t.Fatalf("op %d: window sample %d = %+v, reference %+v", op, j, got[j], ref.samples[j])
+		}
+	}
+	if w.evictions != ref.evictions || w.evTotal != ref.evTotal || (w.gram == nil) != (ref.gram == nil) {
+		t.Fatalf("op %d: window evictions %d/%d plan set %v, reference %d/%d %v",
+			op, w.evictions, w.evTotal, w.gram != nil, ref.evictions, ref.evTotal, ref.gram != nil)
+	}
+	if w.gram != nil && !bytes.Equal(w.gram.AppendCanonical(nil), ref.gram.AppendCanonical(nil)) {
+		t.Fatalf("op %d: window accumulators differ from the reference's", op)
+	}
+	enc, refused := canonical(w)
+	refEnc, refRefused := canonical(&Window{plan: ref.plan, gram: ref.gram, samples: ref.samples,
+		evictions: ref.evictions, evTotal: ref.evTotal})
+	if refused != refRefused || !bytes.Equal(enc, refEnc) {
+		t.Fatalf("op %d: window encodes as %x (refused %q), reference %x (refused %q)", op, enc, refused, refEnc, refRefused)
+	}
+}
+
+// sampleBits returns the bits of every value of s, in field order.
+func sampleBits(s *CalSample) []byte {
+	var out []byte
+	for _, v := range [...]float64{s.M.Core, s.M.Ins, s.M.Float, s.M.Cache, s.M.Mem, s.M.Chip, s.M.Disk, s.M.Net,
+		s.MachineActiveW, s.PkgActiveW, s.Weight} {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
 // checkWindowScript drives a Window through an op script and checks it
-// after every op against a model of its contents and a batch Fit over base
-// plus window. Each op byte's low two bits pick the op (0, 1: Add; 2: Trim;
-// 3: SetPlan) and its high six bits the argument. The seed fixes the base
-// block (empty to 23 samples; with seed%5 == 0 its first sample lacks a
-// package reading, so package-scope plans must be refused), the rebuild
-// cadence (1 to 8) and the sample values.
+// after every op against a model of its contents, a batch Fit over base
+// plus window, and the reference layout (see checkSameWindow). Each op
+// byte's low two bits pick the op (0, 1: Add; 2: Trim; 3: SetPlan) and its
+// high six bits the argument. The seed fixes the base block (empty to 23
+// samples; with seed%5 == 0 its first sample lacks a package reading, so
+// package-scope plans must be refused), the rebuild cadence (1 to 8) and
+// the sample values.
 func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 	t.Helper()
 	rng := sim.NewRand(seed)
@@ -50,6 +165,7 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 	}
 	every := int(seed/24%8) + 1
 	w := NewWindow(base, every)
+	ref := &refWindow{base: base, rebuildEvery: every}
 
 	var (
 		live    []CalSample
@@ -64,6 +180,7 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 		case 0, 1:
 			s := windowSample(rng, arg%5 == 0)
 			err := w.Add(s)
+			ref.add(s)
 			kept := planSet && foldable(plan, s)
 			if (err == nil) != kept {
 				t.Fatalf("op %d: Add err = %v, want kept=%v", i, err, kept)
@@ -74,6 +191,7 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 		case 2:
 			max := arg % 12
 			n := w.Trim(max)
+			ref.trim(max)
 			want := len(live) - max
 			if want < 0 {
 				want = 0
@@ -90,6 +208,7 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 		case 3:
 			p := FitPlan{Scope: FitScope(arg & 1), IncludeChipShare: arg&2 != 0}
 			err := w.SetPlan(p)
+			ref.setPlan(p)
 			baseOK := true
 			for _, s := range base {
 				baseOK = baseOK && foldable(p, s)
@@ -109,6 +228,7 @@ func checkWindowScript(t *testing.T, seed uint64, ops []byte) {
 			}
 		}
 
+		checkSameWindow(t, i, w, ref)
 		if w.Len() != len(live) {
 			t.Fatalf("op %d: window holds %d samples, want %d", i, w.Len(), len(live))
 		}
@@ -199,15 +319,63 @@ func TestWindowRefusals(t *testing.T) {
 	}
 }
 
+// longWindowScript returns a script that crosses several rebuilds with
+// the head advanced: it fills the window past its cap and then trims it
+// by fewer samples than the rebuild cadence at a time, adding between
+// trims, so evicted samples sit below the head while new ones arrive
+// behind them.
+func longWindowScript() []byte {
+	ops := []byte{3 | 2<<2} // machine scope, chip share
+	for i := 0; i < 60; i++ {
+		ops = append(ops, 0|byte(i%7+1)<<2)
+		if i%2 == 1 {
+			ops = append(ops, 2|byte(9+i%3)<<2)
+		}
+	}
+	return ops
+}
+
+// TestWindowCompactsInRebuild pins the storage bound eviction by head
+// index keeps: the array holds at most the cap plus the rebuild cadence
+// plus one batch of adds, and each rebuild moves the live samples to its
+// front.
+func TestWindowCompactsInRebuild(t *testing.T) {
+	const limit, every, batch = 40, 16, 5
+	rng := sim.NewRand(9)
+	w := NewWindow(nil, every)
+	if err := w.SetPlan(FitPlan{Scope: ScopeMachine, IncludeChipShare: true}); err != nil {
+		t.Fatal(err)
+	}
+	rebuilds := 0
+	for tick := 0; tick < 200; tick++ {
+		for i := 0; i < batch; i++ {
+			if err := w.Add(windowSample(rng, false)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(w.samples) > limit+every+batch {
+			t.Fatalf("tick %d: array holds %d samples, bound %d", tick, len(w.samples), limit+every+batch)
+		}
+		w.Trim(limit)
+		if w.head == 0 && w.Evictions() > 0 {
+			rebuilds++
+		}
+	}
+	if rebuilds < 10 {
+		t.Fatalf("%d rebuilds compacted the window in 200 ticks, want at least 10", rebuilds)
+	}
+}
+
 // FuzzWindow checks arbitrary Add/Trim/SetPlan scripts against batch fits
-// (see checkWindowScript).
+// and the reference layout (see checkWindowScript).
 func FuzzWindow(f *testing.F) {
 	f.Add(uint64(1), windowScript())
 	f.Add(uint64(0), []byte{3, 0, 0, 2, 0, 2})
 	f.Add(uint64(5), []byte{7, 11, 0, 4, 8, 2, 6, 11, 0, 2})
+	f.Add(uint64(24*7+3), longWindowScript()) // cadence 8, a 3-sample base
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
-		if len(ops) > 128 {
-			ops = ops[:128]
+		if len(ops) > 256 {
+			ops = ops[:256]
 		}
 		checkWindowScript(t, seed, ops)
 	})

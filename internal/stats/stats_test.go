@@ -83,31 +83,6 @@ func TestSeriesRebucket(t *testing.T) {
 	}
 }
 
-// TestSeriesDirtyMark pins the single-consumer dirty mark the
-// recalibrator's modeled-power cache relies on: a fresh series is clean,
-// every write lowers the mark to the lowest bucket it touched (AddSpread
-// marks its first bucket), and ClearDirty resets it.
-func TestSeriesDirtyMark(t *testing.T) {
-	s := NewSeries(sim.Millisecond)
-	if s.DirtyLow() < s.Len() {
-		t.Fatalf("fresh series DirtyLow = %d, want clean", s.DirtyLow())
-	}
-	s.Add(5*sim.Millisecond, 1)
-	s.Add(3*sim.Millisecond, 1)
-	s.Add(4*sim.Millisecond, 1)
-	if s.DirtyLow() != 3 {
-		t.Fatalf("DirtyLow = %d, want 3 (the lowest write)", s.DirtyLow())
-	}
-	s.ClearDirty()
-	if s.DirtyLow() < s.Len() {
-		t.Fatalf("cleared DirtyLow = %d, want ≥ Len %d", s.DirtyLow(), s.Len())
-	}
-	s.AddSpread(sim.Millisecond, 2*sim.Millisecond+1, 4)
-	if s.DirtyLow() != 1 {
-		t.Fatalf("DirtyLow after AddSpread over buckets 1-2 = %d, want 1", s.DirtyLow())
-	}
-}
-
 func TestSummaryMoments(t *testing.T) {
 	var s Summary
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -121,11 +96,6 @@ func TestSummaryMoments(t *testing.T) {
 	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("min/max = %g/%g", s.Min(), s.Max())
-	}
-	// Sample stddev of this classic set is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(s.Stddev()-want) > 1e-12 {
-		t.Fatalf("stddev = %g, want %g", s.Stddev(), want)
 	}
 }
 
@@ -171,22 +141,6 @@ func TestHistogramBinning(t *testing.T) {
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())
-	}
-}
-
-func TestHistogramDensityIntegratesToOne(t *testing.T) {
-	h := NewHistogram(0, 20, 40)
-	r := sim.NewRand(3)
-	for i := 0; i < 5000; i++ {
-		h.Observe(r.Float64() * 20)
-	}
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	var integral float64
-	for i := range h.Bins {
-		integral += h.Density(i) * w
-	}
-	if math.Abs(integral-1) > 1e-9 {
-		t.Fatalf("density integral = %g, want 1", integral)
 	}
 }
 

@@ -1,15 +1,12 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
-// Summary accumulates streaming count/mean/variance/min/max via Welford's
-// algorithm. The zero value is ready to use.
+// Summary accumulates a streaming count, mean, min and max; the mean takes
+// Welford's running update. The zero value is ready to use.
 type Summary struct {
 	n        int
-	mean, m2 float64
+	mean     float64
 	min, max float64
 }
 
@@ -29,7 +26,6 @@ func (s *Summary) Observe(x float64) {
 	d := x - s.mean
 	//pclint:allow floatsafe s.n was just incremented, so it is at least 1
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
 }
 
 // Count returns the number of observations.
@@ -43,14 +39,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 if empty).
 func (s *Summary) Max() float64 { return s.max }
-
-// Stddev returns the sample standard deviation (0 for <2 observations).
-func (s *Summary) Stddev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
 
 // Sample retains every observation for percentile queries and histograms.
 // The zero value is ready to use.
@@ -168,18 +156,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	//pclint:allow floatsafe NewHistogram rejects empty bin sets at construction
 	w := (h.Hi - h.Lo) / float64(len(h.Bins))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Density returns the probability density of bin i (fraction of mass per
-// unit of x), mirroring the paper's probability-density histograms.
-func (h *Histogram) Density(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	//pclint:allow floatsafe NewHistogram rejects empty bin sets at construction
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	//pclint:allow floatsafe w > 0 since NewHistogram guarantees hi > lo and at least one bin
-	return float64(h.Bins[i]) / float64(h.total) / w
 }
 
 // Fraction returns the fraction of observations in bin i.

@@ -11,6 +11,18 @@ import (
 	"powercontainers/internal/model"
 )
 
+// DriftFit returns the windowed online refit over the retained aligned
+// pairs, if enough observations have arrived. It answers "what would the
+// model look like fit over recent data only" — diverging from the
+// facility's coefficients signals model drift.
+func (e *Engine) DriftFit() (model.Coefficients, bool) { return e.drift, e.driftOK }
+
+// DriftWindow returns a copy of the retained aligned pairs backing the
+// drift refit.
+func (e *Engine) DriftWindow() []model.CalSample {
+	return append([]model.CalSample(nil), e.window.Samples()...)
+}
+
 // StateEdit changes an engine's consumer state in place and returns the
 // undo. A nil StateEdit leaves the state as it is.
 type StateEdit func(e *Engine) (undo func())
@@ -68,8 +80,13 @@ func DigestCases() []DigestCase {
 			return set(n, *n+1)
 		}},
 		{"Gram XᵀX entry", nil, func(e *Engine) func() {
-			xtx := *field[[][]float64](windowGram(e), "xtx")
-			return set(&xtx[0][1], up(xtx[0][1]))
+			xtx := *field[[]float64](windowGram(e), "xtx")
+			return set(&xtx[1], up(xtx[1]))
+		}},
+		{"Gram XᵀX last entry", nil, func(e *Engine) func() {
+			xtx := *field[[]float64](windowGram(e), "xtx")
+			last := len(xtx) - 1
+			return set(&xtx[last], up(xtx[last]))
 		}},
 		{"Gram XᵀY entry", nil, func(e *Engine) func() {
 			xty := *field[[]float64](windowGram(e), "xty")

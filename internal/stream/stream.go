@@ -174,18 +174,6 @@ func (e *Engine) Records() int64 { return e.records }
 // attributed across all containers, accumulated from per-tick deltas.
 func (e *Engine) CumAttributedJ() float64 { return e.cumJ }
 
-// DriftFit returns the windowed online refit over the retained aligned
-// pairs, if enough observations have arrived. It answers "what would the
-// model look like fit over recent data only" — diverging from the
-// facility's coefficients signals model drift.
-func (e *Engine) DriftFit() (model.Coefficients, bool) { return e.drift, e.driftOK }
-
-// DriftWindow returns a copy of the retained aligned pairs backing the
-// drift refit.
-func (e *Engine) DriftWindow() []model.CalSample {
-	return append([]model.CalSample(nil), e.window.Samples()...)
-}
-
 // DriftEvictions returns how many pairs have ever been evicted from the
 // drift window; zero means the incremental fit is still bit-identical to
 // a batch fit over the window (no Remove residue).

@@ -1,13 +1,16 @@
 #!/bin/sh
 # Refreshes BENCH_numerics.json: the fast-path numerics micro-benchmarks
 # (prefix-sum cross-correlation vs the reference bucket loop, incremental
-# Gram refit vs the batch reference, raw Gram accumulator ops) plus the
-# end-to-end Figure 2 alignment run, with ns/op and allocation counts and
-# the derived ref-vs-fast speedups. Extra args go to `go test`
-# (e.g. -benchtime=1x for a smoke run, -benchtime=5s for stable numbers).
+# Gram refit vs the batch reference, raw Gram accumulator ops), the
+# end-to-end Figure 2 alignment run, and the §3.5 per-operation overheads
+# of a counter-sampling maintenance op and of one Eq. 3 chip-share
+# estimate, with ns/op and allocation counts and the derived ref-vs-fast
+# speedups. Extra args go to `go test` (e.g. -benchtime=1x for a smoke
+# run, -benchtime=5s for stable numbers).
 #
 # The script FAILS (exit 1) and leaves BENCH_numerics.json untouched when
-# any benchmark fails to run or no benchmark row is reported.
+# any benchmark fails to run, no benchmark row is reported, or either
+# §3.5 overhead row is missing.
 set -e
 cd "$(dirname "$0")/.."
 out="$PWD/BENCH_numerics.json"
@@ -21,7 +24,8 @@ go test -run='^$' -bench='^(BenchmarkCorrelationCurve|BenchmarkRefit)$' \
 	-benchmem "$@" ./internal/align/ > "$tmp" || { cat "$tmp"; exit 1; }
 go test -run='^$' -bench='^(BenchmarkLeastSquares|BenchmarkGramSolve|BenchmarkGramFold)$' \
 	-benchmem "$@" ./internal/linalg/ >> "$tmp" || { cat "$tmp"; exit 1; }
-go test -run='^$' -bench='^BenchmarkFig2AlignmentCrossCorrelation$' \
+go test -run='^$' \
+	-bench='^(BenchmarkFig2AlignmentCrossCorrelation|BenchmarkOverheadMaintenanceOp|BenchmarkOverheadChipShareEstimate)$' \
 	-benchmem "$@" . >> "$tmp" || { cat "$tmp"; exit 1; }
 cat "$tmp"
 
@@ -57,6 +61,13 @@ END {
 	if (n == 0) {
 		print "FAIL: no benchmark rows parsed" > "/dev/stderr"
 		exit 1
+	}
+	split("BenchmarkOverheadMaintenanceOp BenchmarkOverheadChipShareEstimate", required, " ")
+	for (i in required) {
+		if (!(required[i] in ns)) {
+			printf "FAIL: %s reported no row\n", required[i] > "/dev/stderr"
+			exit 1
+		}
 	}
 	printf "{\n  \"cores\": %d,\n  \"benchmarks\": [\n", cores
 	for (i = 1; i <= n; i++) printf "%s%s\n", lines[i], (i < n ? "," : "")
