@@ -471,7 +471,7 @@ func BenchmarkAblationObserverCompensation(b *testing.B) {
 	var inflation float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		inflation, err = experiments.AblationObserver(1)
+		inflation, err = experiments.AblationObserver()
 		if err != nil {
 			b.Fatal(err)
 		}

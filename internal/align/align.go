@@ -20,8 +20,6 @@ import (
 // measurement delays (the curves of Figure 2).
 type LagPoint struct {
 	Delay sim.Time
-	// Raw is the paper's Eq. 4 inner product.
-	Raw float64
 	// Normalized is the mean-subtracted, variance-normalized correlation
 	// used for robust peak picking.
 	Normalized float64
@@ -123,7 +121,7 @@ func CorrelationCurve(measured []power.Sample, idleW float64, meterInterval sim.
 	pm := newPrefixMeans(modelPower, modelInterval)
 	curve := make([]LagPoint, 0, lagCount(minDelay, maxDelay, step))
 	for d := minDelay; d <= maxDelay; {
-		var raw, sx, sy, sxy, sxx, syy float64
+		var sx, sy, sxy, sxx, syy float64
 		n := 0
 		for _, s := range measured {
 			end := s.Arrival - d
@@ -133,7 +131,6 @@ func CorrelationCurve(measured []power.Sample, idleW float64, meterInterval sim.
 				continue
 			}
 			x := s.Watts - idleW
-			raw += x * mp
 			sx += x
 			sy += mp
 			sxy += x * mp
@@ -159,7 +156,7 @@ func CorrelationCurve(measured []power.Sample, idleW float64, meterInterval sim.
 				}
 			}
 		}
-		curve = append(curve, LagPoint{Delay: d, Raw: raw, Normalized: norm})
+		curve = append(curve, LagPoint{Delay: d, Normalized: norm})
 		next := d + step
 		if next <= d { // overflow guard: a huge step must still terminate
 			break
@@ -196,10 +193,8 @@ func EstimateDelay(curve []LagPoint) (sim.Time, error) {
 // AlignedPair is a measurement matched to the system metrics over its
 // estimated true window.
 type AlignedPair struct {
-	WindowStart sim.Time
-	WindowEnd   sim.Time
-	ActiveW     float64
-	M           model.Metrics
+	ActiveW float64
+	M       model.Metrics
 }
 
 // CalSample returns the pair as a unit-weight online calibration sample
@@ -234,12 +229,7 @@ func AlignSamples(dst []AlignedPair, measured []power.Sample, idleW float64, met
 		if hi <= lo {
 			continue
 		}
-		out = append(out, AlignedPair{
-			WindowStart: start,
-			WindowEnd:   end,
-			ActiveW:     s.Watts - idleW,
-			M:           ms.WindowMean(lo, hi),
-		})
+		out = append(out, AlignedPair{ActiveW: s.Watts - idleW, M: ms.WindowMean(lo, hi)})
 	}
 	return out
 }

@@ -91,9 +91,6 @@ func TestAlignSamplesReconstructsWindows(t *testing.T) {
 		t.Fatalf("pairs = %d, want 1", len(pairs))
 	}
 	p := pairs[0]
-	if p.WindowStart != 5*sim.Millisecond || p.WindowEnd != 15*sim.Millisecond {
-		t.Fatalf("window = [%d,%d)", p.WindowStart, p.WindowEnd)
-	}
 	if math.Abs(p.ActiveW-42) > 1e-9 {
 		t.Fatalf("active = %g, want 42", p.ActiveW)
 	}
@@ -215,32 +212,5 @@ func TestRecalibratorSetDelaySkipsEstimation(t *testing.T) {
 	r.SetDelay(20 * sim.Millisecond)
 	if n := r.Ingest(sim.Second, ms, model.Coefficients{Core: 8}); n != 1 {
 		t.Fatalf("ingest with fixed delay added %d, want 1", n)
-	}
-}
-
-// TestDelayLockReleasesSearchCache: the delay search's modeled-power
-// cache is read only while the delay is unknown, so both ways of locking
-// the delay, an Ingest that estimates it and SetDelay, release it.
-func TestDelayLockReleasesSearchCache(t *testing.T) {
-	ms, meter, offline, coeff := spikedWorld(0)
-	r := NewRecalibrator(meter, model.ScopeMachine, offline)
-	r.MaxDelay = 100 * sim.Millisecond
-	if r.Ingest(5*sim.Second, ms, coeff) == 0 {
-		t.Fatal("no online samples ingested")
-	}
-	if _, ok := r.Delay(); !ok {
-		t.Fatal("Ingest did not lock the delay")
-	}
-	if r.mp != nil || r.mpValid {
-		t.Fatalf("after Ingest locked the delay the search cache holds %d buckets (valid %v)", len(r.mp), r.mpValid)
-	}
-
-	r = NewRecalibrator(meter, model.ScopeMachine, offline)
-	if len(r.modeledPower(ms, coeff)) == 0 {
-		t.Fatal("the search cache stayed empty")
-	}
-	r.SetDelay(10 * sim.Millisecond)
-	if r.mp != nil || r.mpValid {
-		t.Fatalf("after SetDelay the search cache holds %d buckets (valid %v)", len(r.mp), r.mpValid)
 	}
 }

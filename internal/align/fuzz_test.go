@@ -119,9 +119,6 @@ func FuzzCrossCorrelation(f *testing.F) {
 				if math.IsNaN(p.Normalized) || p.Normalized < -1-1e-9 || p.Normalized > 1+1e-9 {
 					t.Fatalf("path %d: normalized correlation %v outside [-1, 1] at delay %d", which, p.Normalized, p.Delay)
 				}
-				if math.IsNaN(p.Raw) || math.IsInf(p.Raw, 0) {
-					t.Fatalf("path %d: non-finite raw correlation at delay %d", which, p.Delay)
-				}
 				if p.Delay < c.minD || p.Delay > c.maxD {
 					t.Fatalf("path %d: curve point at delay %d outside [%d, %d]", which, p.Delay, c.minD, c.maxD)
 				}

@@ -58,14 +58,6 @@ type Recalibrator struct {
 	rejected  int
 	fallbacks int
 
-	// Incremental modeled-power cache for the delay search: mp mirrors
-	// ms.ModeledPower(mpCoeff, len(mp)) and is extended/patched from the
-	// metric series' dirty low-water mark instead of being rebuilt on
-	// every delay-unknown Ingest. Locking the delay releases it.
-	mp      []float64
-	mpCoeff model.Coefficients
-	mpValid bool
-
 	// lastNow is the most recent Ingest time, used to stamp observations
 	// emitted from Refit (which has no clock of its own).
 	lastNow sim.Time
@@ -93,15 +85,7 @@ func (r *Recalibrator) Delay() (sim.Time, bool) { return r.delay, r.delayKnown }
 // already measured it; the paper notes the lag on a given system is
 // unlikely to change dynamically).
 func (r *Recalibrator) SetDelay(d sim.Time) {
-	r.delay = d
-	r.lockDelay()
-}
-
-// lockDelay marks the delay known and releases the delay search's
-// modeled-power cache, which only an unknown delay reads.
-func (r *Recalibrator) lockDelay() {
-	r.delayKnown = true
-	r.mp, r.mpValid = nil, false
+	r.delay, r.delayKnown = d, true
 }
 
 // OnlineCount returns the number of retained online samples.
@@ -142,38 +126,6 @@ func (r *Recalibrator) readFresh(now sim.Time) []power.Sample {
 	return fresh
 }
 
-// modeledPower returns the modeled active power series under current,
-// recomputing only buckets at or above the metric series' dirty low-water
-// mark since the previous call (late writes reach back: device I/O spreads
-// energy over past buckets, and per-core periods close at different times).
-// A coefficient change invalidates the whole cache. Recomputed buckets get
-// the identical c.Estimate(ms.At(b)) evaluation the batch path performs, so
-// the cached series is bit-identical to ms.ModeledPower(current, ms.Len()).
-func (r *Recalibrator) modeledPower(ms *model.MetricSeries, current model.Coefficients) []float64 {
-	n := ms.Len()
-	from := 0
-	if r.mpValid && current == r.mpCoeff {
-		from = len(r.mp)
-		if d := ms.DirtyLow(); d < from {
-			from = d
-		}
-	}
-	if cap(r.mp) < n {
-		grown := make([]float64, n)
-		copy(grown, r.mp[:from])
-		r.mp = grown
-	} else {
-		r.mp = r.mp[:n]
-	}
-	for b := from; b < n; b++ {
-		r.mp[b] = current.Estimate(ms.At(b))
-	}
-	ms.ClearDirty()
-	r.mpCoeff = current
-	r.mpValid = true
-	return r.mp
-}
-
 // Ingest pulls newly delivered meter samples at time now, aligns them
 // against the metric series, and appends online calibration samples.
 // It returns the number of new online samples.
@@ -189,15 +141,15 @@ func (r *Recalibrator) Ingest(now sim.Time, ms *model.MetricSeries, current mode
 		if len(r.buffered) < r.AutoAlignAfter {
 			return 0
 		}
-		modelPower := r.modeledPower(ms, current)
+		// The search runs once per run in practice (the lag is fixed), so
+		// it recomputes the modeled trace from bucket 0 at each attempt.
 		curve := CorrelationCurve(r.buffered, r.Meter.IdleW(), r.Meter.Interval(),
-			modelPower, ms.Interval(), ms.Interval(), 0, r.MaxDelay)
+			ms.ModeledPower(current, ms.Len()), ms.Interval(), ms.Interval(), 0, r.MaxDelay)
 		d, err := EstimateDelay(curve)
 		if err != nil {
 			return 0
 		}
-		r.delay = d
-		r.lockDelay()
+		r.SetDelay(d)
 	}
 
 	r.pairs = AlignSamples(r.pairs[:0], r.buffered, r.Meter.IdleW(), r.Meter.Interval(), ms, r.delay)

@@ -49,7 +49,7 @@ func correlationCurveRef(measured []power.Sample, idleW float64, meterInterval s
 	}
 	var curve []LagPoint
 	for d := minDelay; d <= maxDelay; {
-		var raw, sx, sy, sxy, sxx, syy float64
+		var sx, sy, sxy, sxx, syy float64
 		n := 0
 		for _, s := range measured {
 			end := s.Arrival - d
@@ -59,7 +59,6 @@ func correlationCurveRef(measured []power.Sample, idleW float64, meterInterval s
 				continue
 			}
 			x := s.Watts - idleW
-			raw += x * mp
 			sx += x
 			sy += mp
 			sxy += x * mp
@@ -81,7 +80,7 @@ func correlationCurveRef(measured []power.Sample, idleW float64, meterInterval s
 				}
 			}
 		}
-		curve = append(curve, LagPoint{Delay: d, Raw: raw, Normalized: norm})
+		curve = append(curve, LagPoint{Delay: d, Normalized: norm})
 		next := d + step
 		if next <= d { // overflow guard: a huge step must still terminate
 			break

@@ -56,8 +56,6 @@ func GatherFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, inf
 				continue
 			}
 			fi := &funcInfo{
-				decl:    fd,
-				obj:     obj,
 				key:     FuncKey(obj),
 				params:  IntParams(fd, info),
 				trusted: LitParams(fd.Body, info),
@@ -105,8 +103,6 @@ func GatherFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, inf
 }
 
 type funcInfo struct {
-	decl      *ast.FuncDecl
-	obj       *types.Func
 	key       string
 	hotpath   bool
 	nilCheck  int

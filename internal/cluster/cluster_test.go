@@ -61,7 +61,7 @@ func shardNodes(t *testing.T) []*ShardNode {
 		for _, name := range []string{"alpha", "beta"} {
 			name := name
 			entry := kernel.NewListener(name)
-			pool := server.NewEntryPool(k, name, 8, entry, func(int) server.Handler {
+			server.NewEntryPool(k, name, 8, entry, func(int) server.Handler {
 				return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
 					return []kernel.Op{kernel.OpCompute{BaseCycles: 4e6, Act: cpu.Activity{IPC: 1}}}
 				}
@@ -70,7 +70,6 @@ func shardNodes(t *testing.T) []*ShardNode {
 				Entry:          entry,
 				NewRequest:     func() *server.Request { return &server.Request{Type: name} },
 				MeanServiceSec: 0.004,
-				Pools:          []*server.Pool{pool},
 			}
 			sn.Gens[name] = server.NewLoadGen(k, fac, dep)
 			sn.NewRequest[name] = dep.NewRequest

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"powercontainers/internal/cpu"
 	"powercontainers/internal/kernel"
 	"powercontainers/internal/sim"
 )
@@ -54,11 +53,6 @@ type AnomalyDetector struct {
 	// maintenance power.
 	MinCPUTime sim.Time
 
-	// OnAnomaly, when set, fires once per flagged container.
-	OnAnomaly func(Anomaly)
-
-	f *Facility
-
 	n        int
 	mean, m2 float64
 	flagged  map[int]bool
@@ -74,7 +68,6 @@ func (f *Facility) EnableAnomalyDetection() *AnomalyDetector {
 		MinSigmaW:     0.5,
 		MinExcessFrac: 0.25,
 		MinCPUTime:    3 * sim.Millisecond,
-		f:             f,
 		flagged:       map[int]bool{},
 	}
 	f.anomaly = d
@@ -118,16 +111,12 @@ func (d *AnomalyDetector) observe(now sim.Time, cont *Container, powerW float64)
 	floor := d.mean * (1 + d.MinExcessFrac)
 	if meanP > d.mean+d.Threshold*sigma && meanP > floor {
 		d.flagged[cont.ID] = true
-		a := Anomaly{T: now, Container: cont, PowerW: meanP, BaselineW: d.mean, SigmaW: sigma}
-		d.log = append(d.log, a)
-		if d.OnAnomaly != nil {
-			d.OnAnomaly(a)
-		}
+		d.log = append(d.log, Anomaly{T: now, Container: cont, PowerW: meanP, BaselineW: d.mean, SigmaW: sigma})
 	}
 }
 
 // hookAnomaly is called from the facility's sampling path.
-func (f *Facility) hookAnomaly(c *cpu.Core, t *kernel.Task, powerW float64) {
+func (f *Facility) hookAnomaly(t *kernel.Task, powerW float64) {
 	if f.anomaly == nil || t == nil {
 		return
 	}

@@ -20,14 +20,6 @@ type Conditioner struct {
 
 	f *Facility
 
-	// ThrottleDecisions counts duty-level changes, for overhead
-	// reporting.
-	ThrottleDecisions uint64
-
-	// BudgetThrottles counts the subset of decisions forced by tenant
-	// budget enforcement (beyond fair per-request conditioning).
-	BudgetThrottles uint64
-
 	// scratch is the reusable worst-first ranking buffer; the conditioner
 	// runs only on the simulation goroutine.
 	scratch []*Container
@@ -118,9 +110,7 @@ func (c *Conditioner) adjust(core *cpu.Core, cont *Container) {
 	}
 	if lvl != cont.dutyLevel {
 		cont.dutyLevel = lvl
-		c.ThrottleDecisions++
 		if lvl < fair {
-			c.BudgetThrottles++
 			cont.svc.Tenant.budgetThrottles++
 			if c.f.Observer != nil {
 				c.f.Observer.Observe(sim.Event{Kind: sim.KindBudgetThrottle, Obj: cont,

@@ -5,6 +5,7 @@ import (
 
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/kernel"
+	"powercontainers/internal/sim"
 )
 
 // hotAct draws ~19 W on the test profile; coolAct ~10 W.
@@ -33,7 +34,7 @@ func TestTenantPowerBudgetThrottlesWorstFirst(t *testing.T) {
 	k.Spawn("m", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: coolAct}), worker)
 	k.Spawn("a", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: coolAct}), victim)
 	k.Spawn("f", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: coolAct}), flat)
-	cond := f.EnableConditioning(1000) // fair conditioning never binds
+	f.EnableConditioning(1000) // fair conditioning never binds
 	k.Eng.Run()
 
 	if duty := virus.MeanDutyFraction(); duty > 0.85 {
@@ -48,7 +49,7 @@ func TestTenantPowerBudgetThrottlesWorstFirst(t *testing.T) {
 	if duty := flat.MeanDutyFraction(); duty < 0.99 {
 		t.Fatalf("flat request throttled to %.2f", duty)
 	}
-	if cond.BudgetThrottles == 0 || h.Tenant("mallory").BudgetThrottles() == 0 {
+	if h.Tenant("mallory").BudgetThrottles() == 0 {
 		t.Fatal("no budget throttles recorded")
 	}
 	if h.Tenant("acme").BudgetThrottles() != 0 {
@@ -80,16 +81,23 @@ func TestTenantEnergyBudgetFloorsTenant(t *testing.T) {
 func TestBudgetEnforcementInactiveInFlatMode(t *testing.T) {
 	// Same workload as TestConditionerThrottlesHighPowerRequest: with no
 	// hierarchy configured, only fair conditioning acts and no budget
-	// throttles are ever counted.
+	// throttle is ever observed.
 	k, f := newRig(t, uniSpec, Config{})
-	cond := f.EnableConditioning(10)
+	kinds := kindCounter{}
+	f.Observer = kinds
+	f.EnableConditioning(10)
 	hot := f.NewContainer("hot")
 	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 200e6, Act: hotAct}), hot)
 	k.Eng.Run()
 	if hot.MeanDutyFraction() > 0.85 {
 		t.Fatal("fair conditioning stopped working")
 	}
-	if cond.BudgetThrottles != 0 {
-		t.Fatalf("flat mode counted %d budget throttles", cond.BudgetThrottles)
+	if n := kinds[sim.KindBudgetThrottle]; n != 0 {
+		t.Fatalf("flat mode observed %d budget throttles", n)
 	}
 }
+
+// kindCounter counts the observed events of each kind.
+type kindCounter map[sim.Kind]int
+
+func (k kindCounter) Observe(e sim.Event) { k[e.Kind]++ }

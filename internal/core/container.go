@@ -79,7 +79,6 @@ type TraceEvent struct {
 type TraceInterval struct {
 	Task       string
 	Start, End sim.Time
-	PowerW     float64
 }
 
 // Container is one power container: the per-request accounting and control
@@ -103,10 +102,6 @@ type Container struct {
 	Tenant  string
 	Service string
 	svc     *Service
-
-	// Start is creation time; End is set by Finish (request completion).
-	Start sim.Time
-	End   sim.Time
 
 	// Counters accumulates the hardware events attributed to the
 	// container (after observer-effect compensation).
@@ -203,17 +198,6 @@ func (c *Container) Stages() []StageStat {
 	return append([]StageStat(nil), c.stages...)
 }
 
-// Duration returns wall time from creation to Finish (or 0 if unfinished).
-func (c *Container) Duration() sim.Time {
-	if c.End <= c.Start {
-		return 0
-	}
-	return c.End - c.Start
-}
-
-// Finish marks the request complete at time t.
-func (c *Container) Finish(t sim.Time) { c.End = t }
-
 // EnableTrace turns on request-flow event capture (Figure 4).
 func (c *Container) EnableTrace() { c.traceEnabled = true }
 
@@ -246,7 +230,7 @@ func (c *Container) addPeriod(task string, end, wall sim.Time, ev cpu.Counters, 
 	c.stages[i].CPUTime += wall
 	c.stages[i].EnergyJ += energyJ
 	if c.traceEnabled {
-		c.Intervals = append(c.Intervals, TraceInterval{Task: task, Start: end - wall, End: end, PowerW: powerW})
+		c.Intervals = append(c.Intervals, TraceInterval{Task: task, Start: end - wall, End: end})
 	}
 }
 

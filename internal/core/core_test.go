@@ -449,9 +449,6 @@ func TestAnomalyDetectorFlagsPowerVirus(t *testing.T) {
 	det := f.EnableAnomalyDetection()
 	det.MinSamples = 50
 
-	var fired []Anomaly
-	det.OnAnomaly = func(a Anomaly) { fired = append(fired, a) }
-
 	normalAct := cpu.Activity{IPC: 1}
 	virusAct := cpu.Activity{IPC: 1.5, LLCPC: 0.02, MemPC: 0.03} // ~19 W
 
@@ -467,6 +464,7 @@ func TestAnomalyDetectorFlagsPowerVirus(t *testing.T) {
 	})
 	k.Eng.Run()
 
+	fired := det.Anomalies()
 	if len(fired) == 0 {
 		t.Fatal("virus not detected")
 	}
@@ -476,7 +474,7 @@ func TestAnomalyDetectorFlagsPowerVirus(t *testing.T) {
 				a.Container.Label, a.PowerW, a.BaselineW, a.SigmaW)
 		}
 	}
-	if n := len(det.Anomalies()); n != 1 {
+	if n := len(fired); n != 1 {
 		t.Fatalf("anomaly log = %d entries, want exactly one per container", n)
 	}
 	mean, sigma := det.Baseline()

@@ -207,7 +207,7 @@ func (f *Facility) NewContainerIn(tenant, service, label string) *Container {
 
 func (f *Facility) newContainer(label string, kind Kind) *Container {
 	f.nextID++
-	c := &Container{ID: f.nextID, Label: label, Kind: kind, Start: f.K.Now()}
+	c := &Container{ID: f.nextID, Label: label, Kind: kind}
 	f.containers = append(f.containers, c)
 	return c
 }
@@ -312,7 +312,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 				m.Chip = model.ChipShare(f.K.Spec, f.K.Cores, c.ID, m.Core, f.K)
 			}
 		}
-		c.PublishSample(now, m.Core)
+		c.PublishSample(m.Core)
 		p := f.Coeff.EstimateCPU(m)
 		if p < 0 {
 			p = 0
@@ -336,7 +336,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 				X: p * seconds, Y: chipP * seconds, Z: m.Chip})
 		}
 		f.metrics.AddSpread(st.lastTime, now, m) //pclint:allow hotalloc 1ms-bucket metric series growth, bounded by the retained window in a stream and by elapsed sim time in a batch run
-		f.hookAnomaly(c, t, p-chipP)             //pclint:allow hotalloc anomaly detector window growth, bounded by sample cadence
+		f.hookAnomaly(t, p-chipP)                //pclint:allow hotalloc anomaly detector window growth, bounded by sample cadence
 		if fixKind != "" && f.Observer != nil {
 			f.Observer.Observe(sim.Event{Kind: sim.KindCounterFix, N: int64(c.ID), Name: fixKind, T: now})
 		}

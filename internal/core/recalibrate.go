@@ -14,17 +14,13 @@ const DefaultRecalibrationPeriod = 100 * sim.Millisecond
 
 // EnableRecalibration switches the facility to Approach #3: a periodic task
 // aligns newly delivered readings from the meter with the system metric
-// series and refits the model over offline + online samples. The returned
-// recalibrator exposes the estimated delay and refit statistics.
+// series and refits the model over offline + online samples every
+// DefaultRecalibrationPeriod. The returned recalibrator exposes the
+// estimated delay and refit statistics.
 //
 // The periodic event reschedules itself forever; drive the engine with
 // RunUntil rather than Run.
-func (f *Facility) EnableRecalibration(meter power.Meter, scope model.FitScope,
-	offline []model.CalSample, period sim.Time) *align.Recalibrator {
-
-	if period <= 0 {
-		period = DefaultRecalibrationPeriod
-	}
+func (f *Facility) EnableRecalibration(meter power.Meter, scope model.FitScope, offline []model.CalSample) *align.Recalibrator {
 	f.cfg.Approach = ApproachRecalibrated
 	f.recal = align.NewRecalibrator(meter, scope, offline)
 	f.recal.Observer = f.Observer
@@ -35,9 +31,9 @@ func (f *Facility) EnableRecalibration(meter power.Meter, scope model.FitScope,
 			return // superseded or disabled
 		}
 		f.RecalibrateNow()
-		f.K.Eng.After(period, tick)
+		f.K.Eng.After(DefaultRecalibrationPeriod, tick)
 	}
-	f.K.Eng.After(period, tick)
+	f.K.Eng.After(DefaultRecalibrationPeriod, tick)
 	return r
 }
 

@@ -34,19 +34,12 @@ type Core struct {
 	overflowThreshold float64 // non-halt cycles between interrupts, 0 = off
 	sinceOverflow     float64
 
-	// LastSampleTime and LastUtil are the most recent hardware counter
-	// sample "in memory": the per-core published statistics that sibling
-	// cores read without synchronization when estimating the chip power
-	// share (Eq. 3). Because overflow interrupts stop on an idle core,
-	// these values go stale exactly as the paper describes.
-	LastSampleTime sim.Time
-	LastUtil       float64
-
-	// DutyRegReads and DutyRegWrites count accesses to the duty-cycle
-	// control register, mirroring the paper's §3.5 overhead accounting
-	// (~265 cycles to read, ~350 to write).
-	DutyRegReads  uint64
-	DutyRegWrites uint64
+	// LastUtil is the most recent hardware counter sample "in memory": the
+	// per-core published utilization that sibling cores read without
+	// synchronization when estimating the chip power share (Eq. 3).
+	// Because overflow interrupts stop on an idle core, it goes stale
+	// exactly as the paper describes.
+	LastUtil float64
 }
 
 // NewCore returns a core running at full duty with interrupts disabled.
@@ -73,10 +66,7 @@ func (c *Core) AddEvents(ev Counters) {
 
 // DutyLevel reads the duty-cycle modulation register (level out of
 // DutyMax; DutyMax means no modulation).
-func (c *Core) DutyLevel() int {
-	c.DutyRegReads++
-	return c.dutyLevel
-}
+func (c *Core) DutyLevel() int { return c.dutyLevel }
 
 // DutyMax returns the number of modulation steps.
 func (c *Core) DutyMax() int { return c.dutyMax }
@@ -84,7 +74,6 @@ func (c *Core) DutyMax() int { return c.dutyMax }
 // SetDutyLevel writes the duty-cycle modulation register, clamping to the
 // valid range [1, DutyMax].
 func (c *Core) SetDutyLevel(level int) {
-	c.DutyRegWrites++
 	if level < 1 {
 		level = 1
 	}
@@ -180,10 +169,7 @@ func (c *Core) Overflowed() bool {
 
 // PublishSample records the core's most recent utilization sample where
 // sibling cores can read it without synchronization (Eq. 3 input).
-func (c *Core) PublishSample(now sim.Time, util float64) {
-	c.LastSampleTime = now
-	c.LastUtil = util
-}
+func (c *Core) PublishSample(util float64) { c.LastUtil = util }
 
 // Execution translates a workload op's machine-independent work description
 // (base reference cycles plus an activity signature) into this machine's

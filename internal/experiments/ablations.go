@@ -171,8 +171,9 @@ func AblationTagging(seed uint64) (float64, error) {
 	return sum / float64(n), nil
 }
 
-// AblationObserver measures the counter inflation compensation removes.
-func AblationObserver(seed uint64) (float64, error) {
+// AblationObserver measures the counter inflation compensation removes. Its
+// one fixed request draws nothing at random, so it takes no seed.
+func AblationObserver() (float64, error) {
 	run := func(disable bool) (float64, error) {
 		k, fac, err := ablationKernel(core.Config{DisableObserverComp: disable}, nil)
 		if err != nil {
@@ -261,7 +262,7 @@ func AblationsEx(ex Exec, seed uint64) (*AblationResult, error) {
 		return ablationCell{mis}, err
 	})
 	plan.Add("ablation/observer", func() (any, error) {
-		inf, err := AblationObserver(seed)
+		inf, err := AblationObserver()
 		return ablationCell{inf}, err
 	})
 	plan.Add("ablation/user-transfers", func() (any, error) {

@@ -15,7 +15,7 @@ import (
 // socket tagging and sim ordering all hold on the real simulation paths.
 func TestAuditedRunIsClean(t *testing.T) {
 	c := NewAuditCollector(true)
-	m, err := Assembly{Audit: c}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, 21)
+	m, err := Exec{Audit: c}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAuditedRunIsClean(t *testing.T) {
 // chip-meter wiring (SandyBridge) and the wall-meter one (Westmere).
 func TestAuditorObservesRecalibrator(t *testing.T) {
 	for _, spec := range []cpu.MachineSpec{cpu.SandyBridge, cpu.Westmere} {
-		m, err := Assembly{Audit: NewAuditCollector(true)}.NewMachine(spec, core.ApproachRecalibrated, 1)
+		m, err := Exec{Audit: NewAuditCollector(true)}.NewMachine(spec, core.ApproachRecalibrated, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestAuditorObservesRecalibrator(t *testing.T) {
 // streamed record total no longer matches the recorder series, and the
 // attributed energy no longer reconciles with ground truth.
 func TestAuditCatchesTamperedGroundTruth(t *testing.T) {
-	m, err := Assembly{Audit: NewAuditCollector(true)}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, 23)
+	m, err := Exec{Audit: NewAuditCollector(true)}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAuditedExperimentsFinalizeEveryMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := Exec{Assembly: Assembly{Audit: NewAuditCollector(true)}}
+		ex := Exec{Audit: NewAuditCollector(true)}
 		if _, err := e.Run(ex, seed); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

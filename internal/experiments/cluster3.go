@@ -74,7 +74,7 @@ func cluster3Run(ex Exec, pol cluster.Policy, affinity map[string]float64, seed 
 		if eng == nil {
 			eng = sim.NewEngine()
 		}
-		m, err := ex.Assembly.NewMachineOnEngine(eng, spec, core.ApproachChipShare,
+		m, err := ex.NewMachineOnEngine(eng, spec, core.ApproachChipShare,
 			runner.SeedFor(seed, "cluster3/node/"+spec.Name))
 		if err != nil {
 			return nil, err

@@ -13,7 +13,6 @@ import (
 type CoeffResult struct {
 	Machine string
 	Coeff   model.Coefficients
-	Mmax    model.Metrics
 	// CMmax[i] pairs MetricNames[i] with its maximum active power impact.
 	CMmax []float64
 	// FitErr is the calibration fit error.
@@ -32,7 +31,6 @@ func Coefficients(spec cpu.MachineSpec) (*CoeffResult, error) {
 	res := &CoeffResult{
 		Machine: spec.Name,
 		Coeff:   cal.Eq2,
-		Mmax:    cal.Mmax,
 		FitErr:  cal.FitErrEq2,
 	}
 	for i := range cv {

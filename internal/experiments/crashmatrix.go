@@ -101,14 +101,14 @@ func (p *crashRecoveryProbe) Observe(e sim.Event) {
 
 // crashMatrixStream is the durable stream the golden run completes and
 // every cell crashes, over its own in-memory store.
-func crashMatrixStream(as Assembly, seed uint64, crashes []*faults.CrashPlan, probe sim.Observer) *DurableStream {
+func crashMatrixStream(ex Exec, seed uint64, crashes []*faults.CrashPlan, probe sim.Observer) *DurableStream {
 	return &DurableStream{
 		FS:      durable.NewMemFS(),
 		Dir:     crashStreamDir,
 		Config:  stream.Config{Tick: crashStreamTick, CheckpointEvery: crashStreamCPEvery},
 		Horizon: crashStreamHorizon,
 		Sources: func() (stream.Sources, error) {
-			m, err := as.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
+			m, err := ex.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
 			if err != nil {
 				return stream.Sources{}, err
 			}
@@ -123,13 +123,13 @@ func crashMatrixStream(as Assembly, seed uint64, crashes []*faults.CrashPlan, pr
 // crashMatrixCell executes one crash point: attempt 1 runs armed with the
 // plan, and when the plan kills it, attempt 2 recovers and finishes on the
 // bare in-memory filesystem.
-func crashMatrixCell(as Assembly, seed uint64, spec string) (CrashMatrixCell, error) {
+func crashMatrixCell(ex Exec, seed uint64, spec string) (CrashMatrixCell, error) {
 	plan, err := faults.ParseCrashPlan(spec)
 	if err != nil {
 		return CrashMatrixCell{}, err
 	}
 	probe := &crashRecoveryProbe{}
-	d := crashMatrixStream(as, seed, []*faults.CrashPlan{plan}, probe)
+	d := crashMatrixStream(ex, seed, []*faults.CrashPlan{plan}, probe)
 	attempts, err := d.Run()
 	if err != nil {
 		return CrashMatrixCell{}, err
@@ -143,10 +143,9 @@ func crashMatrixCell(as Assembly, seed uint64, spec string) (CrashMatrixCell, er
 // CrashMatrix runs the golden stream and sweeps the crash points, fanning
 // independent cells across ex.Jobs workers.
 func CrashMatrix(ex Exec, seed uint64) (*CrashMatrixResult, error) {
-	as := ex.Assembly
 
 	res := &CrashMatrixResult{}
-	golden := crashMatrixStream(as, seed, nil, nil)
+	golden := crashMatrixStream(ex, seed, nil, nil)
 	if _, err := golden.Run(); err != nil {
 		return nil, fmt.Errorf("crashmatrix golden run: %w", err)
 	}
@@ -159,7 +158,7 @@ func CrashMatrix(ex Exec, seed uint64) (*CrashMatrixResult, error) {
 	for _, spec := range defaultCrashSpecs() {
 		spec := spec
 		plan.Add("crashmatrix/"+spec, func() (any, error) {
-			cell, err := crashMatrixCell(as, seed, spec)
+			cell, err := crashMatrixCell(ex, seed, spec)
 			if err != nil {
 				return nil, fmt.Errorf("crashmatrix %q: %w", spec, err)
 			}

@@ -16,7 +16,7 @@ import (
 // and any other panic propagates.
 func TestDurableStreamAttempts(t *testing.T) {
 	const seed = 7
-	as := NewRunExec(1).Assembly
+	ex := NewRunExec(1)
 	plans := func(t *testing.T, specs ...string) []*faults.CrashPlan {
 		t.Helper()
 		var out []*faults.CrashPlan
@@ -41,7 +41,7 @@ func TestDurableStreamAttempts(t *testing.T) {
 		}
 		return calls
 	}
-	golden := crashMatrixStream(as, seed, nil, nil)
+	golden := crashMatrixStream(ex, seed, nil, nil)
 	if _, err := golden.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDurableStreamAttempts(t *testing.T) {
 
 	t.Run("three crashes", func(t *testing.T) {
 		var log bytes.Buffer
-		d := crashMatrixStream(as, seed, plans(t,
+		d := crashMatrixStream(ex, seed, plans(t,
 			"crash:op=sync,match=wal-,index=3",
 			"crash:op=write,match=wal-,index=40,keep=6",
 			"crash:op=rename,match=checkpoint.ck,index=2",
@@ -71,7 +71,7 @@ func TestDurableStreamAttempts(t *testing.T) {
 	})
 
 	t.Run("plan never fires", func(t *testing.T) {
-		d := crashMatrixStream(as, seed, plans(t, "crash:op=sync,match=wal-,index=100000"), nil)
+		d := crashMatrixStream(ex, seed, plans(t, "crash:op=sync,match=wal-,index=100000"), nil)
 		attempts, err := d.Run()
 		if err != nil || attempts != 1 {
 			t.Fatalf("Run = %d attempts, err %v; want 1 attempt", attempts, err)
@@ -82,7 +82,7 @@ func TestDurableStreamAttempts(t *testing.T) {
 	})
 
 	t.Run("error returns at once", func(t *testing.T) {
-		d := crashMatrixStream(as, seed, plans(t, "crash:op=sync,match=wal-,index=3", "crash:op=sync,match=wal-,index=7"), nil)
+		d := crashMatrixStream(ex, seed, plans(t, "crash:op=sync,match=wal-,index=3", "crash:op=sync,match=wal-,index=7"), nil)
 		refused := errors.New("machine refused")
 		calls := failFirst(d, func() error { return refused })
 		attempts, err := d.Run()
@@ -92,7 +92,7 @@ func TestDurableStreamAttempts(t *testing.T) {
 	})
 
 	t.Run("foreign panic propagates", func(t *testing.T) {
-		d := crashMatrixStream(as, seed, plans(t, "crash:op=sync,match=wal-,index=3"), nil)
+		d := crashMatrixStream(ex, seed, plans(t, "crash:op=sync,match=wal-,index=3"), nil)
 		failFirst(d, func() error { panic("bug") })
 		defer func() {
 			if r := recover(); r != "bug" {

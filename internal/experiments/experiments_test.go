@@ -374,7 +374,7 @@ func TestRegistryResolvesAllIDs(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	run := func() float64 {
-		r, err := Assembly{}.Run(cpu.SandyBridge, core.ApproachChipShare,
+		r, err := Exec{}.Run(cpu.SandyBridge, core.ApproachChipShare,
 			RunSpec{Workload: workload.Solr{}, Load: HalfLoad}, 7)
 		if err != nil {
 			t.Fatal(err)

@@ -70,16 +70,16 @@ func (c *faultCounter) Observe(e sim.Event) {
 // faultMatrixRun executes one cell: a SandyBridge machine whose on-chip
 // meter is wrapped with the cell's fault plan before recalibration is
 // wired against it.
-func faultMatrixRun(as Assembly, rate float64, degraded bool, seed, planSeed uint64) (FaultMatrixCell, error) {
+func faultMatrixRun(ex Exec, rate float64, degraded bool, seed, planSeed uint64) (FaultMatrixCell, error) {
 	if !degraded && rate > 0 {
 		// The plain faulted cells run with every defense ablated: their
 		// attribution is supposed to diverge from ground truth, so the
 		// conservation auditor does not apply (the ablations experiment
 		// builds its deliberately-broken machines un-audited for the
 		// same reason).
-		as = Assembly{Audit: NewAuditCollector(false)}
+		ex = Exec{Audit: NewAuditCollector(false)}
 	}
-	m, err := as.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
+	m, err := ex.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
 	if err != nil {
 		return FaultMatrixCell{}, err
 	}
@@ -97,7 +97,7 @@ func faultMatrixRun(as Assembly, rate float64, degraded bool, seed, planSeed uin
 		Observer: counter,
 	}
 	meter := plan.WrapMeter(m.Chip)
-	r := m.Fac.EnableRecalibration(meter, model.ScopePackage, m.Calib.Samples, 0)
+	r := m.Fac.EnableRecalibration(meter, model.ScopePackage, m.Calib.Samples)
 	// Pin the known chip-meter delivery lag: the paper notes the lag on a
 	// given system is unlikely to change dynamically, and estimating it
 	// from a spiked sample stream would confound the degradation axis
@@ -123,14 +123,13 @@ func faultMatrixRun(as Assembly, rate float64, degraded bool, seed, planSeed uin
 // cell. Every cell uses the same machine seed — the workload is identical
 // across the grid — while the fault stream is seeded per cell.
 func faultMatrixPlan(opt FaultMatrixOptions, seed uint64) *runner.Plan {
-	as := opt.Exec.Assembly
 	plan := &runner.Plan{}
 	for _, degraded := range []bool{false, true} {
 		for _, rate := range opt.Rates {
 			rate, degraded := rate, degraded
 			key := fmt.Sprintf("faultmatrix/p=%g/degraded=%v", rate, degraded)
 			plan.Add(key, func() (any, error) {
-				cell, err := faultMatrixRun(as, rate, degraded, seed, runner.SeedFor(seed, key))
+				cell, err := faultMatrixRun(opt.Exec, rate, degraded, seed, runner.SeedFor(seed, key))
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", key, err)
 				}

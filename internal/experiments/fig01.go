@@ -39,7 +39,7 @@ func Fig1(ex Exec, seed uint64) (*Fig1Result, error) {
 	for _, spec := range []cpu.MachineSpec{cpu.SandyBridge, cpu.Woodcrest, cpu.Westmere} {
 		m := Fig1Machine{Spec: spec, ActiveW: []float64{0}}
 		for k := 1; k <= spec.Cores(); k++ {
-			w, err := spinActivePower(ex.Assembly, spec, k, seed+uint64(k))
+			w, err := spinActivePower(ex, spec, k, seed+uint64(k))
 			if err != nil {
 				return nil, err
 			}
@@ -56,8 +56,8 @@ func Fig1(ex Exec, seed uint64) (*Fig1Result, error) {
 // spinActivePower measures machine active power with k spinning tasks.
 // The caller derives a distinct seed per point (base+k), keeping the
 // derivation where both inputs are in scope.
-func spinActivePower(as Assembly, spec cpu.MachineSpec, k int, seed uint64) (float64, error) {
-	m, err := as.NewMachine(spec, core.ApproachChipShare, seed)
+func spinActivePower(ex Exec, spec cpu.MachineSpec, k int, seed uint64) (float64, error) {
+	m, err := ex.NewMachine(spec, core.ApproachChipShare, seed)
 	if err != nil {
 		return 0, err
 	}

@@ -72,14 +72,13 @@ func fig5Plan(opt Fig5Options, seed uint64) *runner.Plan {
 	if wls == nil {
 		wls = EvalWorkloads()
 	}
-	as := opt.Exec.Assembly
 	plan := &runner.Plan{}
 	for _, spec := range machines {
 		for _, wl := range wls {
 			for _, load := range []LoadLevel{PeakLoad, HalfLoad} {
 				key := fmt.Sprintf("fig5/%s/%s/%s", spec.Name, wl.Name(), load)
 				plan.Add(key, func() (any, error) {
-					r, err := as.Run(spec, core.ApproachChipShare, RunSpec{Workload: wl, Load: load}, seed)
+					r, err := opt.Exec.Run(spec, core.ApproachChipShare, RunSpec{Workload: wl, Load: load}, seed)
 					if err != nil {
 						return nil, err
 					}

@@ -50,7 +50,6 @@ func Approaches() []core.Approach {
 func fig8Plan(opt Fig8Options, seed uint64) *runner.Plan {
 	machines := opt.Machines
 	wls := opt.Workloads
-	as := opt.Exec.Assembly
 	plan := &runner.Plan{}
 	for _, spec := range machines {
 		for _, wl := range wls {
@@ -58,7 +57,7 @@ func fig8Plan(opt Fig8Options, seed uint64) *runner.Plan {
 				for _, ap := range Approaches() {
 					key := fmt.Sprintf("fig8/%s/%s/%s/%s", spec.Name, wl.Name(), load, ap)
 					plan.Add(key, func() (any, error) {
-						r, err := as.Run(spec, ap, RunSpec{Workload: wl, Load: load}, seed)
+						r, err := opt.Exec.Run(spec, ap, RunSpec{Workload: wl, Load: load}, seed)
 						if err != nil {
 							return nil, fmt.Errorf("fig8 %s/%s/%s/%s: %w", spec.Name, wl.Name(), load, ap, err)
 						}

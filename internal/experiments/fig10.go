@@ -56,12 +56,10 @@ type Fig10Result struct {
 // typeProfile is the per-request-type energy/CPU profile learned from the
 // original workload run.
 type typeProfile struct {
-	count     int
-	energyJ   float64 // mean CPU energy per request, chip share excluded
-	chipJ     float64 // mean chip-share energy per request
-	deviceJ   float64
-	cpuSec    float64
-	totEnergy float64
+	count   int
+	energyJ float64 // mean CPU energy per request, chip share excluded
+	deviceJ float64
+	cpuSec  float64
 }
 
 // Fig10Ex runs Figure 10 with explicit execution configuration. The two
@@ -95,7 +93,7 @@ func Fig10Ex(ex Exec, seed uint64) (*Fig10Result, error) {
 	for ai, app := range apps {
 		appSeed := seed + uint64(ai)*101
 		plan.Add("fig10/"+app.Name, func() (any, error) {
-			pts, err := fig10App(ex.Assembly, app, appSeed)
+			pts, err := fig10App(ex, app, appSeed)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s: %w", app.Name, err)
 			}
@@ -119,11 +117,11 @@ func Fig10Ex(ex Exec, seed uint64) (*Fig10Result, error) {
 	return res, nil
 }
 
-func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
+func fig10App(ex Exec, app Fig10App, seed uint64) ([]Fig10Point, error) {
 	spec := cpu.SandyBridge
 
 	// --- Profiling phase: run the ORIGINAL workload at median load. ---
-	m, err := as.NewMachine(spec, core.ApproachRecalibrated, seed)
+	m, err := ex.NewMachine(spec, core.ApproachRecalibrated, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -152,10 +150,8 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 		for _, dst := range []*typeProfile{tp, &overall} {
 			dst.count++
 			dst.energyJ += req.Cont.CPUEnergyJ - req.Cont.ChipEnergyJ
-			dst.chipJ += req.Cont.ChipEnergyJ
 			dst.deviceJ += req.Cont.DeviceEnergyJ
 			dst.cpuSec += float64(req.Cont.CPUTime) / float64(sim.Second)
-			dst.totEnergy += req.Cont.EnergyJ()
 		}
 	}
 	windowSec := float64(t1-t0) / float64(sim.Second)
@@ -166,10 +162,8 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 	norm := func(tp *typeProfile) {
 		n := float64(tp.count)
 		tp.energyJ /= n
-		tp.chipJ /= n
 		tp.deviceJ /= n
 		tp.cpuSec /= n
-		tp.totEnergy /= n
 	}
 	norm(&overall)
 	for _, lbl := range SortedKeys(profiles) {
@@ -218,7 +212,7 @@ func fig10App(as Assembly, app Fig10App, seed uint64) ([]Fig10Point, error) {
 		rateW := origMeasured * rate / completedRate
 
 		// Measure the new composition at this rate.
-		m2, err := as.NewMachine(spec, core.ApproachChipShare, seed+100+uint64(pi))
+		m2, err := ex.NewMachine(spec, core.ApproachChipShare, seed+100+uint64(pi))
 		if err != nil {
 			return nil, err
 		}

@@ -46,13 +46,12 @@ func Fig13Workloads() []workload.Workload {
 func Fig13Ex(ex Exec, seed uint64) (*Fig13Result, error) {
 	wls := Fig13Workloads()
 	specs := []cpu.MachineSpec{cpu.SandyBridge, cpu.Woodcrest}
-	as := ex.Assembly
 	plan := &runner.Plan{}
 	for _, wl := range wls {
 		for _, spec := range specs {
 			key := fmt.Sprintf("fig13/%s/%s", wl.Name(), spec.Name)
 			plan.Add(key, func() (any, error) {
-				r, err := as.Run(spec, core.ApproachRecalibrated, RunSpec{Workload: wl, Load: PeakLoad}, seed)
+				r, err := ex.Run(spec, core.ApproachRecalibrated, RunSpec{Workload: wl, Load: PeakLoad}, seed)
 				if err != nil {
 					return nil, fmt.Errorf("fig13 %s on %s: %w", wl.Name(), spec.Name, err)
 				}

@@ -94,7 +94,7 @@ func fig14Run(ex Exec, pol cluster.Policy, affinity map[string]float64, seed uin
 	eng := sim.NewEngine()
 	rig := newClusterRig(affinity)
 	for i, spec := range specs {
-		m, err := ex.Assembly.NewMachineOnEngine(eng, spec, core.ApproachChipShare, seed+uint64(i)*17)
+		m, err := ex.NewMachineOnEngine(eng, spec, core.ApproachChipShare, seed+uint64(i)*17)
 		if err != nil {
 			return nil, err
 		}
@@ -126,13 +126,12 @@ var clusterApps = []workload.Workload{workload.GAE{}, workload.RSA{}}
 // workload-aware policy derives its affinity ratios from (§3.4). Each
 // (app, machine) cell is one independent runner job.
 func profileEnergy(ex Exec, exp string, specs []cpu.MachineSpec, seed uint64) (map[string][]float64, error) {
-	as := ex.Assembly
 	var plan runner.Plan
 	for _, wl := range clusterApps {
 		for _, spec := range specs {
 			wl, spec := wl, spec
 			plan.Add(fmt.Sprintf("%s/profile/%s/%s", exp, wl.Name(), spec.Name), func() (any, error) {
-				r, err := as.Run(spec, core.ApproachRecalibrated, RunSpec{Workload: wl, Load: PeakLoad}, seed)
+				r, err := ex.Run(spec, core.ApproachRecalibrated, RunSpec{Workload: wl, Load: PeakLoad}, seed)
 				if err != nil {
 					return nil, err
 				}
@@ -224,7 +223,7 @@ func (rig *clusterRig) run(ex Exec, auditName string, pol cluster.Policy, rates 
 	rng *sim.Rand, until, t0, t1 sim.Time) (*Fig14Policy, error) {
 	dplan := cluster.PlanOpenLoop(rig.plan, rig.apps, pol, nil, rates, until, rng)
 
-	laud := ex.Assembly.collector().newAuditor(auditName)
+	laud := ex.collector().newAuditor(auditName)
 	var sink sim.Observer
 	if laud != nil {
 		sink = laud

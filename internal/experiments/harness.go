@@ -25,7 +25,7 @@ import (
 // AuditCollector gathers the invariant auditors of one run. Each parallel
 // experiment run owns its own collector, so concurrent runs never
 // interleave violation lists; the process-default collector (PC_AUDIT)
-// backs machines assembled without an explicit Assembly.
+// backs machines assembled without an explicit collector.
 type AuditCollector struct {
 	mu       sync.Mutex
 	enabled  bool
@@ -112,42 +112,32 @@ func DefaultAudit() *AuditCollector {
 	return defaultAudit.c
 }
 
-// Assembly is per-run machine-assembly configuration, threaded through
-// every machine a run builds so parallel runs stay isolated.
-type Assembly struct {
+// Exec configures one experiment run's execution: the worker-pool bound
+// for the run's job plan and the audit collector of every machine the run
+// assembles, so parallel runs stay isolated.
+type Exec struct {
+	// Jobs bounds how many of the run's jobs execute concurrently
+	// (0 = runner.DefaultJobs()). Results are byte-identical at any
+	// value; Jobs trades only wall-clock for cores.
+	Jobs int
 	// Audit receives the run's machine auditors; nil falls back to the
 	// process-default collector (PC_AUDIT).
 	Audit *AuditCollector
 }
 
 // collector resolves the run's audit collector.
-func (as Assembly) collector() *AuditCollector {
-	if as.Audit != nil {
-		return as.Audit
+func (ex Exec) collector() *AuditCollector {
+	if ex.Audit != nil {
+		return ex.Audit
 	}
 	return DefaultAudit()
-}
-
-// Exec configures one experiment run's execution: the worker-pool bound
-// for the run's job plan and the per-run machine assembly.
-type Exec struct {
-	// Jobs bounds how many of the run's jobs execute concurrently
-	// (0 = runner.DefaultJobs()). Results are byte-identical at any
-	// value; Jobs trades only wall-clock for cores.
-	Jobs int
-	// Assembly threads the per-run audit configuration into every
-	// machine the run assembles.
-	Assembly
 }
 
 // NewRunExec returns the Exec for one experiment run: the given worker
 // bound and a fresh audit collector inheriting the process default's
 // enablement, so parallel runs collect violations separately.
 func NewRunExec(jobs int) Exec {
-	return Exec{
-		Jobs:     jobs,
-		Assembly: Assembly{Audit: NewAuditCollector(DefaultAudit().Enabled())},
-	}
+	return Exec{Jobs: jobs, Audit: NewAuditCollector(DefaultAudit().Enabled())}
 }
 
 // calibCache memoizes offline calibration per machine: it is a controlled
@@ -211,20 +201,20 @@ func (m *Machine) FinalizeAudit() error {
 // NewMachine assembles a machine with the given attribution approach
 // against the process-default audit collector.
 func NewMachine(spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
-	return Assembly{}.NewMachine(spec, approach, seed)
+	return Exec{}.NewMachine(spec, approach, seed)
 }
 
 // NewMachine assembles a machine with the given attribution approach.
 // ApproachRecalibrated additionally wires online recalibration against the
 // machine's best meter (the on-chip meter on SandyBridge, the Wattsup
 // elsewhere).
-func (as Assembly) NewMachine(spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
-	return as.NewMachineOnEngine(sim.NewEngine(), spec, approach, seed)
+func (ex Exec) NewMachine(spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
+	return ex.NewMachineOnEngine(sim.NewEngine(), spec, approach, seed)
 }
 
 // NewMachineOnEngine assembles a machine onto a shared engine (cluster
 // experiments put several machines on one timeline).
-func (as Assembly) NewMachineOnEngine(eng *sim.Engine, spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
+func (ex Exec) NewMachineOnEngine(eng *sim.Engine, spec cpu.MachineSpec, approach core.Approach, seed uint64) (*Machine, error) {
 	cal, err := CalibrationFor(spec)
 	if err != nil {
 		return nil, err
@@ -257,12 +247,12 @@ func (as Assembly) NewMachineOnEngine(eng *sim.Engine, spec cpu.MachineSpec, app
 	}
 	if approach == core.ApproachRecalibrated {
 		if calib.HasChipMeter(spec) {
-			fac.EnableRecalibration(m.Chip, model.ScopePackage, cal.Samples, 0)
+			fac.EnableRecalibration(m.Chip, model.ScopePackage, cal.Samples)
 		} else {
-			fac.EnableRecalibration(m.Wattsup, model.ScopeMachine, cal.Samples, 0)
+			fac.EnableRecalibration(m.Wattsup, model.ScopeMachine, cal.Samples)
 		}
 	}
-	if a := as.collector().newAuditor(fmt.Sprintf("%s/%s", spec.Name, approach)); a != nil {
+	if a := ex.collector().newAuditor(fmt.Sprintf("%s/%s", spec.Name, approach)); a != nil {
 		a.AttachMachine(fac)
 		m.Audit = a
 	}
@@ -296,8 +286,7 @@ type RunSpec struct {
 
 // RunResult is one workload run's measurements.
 type RunResult struct {
-	Spec cpu.MachineSpec
-	Gen  *server.LoadGen
+	Gen *server.LoadGen
 	// T0, T1 bound the measurement window.
 	T0, T1 sim.Time
 	// MeasuredActiveW is the Wattsup machine-active power over the
@@ -309,8 +298,6 @@ type RunResult struct {
 	AccountedW float64
 	// BackgroundW is the background container's share of AccountedW.
 	BackgroundW float64
-	// Machine retains the assembled machine for further inspection.
-	Machine *Machine
 }
 
 // ValidationError is the paper's Figure 8 metric:
@@ -340,8 +327,8 @@ func PeakRate(spec cpu.MachineSpec, dep *server.Deployment) float64 {
 }
 
 // Run executes a workload on a fresh machine and measures the window.
-func (as Assembly) Run(spec cpu.MachineSpec, approach core.Approach, rs RunSpec, seed uint64) (*RunResult, error) {
-	m, err := as.NewMachine(spec, approach, seed)
+func (ex Exec) Run(spec cpu.MachineSpec, approach core.Approach, rs RunSpec, seed uint64) (*RunResult, error) {
+	m, err := ex.NewMachine(spec, approach, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -373,14 +360,12 @@ func RunOn(m *Machine, rs RunSpec) (*RunResult, error) {
 		return nil, err
 	}
 	return &RunResult{
-		Spec:            m.K.Spec,
 		Gen:             rig.Gen,
 		T0:              t0,
 		T1:              t1,
 		MeasuredActiveW: measured,
 		AccountedW:      accounted,
 		BackgroundW:     background,
-		Machine:         m,
 	}, nil
 }
 

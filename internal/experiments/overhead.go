@@ -58,7 +58,7 @@ func Overhead() (*OverheadResult, error) {
 	// A running machine with a busy task to sample. It is built without
 	// an auditor: the timing loops below charge synthetic sampling
 	// periods, so its attribution departs from ground truth by design.
-	m, err := Assembly{Audit: NewAuditCollector(false)}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, overheadSeed)
+	m, err := Exec{Audit: NewAuditCollector(false)}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, overheadSeed)
 	if err != nil {
 		return nil, err
 	}

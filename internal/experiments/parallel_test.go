@@ -111,8 +111,8 @@ func TestPerRunAuditIsolation(t *testing.T) {
 	}
 	runOne := func(seed uint64, tamper bool) outcome {
 		c := NewAuditCollector(true)
-		as := Assembly{Audit: c}
-		m, err := as.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
+		ex := Exec{Audit: c}
+		m, err := ex.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
 		if err != nil {
 			return outcome{c, err}
 		}
@@ -183,10 +183,10 @@ func TestPCAuditEnvCompat(t *testing.T) {
 		t.Error("PC_AUDIT=1 machine assembled without an auditor")
 	}
 	ex := NewRunExec(1)
-	if ex.Assembly.Audit == nil || !ex.Assembly.Audit.Enabled() {
+	if ex.Audit == nil || !ex.Audit.Enabled() {
 		t.Error("NewRunExec did not inherit the default collector's enablement")
 	}
-	if ex.Assembly.Audit == DefaultAudit() {
+	if ex.Audit == DefaultAudit() {
 		t.Error("NewRunExec reused the process-default collector instead of a per-run one")
 	}
 
@@ -195,7 +195,7 @@ func TestPCAuditEnvCompat(t *testing.T) {
 	if DefaultAudit().Enabled() {
 		t.Fatal("PC_AUDIT=0 left the default collector enabled")
 	}
-	if ex := NewRunExec(1); ex.Assembly.Audit.Enabled() {
+	if ex := NewRunExec(1); ex.Audit.Enabled() {
 		t.Error("NewRunExec enabled auditing with PC_AUDIT=0")
 	}
 }

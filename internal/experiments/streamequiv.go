@@ -46,11 +46,11 @@ type StreamEquivResult struct {
 
 // streamEquivRun executes one cell's two arms on identically seeded
 // SandyBridge machines.
-func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) (StreamEquivCell, error) {
+func streamEquivRun(ex Exec, ap core.Approach, load LoadLevel, seed uint64) (StreamEquivCell, error) {
 	wl := workload.Stress{}
 
 	// Batch arm: the established harness path.
-	batch, err := as.Run(cpu.SandyBridge, ap, RunSpec{Workload: wl, Load: load}, seed)
+	batch, err := ex.Run(cpu.SandyBridge, ap, RunSpec{Workload: wl, Load: load}, seed)
 	if err != nil {
 		return StreamEquivCell{}, err
 	}
@@ -61,7 +61,7 @@ func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) 
 
 	// Streaming arm: identical machine and load schedule, but the
 	// engine is driven tick-by-tick through the streaming consumer.
-	m, err := as.NewMachine(cpu.SandyBridge, ap, seed)
+	m, err := ex.NewMachine(cpu.SandyBridge, ap, seed)
 	if err != nil {
 		return StreamEquivCell{}, err
 	}
@@ -105,14 +105,14 @@ func streamEquivRun(as Assembly, ap core.Approach, load LoadLevel, seed uint64) 
 
 // streamEquivPlan decomposes the grid into one job per (load, approach)
 // cell.
-func streamEquivPlan(as Assembly, seed uint64) *runner.Plan {
+func streamEquivPlan(ex Exec, seed uint64) *runner.Plan {
 	plan := &runner.Plan{}
 	for _, load := range []LoadLevel{PeakLoad, HalfLoad} {
 		for _, ap := range Approaches() {
 			load, ap := load, ap
 			key := fmt.Sprintf("streamequiv/%s/%s", load, ap)
 			plan.Add(key, func() (any, error) {
-				cell, err := streamEquivRun(as, ap, load, seed)
+				cell, err := streamEquivRun(ex, ap, load, seed)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", key, err)
 				}
@@ -126,7 +126,7 @@ func streamEquivPlan(as Assembly, seed uint64) *runner.Plan {
 // StreamEquiv runs the streaming-vs-batch grid: SandyBridge, the stress
 // workload, both load levels, all three attribution approaches.
 func StreamEquiv(ex Exec, seed uint64) (*StreamEquivResult, error) {
-	cells, err := runner.Collect[StreamEquivCell](streamEquivPlan(ex.Assembly, seed), ex.Jobs)
+	cells, err := runner.Collect[StreamEquivCell](streamEquivPlan(ex, seed), ex.Jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -66,8 +66,8 @@ type TenantMixResult struct {
 // across arms (the virus deployment draws from independent rng forks):
 // comparing the victim's latency and energy across arms isolates the
 // interference the virus tenant actually causes.
-func tenantMixRun(as Assembly, arm string, seed uint64) (TenantMixCell, error) {
-	m, err := as.NewMachine(cpu.Westmere, core.ApproachChipShare, seed)
+func tenantMixRun(ex Exec, arm string, seed uint64) (TenantMixCell, error) {
+	m, err := ex.NewMachine(cpu.Westmere, core.ApproachChipShare, seed)
 	if err != nil {
 		return TenantMixCell{}, err
 	}
@@ -138,13 +138,12 @@ func tenantMixRun(as Assembly, arm string, seed uint64) (TenantMixCell, error) {
 // tenantMixPlan decomposes the experiment into one job per arm. Every arm
 // derives the same per-experiment seed, so the victim trace is common.
 func tenantMixPlan(ex Exec, seed uint64) *runner.Plan {
-	as := ex.Assembly
 	cellSeed := runner.SeedFor(seed, "tenantmix")
 	plan := &runner.Plan{}
 	for _, arm := range []string{"solo", "mix", "budgeted"} {
 		arm := arm
 		plan.Add("tenantmix/"+arm, func() (any, error) {
-			cell, err := tenantMixRun(as, arm, cellSeed)
+			cell, err := tenantMixRun(ex, arm, cellSeed)
 			if err != nil {
 				return nil, fmt.Errorf("tenantmix/%s: %w", arm, err)
 			}

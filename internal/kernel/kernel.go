@@ -198,7 +198,6 @@ func (k *Kernel) Inject(l *Listener, bytes int, ctx Context, payload any) {
 	if len(l.waiting) > 0 {
 		w := l.waiting[0]
 		l.waiting = l.waiting[1:]
-		w.blockedLst = nil
 		w.LastRecv = payload
 		if k.Observer != nil {
 			seg := segment{bytes: bytes, ctx: ctx, seq: k.nextSegSeq()}
@@ -451,7 +450,6 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 			}
 			buf.waiting = append(buf.waiting, t)
 			k.block(c, t)
-			t.blockedRecv = buf
 			return
 
 		case OpRecvListener:
@@ -468,7 +466,6 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 			}
 			l.waiting = append(l.waiting, t)
 			k.block(c, t)
-			t.blockedLst = l
 			return
 
 		case OpFork:
@@ -510,7 +507,6 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 			op.Fn(k, t)
 
 		case OpUserStage:
-			t.UserCtx = op.Ctx
 			if k.TrapUserTransfers {
 				k.applyBinding(t, op.Ctx)
 			}
@@ -554,7 +550,6 @@ func (k *Kernel) send(t *Task, e *Endpoint, bytes int, payload any) {
 	if len(buf.waiting) > 0 {
 		w := buf.waiting[0]
 		buf.waiting = buf.waiting[1:]
-		w.blockedRecv = nil
 		w.LastRecv = payload
 		if k.Observer != nil {
 			seg := segment{bytes: bytes, ctx: ctx, seq: k.nextSegSeq()}
@@ -596,8 +591,6 @@ func (k *Kernel) wake(t *Task) {
 		panic(fmt.Sprintf("kernel: wake on %v", t))
 	}
 	t.state = TaskReady
-	t.blockedRecv = nil
-	t.blockedLst = nil
 	k.makeRunnable(t)
 }
 

@@ -106,26 +106,15 @@ type Task struct {
 	remCycles    float64
 	effAct       cpu.Activity
 	sliceExpiry  sim.Time
-	pendingWake  func() // deferred continuation after a blocking op
 	wakeFn       func() // cached "wake this task" timer callback (OpSleep)
 	parent       *Task
 	liveChildren int
 	zombies      []*Task
 	waitingChild bool
 
-	// blockedRecv marks the endpoint or listener the task is waiting on.
-	blockedRecv *sockBuf
-	blockedLst  *Listener
-
 	// LastRecv is the payload of the most recently received message
 	// (socket or listener); handlers read it after an OpRecv completes.
 	LastRecv any
-
-	// UserCtx is the request the application is *actually* serving after
-	// user-level stage transfers — ground truth the kernel cannot see
-	// unless TrapUserTransfers is on. Experiments compare attribution
-	// against it.
-	UserCtx Context
 
 	// Priority orders run-queue selection: higher runs first (0 is the
 	// default). System daemons (e.g. the GAE background processing) run
@@ -138,9 +127,6 @@ func (t *Task) State() TaskState { return t.state }
 
 // Core returns the core the task currently runs on, or -1.
 func (t *Task) Core() int { return t.core }
-
-// Parent returns the forking parent, or nil.
-func (t *Task) Parent() *Task { return t.parent }
 
 func (t *Task) String() string {
 	return fmt.Sprintf("task %d (%s, %s)", t.PID, t.Name, t.state)

@@ -38,25 +38,33 @@ func testRows(seed uint64, n, k int) (rows [][]float64, y, w []float64) {
 }
 
 // TestGramMatchesLeastSquaresExactly pins the bit-exactness contract: folding
-// rows through Add and solving must reproduce LeastSquares bit-for-bit.
+// rows through Add and solving must reproduce LeastSquares bit-for-bit. The
+// widths cover the loop (1, 3) and both straight-line folds (6, 8). Short
+// designs over several seeds keep every accumulator entry observable: in a
+// long sum, rounding absorbs most one-ulp changes to a single product, so
+// one 40-row design let a reassociated product pass unseen.
 func TestGramMatchesLeastSquaresExactly(t *testing.T) {
-	for _, k := range []int{1, 3, 8} {
-		rows, y, w := testRows(uint64(k)*7+1, 40, k)
-		want, err := LeastSquares(rows, y, w)
-		if err != nil {
-			t.Fatalf("k=%d: LeastSquares: %v", k, err)
-		}
-		g := NewGram(k)
-		for i, row := range rows {
-			g.Add(row, y[i], w[i])
-		}
-		got, err := g.Solve()
-		if err != nil {
-			t.Fatalf("k=%d: Gram.Solve: %v", k, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("k=%d: coefficient %d differs: gram %v vs batch %v", k, i, got[i], want[i])
+	for _, k := range []int{1, 3, 6, 8} {
+		for _, n := range []int{12, 40} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				rows, y, w := testRows(seed, n, k)
+				want, err := LeastSquares(rows, y, w)
+				if err != nil {
+					t.Fatalf("k=%d n=%d seed %d: LeastSquares: %v", k, n, seed, err)
+				}
+				g := NewGram(k)
+				for i, row := range rows {
+					g.Add(row, y[i], w[i])
+				}
+				got, err := g.Solve()
+				if err != nil {
+					t.Fatalf("k=%d n=%d seed %d: Gram.Solve: %v", k, n, seed, err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("k=%d n=%d seed %d: coefficient %d differs: gram %v vs batch %v", k, n, seed, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

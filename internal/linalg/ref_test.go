@@ -13,7 +13,10 @@ import (
 //
 // It is the one-shot batch form of the paper's regression (§3.2, §4.1),
 // kept as the reference that the incremental Gram fold is tested and
-// benchmarked against.
+// benchmarked against. It shares only Solve with the Gram: the normal
+// equations are accumulated here in dense loops of its own, so a Gram fold
+// that drifts from the documented per-entry products fails the bit-for-bit
+// comparisons instead of agreeing with itself.
 func LeastSquares(rows [][]float64, y []float64, weights []float64) ([]float64, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("linalg: no samples")
@@ -31,18 +34,48 @@ func LeastSquares(rows [][]float64, y []float64, weights []float64) ([]float64, 
 		}
 	}
 
-	// Accumulate the normal equations XᵀWX beta = XᵀWy and solve. Gram's
-	// Add/Solve reproduce the historical in-place accumulation and ridge
-	// fallback bit-for-bit (see the Gram bit-exactness contract).
-	g := NewGram(k)
+	// Accumulate the normal equations XᵀWX beta = XᵀWy row by row: for
+	// column i, wi = w·row[i], then xty[i] += wi·y and xtx[i][j] +=
+	// wi·row[j] for j ≥ i. The lower triangle mirrors the upper one.
+	xtx := make([][]float64, k)
+	for i := range xtx {
+		xtx[i] = make([]float64, k)
+	}
+	xty := make([]float64, k)
 	for n, row := range rows {
 		w := 1.0
 		if weights != nil {
 			w = weights[n]
 		}
-		g.Add(row, y[n], w)
+		for i := 0; i < k; i++ {
+			wi := w * row[i]
+			xty[i] += wi * y[n]
+			for j := i; j < k; j++ {
+				xtx[i][j] += wi * row[j]
+			}
+		}
 	}
-	return g.Solve()
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			xtx[j][i] = xtx[i][j]
+		}
+	}
+
+	sol, err := Solve(cloneMatrix(xtx), append([]float64(nil), xty...))
+	if err == nil {
+		return sol, nil
+	}
+	// Ridge fallback for a column that never varies: shrink its
+	// coefficient toward zero instead of failing.
+	const ridge = 1e-6
+	reg := cloneMatrix(xtx)
+	for i := range reg {
+		reg[i][i] += ridge * (1 + xtx[i][i])
+	}
+	if sol, err = Solve(reg, append([]float64(nil), xty...)); err != nil {
+		return nil, ErrSingular
+	}
+	return sol, nil
 }
 
 // cloneMatrix deep-copies a row-major matrix.

@@ -144,9 +144,9 @@ func (c Coefficients) String() string {
 //
 // A long-lived consumer bounds the series' memory with Trim: buckets below
 // the trim frontier can no longer be read or written, and their storage is
-// released in place. Bucket indices stay absolute, so Len, DirtyLow and
-// every bucket at or above the frontier read exactly as they would on the
-// untrimmed series.
+// released in place. Bucket indices stay absolute, so Len and every bucket
+// at or above the frontier read exactly as they would on the untrimmed
+// series.
 type MetricSeries struct {
 	interval sim.Time
 	// rows holds buckets [base, base+len(rows)) in one contiguous slice;
@@ -157,23 +157,14 @@ type MetricSeries struct {
 	// (0 until the first Trim). base ≤ frontier: Trim moves the frontier
 	// at once and releases storage in batches.
 	frontier int
-	// dirtyLo is the lowest bucket written since the last ClearDirty
-	// (clean meaning none). It lets a single derived-series consumer
-	// recompute only the suffix that may have changed: writes are not
-	// append-only (device I/O spreads energy over past buckets), so a
-	// low-water mark is the cheapest sound summary.
-	dirtyLo int
 }
-
-// clean is the dirtyLo sentinel meaning "no writes since ClearDirty".
-const clean = int(^uint(0) >> 1) // max int
 
 // NewMetricSeries returns a metric series on the given bucket grid.
 func NewMetricSeries(interval sim.Time) *MetricSeries {
 	if interval <= 0 {
 		panic("model: non-positive metric series interval")
 	}
-	return &MetricSeries{interval: interval, dirtyLo: clean}
+	return &MetricSeries{interval: interval}
 }
 
 // Interval returns the bucket width.
@@ -206,8 +197,8 @@ func (e frontierError) Error() string {
 // bucket a period overlaps by ov gains (m_k·scale)·ov/total, where total
 // is the period's length and scale its length in buckets; a zero
 // component is left alone, and a period whose metrics are all zero
-// touches nothing, not even the dirty mark. It panics when the period
-// starts below the trim frontier.
+// touches nothing. It panics when the period starts below the trim
+// frontier.
 func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 	if t1 <= t0 {
 		return
@@ -216,7 +207,7 @@ func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 	// period and device-I/O completion, so it must not allocate.
 	v := [8]float64{m.Core, m.Ins, m.Float, m.Cache, m.Mem, m.Chip, m.Disk, m.Net}
 	// Exact zeros, as below: a period that observed no metric writes
-	// nothing, not even the dirty mark.
+	// nothing.
 	if v == [8]float64{} {
 		return
 	}
@@ -225,7 +216,6 @@ func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 		panic(frontierError{"write", first, ms.frontier})
 	}
 	ms.grow(last)
-	ms.dirtyLo = min(ms.dirtyLo, first)
 	total := float64(t1 - t0)
 	//pclint:allow floatsafe series are constructed with a positive bucket interval
 	scale := total / float64(ms.interval)
@@ -289,16 +279,6 @@ func (ms *MetricSeries) At(b int) Metrics {
 	}
 	return ms.rows[b-ms.base]
 }
-
-// DirtyLow returns the lowest bucket index written since the last
-// ClearDirty; any value ≥ Len() means no bucket changed. The dirty mark is
-// a single shared low-water value, so it supports one consumer — in this
-// repo, the recalibrator's incremental modeled-power cache. A fresh series
-// is clean.
-func (ms *MetricSeries) DirtyLow() int { return ms.dirtyLo }
-
-// ClearDirty resets the dirty mark; see DirtyLow.
-func (ms *MetricSeries) ClearDirty() { ms.dirtyLo = clean }
 
 // WindowMean returns the mean metrics over buckets [lo, hi).
 func (ms *MetricSeries) WindowMean(lo, hi int) Metrics {

@@ -12,15 +12,13 @@ import (
 
 // refMetricSeries is the layout MetricSeries replaced, kept as its
 // reference: one stats.Series per component, a component written only when
-// its value is nonzero, Len the longest component, and the dirty mark the
-// lowest bucket any component write started at. It is never trimmed.
+// its value is nonzero, and Len the longest component. It is never trimmed.
 type refMetricSeries struct {
-	series  [8]*stats.Series
-	dirtyLo int
+	series [8]*stats.Series
 }
 
 func newRefMetricSeries(interval sim.Time) *refMetricSeries {
-	r := &refMetricSeries{dirtyLo: clean}
+	r := &refMetricSeries{}
 	for i := range r.series {
 		r.series[i] = stats.NewSeries(interval)
 	}
@@ -38,7 +36,6 @@ func (r *refMetricSeries) addSpread(t0, t1 sim.Time, m Metrics) {
 			continue
 		}
 		r.series[i].AddSpread(t0, t1, v*scale)
-		r.dirtyLo = min(r.dirtyLo, int(t0/interval))
 	}
 }
 
@@ -112,16 +109,17 @@ const deviceOnly = 1<<6 | 1<<7
 //	3  AddSpread of all-zero metrics, starting anywhere, below the frontier
 //	   included: it must touch nothing and not panic
 //	4  Trim, moving the frontier up by 0..31 buckets (past Len at times)
-//	5  ClearDirty on both
+//	5  an empty or reversed period from lo+a, every component nonzero: it
+//	   must touch nothing
 //	6  a read, a WindowMean and a nonzero AddSpread below the frontier,
 //	   each of which must panic
 //	7  a write after a long silence, 64+a buckets past Len or the
 //	   frontier, whichever is higher
 //
-// After every op, Len and DirtyLow must agree, every bucket from the
-// frontier to past Len must be bit-identical, as must WindowMean from the
-// frontier to Len, and the series must hold less than twice its live part
-// (or no released prefix at all), starting no higher than the frontier.
+// After every op, Len must agree, every bucket from the frontier to past
+// Len must be bit-identical, as must WindowMean from the frontier to Len,
+// and the series must hold less than twice its live part (or no released
+// prefix at all), starting no higher than the frontier.
 func checkMetricScript(t *testing.T, ops []byte) {
 	t.Helper()
 	ms, ref := NewMetricSeries(seriesInterval), newRefMetricSeries(seriesInterval)
@@ -145,8 +143,7 @@ func checkMetricScript(t *testing.T, ops []byte) {
 		case 4:
 			ms.Trim(ms.frontier + int(a%32))
 		case 5:
-			ms.ClearDirty()
-			ref.dirtyLo = clean
+			both(lo+sim.Time(a), lo+sim.Time(a)-sim.Time(b%4), scriptMetrics(a, b, 0xff))
 		case 6:
 			if ms.frontier == 0 {
 				continue
@@ -160,8 +157,8 @@ func checkMetricScript(t *testing.T, ops []byte) {
 			t0 := sim.Time(max(ms.Len(), ms.frontier)+64+int(a)) * seriesInterval
 			both(t0, t0+sim.Time(b)+1, scriptMetrics(a, b, b|1))
 		}
-		if ms.Len() != ref.len() || ms.DirtyLow() != ref.dirtyLo {
-			t.Fatalf("op %d: rows Len %d DirtyLow %d, reference %d %d", i/3, ms.Len(), ms.DirtyLow(), ref.len(), ref.dirtyLo)
+		if ms.Len() != ref.len() {
+			t.Fatalf("op %d: rows Len %d, reference %d", i/3, ms.Len(), ref.len())
 		}
 		for k := ms.frontier; k < ms.Len()+2; k++ {
 			if got, want := ms.At(k), ref.at(k); !sameMetrics(got, want) {
@@ -256,38 +253,8 @@ func TestMetricSeriesTrimReusesStorage(t *testing.T) {
 	}
 }
 
-// TestMetricSeriesDirtyMark pins the single-consumer dirty mark the
-// recalibrator's modeled-power cache relies on: a fresh series is clean,
-// every write lowers the mark to the lowest bucket it touched (a spread
-// marks its first bucket), a period with all-zero metrics marks nothing,
-// and ClearDirty resets it.
-func TestMetricSeriesDirtyMark(t *testing.T) {
-	ms := NewMetricSeries(sim.Millisecond)
-	if ms.DirtyLow() < ms.Len() {
-		t.Fatalf("fresh series DirtyLow = %d, want clean", ms.DirtyLow())
-	}
-	for _, b := range []sim.Time{5, 3, 4} {
-		ms.AddSpread(b*sim.Millisecond, b*sim.Millisecond+1, Metrics{Core: 1})
-	}
-	if ms.DirtyLow() != 3 {
-		t.Fatalf("DirtyLow = %d, want 3 (the lowest write)", ms.DirtyLow())
-	}
-	ms.ClearDirty()
-	if ms.DirtyLow() < ms.Len() {
-		t.Fatalf("cleared DirtyLow = %d, want ≥ Len %d", ms.DirtyLow(), ms.Len())
-	}
-	ms.AddSpread(0, sim.Millisecond, Metrics{})
-	if ms.DirtyLow() < ms.Len() {
-		t.Fatalf("an all-zero period marked bucket %d dirty", ms.DirtyLow())
-	}
-	ms.AddSpread(sim.Millisecond, 2*sim.Millisecond+1, Metrics{Net: 4})
-	if ms.DirtyLow() != 1 {
-		t.Fatalf("DirtyLow after a device-only spread over buckets 1-2 = %d, want 1", ms.DirtyLow())
-	}
-}
-
-// FuzzMetricSeries checks arbitrary write, trim, read and dirty-mark
-// scripts against the reference layout (see checkMetricScript).
+// FuzzMetricSeries checks arbitrary write, trim and read scripts against
+// the reference layout (see checkMetricScript).
 func FuzzMetricSeries(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 4, 9, 0, 1, 2, 40, 6, 1, 0, 2, 0, 0, 4, 31, 0, 6, 0, 9})
 	f.Add([]byte{1, 200, 255, 4, 7, 0, 5, 0, 0, 2, 1, 1, 4, 30, 0, 6, 3, 3, 0, 0, 0})

@@ -104,7 +104,7 @@ func TestChipShareEquation(t *testing.T) {
 	}
 	// Three busy siblings at full utilization: share = 1/(1+3).
 	for _, c := range cores[1:] {
-		c.PublishSample(0, 1.0)
+		c.PublishSample(1.0)
 	}
 	busy := fixedIdle{}
 	if got := ChipShare(spec, cores, 0, 1.0, busy); math.Abs(got-0.25) > 1e-12 {
@@ -122,8 +122,8 @@ func TestChipShareEquation(t *testing.T) {
 		t.Fatalf("idle self share = %g", got)
 	}
 	// Out-of-range published samples clamp.
-	cores[1].PublishSample(0, 42)
-	cores[2].PublishSample(0, -3)
+	cores[1].PublishSample(42)
+	cores[2].PublishSample(-3)
 	got := ChipShare(spec, cores, 0, 1.0, fixedIdle{3: true})
 	if got < 0.4 || got > 0.6 { // 1/(1+1+0)
 		t.Fatalf("clamped share = %g, want 0.5", got)
@@ -135,7 +135,7 @@ func TestChipShareOnlySameChip(t *testing.T) {
 	cores := make([]*cpu.Core, 4)
 	for i := range cores {
 		cores[i] = cpu.NewCore(i, spec)
-		cores[i].PublishSample(0, 1.0)
+		cores[i].PublishSample(1.0)
 	}
 	// Core 0's share depends only on core 1, not on chip 1's cores.
 	got := ChipShare(spec, cores, 0, 1.0, fixedIdle{})

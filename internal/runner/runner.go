@@ -42,9 +42,6 @@ func (p *Plan) Add(key string, run func() (any, error)) {
 	p.jobs = append(p.jobs, Job{Key: key, Run: run})
 }
 
-// Len returns the number of planned jobs.
-func (p *Plan) Len() int { return len(p.jobs) }
-
 // defaultJobs overrides the default worker bound when positive
 // (SetDefaultJobs). cmd/pcbench's -jobs flag lands here, so it also bounds
 // plans that run at the default, such as calib.Calibrate's.

@@ -6,7 +6,6 @@ import (
 	"powercontainers/internal/core"
 	"powercontainers/internal/kernel"
 	"powercontainers/internal/sim"
-	"powercontainers/internal/stats"
 )
 
 // requestBytes is the nominal wire size of a request message.
@@ -21,10 +20,6 @@ type LoadGen struct {
 
 	completed []*Request
 	inFlight  int
-
-	// OnComplete, when set, runs for every finished request (cluster
-	// experiments use it to chain dispatch decisions).
-	OnComplete func(*Request)
 
 	// TraceRequests enables request-flow tracing on every container the
 	// generator creates (the Figure 4 capture).
@@ -45,8 +40,6 @@ type LoadGen struct {
 	// names, or an empty tenant for a flat container. Requires the
 	// facility to have a hierarchy attached when a tenant is returned.
 	ServiceFor func(reqType string) (tenant, service string)
-
-	stopped bool
 }
 
 // NewLoadGen returns a generator for the deployment on the facility's
@@ -67,9 +60,6 @@ func (g *LoadGen) InjectedExternally(r *Request) { g.completed = append(g.comple
 
 // InFlight returns the number of injected-but-unfinished requests.
 func (g *LoadGen) InFlight() int { return g.inFlight }
-
-// Stop prevents any further injections from pending arrival events.
-func (g *LoadGen) Stop() { g.stopped = true }
 
 // InjectRequest submits one request now and returns it.
 func (g *LoadGen) InjectRequest() *Request {
@@ -106,16 +96,10 @@ func (g *LoadGen) InjectPrepared(req *Request, extraDone func(*Request)) *Reques
 	env := &Envelope{Req: req}
 	env.Done = func(k *kernel.Kernel, t *kernel.Task) {
 		req.Done = k.Now()
-		if req.Cont != nil {
-			req.Cont.Finish(k.Now())
-		}
 		g.inFlight--
 		g.completed = append(g.completed, req)
 		if extraDone != nil {
 			extraDone(req)
-		}
-		if g.OnComplete != nil {
-			g.OnComplete(req)
 		}
 	}
 	g.K.Inject(g.Dep.Entry, requestBytes, req.Cont, env)
@@ -131,7 +115,7 @@ func (g *LoadGen) RunOpenLoop(ratePerSec float64, until sim.Time, rng *sim.Rand)
 	meanGapNs := float64(sim.Second) / ratePerSec
 	var arrive func()
 	arrive = func() {
-		if g.stopped || g.K.Now() >= until {
+		if g.K.Now() >= until {
 			return
 		}
 		g.InjectRequest()
@@ -153,7 +137,7 @@ func (g *LoadGen) RunClosedLoop(clients int, until sim.Time) {
 	}
 	var next func(*Request)
 	next = func(*Request) {
-		if g.stopped || g.K.Now() >= until {
+		if g.K.Now() >= until {
 			return
 		}
 		req := g.Dep.NewRequest()
@@ -162,26 +146,6 @@ func (g *LoadGen) RunClosedLoop(clients int, until sim.Time) {
 	for i := 0; i < clients; i++ {
 		next(nil)
 	}
-}
-
-// ResponseTimes returns a sample of completed response times in
-// milliseconds, optionally filtered by request type prefix.
-func (g *LoadGen) ResponseTimes(typePrefix string) *stats.Sample {
-	var s stats.Sample
-	for _, r := range g.completed {
-		if !r.Finished() {
-			continue
-		}
-		if typePrefix != "" && !hasPrefix(r.Type, typePrefix) {
-			continue
-		}
-		s.Observe(float64(r.ResponseTime()) / float64(sim.Millisecond))
-	}
-	return &s
-}
-
-func hasPrefix(s, p string) bool {
-	return len(s) >= len(p) && s[:len(p)] == p
 }
 
 // Throughput returns completed requests per second over [t0, t1).

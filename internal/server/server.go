@@ -112,23 +112,14 @@ func (w *auxWorker) Next(k *kernel.Kernel, t *kernel.Task) kernel.Op {
 	}
 }
 
-// Pool is a set of worker tasks serving one stage.
-type Pool struct {
-	Name    string
-	Workers []*kernel.Task
-}
-
 // NewEntryPool spawns n workers serving the listener. The factory builds
 // each worker's handler, letting workers own per-worker state such as a
 // persistent connection to a dedicated database thread. The completion
 // callback carried in each Envelope runs after the handler ops.
-func NewEntryPool(k *kernel.Kernel, name string, n int, l *kernel.Listener, factory func(worker int) Handler) *Pool {
-	p := &Pool{Name: name}
+func NewEntryPool(k *kernel.Kernel, name string, n int, l *kernel.Listener, factory func(worker int) Handler) {
 	for i := 0; i < n; i++ {
-		w := &entryWorker{l: l, handler: factory(i)}
-		p.Workers = append(p.Workers, k.Spawn(name, w, nil))
+		k.Spawn(name, &entryWorker{l: l, handler: factory(i)}, nil)
 	}
-	return p
 }
 
 // NewAuxWorker spawns one worker serving a persistent connection endpoint —
@@ -147,6 +138,4 @@ type Deployment struct {
 	// MeanServiceSec estimates one request's mean busy time on this
 	// machine (all stages), for load planning.
 	MeanServiceSec float64
-	// Pools lists the deployment's worker pools.
-	Pools []*Pool
 }

@@ -1,28 +1,15 @@
 package stats
 
-import "sort"
-
-// Summary accumulates a streaming count, mean, min and max; the mean takes
-// Welford's running update. The zero value is ready to use.
+// Summary accumulates a streaming count and mean; the mean takes Welford's
+// running update. The zero value is ready to use.
 type Summary struct {
-	n        int
-	mean     float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Observe adds a value.
 func (s *Summary) Observe(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	//pclint:allow floatsafe s.n was just incremented, so it is at least 1
 	s.mean += d / float64(s.n)
@@ -34,88 +21,30 @@ func (s *Summary) Count() int { return s.n }
 // Mean returns the sample mean (0 if empty).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Min returns the smallest observation (0 if empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 if empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// Sample retains every observation for percentile queries and histograms.
-// The zero value is ready to use.
+// Sample accumulates a running count and sum, so its mean is the sum of
+// the observations in arrival order over their count. The zero value is
+// ready to use.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	n   int
+	sum float64
 }
 
 // Observe adds a value.
 func (s *Sample) Observe(x float64) {
-	s.xs = append(s.xs, x)
-	s.sorted = false
+	s.n++
+	s.sum += x
 }
 
 // Count returns the number of observations.
-func (s *Sample) Count() int { return len(s.xs) }
+func (s *Sample) Count() int { return s.n }
 
 // Mean returns the sample mean (0 if empty).
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	return s.sum / float64(s.n)
 }
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 {
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum
-}
-
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
-// interpolation, or 0 if the sample is empty.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	if p <= 0 {
-		return s.xs[0]
-	}
-	if p >= 100 {
-		return s.xs[len(s.xs)-1]
-	}
-	pos := p / 100 * float64(len(s.xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s.xs) {
-		return s.xs[lo]
-	}
-	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
-}
-
-// Min returns the smallest observation (0 if empty).
-func (s *Sample) Min() float64 { return s.Percentile(0) }
-
-// Max returns the largest observation (0 if empty).
-func (s *Sample) Max() float64 { return s.Percentile(100) }
-
-// Values returns a copy of the observations in insertion-then-sorted order
-// (sorting state depends on prior percentile queries); callers should not
-// rely on ordering.
-func (s *Sample) Values() []float64 { return append([]float64(nil), s.xs...) }
 
 // Histogram bins observations into fixed-width bins over [lo, hi). Values
 // outside the range clamp into the first/last bin, matching how the paper's

@@ -300,7 +300,7 @@ func TestCheckpointBytesStable(t *testing.T) {
 	const horizon = 13 * sim.Second
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := experiments.Assembly{}.NewMachine(tc.spec, core.ApproachRecalibrated, 41)
+			m, err := experiments.Exec{}.NewMachine(tc.spec, core.ApproachRecalibrated, 41)
 			if err != nil {
 				t.Fatal(err)
 			}

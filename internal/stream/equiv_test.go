@@ -38,7 +38,7 @@ const (
 // executing the run.
 func deployBed(t testing.TB, approach core.Approach, seed uint64, wl workload.Workload, rateFrac float64) testbed {
 	t.Helper()
-	m, err := experiments.Assembly{}.NewMachine(cpu.SandyBridge, approach, seed)
+	m, err := experiments.Exec{}.NewMachine(cpu.SandyBridge, approach, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 func TestTrimFollowsRecalibrator(t *testing.T) {
 	const horizon = 16 * sim.Second
 	run := func(streamed bool) (*experiments.Machine, string) {
-		m, err := experiments.Assembly{}.NewMachine(cpu.Westmere, core.ApproachRecalibrated, 27)
+		m, err := experiments.Exec{}.NewMachine(cpu.Westmere, core.ApproachRecalibrated, 27)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func (c *streamFaultCounter) Observe(e sim.Event) {
 // robust degradation responses armed.
 func faultBed(t *testing.T, seed uint64, mf *faults.MeterFaults, counter *streamFaultCounter) (testbed, *align.Recalibrator, power.Meter) {
 	t.Helper()
-	m, err := experiments.Assembly{}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
+	m, err := experiments.Exec{}.NewMachine(cpu.SandyBridge, core.ApproachChipShare, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func faultBed(t *testing.T, seed uint64, mf *faults.MeterFaults, counter *stream
 		plan := &faults.Plan{Seed: seed + 1000, Meter: mf, Observer: counter}
 		meter = plan.WrapMeter(m.Chip)
 	}
-	r := m.Fac.EnableRecalibration(meter, model.ScopePackage, m.Calib.Samples, 0)
+	r := m.Fac.EnableRecalibration(meter, model.ScopePackage, m.Calib.Samples)
 	// Pin the known chip-meter lag, as the faultmatrix experiment does:
 	// estimating it from a spiked stream would confound the fault axis
 	// with delay-search error.

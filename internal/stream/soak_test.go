@@ -19,7 +19,7 @@ import (
 // checker alongside the flat machinery.
 func longBed(tb testing.TB, seed uint64, until sim.Time) testbed {
 	tb.Helper()
-	m, err := experiments.Assembly{}.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
+	m, err := experiments.Exec{}.NewMachine(cpu.SandyBridge, core.ApproachRecalibrated, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStreamMemoryBounded(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			m, err := experiments.Assembly{}.NewMachine(tc.spec, core.ApproachRecalibrated, 61)
+			m, err := experiments.Exec{}.NewMachine(tc.spec, core.ApproachRecalibrated, 61)
 			if err != nil {
 				t.Fatal(err)
 			}

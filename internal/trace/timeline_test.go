@@ -64,7 +64,7 @@ func TestTimelineRendersAllStages(t *testing.T) {
 
 func TestTimelineEventLogSorted(t *testing.T) {
 	c := capture(t)
-	log := Timeline{Origin: c.Start}.EventLog(c)
+	log := Timeline{}.EventLog(c) // the request arrives at time 0
 	lines := strings.Split(strings.TrimSpace(log), "\n")
 	if len(lines) < 5 {
 		t.Fatalf("event log too short:\n%s", log)

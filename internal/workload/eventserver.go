@@ -110,9 +110,8 @@ func (w EventServer) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment 
 		phases = evDefaultPhases
 	}
 	entry := kernel.NewListener("events")
-	pool := &server.Pool{Name: "eventloop"}
 	for i := 0; i < k.Spec.Cores(); i++ {
-		pool.Workers = append(pool.Workers, k.Spawn("eventloop", &eventLoop{l: entry}, nil))
+		k.Spawn("eventloop", &eventLoop{l: entry}, nil)
 	}
 	newRequest := func() *server.Request {
 		return &server.Request{
@@ -127,6 +126,5 @@ func (w EventServer) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment 
 		Entry:          entry,
 		NewRequest:     newRequest,
 		MeanServiceSec: meanServiceSec(k.Spec, float64(phases)*evPhaseCycles, ActSolrSearch),
-		Pools:          []*server.Pool{pool},
 	}
 }

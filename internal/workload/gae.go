@@ -73,7 +73,7 @@ func (w GAE) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 			return ops
 		}
 	}
-	pool := server.NewEntryPool(k, "gae-java", 2*k.Spec.Cores(), entry, handler)
+	server.NewEntryPool(k, "gae-java", 2*k.Spec.Cores(), entry, handler)
 
 	if !w.DisableBackground {
 		SpawnGAEBackground(k)
@@ -111,7 +111,6 @@ func (w GAE) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		Entry:          entry,
 		NewRequest:     newRequest,
 		MeanServiceSec: mean,
-		Pools:          []*server.Pool{pool},
 	}
 }
 

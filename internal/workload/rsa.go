@@ -34,7 +34,6 @@ type RSA struct {
 func (w RSA) Name() string { return "RSA-crypto" }
 
 type rsaParams struct {
-	key    int
 	cycles float64
 	act    cpu.Activity
 }
@@ -52,7 +51,7 @@ func (w RSA) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 			}
 		}
 	}
-	pool := server.NewEntryPool(k, "openssl", 2*k.Spec.Cores(), entry, handler)
+	server.NewEntryPool(k, "openssl", 2*k.Spec.Cores(), entry, handler)
 
 	var meanCycles float64
 	if w.OnlyLargestKey {
@@ -70,13 +69,12 @@ func (w RSA) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		cycles := rsaKeys[i].Cycles * jitter(rng, 0.08)
 		return &server.Request{
 			Type:    rsaKeys[i].Name,
-			Payload: rsaParams{key: i, cycles: cycles, act: rsaKeys[i].Act},
+			Payload: rsaParams{cycles: cycles, act: rsaKeys[i].Act},
 		}
 	}
 	return &server.Deployment{
 		Entry:          entry,
 		NewRequest:     newRequest,
 		MeanServiceSec: meanServiceSec(k.Spec, meanCycles, ActRSA),
-		Pools:          []*server.Pool{pool},
 	}
 }

@@ -42,7 +42,7 @@ func (Solr) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 			}
 		}
 	}
-	pool := server.NewEntryPool(k, "tomcat", 2*k.Spec.Cores(), entry, handler)
+	server.NewEntryPool(k, "tomcat", 2*k.Spec.Cores(), entry, handler)
 
 	newRequest := func() *server.Request {
 		// Query cost: exponential tail over a base, like the skewed
@@ -66,6 +66,5 @@ func (Solr) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		Entry:          entry,
 		NewRequest:     newRequest,
 		MeanServiceSec: mean,
-		Pools:          []*server.Pool{pool},
 	}
 }

@@ -38,7 +38,7 @@ func (Stress) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 			}
 		}
 	}
-	pool := server.NewEntryPool(k, "stressapp", 2*k.Spec.Cores(), entry, handler)
+	server.NewEntryPool(k, "stressapp", 2*k.Spec.Cores(), entry, handler)
 	newRequest := func() *server.Request {
 		return &server.Request{
 			Type:    "stress/checksum",
@@ -49,6 +49,5 @@ func (Stress) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		Entry:          entry,
 		NewRequest:     newRequest,
 		MeanServiceSec: meanServiceSec(k.Spec, stressCycles, ActStress),
-		Pools:          []*server.Pool{pool},
 	}
 }

@@ -69,8 +69,7 @@ func ProblemWeights() []float64 {
 }
 
 type wwParams struct {
-	problem int
-	d       float64 // difficulty scale
+	d float64 // difficulty scale
 }
 
 type wwQuery struct {
@@ -143,7 +142,7 @@ func (w WeBWorK) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 			}
 		}
 	}
-	pool := server.NewEntryPool(k, "apache", nWorkers, entry, factory)
+	server.NewEntryPool(k, "apache", nWorkers, entry, factory)
 
 	weights := ProblemWeights()
 	if w.TopProblems > 0 && w.TopProblems < len(weights) {
@@ -153,7 +152,7 @@ func (w WeBWorK) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		i := rng.Pick(weights)
 		return &server.Request{
 			Type:    ProblemLabel(i),
-			Payload: wwParams{problem: i, d: ProblemDifficulty(i) * jitter(rng, 0.05)},
+			Payload: wwParams{d: ProblemDifficulty(i) * jitter(rng, 0.05)},
 		}
 	}
 
@@ -174,6 +173,5 @@ func (w WeBWorK) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		Entry:          entry,
 		NewRequest:     newRequest,
 		MeanServiceSec: meanServiceSec(k.Spec, perReq, ActPerl),
-		Pools:          []*server.Pool{pool},
 	}
 }

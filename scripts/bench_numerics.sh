@@ -2,15 +2,16 @@
 # Refreshes BENCH_numerics.json: the fast-path numerics micro-benchmarks
 # (prefix-sum cross-correlation vs the reference bucket loop, incremental
 # Gram refit vs the batch reference, raw Gram accumulator ops), the
-# end-to-end Figure 2 alignment run, and the §3.5 per-operation overheads
-# of a counter-sampling maintenance op and of one Eq. 3 chip-share
-# estimate, with ns/op and allocation counts and the derived ref-vs-fast
+# end-to-end Figure 2 alignment run, and the four §3.5 per-operation
+# overheads (a counter-sampling maintenance op, one online recalibration
+# refit, one duty-cycle register read plus write, and one Eq. 3 chip-share
+# estimate), with ns/op and allocation counts and the derived ref-vs-fast
 # speedups. Extra args go to `go test` (e.g. -benchtime=1x for a smoke
 # run, -benchtime=5s for stable numbers).
 #
 # The script FAILS (exit 1) and leaves BENCH_numerics.json untouched when
-# any benchmark fails to run, no benchmark row is reported, or either
-# §3.5 overhead row is missing.
+# any benchmark fails to run, no benchmark row is reported, or any of the
+# four §3.5 overhead rows is missing.
 set -e
 cd "$(dirname "$0")/.."
 out="$PWD/BENCH_numerics.json"
@@ -25,7 +26,7 @@ go test -run='^$' -bench='^(BenchmarkCorrelationCurve|BenchmarkRefit)$' \
 go test -run='^$' -bench='^(BenchmarkLeastSquares|BenchmarkGramSolve|BenchmarkGramFold)$' \
 	-benchmem "$@" ./internal/linalg/ >> "$tmp" || { cat "$tmp"; exit 1; }
 go test -run='^$' \
-	-bench='^(BenchmarkFig2AlignmentCrossCorrelation|BenchmarkOverheadMaintenanceOp|BenchmarkOverheadChipShareEstimate)$' \
+	-bench='^(BenchmarkFig2AlignmentCrossCorrelation|BenchmarkOverhead(MaintenanceOp|Recalibration|DutyCycleRegister|ChipShareEstimate))$' \
 	-benchmem "$@" . >> "$tmp" || { cat "$tmp"; exit 1; }
 cat "$tmp"
 
@@ -62,7 +63,8 @@ END {
 		print "FAIL: no benchmark rows parsed" > "/dev/stderr"
 		exit 1
 	}
-	split("BenchmarkOverheadMaintenanceOp BenchmarkOverheadChipShareEstimate", required, " ")
+	split("BenchmarkOverheadMaintenanceOp BenchmarkOverheadRecalibration " \
+		"BenchmarkOverheadDutyCycleRegister BenchmarkOverheadChipShareEstimate", required, " ")
 	for (i in required) {
 		if (!(required[i] in ns)) {
 			printf "FAIL: %s reported no row\n", required[i] > "/dev/stderr"

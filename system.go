@@ -134,13 +134,13 @@ func NewSystem(machine string, opts ...Option) (*System, error) {
 	default:
 		return nil, fmt.Errorf("powercontainers: unknown attribution %d", cfg.approach)
 	}
-	var as experiments.Assembly
+	var ex experiments.Exec
 	var auditC *experiments.AuditCollector
 	if cfg.audit {
 		auditC = experiments.NewAuditCollector(true)
-		as.Audit = auditC
+		ex.Audit = auditC
 	}
-	m, err := as.NewMachine(spec, approach, cfg.baseSeed)
+	m, err := ex.NewMachine(spec, approach, cfg.baseSeed)
 	if err != nil {
 		return nil, err
 	}
