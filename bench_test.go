@@ -21,6 +21,7 @@ import (
 	"powercontainers/internal/kernel"
 	"powercontainers/internal/model"
 	"powercontainers/internal/runner"
+	"powercontainers/internal/server"
 	"powercontainers/internal/sim"
 	"powercontainers/internal/workload"
 )
@@ -377,9 +378,7 @@ func benchRig(b *testing.B) *experiments.Machine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.K.Spawn("spin", kernel.Script(kernel.OpCompute{
-		BaseCycles: 1e12, Act: workload.ActStress,
-	}), nil)
+	m.K.Spawn("spin", kernel.Script(kernel.Compute(1e12, workload.ActStress)), nil)
 	m.Eng.RunUntil(10 * sim.Millisecond)
 	return m
 }
@@ -426,8 +425,62 @@ func BenchmarkOverheadChipShareEstimate(b *testing.B) {
 	spec := m.K.Spec
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = model.ChipShare(spec, m.K.Cores, 0, 1.0, m.K)
+		_ = model.ChipShare(m.K.Cores, spec.CoresPerChip, 0, 1.0)
 	}
+}
+
+// ---- the simulated machine's per-event path ----
+
+// machineTick is BenchmarkMachineTick's tick, the stream engine's default.
+const machineTick = 100 * sim.Millisecond
+
+// tickRig builds stream-dense's machine: a 12-core Westmere serving
+// GAE-Vosao requests at 0.9 of peak under the recalibrated approach, seed
+// 1, run past the 2 s recalibration warm-up.
+func tickRig(b *testing.B) *experiments.Machine {
+	b.Helper()
+	m, err := experiments.NewMachine(cpu.Westmere, core.ApproachRecalibrated, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dep := workload.GAE{}.Deploy(m.K, m.Rng.Fork(11))
+	gen := server.NewLoadGen(m.K, m.Fac, dep)
+	gen.RunOpenLoop(0.9*experiments.PeakRate(m.K.Spec, dep), math.MaxInt64, m.Rng.Fork(13))
+	m.Eng.RunUntil(2 * sim.Second)
+	return m
+}
+
+// stepCounter counts the engine's dispatched events.
+type stepCounter struct{ n int64 }
+
+func (c *stepCounter) Observe(ev sim.Event) {
+	if ev.Kind == sim.KindStep {
+		c.n++
+	}
+}
+
+// BenchmarkMachineTick times the simulated machine's per-event path: each
+// op advances tickRig's machine by one 100 ms tick, the engine events,
+// kernel steps and facility hooks of stream-dense's ticks without the
+// stream engine around them. The ticks an op runs depend on b.N, so
+// compare runs at one fixed count (scripts/bench_engine.sh passes
+// -benchtime=50x). events/op is counted in an untimed pass over the same
+// ticks on an identical machine, so the timed pass carries no observer.
+func BenchmarkMachineTick(b *testing.B) {
+	counted := tickRig(b)
+	var steps stepCounter
+	counted.Eng.SetObserver(&steps)
+	for i := 1; i <= b.N; i++ {
+		counted.Eng.RunUntil(2*sim.Second + sim.Time(i)*machineTick)
+	}
+	m := tickRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		m.Eng.RunUntil(2*sim.Second + sim.Time(i)*machineTick)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(steps.n)/float64(b.N), "events/op")
 }
 
 // ---- ablation benches for DESIGN.md's called-out design choices ----

@@ -77,7 +77,7 @@ func TestEstimateDelayErrors(t *testing.T) {
 }
 
 func TestAlignSamplesReconstructsWindows(t *testing.T) {
-	ms := model.NewMetricSeries(sim.Millisecond)
+	ms := model.NewMetricSeries()
 	for b := sim.Time(0); b < 100; b++ {
 		ms.AddSpread(b*sim.Millisecond, (b+1)*sim.Millisecond, model.Metrics{Core: float64(b)})
 	}
@@ -128,7 +128,7 @@ func TestRecalibratorLearnsShiftedModel(t *testing.T) {
 	offline := model.Coefficients{Core: 8, Ins: 1, IncludesChipShare: true}
 	truthMem := 500.0
 
-	ms := model.NewMetricSeries(sim.Millisecond)
+	ms := model.NewMetricSeries()
 	rng := sim.NewRand(5)
 	var samples []power.Sample
 	const delay = 10 * sim.Millisecond
@@ -198,7 +198,7 @@ func TestRecalibratorRefusesWithoutSamples(t *testing.T) {
 }
 
 func TestRecalibratorSetDelaySkipsEstimation(t *testing.T) {
-	ms := model.NewMetricSeries(sim.Millisecond)
+	ms := model.NewMetricSeries()
 	for b := sim.Time(0); b < 100; b++ {
 		ms.AddSpread(b*sim.Millisecond, (b+1)*sim.Millisecond, model.Metrics{Core: 1})
 	}

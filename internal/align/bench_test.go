@@ -54,7 +54,7 @@ func BenchmarkCorrelationCurve(b *testing.B) {
 // offline block.
 func benchRecalibrator(b *testing.B) (*Recalibrator, []model.CalSample, model.Coefficients) {
 	b.Helper()
-	ms := model.NewMetricSeries(sim.Millisecond)
+	ms := model.NewMetricSeries()
 	rng := sim.NewRand(5)
 	const nBuckets = 50000
 	for bkt := sim.Time(0); bkt < nBuckets; bkt++ {

@@ -112,7 +112,7 @@ func (m *incrementalMeter) Read(now sim.Time) []power.Sample {
 // small offline block.
 func buildRecalibScenario(t *testing.T) (*model.MetricSeries, []power.Sample, []model.CalSample) {
 	t.Helper()
-	ms := model.NewMetricSeries(sim.Millisecond)
+	ms := model.NewMetricSeries()
 	rng := sim.NewRand(5)
 	const delay = 10 * sim.Millisecond
 	for b := sim.Time(0); b < 4000; b++ {

@@ -35,7 +35,7 @@ func spikedWorld(spikeEvery int) (*model.MetricSeries, *fakeMeter, []model.CalSa
 	const truthMem = 500.0
 	const delay = 10 * sim.Millisecond
 
-	ms := model.NewMetricSeries(sim.Millisecond)
+	ms := model.NewMetricSeries()
 	rng := sim.NewRand(5)
 	for b := sim.Time(0); b < 4000; b++ {
 		m := model.Metrics{Core: 2 + rng.Float64(), Ins: rng.Float64() * 3, Mem: rng.Float64() * 0.02}

@@ -135,7 +135,7 @@ type Auditor struct {
 func New(label string) *Auditor {
 	return &Auditor{
 		Label:      label,
-		attributed: stats.NewSeries(power.RecorderInterval),
+		attributed: stats.NewSeries(),
 		life:       map[*core.Container]*lifeState{},
 		fifos:      map[any]*fifoState{},
 		reqs:       map[uint64]*reqState{},

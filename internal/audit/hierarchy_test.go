@@ -58,10 +58,10 @@ func TestHierarchyConservationCleanRun(t *testing.T) {
 
 	hot := cpu.Activity{IPC: 1.5, LLCPC: 0.02, MemPC: 0.03}
 	cool := cpu.Activity{IPC: 1}
-	k.Spawn("v", kernel.Script(kernel.OpCompute{BaseCycles: 300e6, Act: hot}), virus)
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 100e6, Act: cool}, kernel.OpDisk{Bytes: 2e6}), web)
-	k.Spawn("d", kernel.Script(kernel.OpCompute{BaseCycles: 50e6, Act: cool}), db)
-	k.Spawn("f", kernel.Script(kernel.OpCompute{BaseCycles: 50e6, Act: cool}), flat)
+	k.Spawn("v", kernel.Script(kernel.Compute(300e6, hot)), virus)
+	k.Spawn("w", kernel.Script(kernel.Compute(100e6, cool), kernel.Disk(2e6)), web)
+	k.Spawn("d", kernel.Script(kernel.Compute(50e6, cool)), db)
+	k.Spawn("f", kernel.Script(kernel.Compute(50e6, cool)), flat)
 	f.EnableConditioning(1000)
 	k.Eng.Run()
 
@@ -82,7 +82,7 @@ func TestHierarchyConservationCleanRun(t *testing.T) {
 func TestHierarchyConservationDetectsDrift(t *testing.T) {
 	k, f, _, a := hierMachine(t)
 	c := f.NewContainerIn("acme", "web", "w")
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 50e6, Act: cpu.Activity{IPC: 1}}), c)
+	k.Spawn("w", kernel.Script(kernel.Compute(50e6, cpu.Activity{IPC: 1})), c)
 	k.Eng.Run()
 
 	c.CPUEnergyJ += 0.5 // bypasses Service.charge: Σ requests ≠ service
@@ -154,7 +154,7 @@ func TestFlatMachineSkipsHierarchyChecks(t *testing.T) {
 	a := New("flat")
 	a.AttachMachine(f)
 	c := f.NewContainer("r")
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 50e6, Act: cpu.Activity{IPC: 1}}), c)
+	k.Spawn("w", kernel.Script(kernel.Compute(50e6, cpu.Activity{IPC: 1})), c)
 	eng.Run()
 	if err := a.FinalizeMachine(); err != nil {
 		t.Fatalf("flat machine flagged: %v", err)

@@ -62,8 +62,8 @@ func shardNodes(t *testing.T) []*ShardNode {
 			name := name
 			entry := kernel.NewListener(name)
 			server.NewEntryPool(k, name, 8, entry, func(int) server.Handler {
-				return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-					return []kernel.Op{kernel.OpCompute{BaseCycles: 4e6, Act: cpu.Activity{IPC: 1}}}
+				return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+					return append(ops, kernel.Compute(4e6, cpu.Activity{IPC: 1}))
 				}
 			})
 			dep := &server.Deployment{

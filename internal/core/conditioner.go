@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/sim"
@@ -160,15 +161,7 @@ func (c *Conditioner) tenantEnforce(cont *Container) (enforceAction, int) {
 	if sum <= b.PowerW {
 		return enforceNone, 0
 	}
-	sort.Slice(running, func(i, j int) bool {
-		if running[i].LastPowerW > running[j].LastPowerW {
-			return true
-		}
-		if running[i].LastPowerW < running[j].LastPowerW {
-			return false
-		}
-		return running[i].ID < running[j].ID
-	})
+	slices.SortFunc(running, worstFirst)
 	excess := sum - b.PowerW
 	var covered float64
 	for _, r := range running {
@@ -181,6 +174,18 @@ func (c *Conditioner) tenantEnforce(cont *Container) (enforceAction, int) {
 		covered += r.LastPowerW
 	}
 	return enforceHold, 0
+}
+
+// worstFirst orders request containers by modeled power, highest first,
+// with ascending ID as the deterministic tie-break.
+func worstFirst(a, b *Container) int {
+	switch {
+	case a.LastPowerW > b.LastPowerW:
+		return -1
+	case a.LastPowerW < b.LastPowerW:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // runningOf collects the tenant's currently running request containers in
@@ -199,7 +204,7 @@ func (c *Conditioner) runningOf(t *Tenant) ([]*Container, float64) {
 		if cont.svc == nil || cont.svc.Tenant != t {
 			continue
 		}
-		c.scratch = append(c.scratch, cont)
+		c.scratch = append(c.scratch, cont) //pclint:allow hotalloc first-use growth: the reused scratch buffer grows only until it holds one entry per core
 		sum += cont.LastPowerW
 	}
 	return c.scratch, sum

@@ -30,10 +30,10 @@ func TestTenantPowerBudgetThrottlesWorstFirst(t *testing.T) {
 	victim := f.NewContainerIn("acme", "web", "victim")
 	flat := f.NewContainer("flat")
 
-	k.Spawn("v", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: hotAct}), virus)
-	k.Spawn("m", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: coolAct}), worker)
-	k.Spawn("a", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: coolAct}), victim)
-	k.Spawn("f", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: coolAct}), flat)
+	k.Spawn("v", kernel.Script(kernel.Compute(400e6, hotAct)), virus)
+	k.Spawn("m", kernel.Script(kernel.Compute(400e6, coolAct)), worker)
+	k.Spawn("a", kernel.Script(kernel.Compute(400e6, coolAct)), victim)
+	k.Spawn("f", kernel.Script(kernel.Compute(400e6, coolAct)), flat)
 	f.EnableConditioning(1000) // fair conditioning never binds
 	k.Eng.Run()
 
@@ -64,7 +64,7 @@ func TestTenantEnergyBudgetFloorsTenant(t *testing.T) {
 	h.Tenant("mallory").Budget = Budget{EnergyJ: 0.05}
 
 	hog := f.NewContainerIn("mallory", "burn", "hog")
-	k.Spawn("h", kernel.Script(kernel.OpCompute{BaseCycles: 400e6, Act: hotAct}), hog)
+	k.Spawn("h", kernel.Script(kernel.Compute(400e6, hotAct)), hog)
 	f.EnableConditioning(1000)
 	k.Eng.Run()
 
@@ -87,7 +87,7 @@ func TestBudgetEnforcementInactiveInFlatMode(t *testing.T) {
 	f.Observer = kinds
 	f.EnableConditioning(10)
 	hot := f.NewContainer("hot")
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 200e6, Act: hotAct}), hot)
+	k.Spawn("w", kernel.Script(kernel.Compute(200e6, hotAct)), hot)
 	k.Eng.Run()
 	if hot.MeanDutyFraction() > 0.85 {
 		t.Fatal("fair conditioning stopped working")

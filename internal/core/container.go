@@ -202,8 +202,8 @@ func (c *Container) Stages() []StageStat {
 func (c *Container) EnableTrace() { c.traceEnabled = true }
 
 // addPeriod folds one attribution period into the container.
-func (c *Container) addPeriod(task string, end, wall sim.Time, ev cpu.Counters, energyJ, chipEnergyJ, powerW, dutyFrac float64) {
-	c.Counters = c.Counters.Add(ev)
+func (c *Container) addPeriod(task string, end, wall sim.Time, ev *cpu.Counters, energyJ, chipEnergyJ, powerW, dutyFrac float64) {
+	c.Counters.Add(ev)
 	c.CPUTime += wall
 	c.CPUEnergyJ += energyJ
 	c.ChipEnergyJ += chipEnergyJ
@@ -254,7 +254,7 @@ func (c *Container) release() {
 	}
 	c.refs--
 	if c.refs < 0 {
-		panic(fmt.Sprintf("core: container %d refcount below zero", c.ID))
+		panic(fmt.Sprintf("core: container %d refcount below zero", c.ID)) //pclint:allow hotalloc panic-path formatting on an invariant violation
 	}
 	if c.refs == 0 {
 		c.Released = true

@@ -81,7 +81,7 @@ func TestSingleTaskAttribution(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{Approach: ApproachChipShare})
 	cont := f.NewContainer("req")
 	act := cpu.Activity{IPC: 1.5, LLCPC: 0.01, MemPC: 0.001}
-	k.Spawn("worker", kernel.Script(kernel.OpCompute{BaseCycles: 50e6, Act: act}), cont)
+	k.Spawn("worker", kernel.Script(kernel.Compute(50e6, act)), cont)
 	k.Eng.Run()
 
 	// 50e6 cycles at 1 GHz = 50 ms busy. Expected power: linear terms +
@@ -111,7 +111,7 @@ func TestChipShareSplitsAcrossConcurrentTasks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c := f.NewContainer("req")
 		conts = append(conts, c)
-		k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 50e6, Act: cpu.Activity{IPC: 1}}), c)
+		k.Spawn("w", kernel.Script(kernel.Compute(50e6, cpu.Activity{IPC: 1})), c)
 	}
 	k.Eng.Run()
 	var chipTotal float64
@@ -133,7 +133,7 @@ func TestChipShareSplitsAcrossConcurrentTasks(t *testing.T) {
 func TestCoreOnlyApproachSkipsChipShare(t *testing.T) {
 	k, f := newRig(t, quadSpec, Config{Approach: ApproachCoreOnly})
 	cont := f.NewContainer("req")
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 20e6, Act: cpu.Activity{IPC: 1}}), cont)
+	k.Spawn("w", kernel.Script(kernel.Compute(20e6, cpu.Activity{IPC: 1})), cont)
 	k.Eng.Run()
 	if cont.ChipEnergyJ != 0 {
 		t.Fatalf("core-only attribution recorded chip energy %.4f J", cont.ChipEnergyJ)
@@ -142,7 +142,7 @@ func TestCoreOnlyApproachSkipsChipShare(t *testing.T) {
 
 func TestBackgroundAbsorbsUnboundTasks(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
-	k.Spawn("daemon", kernel.Script(kernel.OpCompute{BaseCycles: 10e6, Act: cpu.Activity{IPC: 1}}), nil)
+	k.Spawn("daemon", kernel.Script(kernel.Compute(10e6, cpu.Activity{IPC: 1})), nil)
 	k.Eng.Run()
 	if f.Background.CPUEnergyJ <= 0 {
 		t.Fatal("background container got no energy")
@@ -161,11 +161,11 @@ func TestRefcountLifecycle(t *testing.T) {
 	done := make(chan struct{})
 	_ = done
 	task := k.Spawn("w", kernel.Script(
-		kernel.OpCompute{BaseCycles: 1e6, Act: cpu.Activity{IPC: 1}},
-		kernel.OpFork{Name: "child", Prog: kernel.Script(
-			kernel.OpCompute{BaseCycles: 1e6, Act: cpu.Activity{IPC: 1}},
-		)},
-		kernel.OpWaitChild{},
+		kernel.Compute(1e6, cpu.Activity{IPC: 1}),
+		kernel.Fork("child", kernel.Script(
+			kernel.Compute(1e6, cpu.Activity{IPC: 1}),
+		)),
+		kernel.WaitChild(),
 	), cont)
 	_ = task
 	k.Eng.RunUntil(100 * sim.Microsecond)
@@ -189,11 +189,11 @@ func TestBindTransfersAttribution(t *testing.T) {
 		step++
 		switch step {
 		case 1, 3:
-			return kernel.OpRecvListener{L: l}
+			return kernel.RecvListener(l)
 		case 2, 4:
-			return kernel.OpCompute{BaseCycles: 10e6, Act: cpu.Activity{IPC: 1}}
+			return kernel.Compute(10e6, cpu.Activity{IPC: 1})
 		}
-		return nil
+		return kernel.Exit()
 	}), nil)
 	k.Inject(l, 100, a, nil)
 	k.Eng.After(30*sim.Millisecond, func() { k.Inject(l, 100, b, nil) })
@@ -212,7 +212,7 @@ func TestObserverCompensation(t *testing.T) {
 	run := func(disable bool) float64 {
 		kk, f := newRig(t, uniSpec, Config{DisableObserverComp: disable})
 		cont := f.NewContainer("req")
-		kk.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 100e6, Act: cpu.Activity{IPC: 1}}), cont)
+		kk.Spawn("w", kernel.Script(kernel.Compute(100e6, cpu.Activity{IPC: 1})), cont)
 		kk.Eng.Run()
 		return cont.Counters.Instructions
 	}
@@ -239,7 +239,7 @@ func TestConditionerThrottlesHighPowerRequest(t *testing.T) {
 	hot := f.NewContainer("hot")
 	// ~19 W unthrottled: must be throttled toward the 10 W budget.
 	act := cpu.Activity{IPC: 1.5, LLCPC: 0.02, MemPC: 0.03}
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 200e6, Act: act}), hot)
+	k.Spawn("w", kernel.Script(kernel.Compute(200e6, act)), hot)
 	k.Eng.Run()
 
 	if duty := hot.MeanDutyFraction(); duty > 0.85 {
@@ -254,7 +254,7 @@ func TestConditionerLeavesNormalRequestsAlone(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	f.EnableConditioning(20)
 	cool := f.NewContainer("cool")
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 100e6, Act: cpu.Activity{IPC: 1}}), cool)
+	k.Spawn("w", kernel.Script(kernel.Compute(100e6, cpu.Activity{IPC: 1})), cool)
 	k.Eng.Run()
 	if duty := cool.MeanDutyFraction(); duty < 0.99 {
 		t.Fatalf("normal request throttled to duty %.2f", duty)
@@ -264,7 +264,7 @@ func TestConditionerLeavesNormalRequestsAlone(t *testing.T) {
 func TestDeviceEnergyAttribution(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	cont := f.NewContainer("req")
-	k.Spawn("w", kernel.Script(kernel.OpDisk{Bytes: 12e6}), cont) // ~0.104 s
+	k.Spawn("w", kernel.Script(kernel.Disk(12e6)), cont) // ~0.104 s
 	k.Eng.Run()
 	wantJ := 1.7 * (0.004 + 12e6/120e6)
 	if math.Abs(cont.DeviceEnergyJ-wantJ)/wantJ > 0.02 {
@@ -276,11 +276,11 @@ func TestStageStatsPerTaskName(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	cont := f.NewContainer("req")
 	k.Spawn("httpd", kernel.Script(
-		kernel.OpCompute{BaseCycles: 10e6, Act: cpu.Activity{IPC: 1}},
-		kernel.OpFork{Name: "latex", Prog: kernel.Script(
-			kernel.OpCompute{BaseCycles: 5e6, Act: cpu.Activity{IPC: 1}},
-		)},
-		kernel.OpWaitChild{},
+		kernel.Compute(10e6, cpu.Activity{IPC: 1}),
+		kernel.Fork("latex", kernel.Script(
+			kernel.Compute(5e6, cpu.Activity{IPC: 1}),
+		)),
+		kernel.WaitChild(),
 	), cont)
 	k.Eng.Run()
 	stages := cont.Stages()
@@ -306,11 +306,11 @@ func TestTraceOnlyWhenEnabled(t *testing.T) {
 	silent := f.NewContainer("silent")
 	prog := func(c *Container) kernel.Program {
 		return kernel.Script(
-			kernel.OpCompute{BaseCycles: 1e6, Act: cpu.Activity{IPC: 1}},
-			kernel.OpFork{Name: "child", Prog: kernel.Script(
-				kernel.OpCompute{BaseCycles: 1e6, Act: cpu.Activity{IPC: 1}},
-			)},
-			kernel.OpWaitChild{},
+			kernel.Compute(1e6, cpu.Activity{IPC: 1}),
+			kernel.Fork("child", kernel.Script(
+				kernel.Compute(1e6, cpu.Activity{IPC: 1}),
+			)),
+			kernel.WaitChild(),
 		)
 	}
 	k.Spawn("a", prog(traced), traced)
@@ -331,7 +331,7 @@ func TestTraceOnlyWhenEnabled(t *testing.T) {
 func TestUntracedHooksDoNotAllocate(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	req := f.NewContainer("req")
-	task := k.Spawn("server", kernel.Script(kernel.OpCompute{BaseCycles: 1e12, Act: cpu.Activity{IPC: 1}}), nil)
+	task := k.Spawn("server", kernel.Script(kernel.Compute(1e12, cpu.Activity{IPC: 1})), nil)
 	k.Eng.RunUntil(10 * sim.Millisecond)
 	if task.Core() < 0 {
 		t.Fatal("task is not running")
@@ -348,7 +348,7 @@ func TestUntracedHooksDoNotAllocate(t *testing.T) {
 func TestSampleNowAndRewind(t *testing.T) {
 	k, f := newRig(t, uniSpec, Config{})
 	cont := f.NewContainer("req")
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 1e9, Act: cpu.Activity{IPC: 1}}), cont)
+	k.Spawn("w", kernel.Script(kernel.Compute(1e9, cpu.Activity{IPC: 1})), cont)
 	k.Eng.RunUntil(5 * sim.Millisecond)
 	before := cont.CPUEnergyJ
 	k.Cores[0].AdvanceBusy(sim.Millisecond, cpu.Activity{IPC: 1})
@@ -408,9 +408,7 @@ func TestAttributionConservation(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				ctx = f.NewContainer("req")
 			}
-			k.Spawn("t", kernel.Script(kernel.OpCompute{
-				BaseCycles: cycles, Act: cpu.Activity{IPC: 1 + rng.Float64()},
-			}), ctx)
+			k.Spawn("t", kernel.Script(kernel.Compute(cycles, cpu.Activity{IPC: 1 + rng.Float64()})), ctx)
 		}
 		eng.Run()
 
@@ -455,12 +453,12 @@ func TestAnomalyDetectorFlagsPowerVirus(t *testing.T) {
 	// A steady population of normal requests...
 	for i := 0; i < 8; i++ {
 		c := f.NewContainer("normal")
-		k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 40e6, Act: normalAct}), c)
+		k.Spawn("w", kernel.Script(kernel.Compute(40e6, normalAct)), c)
 	}
 	// ...then a virus arrives mid-run.
 	virus := f.NewContainer("virus")
 	k.Eng.After(40*sim.Millisecond, func() {
-		k.Spawn("v", kernel.Script(kernel.OpCompute{BaseCycles: 60e6, Act: virusAct}), virus)
+		k.Spawn("v", kernel.Script(kernel.Compute(60e6, virusAct)), virus)
 	})
 	k.Eng.Run()
 
@@ -489,9 +487,7 @@ func TestAnomalyDetectorIgnoresBackground(t *testing.T) {
 	det.MinSamples = 5
 	// Unbound (background) high-power work must not be flagged: the
 	// detector targets request principals.
-	k.Spawn("daemon", kernel.Script(kernel.OpCompute{
-		BaseCycles: 100e6, Act: cpu.Activity{IPC: 1.5, LLCPC: 0.02, MemPC: 0.03},
-	}), nil)
+	k.Spawn("daemon", kernel.Script(kernel.Compute(100e6, cpu.Activity{IPC: 1.5, LLCPC: 0.02, MemPC: 0.03})), nil)
 	k.Eng.Run()
 	if len(det.Anomalies()) != 0 {
 		t.Fatal("background activity flagged as request anomaly")
@@ -513,7 +509,7 @@ func TestConditionerWithSixteenDutyLevels(t *testing.T) {
 	f.EnableConditioning(10)
 	hot := f.NewContainer("hot")
 	act := cpu.Activity{IPC: 1.5, LLCPC: 0.02, MemPC: 0.03}
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 200e6, Act: act}), hot)
+	k.Spawn("w", kernel.Script(kernel.Compute(200e6, act)), hot)
 	eng.Run()
 	duty := hot.MeanDutyFraction()
 	if duty > 0.85 {

@@ -7,7 +7,6 @@ import (
 	"powercontainers/internal/cpu"
 	"powercontainers/internal/kernel"
 	"powercontainers/internal/model"
-	"powercontainers/internal/power"
 	"powercontainers/internal/sim"
 )
 
@@ -100,7 +99,11 @@ type Facility struct {
 	// EnableRecalibration hands it to the recalibrator it builds.
 	Observer sim.Observer
 
-	cfg        Config
+	cfg Config
+	// maint is the facility's fixed copy of DefaultMaintenanceEvents,
+	// taken at attach: every sample charges it to the kernel, which
+	// memoizes its energy by address, and compensates it.
+	maint      cpu.Counters
 	perCore    []coreState
 	metrics    *model.MetricSeries
 	containers []*Container
@@ -119,8 +122,9 @@ func Attach(k *kernel.Kernel, coeff model.Coefficients, cfg Config) *Facility {
 		K:       k,
 		Coeff:   coeff,
 		cfg:     cfg,
+		maint:   DefaultMaintenanceEvents,
 		perCore: make([]coreState, len(k.Cores)),
-		metrics: model.NewMetricSeries(power.RecorderInterval),
+		metrics: model.NewMetricSeries(),
 	}
 	f.Background = f.newContainer("background", KindBackground)
 	f.Background.retain() // immortal
@@ -240,10 +244,10 @@ func (f *Facility) TotalAccountedEnergyJ() float64 {
 //pclint:hotpath
 func (f *Facility) resetBaseline(c *cpu.Core) {
 	st := &f.perCore[c.ID]
-	st.last = f.K.ReadCounters(c.ID) // read before charging: the op lands in the new period
+	f.K.ReadCounters(c.ID, &st.last) // read before charging: the op lands in the new period
 	st.lastTime = f.K.Now()
 	st.valid = true
-	f.K.ChargeMaintenance(c.ID, DefaultMaintenanceEvents)
+	f.K.ChargeMaintenance(c.ID, &f.maint)
 }
 
 // samplePeriod closes the current sampling period on core c, attributing
@@ -260,10 +264,12 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		f.resetBaseline(c)
 		return
 	}
-	cur := f.K.ReadCounters(c.ID)
+	var cur cpu.Counters
+	f.K.ReadCounters(c.ID, &cur)
 	wall := now - st.lastTime
 	if wall > 0 {
-		delta := cur.Sub(st.last)
+		delta := cur
+		delta.Sub(&st.last)
 		elapsedCycles := float64(wall) / float64(sim.Second) * c.FreqHz
 		fixKind := ""
 		if w := f.K.CounterWrapModulus(); w > 0 && !f.cfg.DisableCounterRepair {
@@ -290,7 +296,8 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		// already-compensated metrics; subtracting maintenance again would
 		// double-count it.
 		if fixKind != "extrapolate" && !f.cfg.DisableObserverComp {
-			delta = delta.Sub(DefaultMaintenanceEvents).ClampNonNegative()
+			delta.Sub(&f.maint)
+			delta.ClampNonNegative()
 		}
 		var m model.Metrics
 		if elapsedCycles > 0 {
@@ -307,9 +314,9 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		}
 		if f.cfg.Approach != ApproachCoreOnly {
 			if f.cfg.UseOracleChipShare {
-				m.Chip = model.OracleChipShare(f.K.Spec, c.ID, m.Core, f.K)
+				m.Chip = model.OracleChipShare(f.K.Cores, f.K.Spec.CoresPerChip, c.ID, m.Core)
 			} else {
-				m.Chip = model.ChipShare(f.K.Spec, f.K.Cores, c.ID, m.Core, f.K)
+				m.Chip = model.ChipShare(f.K.Cores, f.K.Spec.CoresPerChip, c.ID, m.Core)
 			}
 		}
 		c.PublishSample(m.Core)
@@ -327,7 +334,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 		if t != nil {
 			name = t.Name
 		}
-		cont.addPeriod(name, now, wall, delta, p*seconds, chipP*seconds, p, c.DutyFraction()) //pclint:allow hotalloc per-period container history growth, bounded by sample cadence not event count
+		cont.addPeriod(name, now, wall, &delta, p*seconds, chipP*seconds, p, c.DutyFraction()) //pclint:allow hotalloc per-period container history growth, bounded by sample cadence not event count
 		if cont.svc != nil {
 			cont.svc.charge(wall, p*seconds, chipP*seconds)
 		}
@@ -348,7 +355,7 @@ func (f *Facility) samplePeriod(c *cpu.Core, t *kernel.Task) {
 	// to that period and are compensated there.
 	st.last = cur
 	st.lastTime = now
-	f.K.ChargeMaintenance(c.ID, DefaultMaintenanceEvents)
+	f.K.ChargeMaintenance(c.ID, &f.maint)
 }
 
 // unwrapDelta repairs a counter delta whose minuend wrapped once: negative
@@ -418,6 +425,8 @@ func (f *Facility) RewindBaseline(coreID int, d sim.Time) {
 
 // OnInterrupt implements kernel.Monitor: periodic counter sampling plus
 // conditioner reassessment of the running request.
+//
+//pclint:hotpath
 func (f *Facility) OnInterrupt(c *cpu.Core, t *kernel.Task) {
 	f.samplePeriod(c, t)
 	if f.cond != nil {
@@ -448,6 +457,8 @@ func (f *Facility) OnSwitch(c *cpu.Core, prev, next *kernel.Task) {
 // OnBind implements kernel.Monitor: a task adopting a new request context
 // from a socket segment is a request context switch — pre-switch counters
 // attribute to the old binding.
+//
+//pclint:hotpath
 func (f *Facility) OnBind(t *kernel.Task, newCtx kernel.Context) {
 	if core := t.Core(); core >= 0 {
 		f.samplePeriod(f.K.Cores[core], t)
@@ -457,7 +468,7 @@ func (f *Facility) OnBind(t *kernel.Task, newCtx kernel.Context) {
 	if nc, ok := newCtx.(*Container); ok && nc != nil {
 		f.retainRef(nc)
 		if nc.traceEnabled {
-			nc.addTrace(f.K.Now(), TraceBind, t.Name, "from "+old.Label)
+			nc.addTrace(f.K.Now(), TraceBind, t.Name, "from "+old.Label) //pclint:allow hotalloc trace-only: request-flow capture runs only on containers with tracing enabled
 		}
 		// Re-apply conditioning for the new binding if running.
 		if f.cond != nil {
@@ -506,6 +517,8 @@ func (f *Facility) releaseRef(c *Container) {
 
 // OnIO implements kernel.Monitor: attribute device energy to the
 // responsible request and record device utilization in the metric series.
+//
+//pclint:hotpath
 func (f *Facility) OnIO(t *kernel.Task, dev kernel.DeviceKind, bytes int64, busy sim.Time, watts float64) {
 	cont := f.containerOf(t)
 	joules := watts * float64(busy) / float64(sim.Second)
@@ -514,7 +527,7 @@ func (f *Facility) OnIO(t *kernel.Task, dev kernel.DeviceKind, bytes int64, busy
 		cont.svc.chargeDevice(joules)
 	}
 	if cont.traceEnabled {
-		cont.addTrace(f.K.Now(), TraceIO, t.Name, fmt.Sprintf("%s %dB", dev, bytes))
+		cont.addTrace(f.K.Now(), TraceIO, t.Name, fmt.Sprintf("%s %dB", dev, bytes)) //pclint:allow hotalloc trace-only: request-flow capture runs only on containers with tracing enabled
 	}
 	var m model.Metrics
 	if dev == kernel.DeviceDisk {

@@ -33,7 +33,7 @@ func runCounterFaults(t *testing.T, counter *faults.CounterFaults, cfg Config) (
 		k.Faults = p.KernelSurface()
 	}
 	cont := f.NewContainer("req")
-	k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 100e6, Act: cpu.Activity{IPC: 1}}), cont)
+	k.Spawn("w", kernel.Script(kernel.Compute(100e6, cpu.Activity{IPC: 1})), cont)
 	k.Eng.Run()
 	return cont.CPUEnergyJ, h
 }
@@ -125,7 +125,7 @@ func TestMetricsFloorBoundsLaterWrites(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		var ops []kernel.Op
 		for j := 0; j < 6; j++ {
-			ops = append(ops, kernel.OpCompute{BaseCycles: 3e6, Act: act}, kernel.OpDisk{Bytes: 2e6}, kernel.OpNet{Bytes: 3e6})
+			ops = append(ops, kernel.Compute(3e6, act), kernel.Disk(2e6), kernel.Net(3e6))
 		}
 		k.Spawn("io", kernel.Script(ops...), f.NewContainer("req"))
 	}

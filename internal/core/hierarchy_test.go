@@ -80,10 +80,10 @@ func TestHierarchyChargingMatchesContainers(t *testing.T) {
 	flat := f.NewContainer("flat")
 
 	act := cpu.Activity{IPC: 1}
-	k.Spawn("w1", kernel.Script(kernel.OpCompute{BaseCycles: 30e6, Act: act}), web1)
-	k.Spawn("w2", kernel.Script(kernel.OpCompute{BaseCycles: 20e6, Act: act}, kernel.OpDisk{Bytes: 1e6}), web2)
-	k.Spawn("b1", kernel.Script(kernel.OpCompute{BaseCycles: 40e6, Act: act}), burn)
-	k.Spawn("f", kernel.Script(kernel.OpCompute{BaseCycles: 10e6, Act: act}), flat)
+	k.Spawn("w1", kernel.Script(kernel.Compute(30e6, act)), web1)
+	k.Spawn("w2", kernel.Script(kernel.Compute(20e6, act), kernel.Disk(1e6)), web2)
+	k.Spawn("b1", kernel.Script(kernel.Compute(40e6, act)), burn)
+	k.Spawn("f", kernel.Script(kernel.Compute(10e6, act)), flat)
 	k.Eng.Run()
 
 	svc, _ := h.FindService("acme", "web")

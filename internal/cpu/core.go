@@ -23,11 +23,16 @@ type Core struct {
 	// ID is the global core index; Chip is the owning socket.
 	ID   int
 	Chip int
-	// FreqHz is the core clock frequency.
+	// FreqHz is the core clock frequency, fixed at construction.
 	FreqHz float64
 
 	dutyLevel int // current duty level, 1..dutyMax
 	dutyMax   int
+	// duty and effHz cache DutyFraction and the effective non-halt cycle
+	// rate FreqHz·duty. SetDutyLevel keeps them current with the same
+	// expressions, so every segment reads the bits it would recompute.
+	duty  float64
+	effHz float64
 
 	counters Counters
 
@@ -40,17 +45,24 @@ type Core struct {
 	// Because overflow interrupts stop on an idle core, it goes stale
 	// exactly as the paper describes.
 	LastUtil float64
+
+	// Busy mirrors the scheduler's run state: true while a task, not the
+	// idle task, runs on the core. The kernel keeps it equal to
+	// !Kernel.CoreIdle, and Eq. 3 reads it to treat an idle sibling's
+	// stale sample as zero activity.
+	Busy bool
 }
 
 // NewCore returns a core running at full duty with interrupts disabled.
 func NewCore(id int, spec MachineSpec) *Core {
-	return &Core{
-		ID:        id,
-		Chip:      spec.ChipOf(id),
-		FreqHz:    spec.FreqHz,
-		dutyLevel: spec.DutyLevels,
-		dutyMax:   spec.DutyLevels,
+	c := &Core{
+		ID:      id,
+		Chip:    spec.ChipOf(id),
+		FreqHz:  spec.FreqHz,
+		dutyMax: spec.DutyLevels,
 	}
+	c.SetDutyLevel(spec.DutyLevels)
+	return c
 }
 
 // Counters returns the cumulative event counts.
@@ -60,9 +72,7 @@ func (c *Core) Counters() Counters { return c.counters }
 // model the observer effect: each container maintenance operation itself
 // retires instructions and touches the cache, perturbing the very counters
 // being sampled.
-func (c *Core) AddEvents(ev Counters) {
-	c.counters = c.counters.Add(ev)
-}
+func (c *Core) AddEvents(ev *Counters) { c.counters.Add(ev) }
 
 // DutyLevel reads the duty-cycle modulation register (level out of
 // DutyMax; DutyMax means no modulation).
@@ -81,22 +91,19 @@ func (c *Core) SetDutyLevel(level int) {
 		level = c.dutyMax
 	}
 	c.dutyLevel = level
+	c.duty = float64(c.dutyLevel) / float64(c.dutyMax)
+	c.effHz = c.FreqHz * c.duty
 }
 
 // DutyFraction returns the fraction of regular cycles that are duty cycles.
 // During non-duty periods the core is effectively halted: work progress,
 // event rates and non-halt cycle accumulation all scale by this fraction.
-func (c *Core) DutyFraction() float64 {
-	return float64(c.dutyLevel) / float64(c.dutyMax)
-}
-
-// effectiveHz is the rate at which non-halt cycles accrue while busy.
-func (c *Core) effectiveHz() float64 { return c.FreqHz * c.DutyFraction() }
+func (c *Core) DutyFraction() float64 { return c.duty }
 
 // CyclesIn returns the non-halt cycles accrued over a busy wall-clock span
 // at the current duty level.
 func (c *Core) CyclesIn(wall sim.Time) float64 {
-	return float64(wall) / float64(sim.Second) * c.effectiveHz()
+	return float64(wall) / float64(sim.Second) * c.effHz
 }
 
 // WallFor returns the busy wall-clock time needed to accrue the given
@@ -106,7 +113,7 @@ func (c *Core) WallFor(cycles float64) sim.Time {
 	if cycles <= 0 {
 		return 0
 	}
-	ns := cycles / c.effectiveHz() * float64(sim.Second)
+	ns := cycles / c.effHz * float64(sim.Second)
 	t := sim.Time(math.Ceil(ns))
 	if t < 1 {
 		t = 1
@@ -116,15 +123,16 @@ func (c *Core) WallFor(cycles float64) sim.Time {
 
 // AdvanceBusy accrues wall nanoseconds of busy execution under the given
 // activity profile, updating counters and overflow progress. It returns the
-// counter delta for the segment.
-func (c *Core) AdvanceBusy(wall sim.Time, act Activity) Counters {
+// segment's non-halt cycles; the other events accrue at act's rates.
+//
+//pclint:hotpath
+func (c *Core) AdvanceBusy(wall sim.Time, act Activity) float64 {
 	cycles := c.CyclesIn(wall)
-	ev := act.Events(cycles)
-	c.counters = c.counters.Add(ev)
+	c.counters.Accrue(cycles, &act)
 	if c.overflowThreshold > 0 {
 		c.sinceOverflow += cycles
 	}
-	return ev
+	return cycles
 }
 
 // SetOverflowThreshold programs the interrupt controller to fire after the

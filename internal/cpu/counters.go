@@ -20,27 +20,38 @@ type Counters struct {
 	Mem float64
 }
 
-// Sub returns the element-wise difference c − o, i.e. the events that
-// occurred between two samples.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Cycles:       c.Cycles - o.Cycles,
-		Instructions: c.Instructions - o.Instructions,
-		Float:        c.Float - o.Float,
-		Cache:        c.Cache - o.Cache,
-		Mem:          c.Mem - o.Mem,
-	}
+// The arithmetic below works in place through pointers: the facility runs
+// it on every sample, and vectors passed and returned by value moved
+// through the stack each time.
+
+// Sub subtracts o from c field by field; applied to a later sample, it
+// leaves the events that occurred since the earlier one.
+func (c *Counters) Sub(o *Counters) {
+	c.Cycles -= o.Cycles
+	c.Instructions -= o.Instructions
+	c.Float -= o.Float
+	c.Cache -= o.Cache
+	c.Mem -= o.Mem
 }
 
-// Add returns the element-wise sum c + o.
-func (c Counters) Add(o Counters) Counters {
-	return Counters{
-		Cycles:       c.Cycles + o.Cycles,
-		Instructions: c.Instructions + o.Instructions,
-		Float:        c.Float + o.Float,
-		Cache:        c.Cache + o.Cache,
-		Mem:          c.Mem + o.Mem,
-	}
+// Add adds o to c field by field.
+func (c *Counters) Add(o *Counters) {
+	c.Cycles += o.Cycles
+	c.Instructions += o.Instructions
+	c.Float += o.Float
+	c.Cache += o.Cache
+	c.Mem += o.Mem
+}
+
+// Accrue adds the events of executing the given number of non-halt cycles
+// under activity a: the cycles themselves and each event at its
+// per-cycle rate.
+func (c *Counters) Accrue(cycles float64, a *Activity) {
+	c.Cycles += cycles
+	c.Instructions += cycles * a.IPC
+	c.Float += cycles * a.FLOPC
+	c.Cache += cycles * a.LLCPC
+	c.Mem += cycles * a.MemPC
 }
 
 // Scale returns c with every field multiplied by f.
@@ -58,14 +69,12 @@ func (c Counters) Scale(f float64) Counters {
 // observer-effect compensation, which can slightly over-subtract when a
 // sampling period contained fewer events than the calibrated per-operation
 // maintenance cost.
-func (c Counters) ClampNonNegative() Counters {
-	return Counters{
-		Cycles:       clampNonNeg(c.Cycles),
-		Instructions: clampNonNeg(c.Instructions),
-		Float:        clampNonNeg(c.Float),
-		Cache:        clampNonNeg(c.Cache),
-		Mem:          clampNonNeg(c.Mem),
-	}
+func (c *Counters) ClampNonNegative() {
+	c.Cycles = clampNonNeg(c.Cycles)
+	c.Instructions = clampNonNeg(c.Instructions)
+	c.Float = clampNonNeg(c.Float)
+	c.Cache = clampNonNeg(c.Cache)
+	c.Mem = clampNonNeg(c.Mem)
 }
 
 func clampNonNeg(x float64) float64 {
@@ -93,16 +102,4 @@ type Activity struct {
 	LLCPC float64
 	// MemPC is memory transactions per non-halt cycle.
 	MemPC float64
-}
-
-// Events returns the counter increments produced by executing the given
-// number of non-halt cycles under this activity profile.
-func (a Activity) Events(cycles float64) Counters {
-	return Counters{
-		Cycles:       cycles,
-		Instructions: cycles * a.IPC,
-		Float:        cycles * a.FLOPC,
-		Cache:        cycles * a.LLCPC,
-		Mem:          cycles * a.MemPC,
-	}
 }

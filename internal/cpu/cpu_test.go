@@ -56,19 +56,21 @@ func TestSpecByName(t *testing.T) {
 func TestCountersArithmetic(t *testing.T) {
 	a := Counters{Cycles: 10, Instructions: 20, Float: 1, Cache: 2, Mem: 3}
 	b := Counters{Cycles: 4, Instructions: 5, Float: 1, Cache: 1, Mem: 1}
-	d := a.Sub(b)
+	d := a
+	d.Sub(&b)
 	if d.Cycles != 6 || d.Instructions != 15 || d.Float != 0 || d.Cache != 1 || d.Mem != 2 {
 		t.Fatalf("Sub = %+v", d)
 	}
-	s := d.Add(b)
+	s := d
+	s.Add(&b)
 	if s != a {
 		t.Fatalf("Add did not invert Sub: %+v", s)
 	}
 	if sc := b.Scale(2); sc.Cycles != 8 || sc.Mem != 2 {
 		t.Fatalf("Scale = %+v", sc)
 	}
-	neg := Counters{Cycles: -1, Instructions: 5}
-	cl := neg.ClampNonNegative()
+	cl := Counters{Cycles: -1, Instructions: 5}
+	cl.ClampNonNegative()
 	if cl.Cycles != 0 || cl.Instructions != 5 {
 		t.Fatalf("Clamp = %+v", cl)
 	}
@@ -76,19 +78,20 @@ func TestCountersArithmetic(t *testing.T) {
 
 func TestActivityEvents(t *testing.T) {
 	act := Activity{IPC: 1.5, FLOPC: 0.25, LLCPC: 0.01, MemPC: 0.002}
-	ev := act.Events(1000)
-	if ev.Cycles != 1000 || ev.Instructions != 1500 || ev.Float != 250 || ev.Cache != 10 || ev.Mem != 2 {
-		t.Fatalf("Events = %+v", ev)
+	ev := Counters{Cycles: 1}
+	ev.Accrue(1000, &act)
+	if ev.Cycles != 1001 || ev.Instructions != 1500 || ev.Float != 250 || ev.Cache != 10 || ev.Mem != 2 {
+		t.Fatalf("Accrue = %+v", ev)
 	}
 }
 
 func TestCoreAdvanceBusyCounters(t *testing.T) {
 	c := NewCore(0, SandyBridge)
 	act := Activity{IPC: 2, FLOPC: 0.5, LLCPC: 0.01, MemPC: 0.001}
-	ev := c.AdvanceBusy(sim.Millisecond, act)
+	cycles := c.AdvanceBusy(sim.Millisecond, act)
 	wantCycles := 3.1e9 * 1e-3
-	if math.Abs(ev.Cycles-wantCycles) > 1 {
-		t.Fatalf("cycles = %g, want %g", ev.Cycles, wantCycles)
+	if math.Abs(cycles-wantCycles) > 1 || c.Counters().Cycles != cycles {
+		t.Fatalf("cycles = %g (counter %g), want %g", cycles, c.Counters().Cycles, wantCycles)
 	}
 	if math.Abs(c.Counters().Instructions-2*wantCycles) > 2 {
 		t.Fatalf("instructions = %g", c.Counters().Instructions)
@@ -101,10 +104,10 @@ func TestCoreDutyModulationScalesProgress(t *testing.T) {
 	if f := c.DutyFraction(); f != 0.5 {
 		t.Fatalf("duty fraction = %g", f)
 	}
-	ev := c.AdvanceBusy(sim.Millisecond, Activity{IPC: 1})
+	cycles := c.AdvanceBusy(sim.Millisecond, Activity{IPC: 1})
 	want := 3.1e9 * 1e-3 * 0.5
-	if math.Abs(ev.Cycles-want) > 1 {
-		t.Fatalf("half-duty cycles = %g, want %g", ev.Cycles, want)
+	if math.Abs(cycles-want) > 1 {
+		t.Fatalf("half-duty cycles = %g, want %g", cycles, want)
 	}
 }
 
@@ -223,5 +226,51 @@ func TestPublishSample(t *testing.T) {
 	c.PublishSample(0.75)
 	if c.LastUtil != 0.75 {
 		t.Fatal("published sample not stored")
+	}
+}
+
+// TestCoreCachedDutyMatchesRecomputed: the duty fraction and effective
+// frequency a core caches carry, bit for bit, what the expressions they
+// replace compute from the duty register, after any sequence of
+// SetDutyLevel calls (out-of-range levels included), and every segment
+// conversion reading them agrees with the recomputed form.
+func TestCoreCachedDutyMatchesRecomputed(t *testing.T) {
+	specs := Specs()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	f := func(pick uint8, levels []int8, walls []uint32) bool {
+		spec := specs[int(pick)%len(specs)]
+		c := NewCore(0, spec)
+		check := func() bool {
+			duty := float64(c.DutyLevel()) / float64(c.DutyMax())
+			hz := c.FreqHz * duty
+			if !same(c.DutyFraction(), duty) || !same(c.effHz, hz) {
+				return false
+			}
+			for _, w := range walls {
+				wall := sim.Time(w)
+				if !same(c.CyclesIn(wall), float64(wall)/float64(sim.Second)*hz) {
+					return false
+				}
+				cycles := float64(w) * 7.25
+				ns := cycles / hz * float64(sim.Second)
+				if want := max(sim.Time(math.Ceil(ns)), 1); cycles > 0 && c.WallFor(cycles) != want {
+					return false
+				}
+			}
+			return true
+		}
+		if !check() {
+			return false
+		}
+		for _, l := range levels {
+			c.SetDutyLevel(int(l))
+			if !check() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -116,19 +116,18 @@ func AblationTagging(seed uint64) (float64, error) {
 			return nil, err
 		}
 		frontEnd, backEnd := kernel.NewConn()
-		server.NewAuxWorker(k, "auditd", backEnd, func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-			return []kernel.Op{kernel.OpCompute{BaseCycles: payload.(job).cycles, Act: workload.ActMySQL}}
+		server.NewAuxWorker(k, "auditd", backEnd, func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+			return append(ops, kernel.Compute(payload.(job).cycles, workload.ActMySQL))
 		})
 		entry := kernel.NewListener("front")
 		rng := sim.NewRand(seed + 2)
 		server.NewEntryPool(k, "front", 8, entry, func(int) server.Handler {
-			return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-				env := payload.(*server.Envelope)
-				j := env.Req.Payload.(job)
-				return []kernel.Op{
-					kernel.OpCompute{BaseCycles: j.cycles, Act: workload.ActPerl},
-					kernel.OpSend{End: frontEnd, Bytes: 512, Payload: job{cycles: 4 * j.cycles}},
-				}
+			return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+				j := payload.(*server.Request).Payload.(job)
+				return append(ops,
+					kernel.Compute(j.cycles, workload.ActPerl),
+					kernel.Send(frontEnd, 512, job{cycles: 4 * j.cycles}),
+				)
 			}
 		})
 		dep := &server.Deployment{
@@ -180,7 +179,7 @@ func AblationObserver() (float64, error) {
 			return 0, err
 		}
 		cont := fac.NewContainer("req")
-		k.Spawn("w", kernel.Script(kernel.OpCompute{BaseCycles: 3.1e9, Act: cpu.Activity{IPC: 1}}), cont)
+		k.Spawn("w", kernel.Script(kernel.Compute(3.1e9, cpu.Activity{IPC: 1})), cont)
 		k.Eng.Run()
 		return cont.Counters.Instructions, nil
 	}

@@ -63,9 +63,7 @@ func spinActivePower(ex Exec, spec cpu.MachineSpec, k int, seed uint64) (float64
 	}
 	spin := workload.MicroBenches()[0] // cpu-spin
 	for i := 0; i < k; i++ {
-		m.K.Spawn("spin", kernel.Script(kernel.OpCompute{
-			BaseCycles: 1e12, Act: spin.Act,
-		}), nil)
+		m.K.Spawn("spin", kernel.Script(kernel.Compute(1e12, spin.Act)), nil)
 	}
 	m.Eng.RunUntil(6 * sim.Second)
 	w, err := WattsupActiveMean(m, m.Eng.Now(), 1*sim.Second, 3*sim.Second)

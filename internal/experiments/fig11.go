@@ -137,11 +137,10 @@ func Fig11(ex Exec, seed uint64) (*Fig11Result, error) {
 // packageTrace returns package full power per 100 ms bucket.
 func packageTrace(m *Machine, until sim.Time) []float64 {
 	m.K.Rec.FlushUntil(until)
-	series := m.K.Rec.PkgActiveSeries().Rebucket(100)
+	out := m.K.Rec.PkgActiveSeries().CoarseRates(100)
 	idle := m.Chip.IdleW()
-	out := make([]float64, series.Len())
 	for i := range out {
-		out[i] = series.RatePerSecond(i) + idle
+		out[i] += idle
 	}
 	return out
 }
@@ -149,12 +148,12 @@ func packageTrace(m *Machine, until sim.Time) []float64 {
 // peakAfter returns the peak 100 ms package active power in [from, to).
 func peakAfter(m *Machine, from, to sim.Time) float64 {
 	m.K.Rec.FlushUntil(to)
-	series := m.K.Rec.PkgActiveSeries().Rebucket(100)
+	rates := m.K.Rec.PkgActiveSeries().CoarseRates(100)
 	lo := int(from / (100 * sim.Millisecond))
 	hi := int(to / (100 * sim.Millisecond))
 	peak := 0.0
-	for b := lo; b < hi && b < series.Len(); b++ {
-		if w := series.RatePerSecond(b); w > peak {
+	for b := lo; b < hi && b < len(rates); b++ {
+		if w := rates[b]; w > peak {
 			peak = w
 		}
 	}

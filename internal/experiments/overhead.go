@@ -62,9 +62,7 @@ func Overhead() (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.K.Spawn("spin", kernel.Script(kernel.OpCompute{
-		BaseCycles: 1e12, Act: workload.ActStress,
-	}), nil)
+	m.K.Spawn("spin", kernel.Script(kernel.Compute(1e12, workload.ActStress)), nil)
 	m.Eng.RunUntil(10 * sim.Millisecond)
 
 	res := &OverheadResult{

@@ -81,19 +81,19 @@ func TestSocketAuditStream(t *testing.T) {
 	// Receiver blocks first (direct-wake path), then drains two buffered
 	// sends, then serves one injected listener request.
 	receiver := Script(
-		OpRecv{End: b},
-		OpRecv{End: b},
-		OpRecv{End: b},
-		OpRecvListener{L: lst},
-		OpCompute{BaseCycles: 1e5, Act: cpu.Activity{IPC: 1}},
+		Recv(b),
+		Recv(b),
+		Recv(b),
+		RecvListener(lst),
+		Compute(1e5, cpu.Activity{IPC: 1}),
 	)
 	sender := Script(
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req-1" }},
-		OpSleep{D: sim.Millisecond}, // let the receiver block: direct wake
-		OpSend{End: a, Bytes: 100},
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req-2" }},
-		OpSend{End: a, Bytes: 200}, // buffered: receiver still running
-		OpSend{End: a, Bytes: 300},
+		Call(func(k *Kernel, t *Task) { t.Ctx = "req-1" }),
+		Sleep(sim.Millisecond), // let the receiver block: direct wake
+		Send(a, 100, nil),
+		Call(func(k *Kernel, t *Task) { t.Ctx = "req-2" }),
+		Send(a, 200, nil), // buffered: receiver still running
+		Send(a, 300, nil),
 	)
 	k.Spawn("recv", receiver, nil)
 	k.Spawn("send", sender, nil)
@@ -113,14 +113,14 @@ func TestSocketAuditDisabledAssignsNoSeq(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	a, _ := NewConn()
 	k.Spawn("send", Script(
-		OpSend{End: a, Bytes: 10},
-		OpSend{End: a, Bytes: 20},
+		Send(a, 10, nil),
+		Send(a, 20, nil),
 	), nil)
 	k.Eng.Run()
 	if k.segSeq != 0 {
 		t.Fatalf("segment sequence advanced to %d with auditing disabled", k.segSeq)
 	}
-	for i, seg := range a.sendBuf().segs {
+	for i, seg := range a.sendBuf().segs.items {
 		if seg.seq != 0 {
 			t.Fatalf("buffered segment %d has audit seq %d, want 0", i, seg.seq)
 		}
@@ -138,21 +138,21 @@ func TestForkExitTagPropagation(t *testing.T) {
 
 	var childCtx, grandCtx, rootCtxAfter Context
 	grand := Script(
-		OpCall{Fn: func(k *Kernel, t *Task) { grandCtx = t.Ctx }},
-		OpCompute{BaseCycles: 1e5, Act: cpu.Activity{IPC: 1}},
+		Call(func(k *Kernel, t *Task) { grandCtx = t.Ctx }),
+		Compute(1e5, cpu.Activity{IPC: 1}),
 	)
 	child := Script(
-		OpCall{Fn: func(k *Kernel, t *Task) { childCtx = t.Ctx }},
-		OpFork{Name: "grand", Prog: grand},
-		OpWaitChild{},
+		Call(func(k *Kernel, t *Task) { childCtx = t.Ctx }),
+		Fork("grand", grand),
+		WaitChild(),
 	)
 	root := Script(
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req-A" }},
-		OpFork{Name: "child", Prog: child},
+		Call(func(k *Kernel, t *Task) { t.Ctx = "req-A" }),
+		Fork("child", child),
 		// Rebind the root while the subtree still runs on req-A.
-		OpCall{Fn: func(k *Kernel, t *Task) { k.Rebind(t, "req-B") }},
-		OpWaitChild{},
-		OpCall{Fn: func(k *Kernel, t *Task) { rootCtxAfter = t.Ctx }},
+		Call(func(k *Kernel, t *Task) { k.Rebind(t, "req-B") }),
+		WaitChild(),
+		Call(func(k *Kernel, t *Task) { rootCtxAfter = t.Ctx }),
 	)
 	k.Spawn("root", root, nil)
 	k.Eng.Run()

@@ -20,14 +20,15 @@ func surface(seed uint64, c *faults.CounterFaults, s *faults.SocketFaults) *faul
 func TestReadCountersAppliesWrapModulus(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	k.Faults = surface(1, &faults.CounterFaults{WrapEvery: 1e6}, nil)
-	k.Spawn("w", Script(OpCompute{BaseCycles: 5e6, Act: cpu.Activity{IPC: 1}}), nil)
+	k.Spawn("w", Script(Compute(5e6, cpu.Activity{IPC: 1})), nil)
 	k.Eng.Run()
 
 	raw := k.Cores[0].Counters()
 	if raw.Cycles < 4e6 {
 		t.Fatalf("raw cycles = %g, task did not run", raw.Cycles)
 	}
-	got := k.ReadCounters(0)
+	var got cpu.Counters
+	k.ReadCounters(0, &got)
 	if got.Cycles >= 1e6 || got.Cycles != math.Mod(raw.Cycles, 1e6) {
 		t.Fatalf("wrapped cycles = %g, want %g", got.Cycles, math.Mod(raw.Cycles, 1e6))
 	}
@@ -37,9 +38,9 @@ func TestReadCountersAppliesWrapModulus(t *testing.T) {
 
 	// Without a surface, ReadCounters is the identity read.
 	k2 := newTestKernel(t, uniSpec, nil)
-	k2.Spawn("w", Script(OpCompute{BaseCycles: 5e6, Act: cpu.Activity{IPC: 1}}), nil)
+	k2.Spawn("w", Script(Compute(5e6, cpu.Activity{IPC: 1})), nil)
 	k2.Eng.Run()
-	if k2.ReadCounters(0) != k2.Cores[0].Counters() {
+	if k2.ReadCounters(0, &got); got != k2.Cores[0].Counters() {
 		t.Fatal("identity read changed counters without faults")
 	}
 	if k2.CounterWrapModulus() != 0 {
@@ -58,7 +59,7 @@ func TestLostInterruptsSuppressMonitorDelivery(t *testing.T) {
 		if lossP > 0 {
 			k.Faults = surface(2, &faults.CounterFaults{LostInterruptP: lossP}, nil)
 		}
-		k.Spawn("w", Script(OpCompute{BaseCycles: 10e6, Act: cpu.Activity{IPC: 1}}), nil)
+		k.Spawn("w", Script(Compute(10e6, cpu.Activity{IPC: 1})), nil)
 		k.Eng.Run()
 		return mon.interrupts, k.Eng.Now()
 	}
@@ -92,12 +93,12 @@ func TestInjectTagLossUnbindsRequest(t *testing.T) {
 			step++
 			switch step {
 			case 1:
-				return OpRecvListener{L: l}
+				return RecvListener(l)
 			case 2:
 				got = t.Ctx
-				return OpCompute{BaseCycles: 1000, Act: cpu.Activity{}}
+				return Compute(1000, cpu.Activity{})
 			}
-			return nil
+			return Exit()
 		}), nil)
 		k.Inject(l, 100, "req", nil)
 		k.Eng.Run()
@@ -125,9 +126,9 @@ func TestSendTagLossIsDeterministic(t *testing.T) {
 		a, b := NewConn()
 		// Script the sends explicitly so each carries the request context.
 		var ops []Op
-		ops = append(ops, OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req" }})
+		ops = append(ops, Call(func(k *Kernel, t *Task) { t.Ctx = "req" }))
 		for i := 0; i < sends; i++ {
-			ops = append(ops, OpSend{End: a, Bytes: 10})
+			ops = append(ops, Send(a, 10, nil))
 		}
 		k.Spawn("sender", Script(ops...), nil)
 		var pattern []bool
@@ -135,16 +136,16 @@ func TestSendTagLossIsDeterministic(t *testing.T) {
 		k.Spawn("receiver", FuncProgram(func(k *Kernel, t *Task) Op {
 			step++
 			if step == 1 {
-				return OpSleep{D: sim.Millisecond}
+				return Sleep(sim.Millisecond)
 			}
 			if step%2 == 0 {
 				if len(pattern) >= sends {
-					return nil
+					return Exit()
 				}
-				return OpRecv{End: b}
+				return Recv(b)
 			}
 			pattern = append(pattern, t.Ctx == nil)
-			return OpCompute{BaseCycles: 100, Act: cpu.Activity{}}
+			return Compute(100, cpu.Activity{})
 		}), nil)
 		k.Eng.Run()
 		return pattern

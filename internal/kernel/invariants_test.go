@@ -37,21 +37,18 @@ func randomProgram(rng *sim.Rand, depth int, conns []*Endpoint) Program {
 	for i := 0; i < n; i++ {
 		switch rng.Intn(6) {
 		case 0, 1, 2:
-			ops = append(ops, OpCompute{
-				BaseCycles: float64(1+rng.Intn(2000)) * 1e3,
-				Act:        cpu.Activity{IPC: 0.5 + rng.Float64(), MemPC: rng.Float64() * 0.005},
-			})
+			ops = append(ops, Compute(float64(1+rng.Intn(2000))*1e3, cpu.Activity{IPC: 0.5 + rng.Float64(), MemPC: rng.Float64() * 0.005}))
 		case 3:
-			ops = append(ops, OpSleep{D: sim.Time(rng.Intn(int(2 * sim.Millisecond)))})
+			ops = append(ops, Sleep(sim.Time(rng.Intn(int(2*sim.Millisecond)))))
 		case 4:
 			if depth < 2 {
-				ops = append(ops, OpFork{Name: "child", Prog: randomProgram(rng, depth+1, conns)})
-				ops = append(ops, OpWaitChild{})
+				ops = append(ops, Fork("child", randomProgram(rng, depth+1, conns)))
+				ops = append(ops, WaitChild())
 			}
 		case 5:
 			if len(conns) > 0 {
 				e := conns[rng.Intn(len(conns))]
-				ops = append(ops, OpSend{End: e, Bytes: 64})
+				ops = append(ops, Send(e, 64, nil))
 			}
 		}
 	}
@@ -60,7 +57,7 @@ func randomProgram(rng *sim.Rand, depth int, conns []*Endpoint) Program {
 		// which would make the busy-time conservation check vacuous
 		// (quick input 0x7cdd generated exactly that); anchor every
 		// top-level task with a small compute op.
-		ops = append(ops, OpCompute{BaseCycles: 1e3, Act: cpu.Activity{IPC: 1}})
+		ops = append(ops, Compute(1e3, cpu.Activity{IPC: 1}))
 	}
 	return Script(ops...)
 }
@@ -146,7 +143,7 @@ func TestEnergyConservation(t *testing.T) {
 		for i := 0; i < nTasks; i++ {
 			cycles := float64(1+rng.Intn(5000)) * 1e3
 			totalCycles += cycles
-			k.Spawn("t", Script(OpCompute{BaseCycles: cycles, Act: act}), nil)
+			k.Spawn("t", Script(Compute(cycles, act)), nil)
 		}
 		eng.Run()
 		k.Rec.FlushUntil(eng.Now() + sim.Millisecond)

@@ -43,7 +43,7 @@ type Kernel struct {
 	PerSegmentTagging bool
 
 	// TrapUserTransfers makes user-level request stage transfers
-	// (OpUserStage) kernel-observable by trapping accesses to the
+	// (UserStage) kernel-observable by trapping accesses to the
 	// application's critical synchronization data structures — the
 	// §3.3 future-work extension. Off by default, matching the paper's
 	// published facility.
@@ -69,10 +69,10 @@ type Kernel struct {
 	segEnd []func()
 
 	// maintEv/maintJoules memoize ChargeMaintenance's model evaluation:
-	// the facility charges the same constant per-operation event vector
-	// on every sample, so the observer energy is a per-core constant
-	// that only needs recomputing if the event vector changes.
-	maintEv     cpu.Counters
+	// the facility charges its one fixed per-operation event vector on
+	// every sample, so the observer energy is a per-core constant that
+	// is recomputed only when a different vector arrives.
+	maintEv     *cpu.Counters
 	maintJoules []float64 // per core; 0 means not yet computed
 }
 
@@ -125,15 +125,17 @@ func (k *Kernel) Now() sim.Time { return k.Eng.Now() }
 // Tasks returns every task ever created, in PID order.
 func (k *Kernel) Tasks() []*Task { return k.tasks }
 
-// ReadCounters returns the cumulative counters of a core as the monitoring
-// facility observes them: the raw hardware values, routed through the fault
-// surface (which may wrap them like a narrow MSR) when one is installed.
-func (k *Kernel) ReadCounters(core int) cpu.Counters {
-	raw := k.Cores[core].Counters()
+// ReadCounters stores in *dst the cumulative counters of a core as the
+// monitoring facility observes them: the raw hardware values, routed
+// through the fault surface (which may wrap them like a narrow MSR) when
+// one is installed. It fills the caller's vector rather than returning
+// one, so the sampling sweep reads the five counters without moving them
+// through the stack.
+func (k *Kernel) ReadCounters(core int, dst *cpu.Counters) {
+	*dst = k.Cores[core].Counters()
 	if k.Faults != nil {
-		return k.Faults.WrapCounters(core, raw)
+		*dst = k.Faults.WrapCounters(core, *dst)
 	}
-	return raw
 }
 
 // CounterWrapModulus reports the fault surface's counter wraparound
@@ -147,7 +149,8 @@ func (k *Kernel) CounterWrapModulus() float64 {
 
 // CoreIdle reports whether the OS is currently scheduling the idle task on
 // the given core — the check Eq. 3 uses to treat stale sibling samples as
-// zero activity.
+// zero activity. The scheduler mirrors it onto each core's Busy flag, which
+// is what the facility's chip-share estimate reads.
 func (k *Kernel) CoreIdle(core int) bool { return k.running[core] == nil }
 
 // RunningTask returns the task currently on the core, or nil.
@@ -195,9 +198,8 @@ func (k *Kernel) Inject(l *Listener, bytes int, ctx Context, payload any) {
 	if k.Faults != nil && k.Faults.DropInjectTag(k.Now()) {
 		ctx = loseTag(ctx)
 	}
-	if len(l.waiting) > 0 {
-		w := l.waiting[0]
-		l.waiting = l.waiting[1:]
+	if l.waiting.len() > 0 {
+		w := l.waiting.pop()
 		w.LastRecv = payload
 		if k.Observer != nil {
 			seg := segment{bytes: bytes, ctx: ctx, seq: k.nextSegSeq()}
@@ -213,7 +215,7 @@ func (k *Kernel) Inject(l *Listener, bytes int, ctx Context, payload any) {
 		seg.seq = k.nextSegSeq()
 		k.Observer.Observe(k.segEvent(sim.KindSockEnqueue, l, seg))
 	}
-	l.segs = append(l.segs, seg)
+	l.segs.push(seg)
 }
 
 // Rebind changes a task's context binding through the monitor, exactly as
@@ -230,7 +232,7 @@ func (k *Kernel) Rebind(t *Task, ctx Context) { k.applyBinding(t, ctx) }
 // run queue.
 func (k *Kernel) makeRunnable(t *Task) {
 	if t.state != TaskReady {
-		panic(fmt.Sprintf("kernel: makeRunnable on %v", t))
+		panic(fmt.Sprintf("kernel: makeRunnable on %v", t)) //pclint:allow hotalloc panic-path formatting on an invariant violation
 	}
 	best := -1
 	bestBusy := 0
@@ -255,7 +257,7 @@ func (k *Kernel) makeRunnable(t *Task) {
 			best = c
 		}
 	}
-	k.runq[best] = append(k.runq[best], t)
+	k.runq[best] = append(k.runq[best], t) //pclint:allow hotalloc first-use growth: run queues remove in place, so the array grows only past its peak length
 }
 
 // popBest removes and returns the highest-priority (FIFO among equals)
@@ -271,7 +273,8 @@ func popBest(q *[]*Task) *Task {
 		}
 	}
 	t := (*q)[best]
-	*q = append((*q)[:best], (*q)[best+1:]...)
+	n := copy((*q)[best:], (*q)[best+1:])
+	*q = (*q)[:best+n]
 	return t
 }
 
@@ -302,6 +305,7 @@ func (k *Kernel) enterCore(c int, t *Task) {
 		panic(fmt.Sprintf("kernel: enterCore on busy core %d", c)) //pclint:allow hotalloc panic-path formatting on an invariant violation
 	}
 	k.running[c] = t
+	k.Cores[c].Busy = true
 	t.core = c
 	t.state = TaskRunning
 	t.sliceExpiry = k.Now() + k.Quantum
@@ -321,6 +325,7 @@ func (k *Kernel) leaveCore(c int, t *Task) {
 	}
 	k.Monitor.OnSwitch(k.Cores[c], t, nil)
 	k.running[c] = nil
+	k.Cores[c].Busy = false
 	t.core = -1
 	chip := k.Spec.ChipOf(c)
 	k.chipBusy[chip]--
@@ -329,6 +334,8 @@ func (k *Kernel) leaveCore(c int, t *Task) {
 
 // runCore drives core c until it has either a scheduled execution segment
 // or nothing to run.
+//
+//pclint:hotpath
 func (k *Kernel) runCore(c int) {
 	for {
 		if k.segBusy[c] {
@@ -372,19 +379,21 @@ func (k *Kernel) runCore(c int) {
 // onSegmentEnd accounts for the elapsed execution segment on core c, then
 // handles whichever boundaries were crossed: counter overflow, op
 // completion, quantum expiry.
+//
+//pclint:hotpath
 func (k *Kernel) onSegmentEnd(c int) {
 	k.segBusy[c] = false
 	t := k.running[c]
 	if t == nil {
-		panic(fmt.Sprintf("kernel: segment end on idle core %d", c))
+		panic(fmt.Sprintf("kernel: segment end on idle core %d", c)) //pclint:allow hotalloc panic-path formatting on an invariant violation
 	}
 	core := k.Cores[c]
 	now := k.Now()
 	start := k.segStart[c]
 	if now > start {
-		ev := core.AdvanceBusy(now-start, t.effAct)
+		cycles := core.AdvanceBusy(now-start, t.effAct)
 		k.Rec.AddCoreSegment(start, now, t.effAct, core.DutyFraction())
-		t.remCycles -= ev.Cycles
+		t.remCycles -= cycles
 	}
 	if core.Overflowed() {
 		// Overflowed() self-resets the latch; it must be consumed even
@@ -402,7 +411,7 @@ func (k *Kernel) onSegmentEnd(c int) {
 			// Quantum expired with waiters: rotate.
 			k.leaveCore(c, t)
 			t.state = TaskReady
-			k.runq[c] = append(k.runq[c], t)
+			k.runq[c] = append(k.runq[c], t) //pclint:allow hotalloc first-use growth: run queues remove in place, so the array grows only past its peak length
 		} else {
 			t.sliceExpiry = now + k.Quantum
 		}
@@ -412,20 +421,18 @@ func (k *Kernel) onSegmentEnd(c int) {
 
 // advanceProgram executes non-compute ops until the task starts computing,
 // blocks, or exits. It must be called with t running on core c.
+//
+//pclint:hotpath
 func (k *Kernel) advanceProgram(c int, t *Task) {
 	const maxOpsPerVisit = 100000
 	for guard := 0; ; guard++ {
 		if guard > maxOpsPerVisit {
-			panic(fmt.Sprintf("kernel: %v issued %d consecutive zero-work ops", t, guard))
+			panic(fmt.Sprintf("kernel: %v issued %d consecutive zero-work ops", t, guard)) //pclint:allow hotalloc panic-path formatting on an invariant violation
 		}
 		op := t.prog.Next(k, t)
-		if op == nil {
-			k.exitTask(c, t)
-			return
-		}
-		switch op := op.(type) {
-		case OpCompute:
-			cycles, eff := cpu.Execution(k.Spec, op.BaseCycles, op.Act)
+		switch op.kind {
+		case opCompute:
+			cycles, eff := cpu.Execution(k.Spec, op.cycles, op.act)
 			if cycles <= 0 {
 				continue
 			}
@@ -434,13 +441,17 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 			t.effAct = eff
 			return
 
-		case OpSend:
-			k.send(t, op.End, op.Bytes, op.Payload)
+		case opExit:
+			k.exitTask(c, t)
+			return
 
-		case OpRecv:
-			buf := op.End.recvBuf()
-			if !buf.empty() {
-				seg := buf.pop()
+		case opSend:
+			k.send(t, op.obj.(*Endpoint), int(op.n), op.arg)
+
+		case opRecv:
+			buf := op.obj.(*Endpoint).recvBuf()
+			if buf.segs.len() > 0 {
+				seg := buf.segs.pop()
 				t.LastRecv = seg.payload
 				if k.Observer != nil {
 					k.Observer.Observe(k.segEvent(sim.KindSockDeliver, buf, seg))
@@ -448,15 +459,14 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 				k.applyBinding(t, k.tagOf(buf, seg))
 				continue
 			}
-			buf.waiting = append(buf.waiting, t)
+			buf.waiting.push(t)
 			k.block(c, t)
 			return
 
-		case OpRecvListener:
-			l := op.L
-			if len(l.segs) > 0 {
-				seg := l.segs[0]
-				l.segs = l.segs[1:]
+		case opRecvListener:
+			l := op.obj.(*Listener)
+			if l.segs.len() > 0 {
+				seg := l.segs.pop()
 				t.LastRecv = seg.payload
 				if k.Observer != nil {
 					k.Observer.Observe(k.segEvent(sim.KindSockDeliver, l, seg))
@@ -464,18 +474,14 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 				k.applyBinding(t, seg.ctx)
 				continue
 			}
-			l.waiting = append(l.waiting, t)
+			l.waiting.push(t)
 			k.block(c, t)
 			return
 
-		case OpFork:
-			child := k.newTask(op.Name, op.Prog, t.Ctx, t)
-			t.liveChildren++
-			k.Monitor.OnTaskStart(child)
-			k.Monitor.OnFork(t, child)
-			k.makeRunnable(child)
+		case opFork:
+			k.fork(t, op.arg.(string), op.obj.(Program)) //pclint:allow hotalloc first-use growth: a fork allocates only the child task itself and its task-table slot, once per child
 
-		case OpWaitChild:
+		case opWaitChild:
 			if len(t.zombies) > 0 {
 				k.reapOne(t)
 				continue
@@ -487,34 +493,40 @@ func (k *Kernel) advanceProgram(c int, t *Task) {
 			k.block(c, t)
 			return
 
-		case OpSleep:
+		case opSleep:
 			k.block(c, t)
-			if t.wakeFn == nil {
-				t.wakeFn = func() { k.wake(t) }
-			}
-			k.Eng.After(op.D, t.wakeFn)
+			k.Eng.After(sim.Time(op.n), k.timerOf(t))
 			return
 
-		case OpDisk:
-			k.deviceOp(c, t, k.Disk, op.Bytes)
+		case opDisk:
+			k.deviceOp(c, t, k.Disk, op.n)
 			return
 
-		case OpNet:
-			k.deviceOp(c, t, k.Net, op.Bytes)
+		case opNet:
+			k.deviceOp(c, t, k.Net, op.n)
 			return
 
-		case OpCall:
-			op.Fn(k, t)
+		case opCall:
+			op.obj.(func(*Kernel, *Task))(k, t)
 
-		case OpUserStage:
+		case opUserStage:
 			if k.TrapUserTransfers {
-				k.applyBinding(t, op.Ctx)
+				k.applyBinding(t, op.obj)
 			}
 
 		default:
-			panic(fmt.Sprintf("kernel: unknown op %T", op))
+			panic(fmt.Sprintf("kernel: %v issued an invalid op (kind %d)", t, op.kind)) //pclint:allow hotalloc panic-path formatting on an invariant violation
 		}
 	}
+}
+
+// fork creates and starts a child of t running prog.
+func (k *Kernel) fork(t *Task, name string, prog Program) {
+	child := k.newTask(name, prog, t.Ctx, t)
+	t.liveChildren++
+	k.Monitor.OnTaskStart(child)
+	k.Monitor.OnFork(t, child)
+	k.makeRunnable(child)
 }
 
 // tagOf returns the request-context tag a receiver should adopt for a
@@ -547,9 +559,8 @@ func (k *Kernel) send(t *Task, e *Endpoint, bytes int, payload any) {
 	}
 	buf := e.sendBuf()
 	buf.lastCtx = ctx
-	if len(buf.waiting) > 0 {
-		w := buf.waiting[0]
-		buf.waiting = buf.waiting[1:]
+	if buf.waiting.len() > 0 {
+		w := buf.waiting.pop()
 		w.LastRecv = payload
 		if k.Observer != nil {
 			seg := segment{bytes: bytes, ctx: ctx, seq: k.nextSegSeq()}
@@ -565,7 +576,7 @@ func (k *Kernel) send(t *Task, e *Endpoint, bytes int, payload any) {
 		seg.seq = k.nextSegSeq()
 		k.Observer.Observe(k.segEvent(sim.KindSockEnqueue, buf, seg))
 	}
-	buf.segs = append(buf.segs, seg)
+	buf.segs.push(seg)
 }
 
 // nextSegSeq returns a fresh observation identity for a socket segment.
@@ -588,7 +599,7 @@ func (k *Kernel) block(c int, t *Task) {
 // wake makes a blocked task runnable.
 func (k *Kernel) wake(t *Task) {
 	if t.state != TaskBlocked {
-		panic(fmt.Sprintf("kernel: wake on %v", t))
+		panic(fmt.Sprintf("kernel: wake on %v", t)) //pclint:allow hotalloc panic-path formatting on an invariant violation
 	}
 	t.state = TaskReady
 	k.makeRunnable(t)
@@ -600,18 +611,35 @@ func (k *Kernel) deviceOp(c int, t *Task, dev *Device, bytes int64) {
 	start, done := dev.schedule(k.Now(), bytes)
 	k.Rec.AddDeviceSegment(start, done, dev.BusyWatts)
 	k.block(c, t)
-	busy := done - start
-	k.Eng.At(done, func() {
+	t.ioDev, t.ioBytes, t.ioBusy = dev, bytes, done-start
+	k.Eng.At(done, k.timerOf(t))
+}
+
+// timerOf returns t's timer callback, building it on first use.
+func (k *Kernel) timerOf(t *Task) func() {
+	if t.timerFn == nil {
+		t.timerFn = func() { k.onTimer(t) } //pclint:allow hotalloc first-use growth: one closure per task, reused by every later sleep and transfer
+	}
+	return t.timerFn
+}
+
+// onTimer ends the sleep or device transfer t is blocked on: a finished
+// transfer retires from its device and reports its energy first.
+func (k *Kernel) onTimer(t *Task) {
+	if dev := t.ioDev; dev != nil {
+		t.ioDev = nil
 		dev.complete(k.Now())
-		k.Monitor.OnIO(t, dev.Kind, bytes, busy, dev.BusyWatts)
-		k.wake(t)
-	})
+		k.Monitor.OnIO(t, dev.Kind, t.ioBytes, t.ioBusy, dev.BusyWatts)
+	}
+	k.wake(t)
 }
 
 // reapOne reaps one zombie child of t.
 func (k *Kernel) reapOne(t *Task) {
 	z := t.zombies[0]
-	t.zombies = t.zombies[1:]
+	n := copy(t.zombies, t.zombies[1:])
+	t.zombies[n] = nil
+	t.zombies = t.zombies[:n]
 	z.state = TaskDead
 }
 
@@ -627,7 +655,7 @@ func (k *Kernel) exitTask(c int, t *Task) {
 		return
 	}
 	p.liveChildren--
-	p.zombies = append(p.zombies, t)
+	p.zombies = append(p.zombies, t) //pclint:allow hotalloc first-use growth: reaping removes in place, so the array grows only past the parent's peak of unreaped children
 	if p.waitingChild {
 		p.waitingChild = false
 		k.reapOne(p)
@@ -639,36 +667,34 @@ func (k *Kernel) exitTask(c int, t *Task) {
 // operation: the given events are injected into the core's counters and the
 // corresponding true energy is charged to the package. The facility calls
 // this for every sampling operation it performs — once per context switch
-// and once per overflow interrupt — with a constant event vector, so the
-// model evaluation is memoized per core and the steady-state cost is one
-// counter add plus one recorder charge.
+// and once per overflow interrupt — with its one fixed event vector, so the
+// model evaluation is memoized per core for the vector at ev's address and
+// the steady-state cost is one counter add plus one recorder charge. The
+// caller must not change *ev between charges.
 //
 //pclint:hotpath
-func (k *Kernel) ChargeMaintenance(core int, ev cpu.Counters) {
+func (k *Kernel) ChargeMaintenance(core int, ev *cpu.Counters) {
 	cc := k.Cores[core]
 	cc.AddEvents(ev)
 	if ev.Cycles <= 0 {
 		return
 	}
-	if ev == k.maintEv && k.maintJoules[core] > 0 {
-		k.Rec.AddObserverEnergy(k.Now(), k.maintJoules[core])
-		return
-	}
-	act := cpu.Activity{
-		IPC:   ev.Instructions / ev.Cycles,
-		FLOPC: ev.Float / ev.Cycles,
-		LLCPC: ev.Cache / ev.Cycles,
-		MemPC: ev.Mem / ev.Cycles,
-	}
-	watts := k.Rec.Profile().CorePowerW(act, 1.0)
-	seconds := ev.Cycles / cc.FreqHz
-	joules := watts * seconds
 	if ev != k.maintEv {
 		k.maintEv = ev
-		for i := range k.maintJoules {
-			k.maintJoules[i] = 0
-		}
+		clear(k.maintJoules)
 	}
-	k.maintJoules[core] = joules
+	joules := k.maintJoules[core]
+	if joules <= 0 {
+		act := cpu.Activity{
+			IPC:   ev.Instructions / ev.Cycles,
+			FLOPC: ev.Float / ev.Cycles,
+			LLCPC: ev.Cache / ev.Cycles,
+			MemPC: ev.Mem / ev.Cycles,
+		}
+		watts := k.Rec.Profile().CorePowerW(act, 1.0)
+		seconds := ev.Cycles / cc.FreqHz
+		joules = watts * seconds
+		k.maintJoules[core] = joules
+	}
 	k.Rec.AddObserverEnergy(k.Now(), joules)
 }

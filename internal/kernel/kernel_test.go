@@ -78,7 +78,7 @@ func (m *recordingMonitor) OnTaskStart(t *Task) { m.starts++ }
 func TestSingleComputeTask(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	act := cpu.Activity{IPC: 2}
-	tk := k.Spawn("worker", Script(OpCompute{BaseCycles: 5e6, Act: act}), nil)
+	tk := k.Spawn("worker", Script(Compute(5e6, act)), nil)
 	k.Eng.Run()
 
 	if tk.State() != TaskDead {
@@ -107,8 +107,8 @@ func TestWakeupSpreadsAcrossChips(t *testing.T) {
 	// Two tasks on a 2-chip machine must land on different chips
 	// (Figure 1's Woodcrest behaviour).
 	k := newTestKernel(t, cpu.Woodcrest, nil)
-	a := k.Spawn("a", Script(OpCompute{BaseCycles: 1e9, Act: cpu.Activity{}}), nil)
-	b := k.Spawn("b", Script(OpCompute{BaseCycles: 1e9, Act: cpu.Activity{}}), nil)
+	a := k.Spawn("a", Script(Compute(1e9, cpu.Activity{})), nil)
+	b := k.Spawn("b", Script(Compute(1e9, cpu.Activity{})), nil)
 	k.Eng.RunUntil(sim.Millisecond)
 	ca, cb := a.Core(), b.Core()
 	if ca < 0 || cb < 0 {
@@ -123,12 +123,12 @@ func TestQuantumRotationSharesCore(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	var doneA, doneB sim.Time
 	a := Script(
-		OpCompute{BaseCycles: 10e6, Act: cpu.Activity{}},
-		OpCall{Fn: func(k *Kernel, _ *Task) { doneA = k.Now() }},
+		Compute(10e6, cpu.Activity{}),
+		Call(func(k *Kernel, _ *Task) { doneA = k.Now() }),
 	)
 	b := Script(
-		OpCompute{BaseCycles: 10e6, Act: cpu.Activity{}},
-		OpCall{Fn: func(k *Kernel, _ *Task) { doneB = k.Now() }},
+		Compute(10e6, cpu.Activity{}),
+		Call(func(k *Kernel, _ *Task) { doneB = k.Now() }),
 	)
 	k.Spawn("a", a, nil)
 	k.Spawn("b", b, nil)
@@ -150,9 +150,9 @@ func TestSocketContextPropagation(t *testing.T) {
 	var served []Context
 	server := FuncProgram(func(k *Kernel, t *Task) Op {
 		if len(served) >= 2 {
-			return nil
+			return Exit()
 		}
-		return OpRecv{End: b}
+		return Recv(b)
 	})
 	// Wrap to record binding after each recv: use OpCall interleave.
 	_ = server
@@ -161,19 +161,19 @@ func TestSocketContextPropagation(t *testing.T) {
 		step++
 		switch step {
 		case 1, 3:
-			return OpRecv{End: b}
+			return Recv(b)
 		case 2, 4:
 			served = append(served, t.Ctx)
-			return OpCompute{BaseCycles: 1000, Act: cpu.Activity{}}
+			return Compute(1000, cpu.Activity{})
 		}
-		return nil
+		return Exit()
 	})
 	k.Spawn("server", serverProg, nil)
 	client := Script(
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req1" }},
-		OpSend{End: a, Bytes: 100},
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req2" }},
-		OpSend{End: a, Bytes: 100},
+		Call(func(k *Kernel, t *Task) { t.Ctx = "req1" }),
+		Send(a, 100, nil),
+		Call(func(k *Kernel, t *Task) { t.Ctx = "req2" }),
+		Send(a, 100, nil),
 	)
 	k.Spawn("client", client, nil)
 	k.Eng.Run()
@@ -196,10 +196,10 @@ func TestPerSegmentTaggingOnPersistentConnection(t *testing.T) {
 		a, b := NewConn()
 		// Sender enqueues both messages before the receiver starts.
 		k.Spawn("sender", Script(
-			OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req1" }},
-			OpSend{End: a, Bytes: 10},
-			OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "req2" }},
-			OpSend{End: a, Bytes: 10},
+			Call(func(k *Kernel, t *Task) { t.Ctx = "req1" }),
+			Send(a, 10, nil),
+			Call(func(k *Kernel, t *Task) { t.Ctx = "req2" }),
+			Send(a, 10, nil),
 		), nil)
 		var got []Context
 		var step int
@@ -208,14 +208,14 @@ func TestPerSegmentTaggingOnPersistentConnection(t *testing.T) {
 			switch step {
 			case 1:
 				// Let the sender run first.
-				return OpSleep{D: sim.Millisecond}
+				return Sleep(sim.Millisecond)
 			case 2, 4:
-				return OpRecv{End: b}
+				return Recv(b)
 			case 3, 5:
 				got = append(got, t.Ctx)
-				return OpCompute{BaseCycles: 100, Act: cpu.Activity{}}
+				return Compute(100, cpu.Activity{})
 			}
-			return nil
+			return Exit()
 		}), nil)
 		k.Eng.Run()
 		return got
@@ -237,13 +237,13 @@ func TestForkInheritsContextAndWait(t *testing.T) {
 	var childCtx Context
 	var waitDone sim.Time
 	parent := Script(
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "reqX" }},
-		OpFork{Name: "latex", Prog: Script(
-			OpCall{Fn: func(k *Kernel, t *Task) { childCtx = t.Ctx }},
-			OpCompute{BaseCycles: 2e6, Act: cpu.Activity{}},
-		)},
-		OpWaitChild{},
-		OpCall{Fn: func(k *Kernel, t *Task) { waitDone = k.Now() }},
+		Call(func(k *Kernel, t *Task) { t.Ctx = "reqX" }),
+		Fork("latex", Script(
+			Call(func(k *Kernel, t *Task) { childCtx = t.Ctx }),
+			Compute(2e6, cpu.Activity{}),
+		)),
+		WaitChild(),
+		Call(func(k *Kernel, t *Task) { waitDone = k.Now() }),
 	)
 	k.Spawn("shell", parent, nil)
 	k.Eng.Run()
@@ -262,7 +262,7 @@ func TestForkInheritsContextAndWait(t *testing.T) {
 func TestWaitChildWithNoChildrenDoesNotBlock(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	done := false
-	k.Spawn("p", Script(OpWaitChild{}, OpCall{Fn: func(*Kernel, *Task) { done = true }}), nil)
+	k.Spawn("p", Script(WaitChild(), Call(func(*Kernel, *Task) { done = true })), nil)
 	k.Eng.Run()
 	if !done {
 		t.Fatal("WaitChild with no children blocked forever")
@@ -273,10 +273,10 @@ func TestWaitChildReapsAlreadyExited(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	order := []string{}
 	parent := Script(
-		OpFork{Name: "c", Prog: Script(OpCall{Fn: func(*Kernel, *Task) { order = append(order, "child") }})},
-		OpCompute{BaseCycles: 5e6, Act: cpu.Activity{}}, // child exits while parent computes
-		OpWaitChild{},
-		OpCall{Fn: func(*Kernel, *Task) { order = append(order, "reaped") }},
+		Fork("c", Script(Call(func(*Kernel, *Task) { order = append(order, "child") }))),
+		Compute(5e6, cpu.Activity{}), // child exits while parent computes
+		WaitChild(),
+		Call(func(*Kernel, *Task) { order = append(order, "reaped") }),
 	)
 	k.Spawn("p", parent, nil)
 	k.Eng.Run()
@@ -294,12 +294,12 @@ func TestListenerInjectAndRecv(t *testing.T) {
 		step++
 		switch {
 		case step%2 == 1 && step < 6:
-			return OpRecvListener{L: l}
+			return RecvListener(l)
 		case step%2 == 0:
 			got = append(got, t.Ctx)
-			return OpCompute{BaseCycles: 1000, Act: cpu.Activity{}}
+			return Compute(1000, cpu.Activity{})
 		}
-		return nil
+		return Exit()
 	}), nil)
 	// One message before the worker blocks, two after.
 	k.Inject(l, 10, "r0", nil)
@@ -315,8 +315,8 @@ func TestSleepDuration(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	var woke sim.Time
 	k.Spawn("s", Script(
-		OpSleep{D: 7 * sim.Millisecond},
-		OpCall{Fn: func(k *Kernel, _ *Task) { woke = k.Now() }},
+		Sleep(7*sim.Millisecond),
+		Call(func(k *Kernel, _ *Task) { woke = k.Now() }),
 	), nil)
 	k.Eng.Run()
 	if woke != 7*sim.Millisecond {
@@ -330,8 +330,8 @@ func TestDeviceOpsSerializeAndAttribute(t *testing.T) {
 	// Two tasks each read 12 MB from disk concurrently; the device FIFO
 	// serializes so total time ≈ 2 × (4ms + 0.1s).
 	mb12 := int64(12e6)
-	k.Spawn("d1", Script(OpDisk{Bytes: mb12}), nil)
-	k.Spawn("d2", Script(OpDisk{Bytes: mb12}), nil)
+	k.Spawn("d1", Script(Disk(mb12)), nil)
+	k.Spawn("d2", Script(Disk(mb12)), nil)
 	k.Eng.Run()
 	perOp := 4*sim.Millisecond + sim.Time(12e6/120e6*1e9)
 	want := 2 * perOp
@@ -353,7 +353,7 @@ func TestOverflowInterruptsFire(t *testing.T) {
 	k := newTestKernel(t, uniSpec, mon)
 	// 1 ms worth of cycles at 1 GHz.
 	k.Cores[0].SetOverflowThreshold(1e6)
-	k.Spawn("w", Script(OpCompute{BaseCycles: 10.5e6, Act: cpu.Activity{}}), nil)
+	k.Spawn("w", Script(Compute(10.5e6, cpu.Activity{})), nil)
 	k.Eng.Run()
 	if mon.interrupts != 10 {
 		t.Fatalf("interrupts = %d, want 10", mon.interrupts)
@@ -363,7 +363,7 @@ func TestOverflowInterruptsFire(t *testing.T) {
 func TestMonitorSwitchSequence(t *testing.T) {
 	mon := &recordingMonitor{}
 	k := newTestKernel(t, uniSpec, mon)
-	k.Spawn("w", Script(OpCompute{BaseCycles: 1e6, Act: cpu.Activity{}}), nil)
+	k.Spawn("w", Script(Compute(1e6, cpu.Activity{})), nil)
 	k.Eng.Run()
 	if len(mon.switches) != 2 || mon.switches[0] != "0:-->w" || mon.switches[1] != "0:w->-" {
 		t.Fatalf("switches = %v", mon.switches)
@@ -374,8 +374,9 @@ func TestChargeMaintenance(t *testing.T) {
 	k := newTestKernel(t, uniSpec, nil)
 	ev := cpu.Counters{Cycles: 2948, Instructions: 1656, Float: 16, Cache: 3}
 	before := k.Cores[0].Counters()
-	k.ChargeMaintenance(0, ev)
-	delta := k.Cores[0].Counters().Sub(before)
+	k.ChargeMaintenance(0, &ev)
+	delta := k.Cores[0].Counters()
+	delta.Sub(&before)
 	if delta.Cycles != 2948 || delta.Instructions != 1656 {
 		t.Fatalf("maintenance events not injected: %+v", delta)
 	}
@@ -391,7 +392,7 @@ func TestBusyCoresAndIdleCheck(t *testing.T) {
 	if !k.CoreIdle(0) || k.BusyCores() != 0 {
 		t.Fatal("fresh kernel should be idle")
 	}
-	tk := k.Spawn("w", Script(OpCompute{BaseCycles: 5e6, Act: cpu.Activity{}}), nil)
+	tk := k.Spawn("w", Script(Compute(5e6, cpu.Activity{})), nil)
 	k.Eng.RunUntil(100 * sim.Microsecond)
 	if k.BusyCores() != 1 || k.CoreIdle(tk.Core()) {
 		t.Fatal("running task not visible")
@@ -407,7 +408,7 @@ func TestStealBalancesLoad(t *testing.T) {
 	k := newTestKernel(t, cpu.SandyBridge, nil)
 	cycles := 3.1e6 * 5 // 5 ms each
 	for i := 0; i < 8; i++ {
-		k.Spawn(fmt.Sprintf("w%d", i), Script(OpCompute{BaseCycles: cycles, Act: cpu.Activity{}}), nil)
+		k.Spawn(fmt.Sprintf("w%d", i), Script(Compute(cycles, cpu.Activity{})), nil)
 	}
 	k.Eng.Run()
 	if got := k.Eng.Now(); got > 11*sim.Millisecond {
@@ -443,8 +444,8 @@ func TestPrioritySchedulingJumpsQueue(t *testing.T) {
 	var order []string
 	mk := func(name string, prio int) {
 		tk := k.Spawn(name, Script(
-			OpCompute{BaseCycles: 3e6, Act: cpu.Activity{}},
-			OpCall{Fn: func(*Kernel, *Task) { order = append(order, name) }},
+			Compute(3e6, cpu.Activity{}),
+			Call(func(*Kernel, *Task) { order = append(order, name) }),
 		), nil)
 		tk.Priority = prio
 	}
@@ -477,18 +478,18 @@ func TestPipeContextPropagation(t *testing.T) {
 		step++
 		switch step {
 		case 1, 3:
-			return OpRecv{End: r}
+			return Recv(r)
 		case 2, 4:
 			got = append(got, t.Ctx)
-			return OpCompute{BaseCycles: 100, Act: cpu.Activity{}}
+			return Compute(100, cpu.Activity{})
 		}
-		return nil
+		return Exit()
 	}), nil)
 	k.Spawn("writer", Script(
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "p1" }},
-		OpSend{End: w, Bytes: 32},
-		OpCall{Fn: func(k *Kernel, t *Task) { t.Ctx = "p2" }},
-		OpSend{End: w, Bytes: 32},
+		Call(func(k *Kernel, t *Task) { t.Ctx = "p1" }),
+		Send(w, 32, nil),
+		Call(func(k *Kernel, t *Task) { t.Ctx = "p2" }),
+		Send(w, 32, nil),
 	), nil)
 	k.Eng.Run()
 	if len(got) != 2 || got[0] != "p1" || got[1] != "p2" {
@@ -502,7 +503,7 @@ func TestEndpointPeerAndBuffered(t *testing.T) {
 		t.Fatal("Peer sides wrong")
 	}
 	k := newTestKernel(t, uniSpec, nil)
-	k.Spawn("s", Script(OpSend{End: a, Bytes: 8}, OpSend{End: a, Bytes: 8}), nil)
+	k.Spawn("s", Script(Send(a, 8, nil), Send(a, 8, nil)), nil)
 	k.Eng.Run()
 	if b.Buffered() != 2 {
 		t.Fatalf("buffered = %d, want 2", b.Buffered())
@@ -527,9 +528,9 @@ func TestUserStageTransferTrap(t *testing.T) {
 		k.TrapUserTransfers = trap
 		var boundCtx Context
 		k.Spawn("loop", Script(
-			OpUserStage{Ctx: "reqZ"},
-			OpCompute{BaseCycles: 1e6, Act: cpu.Activity{}},
-			OpCall{Fn: func(k *Kernel, t *Task) { boundCtx = t.Ctx }},
+			UserStage("reqZ"),
+			Compute(1e6, cpu.Activity{}),
+			Call(func(k *Kernel, t *Task) { boundCtx = t.Ctx }),
 		), nil)
 		k.Eng.Run()
 		if trap && boundCtx != "reqZ" {

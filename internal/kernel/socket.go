@@ -27,21 +27,47 @@ type segment struct {
 	seq uint64
 }
 
+// queue is a FIFO that pops by advancing a head index. A push into a full
+// array first moves the live items down when at least half of it is
+// consumed, and an emptied queue restarts at the front, so a steady queue
+// reuses one array instead of allocating as it drifts forward.
+type queue[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *queue[T]) len() int { return len(q.items) - q.head }
+
+//pclint:hotpath
+func (q *queue[T]) push(v T) {
+	if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v) //pclint:allow hotalloc first-use growth: the array grows only past the queue's peak length
+}
+
+// pop removes the head item; callers must check len first.
+//
+//pclint:hotpath
+func (q *queue[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero // drop the reference for the collector
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
 // sockBuf is one direction of a connection: a FIFO of tagged segments plus
 // the tasks blocked reading from it.
 type sockBuf struct {
-	segs    []segment
+	segs    queue[segment]
 	lastCtx Context // naive mode: single tag, overwritten by each send
-	waiting []*Task
-}
-
-func (b *sockBuf) empty() bool { return len(b.segs) == 0 }
-
-// pop removes the head segment; callers must check empty first.
-func (b *sockBuf) pop() segment {
-	s := b.segs[0]
-	b.segs = b.segs[1:]
-	return s
+	waiting queue[*Task]
 }
 
 // Conn is a bidirectional connection between two endpoints, typically
@@ -79,7 +105,7 @@ func (e *Endpoint) recvBuf() *sockBuf {
 }
 
 // Buffered returns the number of unread segments waiting at this endpoint.
-func (e *Endpoint) Buffered() int { return len(e.recvBuf().segs) }
+func (e *Endpoint) Buffered() int { return e.recvBuf().segs.len() }
 
 // NewConn creates a connection and returns its two endpoints.
 func NewConn() (a, b *Endpoint) {
@@ -92,18 +118,18 @@ func NewConn() (a, b *Endpoint) {
 // the context of the request they belong to.
 type Listener struct {
 	Name    string
-	segs    []segment
-	waiting []*Task
+	segs    queue[segment]
+	waiting queue[*Task]
 }
 
 // NewListener returns a listener with the given diagnostic name.
 func NewListener(name string) *Listener { return &Listener{Name: name} }
 
 // Pending returns the number of undelivered messages.
-func (l *Listener) Pending() int { return len(l.segs) }
+func (l *Listener) Pending() int { return l.segs.len() }
 
 // QueuedWaiters returns the number of tasks blocked on the listener.
-func (l *Listener) QueuedWaiters() int { return len(l.waiting) }
+func (l *Listener) QueuedWaiters() int { return l.waiting.len() }
 
 // NewPipe creates a unidirectional IPC channel — the pipe/IPC propagation
 // path of §3.3 — and returns its read and write ends. Pipes share the

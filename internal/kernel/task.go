@@ -57,7 +57,7 @@ func (s TaskState) String() string {
 }
 
 // Program supplies a task's next operation. Next is called whenever the
-// previous op completes; returning nil exits the task. Programs may be
+// previous op completes; returning Exit() ends the task. Programs may be
 // stateful (server workers loop forever serving messages).
 type Program interface {
 	Next(k *Kernel, t *Task) Op
@@ -71,7 +71,7 @@ type scriptProgram struct {
 
 func (p *scriptProgram) Next(k *Kernel, t *Task) Op {
 	if p.i >= len(p.ops) {
-		return nil
+		return Exit()
 	}
 	op := p.ops[p.i]
 	p.i++
@@ -106,14 +106,23 @@ type Task struct {
 	remCycles    float64
 	effAct       cpu.Activity
 	sliceExpiry  sim.Time
-	wakeFn       func() // cached "wake this task" timer callback (OpSleep)
 	parent       *Task
 	liveChildren int
 	zombies      []*Task
 	waitingChild bool
 
+	// timerFn is the task's timer callback, built on first use: it ends
+	// the sleep or device transfer the task is blocked on. A blocked task
+	// waits on at most one timer, so one closure serves every later sleep
+	// and transfer. ioDev is the device of the transfer in flight (nil
+	// while sleeping), and ioBytes and ioBusy its size and busy time.
+	timerFn func()
+	ioDev   *Device
+	ioBytes int64
+	ioBusy  sim.Time
+
 	// LastRecv is the payload of the most recently received message
-	// (socket or listener); handlers read it after an OpRecv completes.
+	// (socket or listener); handlers read it after a Recv completes.
 	LastRecv any
 
 	// Priority orders run-queue selection: higher runs first (0 is the
@@ -132,73 +141,92 @@ func (t *Task) String() string {
 	return fmt.Sprintf("task %d (%s, %s)", t.PID, t.Name, t.state)
 }
 
-// Op is one operation of a task program.
-type Op interface{ isOp() }
+// Op is one operation of a task program: a kind tag plus the few operands
+// that kind reads. It is a value, so a program hands back its next op
+// without a heap allocation. Build ops with the constructors below; the
+// zero Op is invalid and the kernel panics on it.
+type Op struct {
+	kind   opKind
+	cycles float64      // compute: machine-independent base cycles
+	act    cpu.Activity // compute: activity signature
+	n      int64        // send, disk, net: bytes; sleep: duration
+	// obj is the object the op acts on: the *Endpoint of a send or
+	// receive, the *Listener of a listener receive, the Program of a
+	// fork, the callback of a call, or the Context of a user stage.
+	obj any
+	// arg is a send's payload or a fork's task name.
+	arg any
+}
 
-// OpCompute executes BaseCycles of machine-independent work with the given
+// opKind tags an Op.
+type opKind uint8
+
+const (
+	opInvalid opKind = iota
+	opExit
+	opCompute
+	opSend
+	opRecv
+	opRecvListener
+	opFork
+	opWaitChild
+	opSleep
+	opDisk
+	opNet
+	opCall
+	opUserStage
+)
+
+// Exit ends the task. A program returns it once it has no more work.
+func Exit() Op { return Op{kind: opExit} }
+
+// Compute executes baseCycles of machine-independent work with the given
 // activity signature. The kernel translates base cycles into this machine's
 // effective cycles (memory stalls inflate them) via cpu.Execution.
-type OpCompute struct {
-	BaseCycles float64
-	Act        cpu.Activity
+func Compute(baseCycles float64, act cpu.Activity) Op {
+	return Op{kind: opCompute, cycles: baseCycles, act: act}
 }
 
-// OpSend sends a message of Bytes through the endpoint. The segment is
-// tagged with the sender's current context (the paper's TCP-option tag) and
-// may carry an opaque payload (the application-level message body, e.g. a
-// query's parameters). Send never blocks (buffers are unbounded).
-type OpSend struct {
-	End     *Endpoint
-	Bytes   int
-	Payload any
+// Send sends a message of the given size through the endpoint. The segment
+// is tagged with the sender's current context (the paper's TCP-option tag)
+// and may carry an opaque payload (the application-level message body,
+// e.g. a query's parameters). Send never blocks (buffers are unbounded).
+func Send(end *Endpoint, bytes int, payload any) Op {
+	return Op{kind: opSend, n: int64(bytes), obj: end, arg: payload}
 }
 
-// OpRecv receives one message from the endpoint, blocking until one is
+// Recv receives one message from the endpoint, blocking until one is
 // buffered. The receiving task adopts the segment's context tag — a request
 // context switch if it differs from the current binding.
-type OpRecv struct {
-	End *Endpoint
-}
+func Recv(end *Endpoint) Op { return Op{kind: opRecv, obj: end} }
 
-// OpRecvListener receives one externally injected message (a new request)
+// RecvListener receives one externally injected message (a new request)
 // from a listener.
-type OpRecvListener struct {
-	L *Listener
-}
+func RecvListener(l *Listener) Op { return Op{kind: opRecvListener, obj: l} }
 
-// OpFork creates a child task running Prog. The child inherits the parent's
+// Fork creates a child task running prog. The child inherits the parent's
 // context binding.
-type OpFork struct {
-	Name string
-	Prog Program
-}
+func Fork(name string, prog Program) Op { return Op{kind: opFork, obj: prog, arg: name} }
 
-// OpWaitChild blocks until one child has exited, then reaps it.
-type OpWaitChild struct{}
+// WaitChild blocks until one child has exited, then reaps it.
+func WaitChild() Op { return Op{kind: opWaitChild} }
 
-// OpSleep blocks for a fixed duration.
-type OpSleep struct {
-	D sim.Time
-}
+// Sleep blocks for a fixed duration.
+func Sleep(d sim.Time) Op { return Op{kind: opSleep, n: int64(d)} }
 
-// OpDisk performs synchronous disk I/O of Bytes through the shared disk
-// device; the task blocks until the transfer completes.
-type OpDisk struct {
-	Bytes int64
-}
+// Disk performs synchronous disk I/O of the given size through the shared
+// disk device; the task blocks until the transfer completes.
+func Disk(bytes int64) Op { return Op{kind: opDisk, n: bytes} }
 
-// OpNet performs synchronous network I/O of Bytes through the shared NIC.
-type OpNet struct {
-	Bytes int64
-}
+// Net performs synchronous network I/O of the given size through the
+// shared NIC.
+func Net(bytes int64) Op { return Op{kind: opNet, n: bytes} }
 
-// OpCall invokes a harness callback synchronously. Experiment harnesses use
+// Call invokes a harness callback synchronously. Experiment harnesses use
 // it to record request completions and to chain cross-machine hops.
-type OpCall struct {
-	Fn func(k *Kernel, t *Task)
-}
+func Call(fn func(k *Kernel, t *Task)) Op { return Op{kind: opCall, obj: fn} }
 
-// OpUserStage models a user-level request stage transfer: an event-driven
+// UserStage models a user-level request stage transfer: an event-driven
 // server (or user-level thread runtime) switching which request it serves
 // purely in user space, with no kernel-visible system call. By default the
 // kernel cannot observe it — the paper's stated limitation (§3.3) — so the
@@ -206,18 +234,4 @@ type OpCall struct {
 // request. With Kernel.TrapUserTransfers enabled (the paper's future-work
 // idea of trapping accesses to critical synchronization data structures),
 // the kernel observes the transfer and rebinds exactly like a socket read.
-type OpUserStage struct {
-	Ctx Context
-}
-
-func (OpCompute) isOp()      {}
-func (OpSend) isOp()         {}
-func (OpRecv) isOp()         {}
-func (OpRecvListener) isOp() {}
-func (OpFork) isOp()         {}
-func (OpWaitChild) isOp()    {}
-func (OpSleep) isOp()        {}
-func (OpDisk) isOp()         {}
-func (OpNet) isOp()          {}
-func (OpCall) isOp()         {}
-func (OpUserStage) isOp()    {}
+func UserStage(ctx Context) Op { return Op{kind: opUserStage, obj: ctx} }

@@ -4,14 +4,6 @@ import (
 	"powercontainers/internal/cpu"
 )
 
-// IdleChecker reports whether the OS is currently scheduling the idle task
-// on a core. Eq. 3 uses it to treat stale samples from idle siblings as
-// zero activity: an idle core takes no overflow interrupts, so its last
-// published utilization sample can be arbitrarily old.
-type IdleChecker interface {
-	CoreIdle(core int) bool
-}
-
 // ChipShare computes Eq. 3 for the task currently running on core self:
 //
 //	Mchipshare(c) = Mcore(c) / (1 + Σ_{siblings i} Mcore(i))
@@ -19,27 +11,29 @@ type IdleChecker interface {
 // myUtil is the current period's utilization of core self; sibling
 // utilizations are read from each sibling's most recent published sample
 // without any cross-core synchronization — the paper's deliberately
-// approximate, coordination-free estimate. If a core is busy while all
-// siblings idle, the full chip maintenance power attributes to it
-// (share = myUtil / 1); with k fully-busy cores each gets ≈1/k.
+// approximate, coordination-free estimate. A sibling the OS is running the
+// idle task on (its Busy flag is clear) counts as zero: an idle core takes
+// no overflow interrupts, so its last published sample can be arbitrarily
+// old. If a core is busy while all siblings idle, the full chip
+// maintenance power attributes to it (share = myUtil / 1); with k
+// fully-busy cores each gets ≈1/k.
 //
 // cores is indexed by core ID, as kernel.Kernel.Cores is, so a chip's
-// cores are the contiguous run spec.CoresPerChip long that starts at
-// chip·CoresPerChip; only that run is scanned. The chip comes from the
-// core's own Chip field rather than spec.ChipOf, whose integer division
-// would sit on the loop's critical path.
-func ChipShare(spec cpu.MachineSpec, cores []*cpu.Core, self int, myUtil float64, idle IdleChecker) float64 {
+// cores are the contiguous run perChip long that starts at
+// chip·perChip; only that run is scanned. The chip comes from the core's
+// own Chip field rather than a division, which would sit on the loop's
+// critical path.
+//
+//pclint:hotpath
+func ChipShare(cores []*cpu.Core, perChip, self int, myUtil float64) float64 {
 	if myUtil <= 0 {
 		return 0
 	}
-	first := cores[self].Chip * spec.CoresPerChip
+	first := cores[self].Chip * perChip
 	var siblings float64
-	for _, sib := range cores[first : first+spec.CoresPerChip] {
-		if sib.ID == self {
-			continue
-		}
-		if idle != nil && idle.CoreIdle(sib.ID) {
-			continue // stale sample from an idle sibling counts as zero
+	for _, sib := range cores[first : first+perChip] {
+		if sib.ID == self || !sib.Busy {
+			continue // an idle sibling's stale sample counts as zero
 		}
 		u := sib.LastUtil
 		if u < 0 {
@@ -57,17 +51,14 @@ func ChipShare(spec cpu.MachineSpec, cores []*cpu.Core, self int, myUtil float64
 // OracleChipShare computes the share with perfect global knowledge of how
 // many sibling cores are busy right now. It is the ablation baseline the
 // synchronization-free estimate is compared against.
-func OracleChipShare(spec cpu.MachineSpec, self int, myUtil float64, idle IdleChecker) float64 {
+func OracleChipShare(cores []*cpu.Core, perChip, self int, myUtil float64) float64 {
 	if myUtil <= 0 {
 		return 0
 	}
-	chip := spec.ChipOf(self)
+	first := cores[self].Chip * perChip
 	busy := 0
-	for c := chip * spec.CoresPerChip; c < (chip+1)*spec.CoresPerChip; c++ {
-		if c == self {
-			continue
-		}
-		if idle == nil || !idle.CoreIdle(c) {
+	for _, sib := range cores[first : first+perChip] {
+		if sib.ID != self && sib.Busy {
 			busy++
 		}
 	}

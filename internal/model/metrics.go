@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"powercontainers/internal/sim"
+	"powercontainers/internal/stats"
 )
 
 // Metrics is the model input vector for one sampling period. CPU metrics
@@ -135,47 +136,39 @@ func (c Coefficients) String() string {
 		c.IdleW, c.Core, c.Ins, c.Float, c.Cache, c.Mem, c.Chip, c.Disk, c.Net)
 }
 
-// MetricSeries stores time-weighted system-wide metrics on a fixed bucket
-// grid: bucket b holds the time-average of each metric over the bucket,
-// summed across cores, as one Metrics row. The facility feeds it from every
-// attribution period; recalibration regresses its buckets against aligned
-// meter readings, and the modeled-power trace for alignment is computed
-// from it.
+// MetricSeries stores time-weighted system-wide metrics on the fixed
+// stats.BucketWidth grid, the recorder's and the meters' 1 ms grid that
+// alignment regresses it against: bucket b holds the time-average of each
+// metric over the bucket, summed across cores, as one Metrics row. The
+// facility feeds it from every attribution period; recalibration regresses
+// its buckets against aligned meter readings, and the modeled-power trace
+// for alignment is computed from it.
 //
-// A long-lived consumer bounds the series' memory with Trim: buckets below
-// the trim frontier can no longer be read or written, and their storage is
-// released in place. Bucket indices stay absolute, so Len and every bucket
-// at or above the frontier read exactly as they would on the untrimmed
-// series.
+// Rows live in fixed-size chunks, so a series grows without copying what
+// it holds. A long-lived consumer bounds the series' memory with Trim:
+// buckets below the trim frontier can no longer be read or written, and
+// the chunks wholly below it are released. Bucket indices stay absolute,
+// so Len and every bucket at or above the frontier read exactly as they
+// would on the untrimmed series.
 type MetricSeries struct {
-	interval sim.Time
-	// rows holds buckets [base, base+len(rows)) in one contiguous slice;
-	// the prefix below base has been released.
-	rows []Metrics
-	base int
+	rows stats.Chunked[Metrics]
 	// frontier is the lowest bucket that may still be read or written
-	// (0 until the first Trim). base ≤ frontier: Trim moves the frontier
-	// at once and releases storage in batches.
+	// (0 until the first Trim).
 	frontier int
 }
 
-// NewMetricSeries returns a metric series on the given bucket grid.
-func NewMetricSeries(interval sim.Time) *MetricSeries {
-	if interval <= 0 {
-		panic("model: non-positive metric series interval")
-	}
-	return &MetricSeries{interval: interval}
-}
+// NewMetricSeries returns an empty metric series.
+func NewMetricSeries() *MetricSeries { return &MetricSeries{} }
 
 // Interval returns the bucket width.
-func (ms *MetricSeries) Interval() sim.Time { return ms.interval }
+func (ms *MetricSeries) Interval() sim.Time { return stats.BucketWidth }
 
 // Len returns the number of buckets touched so far, counting released
 // ones: the index one past the last bucket written.
-func (ms *MetricSeries) Len() int { return ms.base + len(ms.rows) }
+func (ms *MetricSeries) Len() int { return ms.rows.Len() }
 
-// Retained returns how many buckets the series holds in memory.
-func (ms *MetricSeries) Retained() int { return len(ms.rows) }
+// Retained returns how many buckets the series' chunks hold in memory.
+func (ms *MetricSeries) Retained() int { return ms.rows.Held() }
 
 // frontierError is the panic value of a read or write of a bucket below
 // the trim frontier: whoever trimmed released data a reader or writer
@@ -199,73 +192,62 @@ func (e frontierError) Error() string {
 // component is left alone, and a period whose metrics are all zero
 // touches nothing. It panics when the period starts below the trim
 // frontier.
+//
+//pclint:hotpath
 func (ms *MetricSeries) AddSpread(t0, t1 sim.Time, m Metrics) {
 	if t1 <= t0 {
 		return
 	}
-	// A stack array instead of m.Vector(): this runs on every attribution
-	// period and device-I/O completion, so it must not allocate.
-	v := [8]float64{m.Core, m.Ins, m.Float, m.Cache, m.Mem, m.Chip, m.Disk, m.Net}
 	// Exact zeros, as below: a period that observed no metric writes
 	// nothing.
-	if v == [8]float64{} {
+	if m == (Metrics{}) {
 		return
 	}
-	first, last := int(t0/ms.interval), int((t1-1)/ms.interval)
+	first, last := int(t0/stats.BucketWidth), int((t1-1)/stats.BucketWidth)
 	if first < ms.frontier {
 		panic(frontierError{"write", first, ms.frontier})
 	}
-	ms.grow(last)
+	ms.rows.Grow(last)
 	total := float64(t1 - t0)
-	//pclint:allow floatsafe series are constructed with a positive bucket interval
-	scale := total / float64(ms.interval)
-	rows := ms.rows[first-ms.base : last-ms.base+1]
-	lo := sim.Time(first) * ms.interval
-	for i := range rows {
-		hi := lo + ms.interval
+	scale := total / float64(stats.BucketWidth)
+	lo := sim.Time(first) * stats.BucketWidth
+	for b := first; b <= last; b++ {
+		hi := lo + stats.BucketWidth
 		ov := float64(min(hi, t1) - max(lo, t0))
-		r := &rows[i]
-		for k, p := range [...]*float64{&r.Core, &r.Ins, &r.Float, &r.Cache, &r.Mem, &r.Chip, &r.Disk, &r.Net} {
-			//pclint:allow floatsafe exact-zero fast path skipping metrics that were never observed
-			if v[k] == 0 {
-				continue
-			}
-			//pclint:allow floatsafe total = t1-t0 is positive: the empty and reversed periods returned above
-			*p += v[k] * scale * ov / total
-		}
+		r := ms.rows.At(b)
+		spread(&r.Core, m.Core, scale, ov, total)
+		spread(&r.Ins, m.Ins, scale, ov, total)
+		spread(&r.Float, m.Float, scale, ov, total)
+		spread(&r.Cache, m.Cache, scale, ov, total)
+		spread(&r.Mem, m.Mem, scale, ov, total)
+		spread(&r.Chip, m.Chip, scale, ov, total)
+		spread(&r.Disk, m.Disk, scale, ov, total)
+		spread(&r.Net, m.Net, scale, ov, total)
 		lo = hi
 	}
 }
 
-// grow ensures bucket b, at or above the frontier, exists. A series holding
-// nothing restarts its storage at the frontier, so a write after a long
-// silence does not fill the released gap behind it with zeros.
-func (ms *MetricSeries) grow(b int) {
-	if len(ms.rows) == 0 {
-		ms.base = ms.frontier
+// spread adds one component's share of a bucket, (v·scale)·ov/total, to
+// *p, and leaves *p alone when v is exactly zero.
+func spread(p *float64, v, scale, ov, total float64) {
+	//pclint:allow floatsafe exact-zero fast path skipping metrics that were never observed
+	if v == 0 {
+		return
 	}
-	for len(ms.rows) <= b-ms.base {
-		ms.rows = append(ms.rows, Metrics{})
-	}
+	//pclint:allow floatsafe total = t1-t0 is positive: AddSpread returned on empty and reversed periods
+	*p += v * scale * ov / total
 }
 
 // Trim advances the trim frontier to bucket f: from then on a read or
-// write of a bucket below f panics. A frontier at or below the current one
-// leaves the series as it is. The live rows, frontier to Len, are copied
-// down to the start of the backing array only once the released prefix is
-// at least as long as they are, so each row moves about once and a steady
-// trimmed stream reuses one array instead of reallocating it.
+// write of a bucket below f panics, and the chunks wholly below f are
+// released. A frontier at or below the current one leaves the series as it
+// is.
 func (ms *MetricSeries) Trim(f int) {
 	if f <= ms.frontier {
 		return
 	}
 	ms.frontier = f
-	dead := min(f, ms.Len()) - ms.base
-	if live := len(ms.rows) - dead; dead < live {
-		return
-	}
-	ms.rows = ms.rows[:copy(ms.rows, ms.rows[dead:])]
-	ms.base += dead
+	ms.rows.Release(f)
 }
 
 // At returns the time-averaged metrics of bucket b: its row, or zero for a
@@ -277,7 +259,7 @@ func (ms *MetricSeries) At(b int) Metrics {
 	if b < 0 || b >= ms.Len() {
 		return Metrics{}
 	}
-	return ms.rows[b-ms.base]
+	return *ms.rows.At(b)
 }
 
 // WindowMean returns the mean metrics over buckets [lo, hi).

@@ -17,10 +17,10 @@ type refMetricSeries struct {
 	series [8]*stats.Series
 }
 
-func newRefMetricSeries(interval sim.Time) *refMetricSeries {
+func newRefMetricSeries() *refMetricSeries {
 	r := &refMetricSeries{}
 	for i := range r.series {
-		r.series[i] = stats.NewSeries(interval)
+		r.series[i] = stats.NewSeries()
 	}
 	return r
 }
@@ -78,8 +78,9 @@ func sameMetrics(a, b Metrics) bool {
 	return true
 }
 
-// seriesInterval is an odd bucket width, so spread writes split unevenly.
-const seriesInterval = sim.Time(7)
+// scriptUnit is the time unit of metric scripts: a seventh of a bucket,
+// rounded down, so spread writes split unevenly at bucket edges.
+const scriptUnit = stats.BucketWidth / 7
 
 // scriptMetrics returns a metric vector built from two script bytes, with
 // component k nonzero only where bit k of mask is set.
@@ -100,10 +101,11 @@ const deviceOnly = 1<<6 | 1<<7
 // checkMetricScript drives a MetricSeries and the reference layout through
 // the same writes, decoded from ops, with the series also trimmed and
 // probed below its frontier. Each op is an opcode byte and two parameter
-// bytes a and b; lo is the frontier's first instant:
+// bytes a and b, counting time in scriptUnits; lo is the frontier's first
+// instant:
 //
-//	0  AddSpread from lo+a for b+1 ns, every component nonzero
-//	1  AddSpread from lo+a for b%16+1 ns, components chosen by the bits of b
+//	0  AddSpread from lo+a for b+1 units, every component nonzero
+//	1  AddSpread from lo+a for b%16+1 units, components chosen by the bits of b
 //	   (all zero when b is 0)
 //	2  AddSpread from lo exactly, device components only
 //	3  AddSpread of all-zero metrics, starting anywhere, below the frontier
@@ -118,44 +120,45 @@ const deviceOnly = 1<<6 | 1<<7
 //
 // After every op, Len must agree, every bucket from the frontier to past
 // Len must be bit-identical, as must WindowMean from the frontier to Len,
-// and the series must hold less than twice its live part (or no released
-// prefix at all), starting no higher than the frontier.
+// and the series must hold no whole chunk below the frontier, starting no
+// higher than it.
 func checkMetricScript(t *testing.T, ops []byte) {
 	t.Helper()
-	ms, ref := NewMetricSeries(seriesInterval), newRefMetricSeries(seriesInterval)
+	ms, ref := NewMetricSeries(), newRefMetricSeries()
 	both := func(t0, t1 sim.Time, m Metrics) {
 		ms.AddSpread(t0, t1, m)
 		ref.addSpread(t0, t1, m)
 	}
 	for i := 0; i+2 < len(ops); i += 3 {
 		op, a, b := ops[i]%8, ops[i+1], ops[i+2]
-		lo := sim.Time(ms.frontier) * seriesInterval
+		ua, ub := sim.Time(a)*scriptUnit, sim.Time(b)*scriptUnit
+		lo := sim.Time(ms.frontier) * stats.BucketWidth
 		switch op {
 		case 0:
-			both(lo+sim.Time(a), lo+sim.Time(a)+sim.Time(b)+1, scriptMetrics(a, b, 0xff))
+			both(lo+ua, lo+ua+ub+scriptUnit, scriptMetrics(a, b, 0xff))
 		case 1:
-			both(lo+sim.Time(a), lo+sim.Time(a)+sim.Time(b%16)+1, scriptMetrics(a, b, b))
+			both(lo+ua, lo+ua+sim.Time(b%16+1)*scriptUnit, scriptMetrics(a, b, b))
 		case 2:
-			both(lo, lo+sim.Time(a)+sim.Time(b)+1, scriptMetrics(a, b, deviceOnly))
+			both(lo, lo+ua+ub+scriptUnit, scriptMetrics(a, b, deviceOnly))
 		case 3:
-			at := sim.Time(a) * sim.Time(b) % (lo + 64)
-			both(at, at+sim.Time(b)+1, Metrics{})
+			at := sim.Time(a) * sim.Time(b) % (lo/scriptUnit + 64) * scriptUnit
+			both(at, at+ub+scriptUnit, Metrics{})
 		case 4:
 			ms.Trim(ms.frontier + int(a%32))
 		case 5:
-			both(lo+sim.Time(a), lo+sim.Time(a)-sim.Time(b%4), scriptMetrics(a, b, 0xff))
+			both(lo+ua, lo+ua-sim.Time(b%4)*scriptUnit, scriptMetrics(a, b, 0xff))
 		case 6:
 			if ms.frontier == 0 {
 				continue
 			}
 			below := ms.frontier - 1 - int(a)%ms.frontier
-			at := sim.Time(below) * seriesInterval
+			at := sim.Time(below) * stats.BucketWidth
 			mustPanicBelow(t, ms, "read", func() { ms.At(below) })
 			mustPanicBelow(t, ms, "read", func() { ms.WindowMean(below, ms.frontier+1) })
-			mustPanicBelow(t, ms, "write", func() { ms.AddSpread(at, lo+sim.Time(b)+1, scriptMetrics(a, b, 1)) })
+			mustPanicBelow(t, ms, "write", func() { ms.AddSpread(at, lo+ub+scriptUnit, scriptMetrics(a, b, 1)) })
 		case 7:
-			t0 := sim.Time(max(ms.Len(), ms.frontier)+64+int(a)) * seriesInterval
-			both(t0, t0+sim.Time(b)+1, scriptMetrics(a, b, b|1))
+			t0 := sim.Time(max(ms.Len(), ms.frontier)+64+int(a)) * stats.BucketWidth
+			both(t0, t0+ub+scriptUnit, scriptMetrics(a, b, b|1))
 		}
 		if ms.Len() != ref.len() {
 			t.Fatalf("op %d: rows Len %d, reference %d", i/3, ms.Len(), ref.len())
@@ -168,12 +171,13 @@ func checkMetricScript(t *testing.T, ops []byte) {
 		if got, want := ms.WindowMean(ms.frontier, ms.Len()), ref.windowMean(ms.frontier, ms.Len()); !sameMetrics(got, want) {
 			t.Fatalf("op %d: window mean %+v, reference %+v", i/3, got, want)
 		}
-		if ms.base > ms.frontier {
-			t.Fatalf("op %d: storage starts at bucket %d, above the frontier %d", i/3, ms.base, ms.frontier)
+		if ms.Retained() == 0 {
+			continue
 		}
-		edge := min(ms.frontier, ms.Len())
-		if dead, live := edge-ms.base, ms.Len()-edge; dead > 0 && dead >= live {
-			t.Fatalf("op %d: %d released buckets still held against %d live", i/3, dead, live)
+		if start := ms.rows.Start(); start > ms.frontier {
+			t.Fatalf("op %d: storage starts at bucket %d, above the frontier %d", i/3, start, ms.frontier)
+		} else if ms.frontier-start >= stats.ChunkLen {
+			t.Fatalf("op %d: storage starts at bucket %d, a whole chunk below the frontier %d", i/3, start, ms.frontier)
 		}
 	}
 }
@@ -211,7 +215,7 @@ func TestMetricSeriesTrimMatchesUntrimmed(t *testing.T) {
 // in the message, as do the views that read from bucket 0. A period whose
 // metrics are all zero writes nothing, so it does not.
 func TestMetricSeriesTrimPanicsBelowFrontier(t *testing.T) {
-	ms := NewMetricSeries(sim.Millisecond)
+	ms := NewMetricSeries()
 	ms.AddSpread(0, 10*sim.Millisecond, Metrics{Core: 1, Disk: 1})
 	ms.Trim(4)
 	mustPanicBelow(t, ms, "read", func() { ms.At(3) })
@@ -235,7 +239,7 @@ func TestMetricSeriesTrimPanicsBelowFrontier(t *testing.T) {
 // reaches: a series written and trimmed one window at a time keeps one
 // backing array and allocates nothing.
 func TestMetricSeriesTrimReusesStorage(t *testing.T) {
-	ms := NewMetricSeries(sim.Millisecond)
+	ms := NewMetricSeries()
 	var now sim.Time
 	step := func() {
 		ms.AddSpread(now, now+100*sim.Millisecond, Metrics{Core: 1, Ins: 2, Disk: 0.5})

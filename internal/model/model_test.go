@@ -56,7 +56,7 @@ func TestEstimateSplitsScopes(t *testing.T) {
 }
 
 func TestMetricSeriesTimeWeighting(t *testing.T) {
-	ms := NewMetricSeries(sim.Millisecond)
+	ms := NewMetricSeries()
 	// A fully utilized period covering half of bucket 0.
 	ms.AddSpread(0, sim.Millisecond/2, Metrics{Core: 1, Ins: 2})
 	got := ms.At(0)
@@ -71,7 +71,7 @@ func TestMetricSeriesTimeWeighting(t *testing.T) {
 }
 
 func TestMetricSeriesWindowMeanAndModeledPower(t *testing.T) {
-	ms := NewMetricSeries(sim.Millisecond)
+	ms := NewMetricSeries()
 	for b := sim.Time(0); b < 10; b++ {
 		ms.AddSpread(b*sim.Millisecond, (b+1)*sim.Millisecond, Metrics{Core: float64(b % 2)})
 	}
@@ -86,10 +86,16 @@ func TestMetricSeriesWindowMeanAndModeledPower(t *testing.T) {
 	}
 }
 
-// fixedIdle implements IdleChecker with a fixed busy set.
-type fixedIdle map[int]bool // true = idle
-
-func (f fixedIdle) CoreIdle(core int) bool { return f[core] }
+// setIdle marks the given cores idle and every other core busy, as the
+// kernel's scheduler would.
+func setIdle(cores []*cpu.Core, idle ...int) {
+	for _, c := range cores {
+		c.Busy = true
+	}
+	for _, i := range idle {
+		cores[i].Busy = false
+	}
+}
 
 func TestChipShareEquation(t *testing.T) {
 	spec := cpu.MachineSpec{Name: "q", Chips: 1, CoresPerChip: 4, FreqHz: 1e9, DutyLevels: 8}
@@ -98,33 +104,34 @@ func TestChipShareEquation(t *testing.T) {
 		cores[i] = cpu.NewCore(i, spec)
 	}
 	// All siblings idle: full chip share.
-	idle := fixedIdle{1: true, 2: true, 3: true}
-	if got := ChipShare(spec, cores, 0, 1.0, idle); math.Abs(got-1.0) > 1e-12 {
+	setIdle(cores, 1, 2, 3)
+	if got := ChipShare(cores, spec.CoresPerChip, 0, 1.0); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("solo share = %g, want 1", got)
 	}
 	// Three busy siblings at full utilization: share = 1/(1+3).
 	for _, c := range cores[1:] {
 		c.PublishSample(1.0)
 	}
-	busy := fixedIdle{}
-	if got := ChipShare(spec, cores, 0, 1.0, busy); math.Abs(got-0.25) > 1e-12 {
+	setIdle(cores)
+	if got := ChipShare(cores, spec.CoresPerChip, 0, 1.0); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("quarter share = %g, want 0.25", got)
 	}
 	// Stale sample from an idle sibling must be ignored via the idle
 	// check even though LastUtil says busy.
-	idleOne := fixedIdle{3: true}
+	setIdle(cores, 3)
 	want := 1.0 / (1 + 2)
-	if got := ChipShare(spec, cores, 0, 1.0, idleOne); math.Abs(got-want) > 1e-12 {
+	if got := ChipShare(cores, spec.CoresPerChip, 0, 1.0); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("share with idle sibling = %g, want %g", got, want)
 	}
 	// Zero utilization → zero share.
-	if got := ChipShare(spec, cores, 0, 0, busy); got != 0 {
+	if got := ChipShare(cores, spec.CoresPerChip, 0, 0); got != 0 {
 		t.Fatalf("idle self share = %g", got)
 	}
 	// Out-of-range published samples clamp.
 	cores[1].PublishSample(42)
 	cores[2].PublishSample(-3)
-	got := ChipShare(spec, cores, 0, 1.0, fixedIdle{3: true})
+	setIdle(cores, 3)
+	got := ChipShare(cores, spec.CoresPerChip, 0, 1.0)
 	if got < 0.4 || got > 0.6 { // 1/(1+1+0)
 		t.Fatalf("clamped share = %g, want 0.5", got)
 	}
@@ -138,7 +145,8 @@ func TestChipShareOnlySameChip(t *testing.T) {
 		cores[i].PublishSample(1.0)
 	}
 	// Core 0's share depends only on core 1, not on chip 1's cores.
-	got := ChipShare(spec, cores, 0, 1.0, fixedIdle{})
+	setIdle(cores)
+	got := ChipShare(cores, spec.CoresPerChip, 0, 1.0)
 	if math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("cross-chip leakage: share = %g, want 0.5", got)
 	}
@@ -146,10 +154,16 @@ func TestChipShareOnlySameChip(t *testing.T) {
 
 func TestOracleChipShare(t *testing.T) {
 	spec := cpu.MachineSpec{Name: "q", Chips: 1, CoresPerChip: 4, FreqHz: 1e9, DutyLevels: 8}
-	if got := OracleChipShare(spec, 0, 1.0, fixedIdle{1: true, 2: true, 3: true}); got != 1.0 {
+	cores := make([]*cpu.Core, 4)
+	for i := range cores {
+		cores[i] = cpu.NewCore(i, spec)
+	}
+	setIdle(cores, 1, 2, 3)
+	if got := OracleChipShare(cores, spec.CoresPerChip, 0, 1.0); got != 1.0 {
 		t.Fatalf("oracle solo = %g", got)
 	}
-	if got := OracleChipShare(spec, 0, 1.0, fixedIdle{}); got != 0.25 {
+	setIdle(cores)
+	if got := OracleChipShare(cores, spec.CoresPerChip, 0, 1.0); got != 0.25 {
 		t.Fatalf("oracle full = %g", got)
 	}
 }

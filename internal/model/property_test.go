@@ -20,6 +20,7 @@ func TestChipShareSiblingPermutationInvariance(t *testing.T) {
 		cores := make([]*cpu.Core, spec.Cores())
 		for i := range cores {
 			cores[i] = cpu.NewCore(i, spec)
+			cores[i].Busy = true
 			cores[i].LastUtil = 2*rng.Float64() - 0.5 // includes out-of-range samples
 		}
 		self := rng.Intn(spec.Cores())
@@ -28,7 +29,7 @@ func TestChipShareSiblingPermutationInvariance(t *testing.T) {
 			myUtil = 0.5
 		}
 
-		base := ChipShare(spec, cores, self, myUtil, nil)
+		base := ChipShare(cores, spec.CoresPerChip, self, myUtil)
 		if base <= 0 || base > myUtil+1e-12 || base > 1+1e-12 {
 			t.Fatalf("trial %d: share %v outside (0, min(1, myUtil %v)]", trial, base, myUtil)
 		}
@@ -36,7 +37,7 @@ func TestChipShareSiblingPermutationInvariance(t *testing.T) {
 		for i, j := range rng.Perm(len(cores)) {
 			perm[i] = cores[j]
 		}
-		got := ChipShare(spec, perm, self, myUtil, nil)
+		got := ChipShare(perm, spec.CoresPerChip, self, myUtil)
 		if math.Abs(got-base) > 1e-12 {
 			t.Fatalf("trial %d: share changed under permutation: %v vs %v", trial, got, base)
 		}
@@ -53,9 +54,10 @@ func TestChipShareBusySiblingsBound(t *testing.T) {
 	cores := make([]*cpu.Core, spec.Cores())
 	for i := range cores {
 		cores[i] = cpu.NewCore(i, spec)
+		cores[i].Busy = true
 		cores[i].LastUtil = 1
 	}
-	got := ChipShare(spec, cores, 0, 1, nil)
+	got := ChipShare(cores, spec.CoresPerChip, 0, 1)
 	want := 1 / float64(spec.CoresPerChip)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("fully busy chip: share %v, want %v", got, want)
@@ -64,10 +66,10 @@ func TestChipShareBusySiblingsBound(t *testing.T) {
 	for i := range cores {
 		cores[i].LastUtil = 0
 	}
-	if got := ChipShare(spec, cores, 0, 1, nil); got != 1 {
+	if got := ChipShare(cores, spec.CoresPerChip, 0, 1); got != 1 {
 		t.Fatalf("lone busy core: share %v, want 1", got)
 	}
-	if got := ChipShare(spec, cores, 0, 0, nil); got != 0 {
+	if got := ChipShare(cores, spec.CoresPerChip, 0, 0); got != 0 {
 		t.Fatalf("idle core: share %v, want 0", got)
 	}
 }

@@ -57,9 +57,12 @@ type TrueProfile struct {
 // modulation halts the core during non-duty periods, so all activity-driven
 // power scales approximately linearly with the duty fraction, matching the
 // paper's observation in §3.4.
-func (p TrueProfile) CorePowerW(act cpu.Activity, duty float64) float64 {
+//
+// The pointer receiver keeps the recorder's per-segment call from copying
+// the profile.
+func (p *TrueProfile) CorePowerW(act cpu.Activity, duty float64) float64 {
 	if duty < 0 || duty > 1 {
-		panic(fmt.Sprintf("power: duty fraction %g out of range", duty)) //pclint:allow hotalloc panic-path formatting on an invariant violation
+		panic(dutyError(duty))
 	}
 	linear := p.CoreW +
 		p.InsW*act.IPC +
@@ -68,6 +71,15 @@ func (p TrueProfile) CorePowerW(act cpu.Activity, duty float64) float64 {
 		p.MemW*act.MemPC
 	synergy := p.SynW * act.IPC * act.MemPC
 	return duty * (linear + synergy)
+}
+
+// dutyError is the panic value of CorePowerW for a duty fraction outside
+// [0, 1]. Panicking with a plain value, formatted only when printed, keeps
+// CorePowerW small enough to inline.
+type dutyError float64
+
+func (d dutyError) Error() string {
+	return fmt.Sprintf("power: duty fraction %g out of range", float64(d))
 }
 
 // Profiles returns the hidden ground truth for a machine spec. Values are

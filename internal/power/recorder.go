@@ -8,10 +8,10 @@ import (
 	"powercontainers/internal/stats"
 )
 
-// RecorderInterval is the ground-truth energy bucketing granularity. The
-// SandyBridge on-chip meter accumulates energy once per millisecond, so the
-// recorder matches that resolution.
-const RecorderInterval = sim.Millisecond
+// RecorderInterval is the ground-truth energy bucketing granularity: the
+// stats.Series grid. The SandyBridge on-chip meter accumulates energy once
+// per millisecond, so the recorder matches that resolution.
+const RecorderInterval = stats.BucketWidth
 
 // Recorder integrates a machine's actual energy use on a 1 ms grid. The
 // kernel reports every execution segment and device transfer; the recorder
@@ -42,8 +42,8 @@ func NewRecorder(spec cpu.MachineSpec, profile TrueProfile) *Recorder {
 	return &Recorder{
 		spec:      spec,
 		profile:   profile,
-		pkgActive: stats.NewSeries(RecorderInterval),
-		device:    stats.NewSeries(RecorderInterval),
+		pkgActive: stats.NewSeries(),
+		device:    stats.NewSeries(),
 		chipBusy:  make([]int, spec.Chips),
 	}
 }
@@ -52,8 +52,8 @@ func NewRecorder(spec cpu.MachineSpec, profile TrueProfile) *Recorder {
 func (r *Recorder) Spec() cpu.MachineSpec { return r.spec }
 
 // Profile returns the hidden ground-truth profile (experiments use it to
-// validate; the facility must not).
-func (r *Recorder) Profile() TrueProfile { return r.profile }
+// validate; the facility must not). Callers must not modify it.
+func (r *Recorder) Profile() *TrueProfile { return &r.profile }
 
 // AddCoreSegment integrates the actual energy of one core running a task
 // over [t0, t1) with the given on-machine activity and duty fraction.
@@ -68,7 +68,7 @@ func (r *Recorder) AddCoreSegment(t0, t1 sim.Time, act cpu.Activity, duty float6
 	if r.Observer != nil {
 		r.Observer.Observe(sim.Event{Kind: sim.KindRecord, Name: "core", T0: t0, T: t1, X: joules})
 	}
-	r.pkgActive.AddSpread(t0, t1, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
+	r.pkgActive.AddSpread(t0, t1, joules)
 }
 
 // AddObserverEnergy charges the energy of facility maintenance operations
@@ -83,7 +83,7 @@ func (r *Recorder) AddObserverEnergy(t sim.Time, joules float64) {
 	if r.Observer != nil {
 		r.Observer.Observe(sim.Event{Kind: sim.KindRecord, Name: "observer", T0: t, T: t, X: joules})
 	}
-	r.pkgActive.Add(t, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
+	r.pkgActive.Add(t, joules)
 }
 
 // SetChipBusyCores integrates maintenance power up to now and records the
@@ -128,7 +128,7 @@ func (r *Recorder) FlushUntil(now sim.Time) {
 		if r.Observer != nil {
 			r.Observer.Observe(sim.Event{Kind: sim.KindRecord, Name: "maint", T0: r.maintUpTo, T: now, X: joules})
 		}
-		r.pkgActive.AddSpread(r.maintUpTo, now, joules) //pclint:allow hotalloc 1ms-bucket series growth is bounded by elapsed sim time, not event count
+		r.pkgActive.AddSpread(r.maintUpTo, now, joules)
 	}
 	r.maintUpTo = now
 }

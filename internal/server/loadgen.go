@@ -92,17 +92,9 @@ func (g *LoadGen) InjectPrepared(req *Request, extraDone func(*Request)) *Reques
 		}
 	}
 	req.Arrive = g.K.Now()
+	req.gen, req.then = g, extraDone
 	g.inFlight++
-	env := &Envelope{Req: req}
-	env.Done = func(k *kernel.Kernel, t *kernel.Task) {
-		req.Done = k.Now()
-		g.inFlight--
-		g.completed = append(g.completed, req)
-		if extraDone != nil {
-			extraDone(req)
-		}
-	}
-	g.K.Inject(g.Dep.Entry, requestBytes, req.Cont, env)
+	g.K.Inject(g.Dep.Entry, requestBytes, req.Cont, req)
 	return req
 }
 

@@ -12,7 +12,9 @@ import (
 	"powercontainers/internal/sim"
 )
 
-// Request is one client request's lifecycle record.
+// Request is one client request's lifecycle record. The load generator
+// injects the request itself into the entry listener, so entry handlers
+// receive it as their payload.
 type Request struct {
 	// Type is the request class (e.g. "rsa/2048", "vosao/read").
 	Type string
@@ -25,6 +27,23 @@ type Request struct {
 	Cont *core.Container
 	// Arrive and Done bound the request's residence in the server.
 	Arrive, Done sim.Time
+
+	// gen is the generator that injected the request, and then the
+	// callback it runs after its completion bookkeeping (nil for none).
+	gen  *LoadGen
+	then func(*Request)
+}
+
+// NewRequestWith returns a request of the given type whose Payload is a
+// *P pointing at a copy of p held in the same allocation, so building a
+// request costs one allocation instead of two. Handlers assert *P.
+func NewRequestWith[P any](typ string, p P) *Request {
+	r := &struct {
+		req Request
+		p   P
+	}{p: p}
+	r.req = Request{Type: typ, Payload: &r.p}
+	return &r.req
 }
 
 // ResponseTime returns the request's server residence time (0 if unfinished).
@@ -38,53 +57,83 @@ func (r *Request) ResponseTime() sim.Time {
 // Finished reports whether the request completed.
 func (r *Request) Finished() bool { return r.Done > r.Arrive }
 
-// Envelope is the payload injected into an entry listener: the request plus
-// the completion callback installed by the load generator.
-type Envelope struct {
-	Req  *Request
-	Done func(k *kernel.Kernel, t *kernel.Task)
+// Complete records the request's completion at now with the generator that
+// injected it, then runs the generator's follow-up callback. Servers call it
+// once the request's last op has run; a request no generator injected has
+// nothing to record.
+func (r *Request) Complete(now sim.Time) {
+	g := r.gen
+	if g == nil {
+		return
+	}
+	r.Done = now
+	g.inFlight--
+	g.completed = append(g.completed, r)
+	if r.then != nil {
+		r.then(r)
+	}
 }
 
-// Handler builds the op sequence serving one received message. For entry
-// pools the payload is *Envelope; for auxiliary pools it is whatever the
-// upstream stage sent.
-type Handler func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op
+// Handler appends the ops serving one received message to ops and returns
+// the extended slice. For entry pools the payload is the *Request; for
+// auxiliary pools it is whatever the upstream stage sent. Workers pass a
+// reused buffer, so a handler that appends its ops allocates nothing.
+type Handler func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op
 
-// entryWorker serves an entry listener: receive a request envelope, run the
-// handler's ops, signal completion, repeat.
+// opBuffer is a worker's reused op list: the handler appends a message's
+// ops and the worker hands them out in order.
+type opBuffer struct {
+	ops  []kernel.Op
+	next int
+}
+
+// take returns the next pending op, and false once all are handed out; the
+// buffer then restarts at the front so the next message reuses its array.
+func (b *opBuffer) take() (kernel.Op, bool) {
+	if b.next == len(b.ops) {
+		b.ops, b.next = b.ops[:0], 0
+		return kernel.Op{}, false
+	}
+	op := b.ops[b.next]
+	b.next++
+	return op, true
+}
+
+// entryWorker serves an entry listener: receive a request, run the
+// handler's ops, record the completion, repeat.
 type entryWorker struct {
 	l       *kernel.Listener
 	handler Handler
-	pending []kernel.Op
+	pending opBuffer
+	req     *Request // the request being served
 	waiting bool
 }
 
 func (w *entryWorker) Next(k *kernel.Kernel, t *kernel.Task) kernel.Op {
 	for {
-		if len(w.pending) > 0 {
-			op := w.pending[0]
-			w.pending = w.pending[1:]
+		if op, ok := w.pending.take(); ok {
 			return op
+		}
+		if req := w.req; req != nil {
+			// The request's ops have all run: record the completion,
+			// then unbind so think-time gaps attribute to background
+			// rather than the finished request.
+			w.req = nil
+			req.Complete(k.Now())
+			k.Rebind(t, nil)
 		}
 		if !w.waiting {
 			w.waiting = true
-			return kernel.OpRecvListener{L: w.l}
+			return kernel.RecvListener(w.l)
 		}
-		// Recv completed: build the request's ops plus completion.
+		// Recv completed: build the request's ops.
 		w.waiting = false
-		env, ok := t.LastRecv.(*Envelope)
+		req, ok := t.LastRecv.(*Request)
 		if !ok {
-			panic(fmt.Sprintf("server: entry worker %s received %T, want *Envelope", t.Name, t.LastRecv))
+			panic(fmt.Sprintf("server: entry worker %s received %T, want *Request", t.Name, t.LastRecv))
 		}
-		w.pending = w.handler(k, t, env)
-		if env.Done != nil {
-			w.pending = append(w.pending, kernel.OpCall{Fn: env.Done})
-		}
-		// Unbind between requests so think-time gaps attribute to
-		// background rather than the finished request.
-		w.pending = append(w.pending, kernel.OpCall{Fn: func(k *kernel.Kernel, t *kernel.Task) {
-			k.Rebind(t, nil)
-		}})
+		w.req = req
+		w.pending.ops = w.handler(k, t, req, w.pending.ops)
 	}
 }
 
@@ -92,30 +141,28 @@ func (w *entryWorker) Next(k *kernel.Kernel, t *kernel.Task) kernel.Op {
 type auxWorker struct {
 	end     *kernel.Endpoint
 	handler Handler
-	pending []kernel.Op
+	pending opBuffer
 	waiting bool
 }
 
 func (w *auxWorker) Next(k *kernel.Kernel, t *kernel.Task) kernel.Op {
 	for {
-		if len(w.pending) > 0 {
-			op := w.pending[0]
-			w.pending = w.pending[1:]
+		if op, ok := w.pending.take(); ok {
 			return op
 		}
 		if !w.waiting {
 			w.waiting = true
-			return kernel.OpRecv{End: w.end}
+			return kernel.Recv(w.end)
 		}
 		w.waiting = false
-		w.pending = w.handler(k, t, t.LastRecv)
+		w.pending.ops = w.handler(k, t, t.LastRecv, w.pending.ops)
 	}
 }
 
 // NewEntryPool spawns n workers serving the listener. The factory builds
 // each worker's handler, letting workers own per-worker state such as a
-// persistent connection to a dedicated database thread. The completion
-// callback carried in each Envelope runs after the handler ops.
+// persistent connection to a dedicated database thread. Each request's
+// completion is recorded after its handler ops.
 func NewEntryPool(k *kernel.Kernel, name string, n int, l *kernel.Listener, factory func(worker int) Handler) {
 	for i := 0; i < n; i++ {
 		k.Spawn(name, &entryWorker{l: l, handler: factory(i)}, nil)

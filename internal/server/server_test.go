@@ -38,10 +38,9 @@ func newRig(t *testing.T) (*kernel.Kernel, *core.Facility) {
 func echoDeployment(k *kernel.Kernel, burst float64) *Deployment {
 	entry := kernel.NewListener("echo")
 	NewEntryPool(k, "echo", 8, entry, func(int) Handler {
-		return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-			env := payload.(*Envelope)
-			_ = env
-			return []kernel.Op{kernel.OpCompute{BaseCycles: burst, Act: cpu.Activity{IPC: 1}}}
+		return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+			_ = payload.(*Request)
+			return append(ops, kernel.Compute(burst, cpu.Activity{IPC: 1}))
 		}
 	})
 	n := 0
@@ -123,18 +122,18 @@ func TestAuxWorkerRoundTrip(t *testing.T) {
 	k, fac := newRig(t)
 	_ = fac
 	a, b := kernel.NewConn()
-	NewAuxWorker(k, "db", b, func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
+	NewAuxWorker(k, "db", b, func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
 		n := payload.(int)
-		return []kernel.Op{
-			kernel.OpCompute{BaseCycles: float64(n), Act: cpu.Activity{IPC: 1}},
-			kernel.OpSend{End: b, Bytes: 64, Payload: n * 2},
-		}
+		return append(ops,
+			kernel.Compute(float64(n), cpu.Activity{IPC: 1}),
+			kernel.Send(b, 64, n*2),
+		)
 	})
 	var got any
 	k.Spawn("client", kernel.Script(
-		kernel.OpSend{End: a, Bytes: 64, Payload: 1000},
-		kernel.OpRecv{End: a},
-		kernel.OpCall{Fn: func(k *kernel.Kernel, t *kernel.Task) { got = t.LastRecv }},
+		kernel.Send(a, 64, 1000),
+		kernel.Recv(a),
+		kernel.Call(func(k *kernel.Kernel, t *kernel.Task) { got = t.LastRecv }),
 	), nil)
 	k.Eng.Run()
 	if got != 2000 {

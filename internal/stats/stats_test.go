@@ -9,7 +9,7 @@ import (
 )
 
 func TestSeriesAddAndBucket(t *testing.T) {
-	s := NewSeries(sim.Millisecond)
+	s := NewSeries()
 	s.Add(0, 1)
 	s.Add(sim.Millisecond-1, 2)
 	s.Add(sim.Millisecond, 5)
@@ -25,9 +25,9 @@ func TestSeriesAddAndBucket(t *testing.T) {
 }
 
 func TestSeriesAddSpreadProportional(t *testing.T) {
-	s := NewSeries(10)
-	// [5, 25) spans buckets 0 (5 units) and 1 (10) and 2 (5).
-	s.AddSpread(5, 25, 20)
+	s := NewSeries()
+	// [0.5, 2.5) buckets spans buckets 0 (half), 1 (whole) and 2 (half).
+	s.AddSpread(BucketWidth/2, 5*BucketWidth/2, 20)
 	if got := s.Bucket(0); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("bucket 0 = %g, want 5", got)
 	}
@@ -39,12 +39,15 @@ func TestSeriesAddSpreadProportional(t *testing.T) {
 	}
 }
 
-// Property: AddSpread conserves total mass for arbitrary intervals.
+// Property: AddSpread conserves total mass for arbitrary intervals. Times
+// are in units of a seventh of a bucket, rounded down, so spreads split
+// unevenly at the bucket edges.
 func TestSeriesAddSpreadConservesMass(t *testing.T) {
+	const unit = BucketWidth / 7
 	f := func(a, b uint16, v uint8) bool {
-		t0, t1 := sim.Time(a), sim.Time(a)+sim.Time(b)+1
+		t0, t1 := sim.Time(a)*unit, (sim.Time(a)+sim.Time(b)+1)*unit
 		val := float64(v) + 0.5
-		s := NewSeries(7)
+		s := NewSeries()
 		s.AddSpread(t0, t1, val)
 		var sum float64
 		for i := 0; i < s.Len(); i++ {
@@ -58,7 +61,7 @@ func TestSeriesAddSpreadConservesMass(t *testing.T) {
 }
 
 func TestSeriesRatePerSecond(t *testing.T) {
-	s := NewSeries(sim.Millisecond)
+	s := NewSeries()
 	s.Add(0, 0.05) // 0.05 J in 1 ms = 50 W
 	if got := s.RatePerSecond(0); math.Abs(got-50) > 1e-9 {
 		t.Fatalf("rate = %g, want 50", got)
@@ -66,20 +69,20 @@ func TestSeriesRatePerSecond(t *testing.T) {
 }
 
 func TestSeriesRebucket(t *testing.T) {
-	s := NewSeries(1)
-	for i := sim.Time(0); i < 10; i++ {
-		s.Add(i, 1)
+	s := NewSeries()
+	for i := sim.Time(0); i < 12; i++ {
+		s.Add(i*BucketWidth, 1)
 	}
-	c := s.Rebucket(5)
-	if c.Interval() != 5 {
-		t.Fatalf("interval = %d", c.Interval())
+	c := s.CoarseRates(5)
+	if len(c) != 3 {
+		t.Fatalf("%d coarse buckets, want 3", len(c))
 	}
-	if got := c.Bucket(0); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("coarse bucket = %g, want 5", got)
-	}
-	// Rate semantics preserved: 1 unit/ns in both.
-	if math.Abs(c.RatePerSecond(0)-s.RatePerSecond(0)) > 1e-6 {
-		t.Fatalf("rebucket changed rate: %g vs %g", c.RatePerSecond(0), s.RatePerSecond(0))
+	// Rate semantics preserved: one unit per bucket in every coarse
+	// bucket, the partial last one included.
+	for i, r := range c {
+		if math.Abs(r-s.RatePerSecond(0)) > 1e-6 {
+			t.Fatalf("coarse bucket %d rate %g, fine rate %g", i, r, s.RatePerSecond(0))
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func DigestCases() []DigestCase {
 		{"live cursor ID", nil, func(e *Engine) func() { return set(&e.live[0].c.ID, e.live[0].c.ID+1) }},
 		{"live cursor last J", nil, func(e *Engine) func() { return set(&e.live[0].lastJ, up(e.live[0].lastJ)) }},
 		{"extra zero-valued live cursor", nil, func(e *Engine) func() {
-			return set(&e.live, append(e.live[:len(e.live):len(e.live)], &contCursor{c: &core.Container{}}))
+			return set(&e.live, append(e.live[:len(e.live):len(e.live)], contCursor{c: &core.Container{}}))
 		}},
 		{"service cursor", nil, func(e *Engine) func() { return set(&e.svcLast[0], up(e.svcLast[0])) }},
 		{"tenant cursor", nil, func(e *Engine) func() { return set(&e.tenLast[0], up(e.tenLast[0])) }},
@@ -104,7 +104,7 @@ func DigestCases() []DigestCase {
 		// n_svc+2 service cursors opening with 1.5 and the bits of n_svc.
 		{"live/service boundary",
 			func(e *Engine) func() {
-				c := &contCursor{c: &core.Container{ID: len(e.svcLast) + 2}, lastJ: 1.5}
+				c := contCursor{c: &core.Container{ID: len(e.svcLast) + 2}, lastJ: 1.5}
 				return set(&e.live, append(e.live[:len(e.live):len(e.live)], c))
 			},
 			func(e *Engine) func() {

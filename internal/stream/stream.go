@@ -126,7 +126,7 @@ type Engine struct {
 	meterSeen int
 
 	containersSeen int
-	live           []*contCursor // creation order; released entries removed
+	live           []contCursor // creation order; released entries removed
 
 	// Hierarchy cursors: last observed cumulative energy per service and
 	// per tenant, indexed by registration order (Service.Index and
@@ -217,11 +217,12 @@ func (e *Engine) step() {
 	// walk the live set in creation order diffing cumulative stats.
 	fac := e.src.Fac
 	for n := fac.NumContainers(); e.containersSeen < n; e.containersSeen++ {
-		e.live = append(e.live, &contCursor{c: fac.ContainerAt(e.containersSeen)})
+		e.live = append(e.live, contCursor{c: fac.ContainerAt(e.containersSeen)})
 	}
 	var tickJ float64
 	keep := e.live[:0]
-	for _, cc := range e.live {
+	for i := range e.live {
+		cc := &e.live[i]
 		c := cc.c
 		j := c.EnergyJ()
 		delta := j - cc.lastJ
@@ -242,13 +243,11 @@ func (e *Engine) step() {
 		}
 		cc.lastJ = j
 		if !done {
-			keep = append(keep, cc)
+			keep = append(keep, *cc)
 		}
 	}
 	// Zero dropped tail cursors so released containers become collectable.
-	for i := len(keep); i < len(e.live); i++ {
-		e.live[i] = nil
-	}
+	clear(e.live[len(keep):])
 	e.live = keep
 
 	// Hierarchy roll-up records: per-service then per-tenant deltas over

@@ -38,7 +38,7 @@ type evParams struct {
 
 // evJob is one in-flight request inside an event loop.
 type evJob struct {
-	env    *server.Envelope
+	req    *server.Request
 	left   int
 	cycles float64
 }
@@ -64,10 +64,10 @@ func (e *eventLoop) Next(k *kernel.Kernel, t *kernel.Task) kernel.Op {
 		if e.awaited {
 			// A listener recv just completed: enqueue the new request.
 			e.awaited = false
-			env, ok := t.LastRecv.(*server.Envelope)
+			req, ok := t.LastRecv.(*server.Request)
 			if ok {
-				p := env.Req.Payload.(evParams)
-				e.queue = append(e.queue, &evJob{env: env, left: p.phases, cycles: p.cycles})
+				p := req.Payload.(*evParams)
+				e.queue = append(e.queue, &evJob{req: req, left: p.phases, cycles: p.cycles})
 			}
 			continue
 		}
@@ -75,7 +75,7 @@ func (e *eventLoop) Next(k *kernel.Kernel, t *kernel.Task) kernel.Op {
 		// degree grows under load; block on the listener only when idle.
 		if e.l.Pending() > 0 || len(e.queue) == 0 {
 			e.awaited = true
-			return kernel.OpRecvListener{L: e.l}
+			return kernel.RecvListener(e.l)
 		}
 		// Advance one phase of the oldest request: a user-level stage
 		// transfer followed by its compute slice.
@@ -83,21 +83,17 @@ func (e *eventLoop) Next(k *kernel.Kernel, t *kernel.Task) kernel.Op {
 		e.queue = e.queue[1:]
 		job.left--
 		e.pending = append(e.pending,
-			kernel.OpUserStage{Ctx: job.env.Req.Cont},
-			kernel.OpCompute{BaseCycles: job.cycles, Act: ActSolrSearch},
+			kernel.UserStage(job.req.Cont),
+			kernel.Compute(job.cycles, ActSolrSearch),
 		)
 		if job.left > 0 {
 			e.queue = append(e.queue, job)
 		} else {
-			env := job.env
+			req := job.req
 			e.pending = append(e.pending,
-				kernel.OpNet{Bytes: 16 << 10},
-				kernel.OpCall{Fn: func(k *kernel.Kernel, t *kernel.Task) {
-					if env.Done != nil {
-						env.Done(k, t)
-					}
-				}},
-				kernel.OpUserStage{Ctx: nil},
+				kernel.Net(16<<10),
+				kernel.Call(func(k *kernel.Kernel, t *kernel.Task) { req.Complete(k.Now()) }),
+				kernel.UserStage(nil),
 			)
 		}
 	}
@@ -114,13 +110,10 @@ func (w EventServer) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment 
 		k.Spawn("eventloop", &eventLoop{l: entry}, nil)
 	}
 	newRequest := func() *server.Request {
-		return &server.Request{
-			Type: "event/search",
-			Payload: evParams{
-				phases: phases,
-				cycles: evPhaseCycles * jitter(rng, 0.4),
-			},
-		}
+		return server.NewRequestWith("event/search", evParams{
+			phases: phases,
+			cycles: evPhaseCycles * jitter(rng, 0.4),
+		})
 	}
 	return &server.Deployment{
 		Entry:          entry,

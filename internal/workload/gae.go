@@ -56,19 +56,18 @@ type gaeParams struct {
 func (w GAE) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 	entry := kernel.NewListener("gae")
 	handler := func(worker int) server.Handler {
-		return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-			env := payload.(*server.Envelope)
-			p := env.Req.Payload.(gaeParams)
+		return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+			p := payload.(*server.Request).Payload.(*gaeParams)
 			act := ActJVM
 			if p.act == "virus" {
 				act = ActVirus
 			}
-			ops := []kernel.Op{kernel.OpCompute{BaseCycles: p.cycles, Act: act}}
+			ops = append(ops, kernel.Compute(p.cycles, act))
 			if p.diskBytes > 0 {
-				ops = append(ops, kernel.OpDisk{Bytes: p.diskBytes})
+				ops = append(ops, kernel.Disk(p.diskBytes))
 			}
 			if p.netBytes > 0 {
-				ops = append(ops, kernel.OpNet{Bytes: p.netBytes})
+				ops = append(ops, kernel.Net(p.netBytes))
 			}
 			return ops
 		}
@@ -99,12 +98,12 @@ func (w GAE) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 			if rng.Float64() < 0.2 {
 				p.diskBytes = 100 << 10
 			}
-			return &server.Request{Type: "vosao/read", Payload: p}
+			return server.NewRequestWith("vosao/read", p)
 		}
-		return &server.Request{Type: "vosao/write", Payload: gaeParams{
+		return server.NewRequestWith("vosao/write", gaeParams{
 			cycles: gaeWriteCycles * jitter(rng, 0.15), act: "jvm",
 			diskBytes: 250 << 10, netBytes: 10 << 10,
-		}}
+		})
 	}
 	mean := (1-virusProb)*vosaoSec + virusProb*virusSec
 	return &server.Deployment{
@@ -117,9 +116,9 @@ func (w GAE) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 // VirusRequest builds one power-virus request; the Figure 11 conditioning
 // experiment injects these sporadically into a running Vosao deployment.
 func VirusRequest(rng *sim.Rand) *server.Request {
-	return &server.Request{Type: "gae/virus", Payload: gaeParams{
+	return server.NewRequestWith("gae/virus", gaeParams{
 		cycles: VirusCycles * jitter(rng, 0.05), act: "virus", netBytes: 1 << 10,
-	}}
+	})
 }
 
 // GAEBackgroundCoreDemand returns the expected busy-core demand of the GAE
@@ -142,10 +141,10 @@ func SpawnGAEBackground(k *kernel.Kernel) []*kernel.Task {
 			// Alternate burst and pause forever.
 			if burst {
 				burst = false
-				return kernel.OpCompute{BaseCycles: gaeBackgroundBurst, Act: ActGAEBackground}
+				return kernel.Compute(gaeBackgroundBurst, ActGAEBackground)
 			}
 			burst = true
-			return kernel.OpSleep{D: gaeBackgroundPause}
+			return kernel.Sleep(gaeBackgroundPause)
 		})
 		t := k.Spawn("gae-system", prog, nil)
 		// Platform services run at elevated priority, so background

@@ -73,16 +73,6 @@ func (m MicroBench) SpawnLoop(k *kernel.Kernel, tasks int, util float64) []*kern
 	// unidentifiable — real calibration runs are never phase-locked.
 	period := busyNs + ioNs + pauseNs
 
-	// The loop's ops never change, so each is boxed into a kernel.Op once
-	// here rather than on every Next: ops are values the kernel copies
-	// out, and sharing them across tasks is safe.
-	var (
-		burst  kernel.Op = kernel.OpCompute{BaseCycles: burstCycles, Act: m.Act}
-		filler kernel.Op = kernel.OpCompute{BaseCycles: 1, Act: m.Act}
-		disk   kernel.Op = kernel.OpDisk{Bytes: m.DiskBytes}
-		net    kernel.Op = kernel.OpNet{Bytes: m.NetBytes}
-		sleep  kernel.Op = kernel.OpSleep{D: pause}
-	)
 	var out []*kernel.Task
 	for i := 0; i < tasks; i++ {
 		step := 0
@@ -91,28 +81,27 @@ func (m MicroBench) SpawnLoop(k *kernel.Kernel, tasks int, util float64) []*kern
 			if offset > 0 {
 				d := offset
 				offset = 0
-				return kernel.OpSleep{D: d}
+				return kernel.Sleep(d)
 			}
 			step++
 			switch step % 4 {
 			case 1:
-				return burst
+				return kernel.Compute(burstCycles, m.Act)
 			case 2:
 				if m.DiskBytes > 0 {
-					return disk
+					return kernel.Disk(m.DiskBytes)
 				}
-				return filler
 			case 3:
 				if m.NetBytes > 0 {
-					return net
+					return kernel.Net(m.NetBytes)
 				}
-				return filler
 			default:
-				if pause < 1 {
-					return filler
+				if pause >= 1 {
+					return kernel.Sleep(pause)
 				}
-				return sleep
 			}
+			return kernel.Compute(1, m.Act) // filler
+
 		})
 		out = append(out, k.Spawn("micro-"+m.Name, prog, nil))
 	}

@@ -42,13 +42,12 @@ type rsaParams struct {
 func (w RSA) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 	entry := kernel.NewListener("rsa")
 	handler := func(worker int) server.Handler {
-		return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-			env := payload.(*server.Envelope)
-			p := env.Req.Payload.(rsaParams)
-			return []kernel.Op{
-				kernel.OpCompute{BaseCycles: p.cycles, Act: p.act},
-				kernel.OpNet{Bytes: 2 << 10},
-			}
+		return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+			p := payload.(*server.Request).Payload.(*rsaParams)
+			return append(ops,
+				kernel.Compute(p.cycles, p.act),
+				kernel.Net(2<<10),
+			)
 		}
 	}
 	server.NewEntryPool(k, "openssl", 2*k.Spec.Cores(), entry, handler)
@@ -67,10 +66,7 @@ func (w RSA) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 			i = rng.Intn(len(rsaKeys))
 		}
 		cycles := rsaKeys[i].Cycles * jitter(rng, 0.08)
-		return &server.Request{
-			Type:    rsaKeys[i].Name,
-			Payload: rsaParams{cycles: cycles, act: rsaKeys[i].Act},
-		}
+		return server.NewRequestWith(rsaKeys[i].Name, rsaParams{cycles: cycles, act: rsaKeys[i].Act})
 	}
 	return &server.Deployment{
 		Entry:          entry,

@@ -32,14 +32,13 @@ const (
 func (Solr) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 	entry := kernel.NewListener("solr")
 	handler := func(worker int) server.Handler {
-		return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-			env := payload.(*server.Envelope)
-			p := env.Req.Payload.(solrParams)
-			return []kernel.Op{
-				kernel.OpCompute{BaseCycles: p.parseCycles, Act: ActSolrParse},
-				kernel.OpCompute{BaseCycles: p.searchCycles, Act: ActSolrSearch},
-				kernel.OpNet{Bytes: p.resultBytes},
-			}
+		return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+			p := payload.(*server.Request).Payload.(*solrParams)
+			return append(ops,
+				kernel.Compute(p.parseCycles, ActSolrParse),
+				kernel.Compute(p.searchCycles, ActSolrSearch),
+				kernel.Net(p.resultBytes),
+			)
 		}
 	}
 	server.NewEntryPool(k, "tomcat", 2*k.Spec.Cores(), entry, handler)
@@ -51,14 +50,11 @@ func (Solr) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		if search > solrSearchMaxCycles {
 			search = solrSearchMaxCycles
 		}
-		return &server.Request{
-			Type: "solr/query",
-			Payload: solrParams{
-				parseCycles:  solrParseCycles * jitter(rng, 0.1),
-				searchCycles: search,
-				resultBytes:  20<<10 + int64(rng.Intn(60<<10)),
-			},
-		}
+		return server.NewRequestWith("solr/query", solrParams{
+			parseCycles:  solrParseCycles * jitter(rng, 0.1),
+			searchCycles: search,
+			resultBytes:  20<<10 + int64(rng.Intn(60<<10)),
+		})
 	}
 	mean := meanServiceSec(k.Spec, solrParseCycles, ActSolrParse) +
 		meanServiceSec(k.Spec, solrSearchBaseCycles+solrSearchMeanExtra, ActSolrSearch)

@@ -29,21 +29,17 @@ type stressParams struct {
 func (Stress) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 	entry := kernel.NewListener("stress")
 	handler := func(worker int) server.Handler {
-		return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-			env := payload.(*server.Envelope)
-			p := env.Req.Payload.(stressParams)
-			return []kernel.Op{
-				kernel.OpCompute{BaseCycles: p.cycles, Act: ActStress},
-				kernel.OpNet{Bytes: 1 << 10},
-			}
+		return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+			p := payload.(*server.Request).Payload.(*stressParams)
+			return append(ops,
+				kernel.Compute(p.cycles, ActStress),
+				kernel.Net(1<<10),
+			)
 		}
 	}
 	server.NewEntryPool(k, "stressapp", 2*k.Spec.Cores(), entry, handler)
 	newRequest := func() *server.Request {
-		return &server.Request{
-			Type:    "stress/checksum",
-			Payload: stressParams{cycles: stressCycles * jitter(rng, 0.05)},
-		}
+		return server.NewRequestWith("stress/checksum", stressParams{cycles: stressCycles * jitter(rng, 0.05)})
 	}
 	return &server.Deployment{
 		Entry:          entry,

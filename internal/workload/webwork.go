@@ -92,54 +92,53 @@ func (w WeBWorK) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 		apacheEnd, httpdEnd := kernel.NewConn()
 		httpdDBEnd, mysqlEnd := kernel.NewConn()
 
-		server.NewAuxWorker(k, "mysqld", mysqlEnd, func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
+		server.NewAuxWorker(k, "mysqld", mysqlEnd, func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
 			q := payload.(wwQuery)
-			return []kernel.Op{
-				kernel.OpCompute{BaseCycles: q.cycles, Act: ActMySQL},
-				kernel.OpSend{End: mysqlEnd, Bytes: 4 << 10},
-			}
+			return append(ops,
+				kernel.Compute(q.cycles, ActMySQL),
+				kernel.Send(mysqlEnd, 4<<10, nil),
+			)
 		})
 
-		server.NewAuxWorker(k, "httpd", httpdEnd, func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
+		server.NewAuxWorker(k, "httpd", httpdEnd, func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
 			job := payload.(wwJob)
 			d := job.p.d
 			shell := kernel.Script(
-				kernel.OpCompute{BaseCycles: wwShellCycles, Act: ActShell},
-				kernel.OpFork{Name: "latex", Prog: kernel.Script(
-					kernel.OpCompute{BaseCycles: wwLatexCycles * d, Act: ActLatex},
-				)},
-				kernel.OpWaitChild{},
+				kernel.Compute(wwShellCycles, ActShell),
+				kernel.Fork("latex", kernel.Script(
+					kernel.Compute(wwLatexCycles*d, ActLatex),
+				)),
+				kernel.WaitChild(),
 				// Harder problems render disproportionately more
 				// images: dvipng work grows quadratically with
 				// difficulty, shifting the request's power mix
 				// toward the hottest stage.
-				kernel.OpFork{Name: "dvipng", Prog: kernel.Script(
-					kernel.OpCompute{BaseCycles: wwDvipngCycles * d * d, Act: ActDvipng},
-				)},
-				kernel.OpWaitChild{},
+				kernel.Fork("dvipng", kernel.Script(
+					kernel.Compute(wwDvipngCycles*d*d, ActDvipng),
+				)),
+				kernel.WaitChild(),
 			)
-			return []kernel.Op{
-				kernel.OpCompute{BaseCycles: wwPHP1Cycles * d, Act: ActPerl},
-				kernel.OpSend{End: httpdDBEnd, Bytes: 900, Payload: wwQuery{cycles: wwMySQLCycles * d}},
-				kernel.OpRecv{End: httpdDBEnd},
-				kernel.OpCompute{BaseCycles: wwPHP2Cycles * d, Act: ActPerl},
-				kernel.OpFork{Name: "sh", Prog: shell},
-				kernel.OpWaitChild{},
-				kernel.OpCompute{BaseCycles: wwPHP3Cycles * d, Act: ActPerl},
-				kernel.OpDisk{Bytes: 50 << 10},
-				kernel.OpSend{End: httpdEnd, Bytes: 30 << 10},
-			}
+			return append(ops,
+				kernel.Compute(wwPHP1Cycles*d, ActPerl),
+				kernel.Send(httpdDBEnd, 900, wwQuery{cycles: wwMySQLCycles * d}),
+				kernel.Recv(httpdDBEnd),
+				kernel.Compute(wwPHP2Cycles*d, ActPerl),
+				kernel.Fork("sh", shell),
+				kernel.WaitChild(),
+				kernel.Compute(wwPHP3Cycles*d, ActPerl),
+				kernel.Disk(50<<10),
+				kernel.Send(httpdEnd, 30<<10, nil),
+			)
 		})
 
-		return func(k *kernel.Kernel, t *kernel.Task, payload any) []kernel.Op {
-			env := payload.(*server.Envelope)
-			p := env.Req.Payload.(wwParams)
-			return []kernel.Op{
-				kernel.OpCompute{BaseCycles: wwApacheCycles, Act: ActPerl},
-				kernel.OpSend{End: apacheEnd, Bytes: 2 << 10, Payload: wwJob{p: p}},
-				kernel.OpRecv{End: apacheEnd},
-				kernel.OpNet{Bytes: 60 << 10},
-			}
+		return func(k *kernel.Kernel, t *kernel.Task, payload any, ops []kernel.Op) []kernel.Op {
+			p := *payload.(*server.Request).Payload.(*wwParams)
+			return append(ops,
+				kernel.Compute(wwApacheCycles, ActPerl),
+				kernel.Send(apacheEnd, 2<<10, wwJob{p: p}),
+				kernel.Recv(apacheEnd),
+				kernel.Net(60<<10),
+			)
 		}
 	}
 	server.NewEntryPool(k, "apache", nWorkers, entry, factory)
@@ -150,10 +149,7 @@ func (w WeBWorK) Deploy(k *kernel.Kernel, rng *sim.Rand) *server.Deployment {
 	}
 	newRequest := func() *server.Request {
 		i := rng.Pick(weights)
-		return &server.Request{
-			Type:    ProblemLabel(i),
-			Payload: wwParams{d: ProblemDifficulty(i) * jitter(rng, 0.05)},
-		}
+		return server.NewRequestWith(ProblemLabel(i), wwParams{d: ProblemDifficulty(i) * jitter(rng, 0.05)})
 	}
 
 	// Mean difficulty (and squared difficulty, for the quadratic dvipng

@@ -241,15 +241,13 @@ func TestMicroBenchUtilization(t *testing.T) {
 }
 
 // TestMicroBenchLoopDoesNotAllocatePerOp checks a microbenchmark loop hands
-// the kernel its fixed ops without allocating: at half load on four cores
-// the loop issues about 400 ops per 100 ms (four per iteration, about 25
-// iterations per task), and boxing a fresh op on each would allocate as
-// often. What remains is the engine's and recorder's amortized growth.
+// the kernel its ops without allocating: at half load on four cores the
+// loop issues about 400 ops per 100 ms (four per iteration, about 25
+// iterations per task), and an op or a device completion that allocated
+// would do so as often. What remains is the engine's and recorder's
+// amortized growth.
 func TestMicroBenchLoopDoesNotAllocatePerOp(t *testing.T) {
 	for _, mb := range MicroBenches() {
-		if mb.DiskBytes > 0 || mb.NetBytes > 0 {
-			continue // device I/O has allocations of its own
-		}
 		eng := sim.NewEngine()
 		k, err := kernel.New("test", cpu.SandyBridge, power.MustProfile(cpu.SandyBridge), eng, nil)
 		if err != nil {
@@ -339,5 +337,111 @@ func TestEventServerUserTransferTracking(t *testing.T) {
 	}
 	if frac := float64(starved) / float64(len(untracked)); frac < 0.1 {
 		t.Fatalf("expected substantial misattribution without trapping, starved frac %.2f", frac)
+	}
+}
+
+// mirrorCheck is a kernel.Monitor that, before forwarding each hook to the
+// facility, checks every core's Busy flag — what Eq. 3's chip-share
+// estimate reads for a sibling — against the scheduler's Kernel.CoreIdle.
+type mirrorCheck struct {
+	t     *testing.T
+	k     *kernel.Kernel
+	inner kernel.Monitor
+	hooks int
+}
+
+func (m *mirrorCheck) check(hook string) {
+	m.hooks++
+	for i, c := range m.k.Cores {
+		if c.Busy == m.k.CoreIdle(i) {
+			m.t.Fatalf("%s hook %d at %s: core %d Busy=%v, CoreIdle=%v",
+				hook, m.hooks, sim.FormatTime(m.k.Now()), i, c.Busy, m.k.CoreIdle(i))
+		}
+	}
+}
+
+func (m *mirrorCheck) OnInterrupt(c *cpu.Core, t *kernel.Task) {
+	m.check("interrupt")
+	m.inner.OnInterrupt(c, t)
+}
+
+func (m *mirrorCheck) OnSwitch(c *cpu.Core, prev, next *kernel.Task) {
+	m.check("switch")
+	m.inner.OnSwitch(c, prev, next)
+}
+
+func (m *mirrorCheck) OnBind(t *kernel.Task, ctx kernel.Context) {
+	m.check("bind")
+	m.inner.OnBind(t, ctx)
+}
+
+func (m *mirrorCheck) OnFork(parent, child *kernel.Task) {
+	m.check("fork")
+	m.inner.OnFork(parent, child)
+}
+
+func (m *mirrorCheck) OnExit(t *kernel.Task) {
+	m.check("exit")
+	m.inner.OnExit(t)
+}
+
+func (m *mirrorCheck) OnIO(t *kernel.Task, dev kernel.DeviceKind, bytes int64, busy sim.Time, watts float64) {
+	m.check("io")
+	m.inner.OnIO(t, dev, bytes, busy, watts)
+}
+
+func (m *mirrorCheck) OnTaskStart(t *kernel.Task) {
+	m.check("task start")
+	m.inner.OnTaskStart(t)
+}
+
+// TestCoreBusyMirrorsCoreIdle: the Busy flag the scheduler mirrors onto
+// each core equals !Kernel.CoreIdle for every core at every facility hook,
+// across GAE schedules of random seed, machine and load, virus requests
+// included.
+func TestCoreBusyMirrorsCoreIdle(t *testing.T) {
+	rng := sim.NewRand(41)
+	specs := cpu.Specs()
+	for trial := 0; trial < 6; trial++ {
+		spec := specs[rng.Intn(len(specs))]
+		k, fac := newRig(t, spec)
+		mc := &mirrorCheck{t: t, k: k, inner: k.Monitor}
+		k.Monitor = mc
+		dep := GAE{VirusLoadFraction: 0.2 * rng.Float64()}.Deploy(k, rng.Fork(1))
+		gen := server.NewLoadGen(k, fac, dep)
+		load := 0.3 + 0.8*rng.Float64()
+		gen.RunOpenLoop(load*float64(spec.Cores())/dep.MeanServiceSec, sim.Second, rng.Fork(2))
+		k.Eng.RunUntil(sim.Second)
+		t.Logf("trial %d (%s, load %.2f): %d hooks checked", trial, spec.Name, load, mc.hooks)
+		if mc.hooks < 1000 || len(gen.Completed()) == 0 {
+			t.Fatalf("trial %d (%s, load %.2f): %d hooks, %d requests: schedule too thin",
+				trial, spec.Name, load, mc.hooks, len(gen.Completed()))
+		}
+	}
+}
+
+// TestGAETickAllocsPerRequest bounds what a steady 100 ms GAE tick
+// allocates per request it admits: the request with its parameters, the
+// request's container and the container's first stage record. Handler
+// ops, I/O completions, sampling periods and completion bookkeeping
+// allocate nothing; the remainder is amortized series and slice growth.
+func TestGAETickAllocsPerRequest(t *testing.T) {
+	k, fac := newRig(t, cpu.Westmere)
+	dep := GAE{}.Deploy(k, sim.NewRand(3))
+	gen := server.NewLoadGen(k, fac, dep)
+	gen.RunOpenLoop(0.9*float64(k.Spec.Cores())/dep.MeanServiceSec, math.MaxInt64, sim.NewRand(4))
+	k.Eng.RunUntil(2 * sim.Second)
+	const runs = 20
+	before := fac.NumContainers()
+	allocs := testing.AllocsPerRun(runs, func() { k.Eng.RunUntil(k.Eng.Now() + 100*sim.Millisecond) })
+	// AllocsPerRun runs the tick once more before measuring.
+	perTick := float64(fac.NumContainers()-before) / (runs + 1)
+	if perTick < 10 {
+		t.Fatalf("%.1f requests per tick: load too light to bound", perTick)
+	}
+	perReq := allocs / perTick
+	t.Logf("%.0f allocations per tick for %.1f requests: %.2f per request", allocs, perTick, perReq)
+	if perReq > 3.25 {
+		t.Fatalf("%.2f allocations per request, want at most 3.25", perReq)
 	}
 }

@@ -6,14 +6,20 @@
 # quantum-aligned mass simultaneity, the simulator's real workload shape;
 # jitter = uniform random timestamps, the wheel's worst case) and
 # pending-set depths. Emits per-row speedup ratios and the headline
-# events/sec (load=batch, depth=1024).
+# events/sec (load=batch, depth=1024). It also runs the root package's
+# BenchmarkMachineTick, the simulated machine's per-event path (one
+# 100 ms tick of stream-dense's machine per op, with events/op), always
+# at a fixed 50 ticks (-benchtime=50x), where its allocs/op is
+# deterministic.
 #
 # The script FAILS (exit 1) and leaves BENCH_engine.json untouched when
-# the benchmark fails to run or reports no row, when any steady-state
+# a benchmark fails to run or reports no row, when any steady-state
 # path=arena row reports a non-zero allocs/op — the zero-allocation
-# contract CI enforces — or when run with PC_BENCH_GATE=1 and the
-# headline speedup falls below 10x. Extra args go to `go test` (e.g.
-# -benchtime=1x for a smoke run, -benchtime=2s for stable numbers).
+# contract CI enforces — when BenchmarkMachineTick's allocs/op exceeds
+# the ceiling below, or when run with PC_BENCH_GATE=1 and the headline
+# speedup falls below 10x. Extra args go to `go test` (e.g.
+# -benchtime=1x for a smoke run, -benchtime=2s for stable numbers); the
+# machine tick keeps its fixed count.
 set -e
 cd "$(dirname "$0")/.."
 out="$PWD/BENCH_engine.json"
@@ -21,17 +27,24 @@ tmp="$(mktemp)"
 json="$(mktemp)"
 trap 'rm -f "$tmp" "$json"' EXIT
 
+# Machine-tick allocations per tick at -benchtime=50x: about three per
+# request admitted (the request, its container, the container's first
+# stage record) at ~54 requests a tick.
+tick_allocs_ceiling=170
+
 # Not piped through tee: a pipeline's status is tee's, and a benchmark
 # that fails to run must fail the script, not pass an empty gate.
 go test -run='^$' -bench='^BenchmarkEngine$' \
 	-benchmem "$@" ./internal/sim/ > "$tmp" || { cat "$tmp"; exit 1; }
+go test -run='^$' -bench='^BenchmarkMachineTick$' \
+	-benchmem "$@" -benchtime=50x . >> "$tmp" || { cat "$tmp"; exit 1; }
 cat "$tmp"
 
 # Parse `BenchmarkName[-P]  iters  <value unit>...` lines into JSON, the
 # same scheme as bench_stream.sh, then join arena rows with their ref
-# counterparts into speedup ratios and apply the allocation gate.
+# counterparts into speedup ratios and apply the allocation gates.
 awk -v cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" \
-	-v gate="${PC_BENCH_GATE:-0}" '
+	-v gate="${PC_BENCH_GATE:-0}" -v tick_ceiling="$tick_allocs_ceiling" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
@@ -69,6 +82,15 @@ END {
 			fails++
 		}
 	}
+	# Per-event path allocation gate.
+	tick = "BenchmarkMachineTick"
+	if (ns[tick] == "" || alloc[tick] == "") {
+		printf "FAIL: no %s row with allocs/op\n", tick > "/dev/stderr"
+		fails++
+	} else if (alloc[tick] + 0 > tick_ceiling + 0) {
+		printf "FAIL: %s reports %s allocs/op, above the ceiling %d\n", tick, alloc[tick], tick_ceiling > "/dev/stderr"
+		fails++
+	}
 	# Speedup ratios: join each arena row with its ref counterpart.
 	m = 0
 	for (i = 1; i <= n; i++) {
@@ -89,7 +111,7 @@ END {
 		printf "FAIL: headline speedup %.2fx below the 10x gate\n", headline > "/dev/stderr"
 		fails++
 	}
-	printf "{\n  \"cores\": %d,\n", cores
+	printf "{\n  \"cores\": %d,\n  \"tick_allocs_ceiling\": %d,\n", cores, tick_ceiling
 	if (headline != "")      printf "  \"headline_speedup\": %.2f,\n", headline
 	if (headline_evps != "") printf "  \"headline_events_per_sec\": %s,\n", headline_evps
 	printf "  \"speedups\": [\n"

@@ -21,7 +21,7 @@ json="$(mktemp)"
 trap 'rm -f "$tmp" "$json"' EXIT
 
 # Ingest allocations per tick at -benchtime=300x.
-ingest_allocs_ceiling=223
+ingest_allocs_ceiling=55
 
 # Not piped through tee: a pipeline's status is tee's, and a benchmark
 # that fails to run must fail the script, not pass an empty gate.
